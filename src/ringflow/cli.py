@@ -6,9 +6,11 @@ range of qubit counts into a plot-ready table), and ``analyze`` recombines
 externally measured outcome data.  Only the report is written to standard
 output; diagnostics go to standard error, so output can be piped.
 
-Exit codes: 2 for bad flags, 3 for computation failures, 4 for unreadable
-or malformed input data.  Environment variables RINGFLOW_SHOTS,
-RINGFLOW_SEED and RINGFLOW_FORMAT override the built-in defaults.
+Exit codes: 2 for bad flags or malformed RINGFLOW_* values, 3 for
+computation failures (including a report that cannot be written as strict
+JSON), 4 for unreadable or malformed input data.  Environment variables
+RINGFLOW_SHOTS, RINGFLOW_SEED and RINGFLOW_FORMAT override the built-in
+defaults.
 """
 from __future__ import annotations
 
@@ -52,14 +54,18 @@ exit codes:
 """
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
+class _NonFiniteReport(ValueError):
+    """A report holds NaN or infinity, which strict JSON cannot carry."""
+
+
+def _env_int(name: str, parser: argparse.ArgumentParser) -> int | None:
+    raw = os.environ.get(name, "")
+    if raw == "":
         return None
     try:
         return int(raw)
     except ValueError:
-        return None
+        parser.error(f"{name} must be an integer, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format",
             choices=_FORMATS,
-            default=os.environ.get("RINGFLOW_FORMAT", "json"),
+            default=os.environ.get("RINGFLOW_FORMAT") or "json",
             help="output format (default: %(default)s)",
         )
         p.add_argument("--output", metavar="FILE", help="write to FILE instead of stdout")
@@ -153,7 +159,10 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise _NonFiniteReport(f"cannot write the report as JSON: {exc}") from None
 
 
 def _sum_text(op_sum: WeightedPauliSum, fmt: str, dense) -> str:
@@ -300,8 +309,8 @@ def _cmd_current(args, parser) -> int:
         return EXIT_OK
     if args.n < 1:
         parser.error("--n must be a positive integer")
-    shots = args.shots if args.shots is not None else _env_int("RINGFLOW_SHOTS")
-    seed = args.seed if args.seed is not None else _env_int("RINGFLOW_SEED")
+    shots = args.shots if args.shots is not None else _env_int("RINGFLOW_SHOTS", parser)
+    seed = args.seed if args.seed is not None else _env_int("RINGFLOW_SEED", parser)
     try:
         if args.mode == "exact":
             report = run_exact(args.n, theta0=args.theta0, grouped=args.grouped)
@@ -330,7 +339,7 @@ def _cmd_analyze(args, parser) -> int:
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"ringflow: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"ringflow: malformed measured data: {exc}", file=sys.stderr)
         return EXIT_DATA
     _emit(_report_text(report, args.format), args.output)
@@ -340,11 +349,20 @@ def _cmd_analyze(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "decompose":
-        return _cmd_decompose(args, parser)
-    if args.command == "current":
-        return _cmd_current(args, parser)
-    return _cmd_analyze(args, parser)
+    # argparse checks choices on given flags only, not on the default
+    if args.format not in _FORMATS:
+        parser.error(
+            f"RINGFLOW_FORMAT must be one of {', '.join(_FORMATS)}, got {args.format!r}"
+        )
+    try:
+        if args.command == "decompose":
+            return _cmd_decompose(args, parser)
+        if args.command == "current":
+            return _cmd_current(args, parser)
+        return _cmd_analyze(args, parser)
+    except _NonFiniteReport as exc:
+        print(f"ringflow: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
 
 
 if __name__ == "__main__":

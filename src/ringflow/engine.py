@@ -5,12 +5,13 @@ amplitude array (stride 2^(N-1-target)); no dense unitary is ever built.
 Qubit 0 (S1) is the most significant bit of the basis index, so the basis
 index of a momentum eigenstate equals the momentum quantum number.
 
-Expectation values of weighted Pauli sums are computed exactly.  For small
-sums each word is applied to the state directly; for large {I,X,Z} sums
-with at most one Z per word the engine switches to a setting-grouped path
-(one basis rotation plus one Walsh-Hadamard transform of the outcome
-probabilities per setting) carried out in extended precision, which keeps
-the heavily weighted cancellations accurate at large N.
+Expectation values of weighted Pauli sums are computed exactly.  Word
+parities come from one kernel, ``parity_expectations``: one Walsh-Hadamard
+transform of a dense outcome vector gives every word's parity average.
+Sums whose words are over {I,X,Z} with at most one Z feed it per setting
+(one basis rotation each) in extended precision, which keeps the heavily
+weighted cancellations accurate at large N; other words act on the state
+directly.  The estimators in ``experiment`` call it in float64.
 """
 from __future__ import annotations
 
@@ -23,9 +24,6 @@ from .pauli import WeightedPauliSum, index_masks
 
 #: Norm drift beyond this after a kernel indicates an engine bug.
 NORM_TOL = 1e-9
-
-#: terms * dimension above which expectation_pauli prefers the grouped path.
-_GROUPED_WORK_THRESHOLD = 1 << 24
 
 GATE_KINDS = ("RY", "H", "X", "Z", "CNOT", "CRY")
 _CONTROLLED = ("CNOT", "CRY")
@@ -272,8 +270,7 @@ def expectation_pauli(
         raise ValueError(
             f"operator acts on {op_sum.n_qubits} qubits, state has {state.n_qubits}"
         )
-    work = len(op_sum.terms) << state.n_qubits
-    if work > _GROUPED_WORK_THRESHOLD and _single_z_no_y(op_sum):
+    if _single_z_no_y(op_sum):
         return _expectation_grouped(state, op_sum)
     return _expectation_direct(state, op_sum, imag_tol)
 
@@ -302,9 +299,13 @@ def _expectation_direct(
     return float(total.real)
 
 
-def _walsh(vec: np.ndarray) -> np.ndarray:
-    # unnormalized Walsh-Hadamard transform: out[m] = sum_j (-1)^popcount(m & j) vec[j]
-    out = vec.copy()
+def parity_expectations(probs: np.ndarray, masks) -> np.ndarray:
+    """Parity averages sum_j (-1)^popcount(mask & j) probs[j], one per mask.
+
+    One unnormalized Walsh-Hadamard transform of the dense outcome vector
+    serves every mask; the result keeps the dtype of ``probs``.
+    """
+    out = probs.copy()
     size = out.size
     half = 1
     while half < size:
@@ -314,7 +315,7 @@ def _walsh(vec: np.ndarray) -> np.ndarray:
         v[:, 0, :] = a + b
         v[:, 1, :] = a - b
         half *= 2
-    return out
+    return out[np.asarray(masks, dtype=np.int64)]
 
 
 def _expectation_grouped(state: Statevector, op_sum: WeightedPauliSum) -> float:
@@ -339,8 +340,7 @@ def _expectation_grouped(state: Statevector, op_sum: WeightedPauliSum) -> float:
                 v[1] = a - b
                 n_rotations += 1
         probs = (rotated.real**2 + rotated.imag**2) / (1 << n_rotations)
-        transformed = _walsh(probs)
-        gathered = transformed[np.asarray(masks, dtype=np.int64)]
+        gathered = parity_expectations(probs, masks)
         # elementwise product + pairwise sum; dot would reduce sequentially
         total += (np.asarray(coeffs, dtype=np.longdouble) * gathered).sum()
     return float(total)

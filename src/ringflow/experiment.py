@@ -7,6 +7,11 @@ measurement circuits, and by recombining externally measured outcome data.
 The word-expansion estimator is specific to theta0 = 0; nonzero angles are
 available through the exact path only.
 
+Each setting's outcomes (exact probabilities, counts / shots, or supplied
+data) become one dense float64 vector, and one ``parity_expectations``
+call gives all of that setting's word expectations; bitstring maps exist
+only in input data and in the report's setting records.
+
 All estimators assemble J as (identity_weight + sum coeff * <V>) / 4pi
 from their own per-term records, and every report round-trips: feeding
 ``report.to_dict()`` back into ``ingest_measurements`` reproduces the
@@ -30,6 +35,7 @@ from .engine import (
     apply_circuit,
     init_amplitudes,
     init_basis,
+    parity_expectations,
     sample,
     z_probabilities,
 )
@@ -199,18 +205,17 @@ def relative_error(j_obs: float, j_theory: float) -> float:
     return abs(j_obs - j_theory) / abs(j_theory)
 
 
-def _outcome_arrays(probs: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
-    # fixed (sorted) outcome order so identical data reproduces identical floats
-    items = sorted(probs.items())
-    codes = np.array([int(bits, 2) for bits, _ in items], dtype=np.int64)
-    values = np.array([p for _, p in items], dtype=np.float64)
-    return codes, values
+def _outcome_vector(n_qubits: int, values: dict) -> np.ndarray:
+    # bitstring-keyed map -> dense float64 vector indexed by basis index
+    vec = np.zeros(1 << n_qubits)
+    for bits, v in values.items():
+        vec[int(bits, 2)] = v
+    return vec
 
 
-def _term_expectation(word: str, codes: np.ndarray, values: np.ndarray) -> float:
-    mx, my, mz = index_masks(word)
-    parity = np.bitwise_count(codes & (mx | my | mz)).astype(np.int64) & 1
-    return float(np.dot((1.0 - 2.0 * parity), values))
+def _setting_expectations(vec: np.ndarray, terms) -> list[float]:
+    masks = [mx | my | mz for mx, my, mz in (index_masks(t.word) for t in terms)]
+    return parity_expectations(vec, masks).tolist()
 
 
 def _measurement_plan(
@@ -321,26 +326,18 @@ def run_simulation(
         rotated = apply_circuit(state, measurement_circuit(setting))
         if sampling:
             entropy = [seed, k]
-            outcome = sample(
+            counts = sample(
                 rotated,
                 shots_per_setting,
                 seed=np.random.SeedSequence(entropy),
                 readout_flip=readout_flip,
-            )
-            counts = outcome.counts
-            probs = {bits: c / shots_per_setting for bits, c in counts.items()}
+            ).counts
+            outcomes = _outcome_vector(n_qubits, counts) / shots_per_setting
         else:
             entropy = None
             counts = None
-            n = n_qubits
-            probs = {
-                format(i, f"0{n}b"): float(p)
-                for i, p in enumerate(z_probabilities(rotated))
-                if p > 0.0
-            }
-        codes, values = _outcome_arrays(probs)
-        for term in terms:
-            value = _term_expectation(term.word, codes, values)
+            outcomes = z_probabilities(rotated)
+        for term, value in zip(terms, _setting_expectations(outcomes, terms)):
             if sampling:
                 std = math.sqrt(max(0.0, 1.0 - value * value) / shots_per_setting)
             else:
@@ -348,10 +345,12 @@ def run_simulation(
             term_records.append(
                 TermRecord(term.word, term.coeff, setting.basis_word, value, std)
             )
+        nonzero = np.flatnonzero(outcomes)
+        keys = (format(i, f"0{n_qubits}b") for i in nonzero.tolist())
         setting_records.append(
             SettingRecord(
                 setting.basis_word,
-                dict(sorted(probs.items())),
+                dict(zip(keys, outcomes[nonzero].tolist())),
                 counts,
                 entropy,
                 tuple(t.word for t in terms),
@@ -397,6 +396,15 @@ def run_exact(
     )
 
 
+def _count(value, position: int) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"settings[{position}]: count {value!r} is not a whole number")
+    count = int(value)
+    if count < 0:
+        raise ValueError(f"settings[{position}]: negative count {count}")
+    return count
+
+
 def _parse_setting_entry(entry: dict, n_qubits: int, position: int):
     basis = entry.get("basis_word")
     if not isinstance(basis, str) or len(basis) != n_qubits:
@@ -406,7 +414,7 @@ def _parse_setting_entry(entry: dict, n_qubits: int, position: int):
         probs = {str(b): float(p) for b, p in entry["probabilities"].items()}
         counts = None
     elif "counts" in entry:
-        counts = {str(b): int(c) for b, c in entry["counts"].items()}
+        counts = {str(b): _count(c, position) for b, c in entry["counts"].items()}
         total = sum(counts.values())
         if total <= 0:
             raise ValueError(f"settings[{position}]: empty counts")
@@ -416,6 +424,8 @@ def _parse_setting_entry(entry: dict, n_qubits: int, position: int):
     for bits, p in probs.items():
         if len(bits) != n_qubits or set(bits) - {"0", "1"}:
             raise ValueError(f"settings[{position}]: bad outcome {bits!r}")
+        if not math.isfinite(p):
+            raise ValueError(f"settings[{position}]: non-finite probability {p!r}")
         if p < 0.0:
             raise ValueError(f"settings[{position}]: negative probability")
     if abs(math.fsum(probs.values()) - 1.0) > 1e-6:
@@ -449,7 +459,13 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
     if "expectations" in data:
         supplied = {}
         for entry in data["expectations"]:
-            supplied[str(entry["word"])] = float(entry["value"])
+            value = float(entry["value"])
+            if not -1.0 <= value <= 1.0:
+                raise ValueError(
+                    f"expectation of {entry['word']} must be finite and within "
+                    f"[-1, 1], got {value!r}"
+                )
+            supplied[str(entry["word"])] = value
         expected = {t.word for t in decomp.terms}
         if set(supplied) != expected:
             raise ValueError(
@@ -495,23 +511,20 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         uncovered = [t.word for t in decomp.terms if t.word not in assignment]
         if uncovered:
             raise ValueError(f"no setting covers terms {uncovered[:4]}")
-        arrays = [_outcome_arrays(probs) for _, probs, _, _ in parsed]
-        term_records = []
+        assigned: list[list[PauliString]] = [[] for _ in parsed]
         for term in decomp.terms:
-            i = assignment[term.word]
-            value = _term_expectation(term.word, *arrays[i])
-            term_records.append(
-                TermRecord(term.word, term.coeff, parsed[i][0].basis_word, value, None)
-            )
+            assigned[assignment[term.word]].append(term)
+        records: dict[str, TermRecord] = {}
+        for (setting, probs, _, _), terms in zip(parsed, assigned):
+            values = _setting_expectations(_outcome_vector(n_qubits, probs), terms)
+            for t, value in zip(terms, values):
+                records[t.word] = TermRecord(t.word, t.coeff, setting.basis_word, value, None)
+        term_records = [records[t.word] for t in decomp.terms]
         setting_records = [
             SettingRecord(
-                setting.basis_word,
-                dict(sorted(probs.items())),
-                counts,
-                None,
-                tuple(t.word for t in decomp.terms if assignment[t.word] == i),
+                setting.basis_word, probs, counts, None, tuple(t.word for t in terms)
             )
-            for i, (setting, probs, counts, _) in enumerate(parsed)
+            for (setting, probs, counts, _), terms in zip(parsed, assigned)
         ]
     else:
         raise ValueError("data carries neither 'settings' nor 'expectations'")

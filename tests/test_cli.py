@@ -161,6 +161,39 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--input", str(tmp_path / "nope.json"))
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 1, "settings": [
+                {"basis_word": "X", "probabilities": {"0": float("nan"), "1": 0.5}},
+                {"basis_word": "Z", "probabilities": {"0": 1.0}},
+            ]},
+            {"n": 1, "settings": [
+                {"basis_word": "X", "counts": {"0": float("inf"), "1": 5}},
+                {"basis_word": "Z", "counts": {"0": 1}},
+            ]},
+            {"n": 1, "settings": [
+                {"basis_word": "X", "counts": {"0": -1, "1": 5}},
+                {"basis_word": "Z", "counts": {"0": 1}},
+            ]},
+            {"n": 1, "expectations": [
+                {"word": "X", "value": 7.5}, {"word": "Z", "value": 0.5},
+            ]},
+            {"n": 1, "expectations": [
+                {"word": "X", "value": float("nan")}, {"word": "Z", "value": 0.5},
+            ]},
+        ],
+        ids=["nan-probability", "inf-count", "negative-count", "expectation-7.5",
+             "nan-expectation"],
+    )
+    def test_invalid_numbers_are_data_errors(self, capsys, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))  # json writes NaN/Infinity literals
+        code, out, err = run_cli(capsys, "analyze", "--input", str(bad))
+        assert code == 4
+        assert out == ""
+        assert "malformed" in err
+
     def test_wrong_qubit_count_is_data_error(self, capsys, data_dir):
         code, _, _ = run_cli(
             capsys,
@@ -190,6 +223,29 @@ class TestPlumbing:
         code, out, _ = run_cli(capsys, "decompose", "--n", "1")
         assert code == 0
         assert out == "1 +1*X -1*Z\n"
+
+    @pytest.mark.parametrize(
+        "name, value, argv",
+        [
+            ("RINGFLOW_FORMAT", "xml", ("decompose", "--n", "1")),
+            ("RINGFLOW_SHOTS", "abc", ("current", "--n", "1", "--mode", "shots")),
+            ("RINGFLOW_SEED", "abc", ("current", "--n", "1", "--mode", "shots")),
+        ],
+    )
+    def test_malformed_env_value_is_usage_error(self, capsys, monkeypatch, name, value, argv):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert name in captured.err
+
+    def test_non_finite_report_is_compute_error(self, capsys):
+        code, out, err = run_cli(capsys, "current", "--n", "2", "--theta0", "nan")
+        assert code == 3
+        assert out == ""
+        assert "JSON" in err
 
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("RINGFLOW_SEED", "42")

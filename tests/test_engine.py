@@ -17,6 +17,7 @@ from ringflow.engine import (
     h,
     init_amplitudes,
     init_basis,
+    parity_expectations,
     ry,
     sample,
     x,
@@ -226,6 +227,16 @@ class TestExpectation:
             grouped = _expectation_grouped(state, dec)
             assert abs(direct - grouped) < 1e-10
 
+    def test_path_chosen_by_word_shape(self):
+        """Every {I,X,Z} sum with at most one Z per word takes the grouped path."""
+        rng = np.random.default_rng(7)
+        state = init_amplitudes(3, random_state_vector(rng, 3))
+        dec = current_decomposition(3)
+        assert expectation_pauli(state, dec) == _expectation_grouped(state, dec)
+        for word in ("YXI", "ZZI"):
+            op = WeightedPauliSum(3, 0.5, (PauliString(word, 1.0),))
+            assert expectation_pauli(state, op) == _expectation_direct(state, op, 1e-10)
+
     def test_grouped_path_engages_at_scale(self):
         state = init_amplitudes(12, backflow_coefficients(12).a)
         dec = current_decomposition(12)
@@ -233,6 +244,20 @@ class TestExpectation:
 
         value = expectation_pauli(state, dec) / (4 * math.pi)
         assert abs(value - closed_form_current(12)) < 1e-9
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_parity_expectations_match_popcount_sum(dtype):
+    rng = np.random.default_rng(5)
+    probs = rng.random(32).astype(dtype)
+    probs /= probs.sum()
+    masks = [0, 1, 6, 19, 31]
+    out = parity_expectations(probs, masks)
+    assert out.dtype == dtype
+    idx = np.arange(32)
+    for mask, value in zip(masks, out):
+        signs = 1 - 2 * (np.bitwise_count(idx & mask).astype(np.int64) & 1)
+        assert abs(value - (signs * probs).sum()) < 1e-15
 
 
 class TestProbabilitiesAndSampling:

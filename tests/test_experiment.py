@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ringflow.circuits import parity_sign
 from ringflow.experiment import (
     BackflowCoefficients,
     backflow_coefficients,
@@ -14,7 +15,7 @@ from ringflow.experiment import (
     run_exact,
     run_simulation,
 )
-from ringflow.pauli import dense_current_matrix
+from ringflow.pauli import PauliString, dense_current_matrix
 
 from conftest import random_state_vector
 
@@ -210,6 +211,34 @@ class TestRunSimulation:
             run_simulation(1, 0)
 
 
+def assert_records_match_parity_oracle(report):
+    """Each word expectation equals the parity average over its setting's outcomes."""
+    owner = {word: s for s in report.setting_records for word in s.terms}
+    assert len(owner) == len(report.term_records)
+    for record in report.term_records:
+        term = PauliString(record.word, 1.0)
+        probabilities = owner[record.word].probabilities
+        oracle = math.fsum(parity_sign(term, bits) * p for bits, p in probabilities.items())
+        assert abs(record.expectation - oracle) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "per-term"])
+@pytest.mark.parametrize("shots", [None, 3000], ids=["exact", "shots"])
+def test_term_records_match_parity_oracle(n, grouped, shots):
+    report = run_simulation(n, shots, seed=40 + n, grouped=grouped)
+    assert_records_match_parity_oracle(report)
+    if shots is not None:
+        counts_only = {
+            "n": n,
+            "settings": [
+                {"basis_word": s.basis_word, "counts": s.counts}
+                for s in report.setting_records
+            ],
+        }
+        assert_records_match_parity_oracle(ingest_measurements(None, counts_only))
+
+
 class TestRunExact:
     def test_zero_angle_uses_estimator(self):
         report = run_exact(2)
@@ -293,6 +322,35 @@ class TestIngestMeasurements:
             ],
         }
         with pytest.raises(ValueError, match="sum"):
+            ingest_measurements(None, data)
+
+    @pytest.mark.parametrize(
+        "setting, match",
+        [
+            ({"basis_word": "X", "probabilities": {"0": math.nan, "1": 0.5}}, "non-finite"),
+            ({"basis_word": "X", "probabilities": {"0": math.inf, "1": 0.0}}, "non-finite"),
+            ({"basis_word": "X", "counts": {"0": math.nan, "1": 5}}, "whole number"),
+            ({"basis_word": "X", "counts": {"0": math.inf, "1": 5}}, "whole number"),
+            ({"basis_word": "X", "counts": {"0": -1, "1": 5}}, "negative count"),
+        ],
+        ids=["nan-probability", "inf-probability", "nan-count", "inf-count",
+             "negative-count"],
+    )
+    def test_invalid_outcome_numbers_rejected(self, setting, match):
+        data = {
+            "n": 1,
+            "settings": [setting, {"basis_word": "Z", "probabilities": {"0": 1.0}}],
+        }
+        with pytest.raises(ValueError, match=match):
+            ingest_measurements(None, data)
+
+    @pytest.mark.parametrize("value", [7.5, -1.5, math.nan, math.inf])
+    def test_invalid_expectations_rejected(self, value):
+        data = {
+            "n": 1,
+            "expectations": [{"word": "X", "value": value}, {"word": "Z", "value": 0.5}],
+        }
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             ingest_measurements(None, data)
 
     def test_uncovered_terms_rejected(self):
