@@ -7,15 +7,16 @@ externally measured outcome data.  Only the report is written to standard
 output; diagnostics go to standard error, so output can be piped.
 
 Exit codes: 2 for bad flags or malformed RINGFLOW_* values, 3 for
-computation failures (including a report that cannot be written as strict
-JSON), 4 for unreadable or malformed input data.  Environment variables
-RINGFLOW_SHOTS, RINGFLOW_SEED and RINGFLOW_FORMAT override the built-in
-defaults.
+computation failures (including registers above ``MAX_QUBITS`` and a
+report that cannot be written as strict JSON), 4 for unreadable or
+malformed input data.  Environment variables RINGFLOW_SHOTS, RINGFLOW_SEED
+and RINGFLOW_FORMAT override the built-in defaults.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -31,7 +32,13 @@ from .experiment import (
     run_exact,
     run_simulation,
 )
-from .pauli import WeightedPauliSum, current_decomposition, dense_current_matrix
+from .pauli import (
+    MAX_QUBITS,
+    RegisterTooLargeError,
+    WeightedPauliSum,
+    current_decomposition,
+    dense_current_matrix,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,7 +47,10 @@ EXIT_DATA = 4
 
 _FORMATS = ("json", "csv", "table")
 
-_EPILOG = """\
+_EPILOG = f"""\
+register cap:
+  registers above {MAX_QUBITS} qubits are refused with exit code 3
+
 environment defaults:
   RINGFLOW_SHOTS    default for --shots (built-in: 8000)
   RINGFLOW_SEED     default for --seed (built-in: fresh entropy)
@@ -279,6 +289,8 @@ def _cmd_decompose(args, parser) -> int:
 def _cmd_current(args, parser) -> int:
     if (args.n is None) == (args.n_range is None):
         parser.error("exactly one of --n or --range is required")
+    if not math.isfinite(args.theta0):
+        parser.error(f"--theta0 must be finite, got {args.theta0!r}")
     if args.mode == "exact":
         for flag, name in ((args.shots, "--shots"), (args.seed, "--seed")):
             if flag is not None:
@@ -309,7 +321,12 @@ def _cmd_current(args, parser) -> int:
         return EXIT_OK
     if args.n < 1:
         parser.error("--n must be a positive integer")
-    shots = args.shots if args.shots is not None else _env_int("RINGFLOW_SHOTS", parser)
+    if args.shots is not None:
+        shots, shots_source = args.shots, "--shots"
+    else:
+        shots, shots_source = _env_int("RINGFLOW_SHOTS", parser), "RINGFLOW_SHOTS"
+    if shots is not None and shots < 1:
+        parser.error(f"{shots_source} must be a positive integer, got {shots}")
     seed = args.seed if args.seed is not None else _env_int("RINGFLOW_SEED", parser)
     try:
         if args.mode == "exact":
@@ -336,6 +353,9 @@ def _cmd_analyze(args, parser) -> int:
         with open(args.input, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         report = ingest_measurements(args.n, data)
+    except RegisterTooLargeError as exc:
+        print(f"ringflow: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"ringflow: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .pauli import WeightedPauliSum, index_masks
+from .pauli import WeightedPauliSum, index_masks, word_masks
 
 #: Norm drift beyond this after a kernel indicates an engine bug.
 NORM_TOL = 1e-9
@@ -258,10 +259,6 @@ def sample(
     return OutcomeCounts(n, shots, out)
 
 
-def _single_z_no_y(op_sum: WeightedPauliSum) -> bool:
-    return all("Y" not in t.word and t.word.count("Z") <= 1 for t in op_sum.terms)
-
-
 def expectation_pauli(
     state: Statevector, op_sum: WeightedPauliSum, imag_tol: float = 1e-10
 ) -> float:
@@ -270,8 +267,11 @@ def expectation_pauli(
         raise ValueError(
             f"operator acts on {op_sum.n_qubits} qubits, state has {state.n_qubits}"
         )
-    if _single_z_no_y(op_sum):
-        return _expectation_grouped(state, op_sum)
+    masks = word_masks(list(map(attrgetter("word"), op_sum.terms)), op_sum.n_qubits)
+    _, my, mz = masks
+    # no Y anywhere, and at most one Z per word
+    if not my.any() and not (mz & (mz - 1)).any():
+        return _expectation_grouped(state, op_sum, masks)
     return _expectation_direct(state, op_sum, imag_tol)
 
 
@@ -318,17 +318,29 @@ def parity_expectations(probs: np.ndarray, masks) -> np.ndarray:
     return out[np.asarray(masks, dtype=np.int64)]
 
 
-def _expectation_grouped(state: Statevector, op_sum: WeightedPauliSum) -> float:
+def _expectation_grouped(
+    state: Statevector, op_sum: WeightedPauliSum, masks=None
+) -> float:
     n = state.n_qubits
-    groups: dict[int, tuple[list[int], list[float]]] = {}
-    for term in op_sum.terms:
-        mx, _, mz = index_masks(term.word)
-        masks, coeffs = groups.setdefault(mz, ([], []))
-        masks.append(mx | mz)
-        coeffs.append(term.coeff)
+    terms = op_sum.terms
+    if masks is None:
+        masks = word_masks(list(map(attrgetter("word"), terms)), n)
+    mx, _, mz = masks
+    # float64 first: a direct longdouble fromiter is several times slower
+    coeffs = np.fromiter(map(attrgetter("coeff"), terms), np.float64, len(terms))
+    coeffs = coeffs.astype(np.longdouble)
+    parity_masks = mx | mz
+    # one setting per Z mask, visited in order of first appearance; a stable
+    # sort keeps each setting's terms in their original order
+    zmasks, first, group = np.unique(mz, return_index=True, return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    sizes = np.bincount(group, minlength=zmasks.size)
+    ends = np.cumsum(sizes)
     base = state.amplitudes.astype(np.clongdouble)
     total = np.longdouble(op_sum.identity_weight)
-    for zmask, (masks, coeffs) in groups.items():
+    for g in np.argsort(first).tolist():
+        zmask = int(zmasks[g])
+        members = order[ends[g] - sizes[g] : ends[g]]
         rotated = base.copy()
         n_rotations = 0
         for pos in range(n):
@@ -340,7 +352,7 @@ def _expectation_grouped(state: Statevector, op_sum: WeightedPauliSum) -> float:
                 v[1] = a - b
                 n_rotations += 1
         probs = (rotated.real**2 + rotated.imag**2) / (1 << n_rotations)
-        gathered = parity_expectations(probs, masks)
+        gathered = parity_expectations(probs, parity_masks[members])
         # elementwise product + pairwise sum; dot would reduce sequentially
-        total += (np.asarray(coeffs, dtype=np.longdouble) * gathered).sum()
+        total += (coeffs[members] * gathered).sum()
     return float(total)

@@ -39,7 +39,13 @@ from .engine import (
     sample,
     z_probabilities,
 )
-from .pauli import PauliString, WeightedPauliSum, current_decomposition, index_masks
+from .pauli import (
+    PauliString,
+    WeightedPauliSum,
+    check_register,
+    current_decomposition,
+    index_masks,
+)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -160,6 +166,7 @@ def backflow_coefficients(n_qubits: int) -> BackflowCoefficients:
     """Affine-in-m coefficient family with negative current for every N >= 1."""
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
+    check_register(n_qubits)
     dim = 1 << n_qubits
     norm_sq = ((dim << 1) + 1) * (dim - 1) * (dim >> 1)
     m = np.arange(dim, dtype=np.float64)

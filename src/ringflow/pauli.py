@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from operator import attrgetter
 
 import numpy as np
 
@@ -23,6 +23,10 @@ PAULI_LETTERS = "IXYZ"
 
 #: Largest qubit count for which dense 2^N x 2^N storage is permitted.
 DENSE_QUBIT_CAP = 16
+
+#: Largest register the word expansion and the backflowing state are built
+#: for: 20 qubits is 11 534 335 words and 16 MiB of complex amplitudes.
+MAX_QUBITS = 20
 
 _FACTORS = {
     "I": np.eye(2, dtype=np.int64),
@@ -40,7 +44,8 @@ class PauliString:
     coeff: float
 
     def __post_init__(self):
-        if not self.word or set(self.word) - set(PAULI_LETTERS):
+        # strip leaves a letter outside IXYZ, if any; str methods beat sets here
+        if not self.word or self.word.strip(PAULI_LETTERS):
             raise ValueError(f"invalid Pauli word {self.word!r}")
         if not math.isfinite(self.coeff):
             raise ValueError(f"non-finite coefficient for {self.word}")
@@ -67,14 +72,15 @@ class WeightedPauliSum:
         if not math.isfinite(self.identity_weight):
             raise ValueError("non-finite identity weight")
         object.__setattr__(self, "terms", tuple(self.terms))
-        words = set()
-        for t in self.terms:
-            if len(t.word) != self.n_qubits:
-                raise ValueError(f"term {t.word} does not act on {self.n_qubits} qubits")
-            if not t.word.strip("I"):
-                raise ValueError("all-identity term belongs in identity_weight")
-            words.add(t.word)
-        if len(words) != len(self.terms):
+        # bulk checks: set and map run in C, which matters at 10^6 terms
+        words = list(map(attrgetter("word"), self.terms))
+        if set(map(len, words)) - {self.n_qubits}:
+            bad = next(w for w in words if len(w) != self.n_qubits)
+            raise ValueError(f"term {bad} does not act on {self.n_qubits} qubits")
+        distinct = set(words)
+        if "I" * self.n_qubits in distinct:
+            raise ValueError("all-identity term belongs in identity_weight")
+        if len(distinct) != len(words):
             raise ValueError("duplicate Pauli words; merge like terms first")
 
     def to_dict(self) -> dict:
@@ -103,6 +109,42 @@ def index_masks(word: str) -> tuple[int, int, int]:
         elif letter == "Z":
             mz |= bit
     return mx, my, mz
+
+
+def word_masks(words, n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``index_masks`` of every word at once, as three int64 arrays.
+
+    ``words`` is a sequence of words over IXYZ, each ``n_qubits`` long.
+    """
+    if set(map(len, words)) - {n_qubits}:
+        raise ValueError(f"every word must have {n_qubits} letters")
+    # left-pad each word to whole bytes, so packbits yields each mask's
+    # big-endian bytes directly (leftmost letter = most significant bit)
+    width = -(-n_qubits // 8) * 8
+    letters = np.zeros((len(words), width), dtype=np.uint8)
+    letters[:, width - n_qubits :] = np.frombuffer(
+        "".join(words).encode("ascii"), dtype=np.uint8
+    ).reshape(len(words), n_qubits)
+    out = []
+    for letter in b"XYZ":
+        packed = np.packbits(letters == letter).reshape(len(words), width // 8)
+        mask = np.zeros(len(words), dtype=np.int64)
+        for column in packed.T:
+            mask = (mask << 8) | column
+        out.append(mask)
+    return tuple(out)
+
+
+class RegisterTooLargeError(ValueError):
+    """A register beyond MAX_QUBITS, refused before anything is built."""
+
+
+def check_register(n_qubits: int) -> None:
+    """Refuse registers larger than MAX_QUBITS."""
+    if n_qubits > MAX_QUBITS:
+        raise RegisterTooLargeError(
+            f"{n_qubits} qubits exceed the register cap of {MAX_QUBITS}"
+        )
 
 
 def _check_qubits(n_qubits: int) -> None:
@@ -137,25 +179,25 @@ def current_decomposition(n_qubits: int) -> WeightedPauliSum:
 
     Every word over {I, X} (except all-I, which becomes the identity
     weight) carries coefficient 2^N - 1; every word with a single Z at
-    position p and {I, X} elsewhere carries coefficient -2^(N-1-p).
-    Like terms are merged, exact zeros dropped, and the result is sorted
-    lexicographically by word.
+    position p and {I, X} elsewhere carries coefficient -2^(N-1-p).  No
+    two of these words coincide and no weight is zero.
+
+    The words come out sorted lexicographically by construction: suffixes
+    grow one letter at a time, with I, then X, then Z put in front (Z only
+    before {I, X} suffixes).  A Z's weight depends only on how many
+    letters follow it, so the weights grow alongside.  Registers beyond
+    MAX_QUBITS are refused before anything is built.
     """
     _check_qubits(n_qubits)
-    top = (1 << n_qubits) - 1
-    weights: dict[str, int] = {}
-    for letters in product("IX", repeat=n_qubits):
-        weights["".join(letters)] = top
-    for pos in range(n_qubits):
-        w = -(1 << (n_qubits - 1 - pos))
-        for letters in product("IX", repeat=n_qubits - 1):
-            word = "".join(letters[:pos]) + "Z" + "".join(letters[pos:])
-            weights[word] = weights.get(word, 0) + w
-    identity = weights.pop("I" * n_qubits)
-    terms = tuple(
-        PauliString(word, float(c)) for word, c in sorted(weights.items()) if c != 0
-    )
-    return WeightedPauliSum(n_qubits, float(identity), terms)
+    check_register(n_qubits)
+    # words, their weights and the {I, X} words, all of the same suffix length
+    words, weights, ix = [""], [float((1 << n_qubits) - 1)], [""]
+    for k in range(n_qubits):
+        words = ["I" + w for w in words] + ["X" + w for w in words] + ["Z" + w for w in ix]
+        weights = weights + weights + [-float(1 << k)] * len(ix)
+        ix = ["I" + w for w in ix] + ["X" + w for w in ix]
+    terms = tuple(map(PauliString, words[1:], weights[1:]))
+    return WeightedPauliSum(n_qubits, weights[0], terms)
 
 
 def realize_dense(op_sum: WeightedPauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:

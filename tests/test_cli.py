@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+import ringflow.cli
 from ringflow.cli import main
+from ringflow.pauli import MAX_QUBITS
 
 
 def run_cli(capsys, *argv):
@@ -241,11 +244,39 @@ class TestPlumbing:
         assert captured.out == ""
         assert name in captured.err
 
-    def test_non_finite_report_is_compute_error(self, capsys):
-        code, out, err = run_cli(capsys, "current", "--n", "2", "--theta0", "nan")
+    def test_non_finite_report_is_compute_error(self, capsys, monkeypatch):
+        # every flag is finite, so the NaN has to come from the computation
+        monkeypatch.setattr(ringflow.cli, "exact_current", lambda *_: float("nan"))
+        code, out, err = run_cli(capsys, "current", "--range", "1..2")
         assert code == 3
         assert out == ""
         assert "JSON" in err
+
+    @pytest.mark.parametrize(
+        "value, fmt", [("nan", "table"), ("inf", "csv"), ("-inf", "json")]
+    )
+    def test_non_finite_theta0_is_usage_error(self, capsys, value, fmt):
+        with pytest.raises(SystemExit) as exc:
+            main(["current", "--n", "2", f"--theta0={value}", "--format", fmt])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--theta0 must be finite" in captured.err
+
+    @pytest.mark.parametrize("shots", ["0", "-5"])
+    def test_non_positive_shots_flag_is_usage_error(self, capsys, shots):
+        with pytest.raises(SystemExit) as exc:
+            main(["current", "--mode", "shots", "--n", "2", "--shots", shots])
+        assert exc.value.code == 2
+        assert "--shots must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shots", ["0", "-5"])
+    def test_non_positive_env_shots_is_usage_error(self, capsys, monkeypatch, shots):
+        monkeypatch.setenv("RINGFLOW_SHOTS", shots)
+        with pytest.raises(SystemExit) as exc:
+            main(["current", "--mode", "shots", "--n", "2"])
+        assert exc.value.code == 2
+        assert "RINGFLOW_SHOTS must be a positive integer" in capsys.readouterr().err
 
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("RINGFLOW_SEED", "42")
@@ -268,3 +299,43 @@ class TestPlumbing:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "RINGFLOW_SHOTS" in out and "exit codes" in out
+        assert f"registers above {MAX_QUBITS} qubits" in out
+
+
+class TestRegisterCap:
+    """Registers past the cap fail at once, before any word is enumerated."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("current", "--n", "26"),
+            ("current", "--n", "26", "--mode", "shots", "--seed", "1"),
+            ("current", "--n", "26", "--theta0", "0.5"),
+            ("decompose", "--n", "26"),
+            ("current", "--n", str(MAX_QUBITS + 1)),
+        ],
+    )
+    def test_commands_refuse_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert f"register cap of {MAX_QUBITS}" in err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": 26, "expectations": [{"word": "X" * 26, "value": 0.5}]},
+            {"n": 26, "settings": [{"basis_word": "X" * 26, "probabilities": {"0" * 26: 1.0}}]},
+        ],
+    )
+    def test_analyze_refuses_fast(self, capsys, tmp_path, payload):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert f"register cap of {MAX_QUBITS}" in err

@@ -26,7 +26,12 @@ from ringflow.engine import (
 )
 from ringflow.engine import _expectation_direct, _expectation_grouped
 from ringflow.experiment import backflow_coefficients
-from ringflow.pauli import PauliString, WeightedPauliSum, current_decomposition
+from ringflow.pauli import (
+    PauliString,
+    WeightedPauliSum,
+    current_decomposition,
+    index_masks,
+)
 
 from conftest import random_state_vector
 
@@ -244,6 +249,57 @@ class TestExpectation:
 
         value = expectation_pauli(state, dec) / (4 * math.pi)
         assert abs(value - closed_form_current(12)) < 1e-9
+
+
+def grouped_per_word(state, op_sum):
+    """The grouped estimator with one Python step per word, as the reference.
+
+    Settings are keyed by Z mask in a dict, so they are visited in order of
+    first appearance and keep their terms in order; the bulk version must
+    give the same bits.
+    """
+    n = state.n_qubits
+    groups = {}
+    for term in op_sum.terms:
+        mx, _, mz = index_masks(term.word)
+        masks, coeffs = groups.setdefault(mz, ([], []))
+        masks.append(mx | mz)
+        coeffs.append(term.coeff)
+    base = state.amplitudes.astype(np.clongdouble)
+    total = np.longdouble(op_sum.identity_weight)
+    for zmask, (masks, coeffs) in groups.items():
+        rotated = base.copy()
+        n_rotations = 0
+        for pos in range(n):
+            if not (1 << (n - 1 - pos)) & zmask:
+                v = np.moveaxis(rotated.reshape((2,) * n), pos, 0)
+                a = v[0].copy()
+                b = v[1]
+                v[0] = a + b
+                v[1] = a - b
+                n_rotations += 1
+        probs = (rotated.real**2 + rotated.imag**2) / (1 << n_rotations)
+        gathered = parity_expectations(probs, masks)
+        total += (np.asarray(coeffs, dtype=np.longdouble) * gathered).sum()
+    return float(total)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 8])
+def test_grouped_path_bit_identical_to_per_word_grouping(n):
+    rng = np.random.default_rng(300 + n)
+    state = init_amplitudes(n, random_state_vector(rng, n))
+    dec = current_decomposition(n)
+    shuffled = WeightedPauliSum(
+        n, dec.identity_weight, tuple(dec.terms[i] for i in rng.permutation(len(dec.terms)))
+    )
+    for op in (dec, shuffled):
+        assert expectation_pauli(state, op) == grouped_per_word(state, op)
+        assert abs(_expectation_direct(state, op, 1e-10) - grouped_per_word(state, op)) < 1e-10
+
+
+def test_empty_sum_is_its_identity_weight():
+    state = init_basis(2, 1)
+    assert expectation_pauli(state, WeightedPauliSum(2, 2.5, ())) == 2.5
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])

@@ -15,7 +15,7 @@ from ringflow.experiment import (
     run_exact,
     run_simulation,
 )
-from ringflow.pauli import PauliString, dense_current_matrix
+from ringflow.pauli import MAX_QUBITS, PauliString, RegisterTooLargeError, dense_current_matrix
 
 from conftest import random_state_vector
 
@@ -49,6 +49,13 @@ class TestBackflowCoefficients:
     def test_type_validates_length(self):
         with pytest.raises(ValueError):
             BackflowCoefficients(2, np.array([1.0, 0.0]))
+
+    def test_refused_above_register_cap(self):
+        with pytest.raises(RegisterTooLargeError, match="cap"):
+            backflow_coefficients(MAX_QUBITS + 1)
+        with pytest.raises(RegisterTooLargeError):
+            backflow_coefficients(40)
+        assert closed_form_current(MAX_QUBITS + 11) < 0.0
 
 
 class TestExactCurrent:

@@ -15,13 +15,16 @@ from hypothesis import strategies as st
 
 from ringflow.pauli import (
     DENSE_QUBIT_CAP,
+    MAX_QUBITS,
     PauliString,
+    RegisterTooLargeError,
     WeightedPauliSum,
     current_decomposition,
     dense_current_matrix,
     index_masks,
     realize_dense,
     term_count,
+    word_masks,
 )
 
 I2 = np.eye(2, dtype=np.int64)
@@ -47,6 +50,28 @@ def brute_expansion(n: int) -> dict[str, int]:
             word = "".join(letters[:slot]) + "Z" + "".join(letters[slot:])
             weights[word] = weights.get(word, 0) - 2 ** (n - 1 - slot)
     return {w: c for w, c in weights.items() if c != 0 and w.strip("I")}
+
+
+def merged_sorted_expansion(n_qubits: int) -> WeightedPauliSum:
+    """The expansion built by merging weights in a dict and sorting the words.
+
+    This was ``current_decomposition`` before it built its words in sorted
+    order; it stays here as the reference for words, weights and order.
+    """
+    top = (1 << n_qubits) - 1
+    weights: dict[str, int] = {}
+    for letters in product("IX", repeat=n_qubits):
+        weights["".join(letters)] = top
+    for pos in range(n_qubits):
+        w = -(1 << (n_qubits - 1 - pos))
+        for letters in product("IX", repeat=n_qubits - 1):
+            word = "".join(letters[:pos]) + "Z" + "".join(letters[pos:])
+            weights[word] = weights.get(word, 0) + w
+    identity = weights.pop("I" * n_qubits)
+    terms = tuple(
+        PauliString(word, float(c)) for word, c in sorted(weights.items()) if c != 0
+    )
+    return WeightedPauliSum(n_qubits, float(identity), terms)
 
 
 class TestDenseCurrentMatrix:
@@ -203,6 +228,59 @@ def test_index_masks_follow_msb_convention():
     assert index_masks("IY") == (0, 0b01, 0)
 
 
+@st.composite
+def words_of_one_length(draw):
+    # 7..9 and 16..17 straddle the byte boundaries packbits pads to
+    n = draw(st.one_of(st.sampled_from([7, 8, 9, 16, 17]), st.integers(1, 20)))
+    word = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    return n, draw(st.lists(word, max_size=30))
+
+
+@settings(deadline=None, max_examples=150)
+@given(words_of_one_length())
+def test_word_masks_match_index_masks(case):
+    n, words = case
+    masks = word_masks(words, n)
+    assert all(m.dtype == np.int64 and m.shape == (len(words),) for m in masks)
+    assert list(zip(*(m.tolist() for m in masks))) == [index_masks(w) for w in words]
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 16, 17])
+def test_word_masks_every_letter_at_every_position(n):
+    words = [
+        "I" * pos + letter + "I" * (n - 1 - pos) for letter in "IXYZ" for pos in range(n)
+    ] + [letter * n for letter in "XYZ"]
+    masks = word_masks(words, n)
+    assert list(zip(*(m.tolist() for m in masks))) == [index_masks(w) for w in words]
+
+
+def test_word_masks_reject_wrong_length():
+    with pytest.raises(ValueError, match="letters"):
+        word_masks(["XX", "X", "XXX"], 2)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_decomposition_equals_merged_sorted_construction(n):
+    dec = current_decomposition(n)
+    ref = merged_sorted_expansion(n)
+    assert [(t.word, t.coeff) for t in dec.terms] == [(t.word, t.coeff) for t in ref.terms]
+    assert all(type(t.coeff) is float for t in dec.terms)
+    assert dec.identity_weight == ref.identity_weight
+    assert type(dec.identity_weight) is float
+
+
+class TestRegisterCap:
+    def test_decomposition_refused_above_cap(self):
+        # term_count(MAX_QUBITS + 1) words would take minutes to enumerate
+        with pytest.raises(RegisterTooLargeError, match="cap"):
+            current_decomposition(MAX_QUBITS + 1)
+        with pytest.raises(RegisterTooLargeError):
+            current_decomposition(64)
+
+    def test_term_count_stays_uncapped(self):
+        assert term_count(40) == 2**40 + 40 * 2**39 - 1
+
+
 class TestTypeInvariants:
     def test_pauli_string_rejects_bad_letters(self):
         with pytest.raises(ValueError):
@@ -223,3 +301,8 @@ class TestTypeInvariants:
     def test_sum_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             WeightedPauliSum(2, 0.0, (PauliString("X", 1.0),))
+
+    def test_sum_names_the_term_of_wrong_length(self):
+        terms = (PauliString("XZ", 1.0), PauliString("XZI", 1.0), PauliString("Z", 1.0))
+        with pytest.raises(ValueError, match="XZI does not act on 2 qubits"):
+            WeightedPauliSum(2, 0.0, terms)
