@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Gate, apply_circuit, cnot, h, init_basis, ry
-from .pauli import PauliString, WeightedPauliSum
+from .pauli import PauliString, PauliTerms, WeightedPauliSum
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,32 +141,27 @@ def prepare_backflow_circuit(n_qubits: int) -> Circuit:
     return circ
 
 
-def group_terms(
-    op_sum: WeightedPauliSum,
-) -> dict[MeasurementSetting, list[PauliString]]:
+def group_terms(op_sum: WeightedPauliSum) -> dict[MeasurementSetting, PauliTerms]:
     """Assign every term to exactly one measurement setting (at most N+1).
 
     Z-free terms share the all-X setting; terms with a Z at position p go
     to the setting that is Z at p and X elsewhere.  Words with a Y or more
-    than one Z are not measurable under this family of settings.
+    than one Z are not measurable under this family of settings.  Each
+    setting's terms keep their order in ``op_sum``.
     """
     n = op_sum.n_qubits
-    z_free: list[PauliString] = []
-    by_z_pos: dict[int, list[PauliString]] = {}
-    for term in op_sum.terms:
-        if "Y" in term.word or term.word.count("Z") > 1:
-            raise ValueError(f"term {term.word} not measurable with Z/X settings")
-        pos = term.word.find("Z")
-        if pos < 0:
-            z_free.append(term)
-        else:
-            by_z_pos.setdefault(pos, []).append(term)
-    out: dict[MeasurementSetting, list[PauliString]] = {}
-    if z_free:
-        out[MeasurementSetting("X" * n)] = z_free
+    # Z position (-1 for none) -> the setting's (words, coeffs)
+    by_z_pos: dict[int, tuple[list[str], list[float]]] = {}
+    for word, coeff in zip(op_sum.words, op_sum.coeffs):
+        if "Y" in word or word.count("Z") > 1:
+            raise ValueError(f"term {word} not measurable with Z/X settings")
+        words, coeffs = by_z_pos.setdefault(word.find("Z"), ([], []))
+        words.append(word)
+        coeffs.append(coeff)
+    out: dict[MeasurementSetting, PauliTerms] = {}
     for pos in sorted(by_z_pos):
-        word = "X" * pos + "Z" + "X" * (n - 1 - pos)
-        out[MeasurementSetting(word)] = by_z_pos[pos]
+        word = "X" * n if pos < 0 else "X" * pos + "Z" + "X" * (n - 1 - pos)
+        out[MeasurementSetting(word)] = PauliTerms(*by_z_pos[pos])
     return out
 
 

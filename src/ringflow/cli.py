@@ -183,10 +183,10 @@ def _sum_text(op_sum: WeightedPauliSum, fmt: str, dense) -> str:
         return _json_text(payload)
     if fmt == "csv":
         lines = ["word,coeff", f"{'I' * op_sum.n_qubits},{op_sum.identity_weight:g}"]
-        lines += [f"{t.word},{t.coeff:g}" for t in op_sum.terms]
+        lines += [f"{w},{c:g}" for w, c in zip(op_sum.words, op_sum.coeffs)]
         return "\n".join(lines) + "\n"
     parts = [f"{op_sum.identity_weight:g}"]
-    parts += [f"{t.coeff:+g}*{t.word}" for t in op_sum.terms]
+    parts += [f"{c:+g}*{w}" for w, c in zip(op_sum.words, op_sum.coeffs)]
     text = " ".join(parts) + "\n"
     if dense is not None:
         text += "\n".join(" ".join(str(v) for v in row) for row in dense.tolist()) + "\n"
@@ -353,6 +353,9 @@ def _cmd_analyze(args, parser) -> int:
         with open(args.input, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         report = ingest_measurements(args.n, data)
+        # rendering needs only the report: free the parsed input first, which
+        # keeps it out of the peak memory of writing a large report
+        del data
     except RegisterTooLargeError as exc:
         print(f"ringflow: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

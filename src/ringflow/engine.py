@@ -5,19 +5,22 @@ amplitude array (stride 2^(N-1-target)); no dense unitary is ever built.
 Qubit 0 (S1) is the most significant bit of the basis index, so the basis
 index of a momentum eigenstate equals the momentum quantum number.
 
-Expectation values of weighted Pauli sums are computed exactly.  Word
+Expectation values of weighted Pauli sums are computed exactly, from the
+sum's word and coefficient columns; no per-word object is built.  Word
 parities come from one kernel, ``parity_expectations``: one Walsh-Hadamard
 transform of a dense outcome vector gives every word's parity average.
 Sums whose words are over {I,X,Z} with at most one Z feed it per setting
-(one basis rotation each) in extended precision, which keeps the heavily
-weighted cancellations accurate at large N; other words act on the state
-directly.  The estimators in ``experiment`` call it in float64.
+in extended precision, which keeps the heavily weighted cancellations
+accurate at large N.  Those settings share their basis rotations: visited
+in order of their Z position, each copies the Hadamards already applied
+before its Z and adds the ones after it, about N^2/2 layers for N + 1
+settings.  Other words act on the state directly.  The estimators in
+``experiment`` call the kernel in float64.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -267,7 +270,7 @@ def expectation_pauli(
         raise ValueError(
             f"operator acts on {op_sum.n_qubits} qubits, state has {state.n_qubits}"
         )
-    masks = word_masks(list(map(attrgetter("word"), op_sum.terms)), op_sum.n_qubits)
+    masks = word_masks(op_sum.words, op_sum.n_qubits)
     _, my, mz = masks
     # no Y anywhere, and at most one Z per word
     if not my.any() and not (mz & (mz - 1)).any():
@@ -282,8 +285,8 @@ def _expectation_direct(
     bra = psi.conj()
     idx = np.arange(psi.size)
     total = complex(op_sum.identity_weight)
-    for term in op_sum.terms:
-        mx, my, mz = index_masks(term.word)
+    for word, coeff in zip(op_sum.words, op_sum.coeffs):
+        mx, my, mz = index_masks(word)
         flip = mx | my
         phase = mz | my
         row = bra if flip == 0 else bra[idx ^ flip]
@@ -293,7 +296,7 @@ def _expectation_direct(
             val = np.dot(row * (1 - 2 * parity), psi)
         else:
             val = np.dot(row, psi)
-        total += term.coeff * val * _I_POWERS[my.bit_count() & 3]
+        total += coeff * val * _I_POWERS[my.bit_count() & 3]
     if abs(total.imag) > imag_tol:
         raise ValueError(f"imaginary residue {total.imag!r} exceeds {imag_tol}")
     return float(total.real)
@@ -318,41 +321,57 @@ def parity_expectations(probs: np.ndarray, masks) -> np.ndarray:
     return out[np.asarray(masks, dtype=np.int64)]
 
 
+def _hadamard_layer(amps: np.ndarray, n_qubits: int, pos: int) -> None:
+    # unnormalized Hadamard on qubit ``pos``, in place
+    v = np.moveaxis(amps.reshape((2,) * n_qubits), pos, 0)
+    a = v[0].copy()
+    b = v[1]
+    v[0] = a + b
+    v[1] = a - b
+
+
 def _expectation_grouped(
     state: Statevector, op_sum: WeightedPauliSum, masks=None
 ) -> float:
     n = state.n_qubits
-    terms = op_sum.terms
     if masks is None:
-        masks = word_masks(list(map(attrgetter("word"), terms)), n)
+        masks = word_masks(op_sum.words, n)
     mx, _, mz = masks
-    # float64 first: a direct longdouble fromiter is several times slower
-    coeffs = np.fromiter(map(attrgetter("coeff"), terms), np.float64, len(terms))
-    coeffs = coeffs.astype(np.longdouble)
+    # float64 first: a direct longdouble conversion is several times slower
+    coeffs = np.array(op_sum.coeffs, dtype=np.float64).astype(np.longdouble)
     parity_masks = mx | mz
-    # one setting per Z mask, visited in order of first appearance; a stable
-    # sort keeps each setting's terms in their original order
+    # one setting per Z mask; a stable sort keeps each setting's terms in
+    # their original order
     zmasks, first, group = np.unique(mz, return_index=True, return_inverse=True)
     order = np.argsort(group, kind="stable")
     sizes = np.bincount(group, minlength=zmasks.size)
     ends = np.cumsum(sizes)
-    base = state.amplitudes.astype(np.clongdouble)
+    setting_of = {z: g for g, z in enumerate(zmasks.tolist())}
+    sums = [None] * zmasks.size
+    # Settings are visited by Z position, then all-X.  ``prefix`` carries
+    # the Hadamards on every position before ``pos``, so each setting only
+    # adds the ones after its Z: about N^2/2 layers instead of N^2, applied
+    # in the same order as one setting at a time, so the bits are the same.
+    prefix = state.amplitudes.astype(np.clongdouble)
+    pending = len(setting_of)
+    for pos in range(n + 1):
+        g = setting_of.get(1 << (n - 1 - pos) if pos < n else 0)
+        if g is not None:
+            rotated = prefix.copy()
+            for later in range(pos + 1, n):
+                _hadamard_layer(rotated, n, later)
+            n_rotations = n - 1 if pos < n else n
+            probs = (rotated.real**2 + rotated.imag**2) / (1 << n_rotations)
+            members = order[ends[g] - sizes[g] : ends[g]]
+            gathered = parity_expectations(probs, parity_masks[members])
+            # elementwise product + pairwise sum; dot would reduce sequentially
+            sums[g] = (coeffs[members] * gathered).sum()
+            pending -= 1
+        if not pending:
+            break
+        _hadamard_layer(prefix, n, pos)
+    # accumulate in order of first appearance, as one setting at a time did
     total = np.longdouble(op_sum.identity_weight)
     for g in np.argsort(first).tolist():
-        zmask = int(zmasks[g])
-        members = order[ends[g] - sizes[g] : ends[g]]
-        rotated = base.copy()
-        n_rotations = 0
-        for pos in range(n):
-            if not (1 << (n - 1 - pos)) & zmask:
-                v = np.moveaxis(rotated.reshape((2,) * n), pos, 0)
-                a = v[0].copy()
-                b = v[1]
-                v[0] = a + b
-                v[1] = a - b
-                n_rotations += 1
-        probs = (rotated.real**2 + rotated.imag**2) / (1 << n_rotations)
-        gathered = parity_expectations(probs, parity_masks[members])
-        # elementwise product + pairwise sum; dot would reduce sequentially
-        total += (coeffs[members] * gathered).sum()
+        total += sums[g]
     return float(total)

@@ -10,7 +10,9 @@ available through the exact path only.
 Each setting's outcomes (exact probabilities, counts / shots, or supplied
 data) become one dense float64 vector, and one ``parity_expectations``
 call gives all of that setting's word expectations; bitstring maps exist
-only in input data and in the report's setting records.
+only in input data and in the report's setting records.  The estimators
+read the expansion's word and coefficient columns, and one ``word_masks``
+call per run gives the parity masks of every setting's words.
 
 All estimators assemble J as (identity_weight + sum coeff * <V>) / 4pi
 from their own per-term records, and every report round-trips: feeding
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -40,12 +43,15 @@ from .engine import (
     z_probabilities,
 )
 from .pauli import (
-    PauliString,
+    PauliTerms,
     WeightedPauliSum,
     check_register,
     current_decomposition,
-    index_masks,
+    word_masks,
 )
+
+# unused here, but bench/spans.py times experiment.index_masks as a layer
+from .pauli import index_masks  # noqa: F401
 
 FOUR_PI = 4.0 * math.pi
 
@@ -220,20 +226,26 @@ def _outcome_vector(n_qubits: int, values: dict) -> np.ndarray:
     return vec
 
 
-def _setting_expectations(vec: np.ndarray, terms) -> list[float]:
-    masks = [mx | my | mz for mx, my, mz in (index_masks(t.word) for t in terms)]
-    return parity_expectations(vec, masks).tolist()
+def _setting_masks(n_qubits: int, word_lists) -> list[np.ndarray]:
+    """Each setting's parity masks (its words' non-I positions), in one pass.
+
+    One ``word_masks`` call covers the words of every setting, so its fixed
+    cost is paid once per run rather than once per setting.
+    """
+    mx, my, mz = word_masks(list(chain.from_iterable(word_lists)), n_qubits)
+    bounds = np.cumsum([len(words) for words in word_lists])[:-1]
+    return np.split(mx | my | mz, bounds)
 
 
 def _measurement_plan(
     decomp: WeightedPauliSum, grouped: bool
-) -> list[tuple[MeasurementSetting, list[PauliString]]]:
+) -> list[tuple[MeasurementSetting, PauliTerms]]:
     if grouped:
         return list(group_terms(decomp).items())
     plan = []
-    for term in decomp.terms:
-        word = "".join("X" if ch == "X" else "Z" for ch in term.word)
-        plan.append((MeasurementSetting(word), [term]))
+    for word, coeff in zip(decomp.words, decomp.coeffs):
+        basis = "".join("X" if ch == "X" else "Z" for ch in word)
+        plan.append((MeasurementSetting(basis), PauliTerms((word,), (coeff,))))
     return plan
 
 
@@ -329,7 +341,8 @@ def run_simulation(
         seed = int(np.random.SeedSequence().entropy) % (1 << 32)
     term_records: list[TermRecord] = []
     setting_records: list[SettingRecord] = []
-    for k, (setting, terms) in enumerate(plan):
+    masks = _setting_masks(n_qubits, [terms.words for _, terms in plan])
+    for k, ((setting, terms), parity_masks) in enumerate(zip(plan, masks)):
         rotated = apply_circuit(state, measurement_circuit(setting))
         if sampling:
             entropy = [seed, k]
@@ -344,14 +357,13 @@ def run_simulation(
             entropy = None
             counts = None
             outcomes = z_probabilities(rotated)
-        for term, value in zip(terms, _setting_expectations(outcomes, terms)):
+        values = parity_expectations(outcomes, parity_masks).tolist()
+        for word, coeff, value in zip(terms.words, terms.coeffs, values):
             if sampling:
                 std = math.sqrt(max(0.0, 1.0 - value * value) / shots_per_setting)
             else:
                 std = None
-            term_records.append(
-                TermRecord(term.word, term.coeff, setting.basis_word, value, std)
-            )
+            term_records.append(TermRecord(word, coeff, setting.basis_word, value, std))
         nonzero = np.flatnonzero(outcomes)
         keys = (format(i, f"0{n_qubits}b") for i in nonzero.tolist())
         setting_records.append(
@@ -360,7 +372,7 @@ def run_simulation(
                 dict(zip(keys, outcomes[nonzero].tolist())),
                 counts,
                 entropy,
-                tuple(t.word for t in terms),
+                terms.words,
             )
         )
     return _finish_report(
@@ -473,7 +485,7 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
                     f"[-1, 1], got {value!r}"
                 )
             supplied[str(entry["word"])] = value
-        expected = {t.word for t in decomp.terms}
+        expected = set(decomp.words)
         if set(supplied) != expected:
             raise ValueError(
                 "expectations must cover exactly the expansion terms; "
@@ -481,8 +493,8 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
                 f"unknown {sorted(set(supplied) - expected)[:4]}"
             )
         term_records = [
-            TermRecord(t.word, t.coeff, None, supplied[t.word], None)
-            for t in decomp.terms
+            TermRecord(word, coeff, None, supplied[word], None)
+            for word, coeff in zip(decomp.words, decomp.coeffs)
         ]
         setting_records: list[SettingRecord] = []
     elif "settings" in data:
@@ -495,9 +507,9 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         explicit = [p[3] is not None for p in parsed]
         if any(explicit) and not all(explicit):
             raise ValueError("either every setting lists its terms or none does")
-        known = {t.word: t for t in decomp.terms}
         assignment: dict[str, int] = {}
         if all(explicit):
+            known = set(decomp.words)
             for i, (setting, _, _, words) in enumerate(parsed):
                 for word in words:
                     if word not in known:
@@ -510,28 +522,33 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
                         )
                     assignment[word] = i
         else:
-            for term in decomp.terms:
+            for word in decomp.words:
                 for i, (setting, _, _, _) in enumerate(parsed):
-                    if setting.covers(term.word):
-                        assignment[term.word] = i
+                    if setting.covers(word):
+                        assignment[word] = i
                         break
-        uncovered = [t.word for t in decomp.terms if t.word not in assignment]
+        uncovered = [w for w in decomp.words if w not in assignment]
         if uncovered:
             raise ValueError(f"no setting covers terms {uncovered[:4]}")
-        assigned: list[list[PauliString]] = [[] for _ in parsed]
-        for term in decomp.terms:
-            assigned[assignment[term.word]].append(term)
-        records: dict[str, TermRecord] = {}
-        for (setting, probs, _, _), terms in zip(parsed, assigned):
-            values = _setting_expectations(_outcome_vector(n_qubits, probs), terms)
-            for t, value in zip(terms, values):
-                records[t.word] = TermRecord(t.word, t.coeff, setting.basis_word, value, None)
-        term_records = [records[t.word] for t in decomp.terms]
+        # the setting each expansion word is read from, and each setting's
+        # words in expansion order
+        owner = [assignment[w] for w in decomp.words]
+        assigned: list[list[str]] = [[] for _ in parsed]
+        for word, i in zip(decomp.words, owner):
+            assigned[i].append(word)
+        masks = _setting_masks(n_qubits, assigned)
+        values = [
+            iter(parity_expectations(_outcome_vector(n_qubits, probs), m).tolist())
+            for (_, probs, _, _), m in zip(parsed, masks)
+        ]
+        bases = [setting.basis_word for setting, _, _, _ in parsed]
+        term_records = [
+            TermRecord(word, coeff, bases[i], next(values[i]), None)
+            for word, coeff, i in zip(decomp.words, decomp.coeffs, owner)
+        ]
         setting_records = [
-            SettingRecord(
-                setting.basis_word, probs, counts, None, tuple(t.word for t in terms)
-            )
-            for (setting, probs, counts, _), terms in zip(parsed, assigned)
+            SettingRecord(setting.basis_word, probs, counts, None, tuple(words))
+            for (setting, probs, counts, _), words in zip(parsed, assigned)
         ]
     else:
         raise ValueError("data carries neither 'settings' nor 'expectations'")

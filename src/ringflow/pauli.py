@@ -13,8 +13,10 @@ the most significant bit of the momentum index.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from operator import attrgetter
 
 import numpy as np
@@ -54,46 +56,126 @@ class PauliString:
         return f"{self.coeff:+}*{self.word}"
 
 
-@dataclass(frozen=True, slots=True)
+class PauliTerms(Sequence):
+    """Read-only sequence of ``PauliString``s over word and coefficient columns.
+
+    Nothing is built up front: ``len`` is O(1), and a ``PauliString`` is made
+    only for the item asked for.  Code that needs every word reads the
+    ``words`` and ``coeffs`` columns instead.
+    """
+
+    __slots__ = ("words", "coeffs")
+
+    def __init__(self, words, coeffs):
+        self.words = tuple(words)
+        self.coeffs = tuple(coeffs)
+
+    def __len__(self):
+        return len(self.words)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PauliTerms(self.words[index], self.coeffs[index])
+        return PauliString(self.words[index], self.coeffs[index])
+
+    def __iter__(self):
+        return map(PauliString, self.words, self.coeffs)
+
+
+# deletes every Pauli letter, so whatever str.translate leaves is invalid
+_DROP_PAULI_LETTERS = str.maketrans("", "", PAULI_LETTERS)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class WeightedPauliSum:
     """identity_weight * I + sum of weighted Pauli words on n_qubits qubits.
 
+    The words and their coefficients are kept as two parallel columns,
+    ``words`` and ``coeffs``, so a sum of 10^6 words is two tuples rather
+    than 10^6 objects.  ``WeightedPauliSum(n, identity_weight, terms)``
+    splits ``PauliString`` terms into the columns; ``from_columns`` takes
+    them directly.  ``terms`` is a derived read-only ``PauliTerms`` view.
+
     Terms are kept merged: no duplicate words, and the all-identity word
-    lives exclusively in ``identity_weight``.
+    lives exclusively in ``identity_weight``.  Every word must be
+    ``n_qubits`` letters over IXYZ and every coefficient finite, the same
+    checks ``PauliString`` makes one word at a time.
     """
 
     n_qubits: int
     identity_weight: float
-    terms: tuple[PauliString, ...]
+    words: tuple[str, ...]
+    coeffs: tuple[float, ...]
 
-    def __post_init__(self):
-        if self.n_qubits < 1:
+    def __init__(self, n_qubits: int, identity_weight: float, terms=()):
+        terms = tuple(terms)
+        self._set_columns(
+            n_qubits,
+            identity_weight,
+            tuple(map(attrgetter("word"), terms)),
+            tuple(map(attrgetter("coeff"), terms)),
+        )
+
+    @classmethod
+    def from_columns(
+        cls, n_qubits: int, identity_weight: float, words, coeffs
+    ) -> "WeightedPauliSum":
+        """A sum from parallel word and coefficient sequences."""
+        out = object.__new__(cls)
+        out._set_columns(n_qubits, identity_weight, tuple(words), tuple(coeffs))
+        return out
+
+    def _set_columns(self, n_qubits, identity_weight, words, coeffs) -> None:
+        if n_qubits < 1:
             raise ValueError("need at least one qubit")
-        if not math.isfinite(self.identity_weight):
+        if not math.isfinite(identity_weight):
             raise ValueError("non-finite identity weight")
-        object.__setattr__(self, "terms", tuple(self.terms))
-        # bulk checks: set and map run in C, which matters at 10^6 terms
-        words = list(map(attrgetter("word"), self.terms))
-        if set(map(len, words)) - {self.n_qubits}:
-            bad = next(w for w in words if len(w) != self.n_qubits)
-            raise ValueError(f"term {bad} does not act on {self.n_qubits} qubits")
+        if len(words) != len(coeffs):
+            raise ValueError(f"{len(words)} words but {len(coeffs)} coefficients")
+        # bulk checks: each runs in C over a whole column, which matters at
+        # 10^6 words
+        if set(map(len, words)) - {n_qubits}:
+            bad = next(w for w in words if len(w) != n_qubits)
+            raise ValueError(f"term {bad} does not act on {n_qubits} qubits")
+        if "".join(words).translate(_DROP_PAULI_LETTERS):
+            bad = next(w for w in words if w.translate(_DROP_PAULI_LETTERS))
+            raise ValueError(f"invalid Pauli word {bad!r}")
+        if not all(map(math.isfinite, coeffs)):
+            bad = next(w for w, c in zip(words, coeffs) if not math.isfinite(c))
+            raise ValueError(f"non-finite coefficient for {bad}")
         distinct = set(words)
-        if "I" * self.n_qubits in distinct:
+        if "I" * n_qubits in distinct:
             raise ValueError("all-identity term belongs in identity_weight")
         if len(distinct) != len(words):
             raise ValueError("duplicate Pauli words; merge like terms first")
+        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "identity_weight", identity_weight)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def terms(self) -> PauliTerms:
+        """The words as ``PauliString``s, each built only when read."""
+        return PauliTerms(self.words, self.coeffs)
 
     def to_dict(self) -> dict:
         return {
             "n": self.n_qubits,
             "lambda0": self.identity_weight,
-            "terms": [{"coeff": t.coeff, "word": t.word} for t in self.terms],
+            "terms": [
+                {"coeff": c, "word": w} for w, c in zip(self.words, self.coeffs)
+            ],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeightedPauliSum":
-        terms = tuple(PauliString(t["word"], float(t["coeff"])) for t in data["terms"])
-        return cls(int(data["n"]), float(data["lambda0"]), terms)
+        terms = data["terms"]
+        return cls.from_columns(
+            int(data["n"]),
+            float(data["lambda0"]),
+            [t["word"] for t in terms],
+            [float(t["coeff"]) for t in terms],
+        )
 
 
 def index_masks(word: str) -> tuple[int, int, int]:
@@ -185,8 +267,10 @@ def current_decomposition(n_qubits: int) -> WeightedPauliSum:
     The words come out sorted lexicographically by construction: suffixes
     grow one letter at a time, with I, then X, then Z put in front (Z only
     before {I, X} suffixes).  A Z's weight depends only on how many
-    letters follow it, so the weights grow alongside.  Registers beyond
-    MAX_QUBITS are refused before anything is built.
+    letters follow it, so the weights grow alongside.  The word and
+    weight lists become the sum's columns as they are; no ``PauliString``
+    is built.  Registers beyond MAX_QUBITS are refused before anything is
+    built.
     """
     _check_qubits(n_qubits)
     check_register(n_qubits)
@@ -196,8 +280,10 @@ def current_decomposition(n_qubits: int) -> WeightedPauliSum:
         words = ["I" + w for w in words] + ["X" + w for w in words] + ["Z" + w for w in ix]
         weights = weights + weights + [-float(1 << k)] * len(ix)
         ix = ["I" + w for w in ix] + ["X" + w for w in ix]
-    terms = tuple(map(PauliString, words[1:], weights[1:]))
-    return WeightedPauliSum(n_qubits, weights[0], terms)
+    # words[0] is the all-I word; its weight is the identity weight
+    return WeightedPauliSum.from_columns(
+        n_qubits, weights[0], islice(words, 1, None), islice(weights, 1, None)
+    )
 
 
 def realize_dense(op_sum: WeightedPauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
@@ -209,9 +295,9 @@ def realize_dense(op_sum: WeightedPauliSum, cap: int = DENSE_QUBIT_CAP) -> np.nd
     """
     _check_cap(op_sum.n_qubits, cap)
     dim = 1 << op_sum.n_qubits
-    has_y = any("Y" in t.word for t in op_sum.terms)
+    has_y = any("Y" in word for word in op_sum.words)
     exact = not has_y and float(op_sum.identity_weight).is_integer() and all(
-        float(t.coeff).is_integer() for t in op_sum.terms
+        float(coeff).is_integer() for coeff in op_sum.coeffs
     )
     if has_y:
         dtype = np.complex128
@@ -222,7 +308,7 @@ def realize_dense(op_sum: WeightedPauliSum, cap: int = DENSE_QUBIT_CAP) -> np.nd
     out = np.zeros((dim, dim), dtype=dtype)
     lam0 = int(op_sum.identity_weight) if exact else op_sum.identity_weight
     np.fill_diagonal(out, lam0)
-    for t in op_sum.terms:
-        mat = reduce(np.kron, (_FACTORS[ch] for ch in t.word))
-        out += (int(t.coeff) if exact else t.coeff) * mat
+    for word, coeff in zip(op_sum.words, op_sum.coeffs):
+        mat = reduce(np.kron, (_FACTORS[ch] for ch in word))
+        out += (int(coeff) if exact else coeff) * mat
     return out

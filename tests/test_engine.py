@@ -25,12 +25,13 @@ from ringflow.engine import (
     z_probabilities,
 )
 from ringflow.engine import _expectation_direct, _expectation_grouped
-from ringflow.experiment import backflow_coefficients
+from ringflow.experiment import backflow_coefficients, run_simulation
 from ringflow.pauli import (
     PauliString,
     WeightedPauliSum,
     current_decomposition,
     index_masks,
+    term_count,
 )
 
 from conftest import random_state_vector
@@ -295,6 +296,44 @@ def test_grouped_path_bit_identical_to_per_word_grouping(n):
     for op in (dec, shuffled):
         assert expectation_pauli(state, op) == grouped_per_word(state, op)
         assert abs(_expectation_direct(state, op, 1e-10) - grouped_per_word(state, op)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_grouped_path_bit_identical_on_partial_settings(n):
+    """Sums that lack some settings: the shared rotation prefix skips them."""
+    rng = np.random.default_rng(500 + n)
+    state = init_amplitudes(n, random_state_vector(rng, n))
+    dec = current_decomposition(n)
+    for _ in range(6):
+        keep = np.flatnonzero(rng.random(len(dec.words)) < rng.random())
+        op = WeightedPauliSum.from_columns(
+            n, 0.5, [dec.words[i] for i in keep], [dec.coeffs[i] for i in keep]
+        )
+        assert expectation_pauli(state, op) == grouped_per_word(state, op)
+    z_first = WeightedPauliSum(n, 0.0, (PauliString("Z" + "X" * (n - 1), 1.0),))
+    assert expectation_pauli(state, z_first) == grouped_per_word(state, z_first)
+
+
+def test_scale_path_builds_no_pauli_strings(monkeypatch):
+    """The 16-qubit expectation and a grouped shot run read the word columns."""
+    built = []
+    check = PauliString.__post_init__
+
+    def counting(self):
+        built.append(self.word)
+        check(self)
+
+    monkeypatch.setattr(PauliString, "__post_init__", counting)
+    dec = current_decomposition(16)
+    state = init_amplitudes(16, backflow_coefficients(16).a)
+    assert expectation_pauli(state, dec) == -32767.25000572094
+    run_simulation(6, shots_per_setting=100, seed=1)
+    for n in (1, 5, 16):
+        assert len(current_decomposition(n).terms) == term_count(n)
+    assert built == []
+    last = dec.terms[-1]  # a term is built, and checked, when it is read
+    assert built == [dec.words[-1]]
+    assert (last.word, last.coeff) == (dec.words[-1], dec.coeffs[-1])
 
 
 def test_empty_sum_is_its_identity_weight():

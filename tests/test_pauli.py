@@ -5,12 +5,13 @@ realization of the expansion are independent routes; everything here is
 integer-exact, so comparisons use strict equality.
 """
 import json
+import math
 from functools import reduce
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringflow.pauli import (
@@ -306,3 +307,44 @@ class TestTypeInvariants:
         terms = (PauliString("XZ", 1.0), PauliString("XZI", 1.0), PauliString("Z", 1.0))
         with pytest.raises(ValueError, match="XZI does not act on 2 qubits"):
             WeightedPauliSum(2, 0.0, terms)
+
+
+def per_term_checks(n_qubits, identity_weight, words, coeffs):
+    """The checks as they ran before the columns: one ``PauliString`` per word
+    (letters, empty word, finite coefficient), then the sum's own checks."""
+    if n_qubits < 1 or not math.isfinite(identity_weight):
+        raise ValueError("bad register or identity weight")
+    terms = [PauliString(w, c) for w, c in zip(words, coeffs)]
+    if any(len(t.word) != n_qubits for t in terms):
+        raise ValueError("length")
+    distinct = {t.word for t in terms}
+    if "I" * n_qubits in distinct:
+        raise ValueError("identity")
+    if len(distinct) != len(terms):
+        raise ValueError("duplicate")
+
+
+_WORDS = st.text(alphabet="IXYZ", max_size=4) | st.text(alphabet="IXYZAx -", max_size=4)
+_COEFFS = st.floats(-4.0, 4.0) | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), pairs=st.lists(st.tuples(_WORDS, _COEFFS), max_size=6))
+@example(n=3, pairs=[("XXI", 1.0), ("XAX", 1.0)])
+@example(n=1, pairs=[("", 1.0)])
+@example(n=2, pairs=[("XZ", math.nan)])
+@example(n=2, pairs=[("XZ", 1.0), ("XZ", 2.0)])
+@example(n=2, pairs=[("II", 1.0)])
+@example(n=2, pairs=[("XZ", 1.0), ("IZ", -2.0)])
+def test_columnar_checks_match_per_term_checks(n, pairs):
+    words = [w for w, _ in pairs]
+    coeffs = [c for _, c in pairs]
+    try:
+        per_term_checks(n, 0.5, words, coeffs)
+    except ValueError:
+        with pytest.raises(ValueError):
+            WeightedPauliSum.from_columns(n, 0.5, words, coeffs)
+    else:
+        op = WeightedPauliSum.from_columns(n, 0.5, words, coeffs)
+        assert op.words == tuple(words)
+        assert op == WeightedPauliSum(n, 0.5, (PauliString(w, c) for w, c in pairs))
