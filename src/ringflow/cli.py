@@ -11,6 +11,16 @@ computation failures (including registers above ``MAX_QUBITS`` and a
 report that cannot be written as strict JSON), 4 for unreadable or
 malformed input data.  Environment variables RINGFLOW_SHOTS, RINGFLOW_SEED
 and RINGFLOW_FORMAT override the built-in defaults.
+
+JSON reports have the layout of ``json.dumps(report, indent=2,
+sort_keys=True)`` plus a newline.  With ``indent`` set, ``json.dumps``
+encodes in pure Python, one generator step per value; ``_json_text``
+instead recurses only through containers that hold containers, and hands
+each flat container (no list, tuple or dict inside) to the C encoder in
+one call, its item separator carrying the newline and indent.  Scalars,
+key order, escapes and the refusal of NaN and infinity thus come from the
+same C code that ``json.dumps`` uses.  The whole text is built before
+anything is written.
 """
 from __future__ import annotations
 
@@ -19,6 +29,7 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
 
 from . import __version__
 from .engine import NormDriftError
@@ -168,11 +179,65 @@ def _emit(text: str, path: str | None) -> None:
             handle.write(text)
 
 
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple)
+
+
+def _flat_encoder(depth: int):
+    """C-backed ``encode`` for flat containers at ``depth``: its item
+    separator carries the newline and the indent of depth + 1."""
+    return json.JSONEncoder(
+        sort_keys=True,
+        allow_nan=False,
+        check_circular=False,
+        separators=(",\n" + _INDENT * (depth + 1), ": "),
+    ).encode
+
+
+def _render(value, depth: int, out: list, encoders: list) -> None:
+    # encoders[d] serves depth d; recursion reaches each depth from the one above
+    if depth == len(encoders):
+        encoders.append(_flat_encoder(depth))
+    encode = encoders[depth]
+    if isinstance(value, dict):
+        children = value.values()
+    elif isinstance(value, (list, tuple)):
+        children = value
+    else:
+        children = ()
+    if not any(map(isinstance, children, repeat(_CONTAINERS))):
+        text = encode(value)
+        if children:  # open and close a non-empty container on lines of their own
+            out += (text[0], "\n", _INDENT * (depth + 1), text[1:-1])
+            out += ("\n", _INDENT * depth, text[-1])
+        else:
+            out.append(text)
+        return
+    newline = "\n" + _INDENT * (depth + 1)
+    if isinstance(value, dict):
+        out.append("{")
+        for i, (key, child) in enumerate(sorted(value.items())):
+            # '"key": ' cut from the encoding of {key: null}, so that the key
+            # is converted and escaped as json does it
+            out.append(("," if i else "") + newline + encode({key: None})[1:-5])
+            _render(child, depth + 1, out, encoders)
+        out.append("\n" + _INDENT * depth + "}")
+    else:
+        out.append("[")
+        for i, child in enumerate(value):
+            out.append(("," if i else "") + newline)
+            _render(child, depth + 1, out, encoders)
+        out.append("\n" + _INDENT * depth + "]")
+
+
 def _json_text(payload) -> str:
+    out: list = []
     try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        _render(payload, 0, out, [])
     except ValueError as exc:
         raise _NonFiniteReport(f"cannot write the report as JSON: {exc}") from None
+    out.append("\n")
+    return "".join(out)
 
 
 def _sum_text(op_sum: WeightedPauliSum, fmt: str, dense) -> str:

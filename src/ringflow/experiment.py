@@ -452,6 +452,22 @@ def _parse_setting_entry(entry: dict, n_qubits: int, position: int):
     return setting, probs, counts, entry.get("terms")
 
 
+def _first_cover(masks, basis_words: list[str], n_qubits: int) -> np.ndarray:
+    """Index of the first setting that covers each word, -1 where none does.
+
+    ``masks`` are the words' ``word_masks``.  A setting covers a word when
+    the word's X letters sit on the setting's X positions, its Z letters on
+    Z positions, and it has no Y.
+    """
+    mx, my, mz = masks
+    bx, _, bz = word_masks(basis_words, n_qubits)
+    owner = np.full(len(mx), -1)
+    # last setting first, so that the first covering setting is written last
+    for i in range(len(basis_words) - 1, -1, -1):
+        owner[((mx & ~bx[i]) | (mz & ~bz[i]) | my) == 0] = i
+    return owner
+
+
 def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
     """Recombine externally measured data into a current estimate.
 
@@ -507,8 +523,10 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         explicit = [p[3] is not None for p in parsed]
         if any(explicit) and not all(explicit):
             raise ValueError("either every setting lists its terms or none does")
-        assignment: dict[str, int] = {}
+        bases = [setting.basis_word for setting, _, _, _ in parsed]
+        masks = word_masks(decomp.words, n_qubits)
         if all(explicit):
+            assignment: dict[str, int] = {}
             known = set(decomp.words)
             for i, (setting, _, _, words) in enumerate(parsed):
                 for word in words:
@@ -521,30 +539,31 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
                             f"term {word} not measurable under {setting.basis_word}"
                         )
                     assignment[word] = i
+            owner = np.array([assignment.get(w, -1) for w in decomp.words])
         else:
-            for word in decomp.words:
-                for i, (setting, _, _, _) in enumerate(parsed):
-                    if setting.covers(word):
-                        assignment[word] = i
-                        break
-        uncovered = [w for w in decomp.words if w not in assignment]
+            owner = _first_cover(masks, bases, n_qubits)
+        uncovered = np.flatnonzero(owner < 0)[:4].tolist()
         if uncovered:
-            raise ValueError(f"no setting covers terms {uncovered[:4]}")
-        # the setting each expansion word is read from, and each setting's
-        # words in expansion order
-        owner = [assignment[w] for w in decomp.words]
+            raise ValueError(
+                f"no setting covers terms {[decomp.words[k] for k in uncovered]}"
+            )
+        # each setting's words and parity masks, in expansion order
+        parity_masks = masks[0] | masks[1] | masks[2]
+        owners = owner.tolist()
         assigned: list[list[str]] = [[] for _ in parsed]
-        for word, i in zip(decomp.words, owner):
+        for word, i in zip(decomp.words, owners):
             assigned[i].append(word)
-        masks = _setting_masks(n_qubits, assigned)
         values = [
-            iter(parity_expectations(_outcome_vector(n_qubits, probs), m).tolist())
-            for (_, probs, _, _), m in zip(parsed, masks)
+            iter(
+                parity_expectations(
+                    _outcome_vector(n_qubits, probs), parity_masks[owner == i]
+                ).tolist()
+            )
+            for i, (_, probs, _, _) in enumerate(parsed)
         ]
-        bases = [setting.basis_word for setting, _, _, _ in parsed]
         term_records = [
             TermRecord(word, coeff, bases[i], next(values[i]), None)
-            for word, coeff, i in zip(decomp.words, decomp.coeffs, owner)
+            for word, coeff, i in zip(decomp.words, decomp.coeffs, owners)
         ]
         setting_records = [
             SettingRecord(setting.basis_word, probs, counts, None, tuple(words))

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, eq, lt
 
 import numpy as np
 
@@ -143,10 +143,15 @@ class WeightedPauliSum:
         if not all(map(math.isfinite, coeffs)):
             bad = next(w for w, c in zip(words, coeffs) if not math.isfinite(c))
             raise ValueError(f"non-finite coefficient for {bad}")
-        distinct = set(words)
-        if "I" * n_qubits in distinct:
+        # strictly ascending words (as current_decomposition makes them) are
+        # distinct as they stand; otherwise duplicates end up side by side in
+        # a sorted copy.  Either way the all-I word, the smallest word of its
+        # length over IXYZ, comes first if it is there at all
+        ascending = all(map(lt, words, islice(words, 1, None)))
+        ordered = words if ascending else sorted(words)
+        if ordered and ordered[0] == "I" * n_qubits:
             raise ValueError("all-identity term belongs in identity_weight")
-        if len(distinct) != len(words):
+        if not ascending and any(map(eq, ordered, islice(ordered, 1, None))):
             raise ValueError("duplicate Pauli words; merge like terms first")
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "identity_weight", identity_weight)

@@ -1,12 +1,15 @@
 import json
+import math
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ringflow.cli
-from ringflow.cli import main
+from ringflow.cli import _json_text, _NonFiniteReport, main
 from ringflow.pauli import MAX_QUBITS
 
 
@@ -339,3 +342,85 @@ class TestRegisterCap:
         assert code == 3
         assert out == ""
         assert f"register cap of {MAX_QUBITS}" in err
+
+
+def json_dumps_oracle(payload) -> str:
+    """The report layout: ``json.dumps`` with indent 2 and sorted keys."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+    | st.sampled_from([-0.0, 1e300, 10**20, -(10**20), 5e-324, "", "é\n\"\\\u2028"])
+)
+_KEYS = st.text() | st.sampled_from(["", "ä", "\U0001f600"])
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_KEYS, children, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonRenderer:
+    """``_json_text`` writes exactly what ``json.dumps(indent=2)`` writes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json_dumps_oracle(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{}, [], (), {"a": {}}, [[], {}], {"": [{"": []}]}, "x", 0, None, [1e300, -0.0]],
+    )
+    def test_empty_and_scalar_edges(self, value):
+        assert _json_text(value) == json_dumps_oracle(value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda x: x,
+            lambda x: [x],
+            lambda x: {"a": x, "b": [1]},
+            lambda x: {"z": [{"k": x}], "a": [[]]},
+            lambda x: [{"a": [0, {"b": 1}, x]}],
+        ],
+        ids=["depth0", "depth1-flat", "depth1-nested", "depth3-flat", "depth3-nested"],
+    )
+    def test_non_finite_refused(self, bad, wrap):
+        with pytest.raises(_NonFiniteReport, match="JSON"):
+            _json_text(wrap(bad))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("current", "--mode", "exact", "--n", "12"),
+            ("current", "--mode", "shots", "--n", "10", "--seed", "9"),
+            ("current", "--n", "6", "--per-term"),
+            ("decompose", "--n", "8", "--dense"),
+            ("current", "--range", "1..6"),
+            ("analyze", "--input", "backflow_n1_probabilities.json"),
+            ("analyze", "--input", "backflow_n2_expectations.json"),
+        ],
+    )
+    def test_reports_byte_identical_to_json_dumps(
+        self, capsys, monkeypatch, data_dir, argv
+    ):
+        if argv[0] == "analyze":
+            argv = (*argv[:-1], str(data_dir / argv[-1]))
+        payloads = []
+        render = ringflow.cli._json_text
+        monkeypatch.setattr(
+            ringflow.cli, "_json_text", lambda p: payloads.append(p) or render(p)
+        )
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(payloads) == 1
+        assert out == json_dumps_oracle(payloads[0])

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from ringflow.circuits import parity_sign
+from ringflow.circuits import MeasurementSetting, parity_sign
 from ringflow.experiment import (
+    _first_cover,
     BackflowCoefficients,
     backflow_coefficients,
     closed_form_current,
@@ -15,7 +18,14 @@ from ringflow.experiment import (
     run_exact,
     run_simulation,
 )
-from ringflow.pauli import MAX_QUBITS, PauliString, RegisterTooLargeError, dense_current_matrix
+from ringflow.pauli import (
+    MAX_QUBITS,
+    PauliString,
+    RegisterTooLargeError,
+    current_decomposition,
+    dense_current_matrix,
+    word_masks,
+)
 
 from conftest import random_state_vector
 
@@ -378,3 +388,67 @@ class TestIngestMeasurements:
             ingest_measurements(None, {"n": 1})
         with pytest.raises(ValueError):
             ingest_measurements(None, [1, 2, 3])
+
+
+def covers_loop_owner(words, basis_words):
+    """First covering setting of each word by ``MeasurementSetting.covers``,
+    -1 where none covers it: the assignment as it ran one word at a time."""
+    settings_ = [MeasurementSetting(b) for b in basis_words]
+    owner = []
+    for word in words:
+        owner.append(next((i for i, s in enumerate(settings_) if s.covers(word)), -1))
+    return owner
+
+
+@st.composite
+def setting_lists(draw, n):
+    """Basis words of n letters, with repeats; any may cover nothing.  Half
+    the lists hold the N + 1 grouping settings too, so every word is covered
+    and random settings drawn before them take some words first."""
+    bases = draw(st.lists(st.text("XZ", min_size=n, max_size=n), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        bases += ["X" * n] + ["X" * p + "Z" + "X" * (n - 1 - p) for p in range(n)]
+    repeats = draw(st.lists(st.sampled_from(bases), max_size=2))
+    return draw(st.permutations(bases + repeats))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_first_cover_matches_covers_loop(data, n):
+    words = data.draw(
+        st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=30)
+        | st.just(list(current_decomposition(n).words))
+    )
+    bases = data.draw(setting_lists(n))
+    owner = _first_cover(word_masks(words, n), bases, n)
+    assert owner.tolist() == covers_loop_owner(words, bases)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_counts_only_ingest_reads_each_word_from_its_first_cover(data, n):
+    bases = data.draw(setting_lists(n))
+    outcome = st.text("01", min_size=n, max_size=n)
+    outcomes = data.draw(st.lists(outcome, min_size=len(bases), max_size=len(bases)))
+    payload = {
+        "n": n,
+        "settings": [
+            {"basis_word": b, "counts": {bits: 3, "0" * n: 1}}
+            for b, bits in zip(bases, outcomes)
+        ],
+    }
+    words = current_decomposition(n).words
+    owner = covers_loop_owner(words, bases)
+    event("some word uncovered" if -1 in owner else "every word covered")
+    if -1 in owner:
+        uncovered = [w for w, i in zip(words, owner) if i < 0]
+        with pytest.raises(ValueError) as exc:
+            ingest_measurements(None, payload)
+        assert str(exc.value) == f"no setting covers terms {uncovered[:4]}"
+        return
+    report = ingest_measurements(None, payload)
+    assert [r.setting for r in report.term_records] == [bases[i] for i in owner]
+    assert [s.terms for s in report.setting_records] == [
+        tuple(w for w, i in zip(words, owner) if i == k) for k in range(len(bases))
+    ]
+    assert_records_match_parity_oracle(report)

@@ -336,6 +336,8 @@ _COEFFS = st.floats(-4.0, 4.0) | st.sampled_from([math.nan, math.inf, -math.inf]
 @example(n=2, pairs=[("XZ", 1.0), ("XZ", 2.0)])
 @example(n=2, pairs=[("II", 1.0)])
 @example(n=2, pairs=[("XZ", 1.0), ("IZ", -2.0)])
+@example(n=2, pairs=[("XZ", 1.0), ("II", -2.0)])
+@example(n=2, pairs=[("ZZ", 1.0), ("IX", 1.0), ("ZZ", -2.0)])
 def test_columnar_checks_match_per_term_checks(n, pairs):
     words = [w for w, _ in pairs]
     coeffs = [c for _, c in pairs]
