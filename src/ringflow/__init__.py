@@ -19,7 +19,6 @@ from .circuits import (
 from .engine import (
     Gate,
     NormDriftError,
-    OutcomeCounts,
     Statevector,
     apply_circuit,
     apply_gate,
@@ -71,7 +70,6 @@ __all__ = [
     "MAX_QUBITS",
     "MeasurementSetting",
     "NormDriftError",
-    "OutcomeCounts",
     "PauliString",
     "RegisterTooLargeError",
     "SettingRecord",

@@ -14,6 +14,8 @@ Hadamard before the Z measurement).  A word is measurable under a setting
 when its X letters sit at X-basis positions and its Z letters at Z-basis
 positions; grouping assigns all Z-free words to the all-X setting and the
 words with a Z at position p to the setting that is Z at p and X elsewhere.
+``pauli.setting_plan`` makes that plan for ``group_terms``, the engine and
+``experiment.run_simulation`` alike.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Gate, apply_circuit, cnot, h, init_basis, ry
-from .pauli import PauliString, PauliTerms, WeightedPauliSum
+from .pauli import PauliString, PauliTerms, WeightedPauliSum, setting_plan, word_masks
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,6 +60,11 @@ class MeasurementSetting:
     def __post_init__(self):
         if not self.basis_word or set(self.basis_word) - {"Z", "X"}:
             raise ValueError(f"invalid basis word {self.basis_word!r}")
+
+    @classmethod
+    def from_z_mask(cls, zmask: int, n_qubits: int) -> "MeasurementSetting":
+        """Z where ``zmask`` has a bit (leftmost letter = MSB), X elsewhere."""
+        return cls(format(zmask, f"0{n_qubits}b").replace("0", "X").replace("1", "Z"))
 
     def covers(self, word: str) -> bool:
         """True when every non-identity letter matches this setting's basis."""
@@ -145,23 +152,22 @@ def group_terms(op_sum: WeightedPauliSum) -> dict[MeasurementSetting, PauliTerms
     """Assign every term to exactly one measurement setting (at most N+1).
 
     Z-free terms share the all-X setting; terms with a Z at position p go
-    to the setting that is Z at p and X elsewhere.  Words with a Y or more
-    than one Z are not measurable under this family of settings.  Each
-    setting's terms keep their order in ``op_sum``.
+    to the setting that is Z at p and X elsewhere (``pauli.setting_plan``).
+    Words with a Y or more than one Z are not measurable under this family
+    of settings.  Each setting's terms keep their order in ``op_sum``.
     """
     n = op_sum.n_qubits
-    # Z position (-1 for none) -> the setting's (words, coeffs)
-    by_z_pos: dict[int, tuple[list[str], list[float]]] = {}
-    for word, coeff in zip(op_sum.words, op_sum.coeffs):
-        if "Y" in word or word.count("Z") > 1:
-            raise ValueError(f"term {word} not measurable with Z/X settings")
-        words, coeffs = by_z_pos.setdefault(word.find("Z"), ([], []))
-        words.append(word)
-        coeffs.append(coeff)
+    _, my, mz = word_masks(op_sum.words, n)
+    bad = np.flatnonzero(my | (mz & (mz - 1)))
+    if bad.size:
+        word = op_sum.words[bad[0]]
+        raise ValueError(f"term {word} not measurable with Z/X settings")
     out: dict[MeasurementSetting, PauliTerms] = {}
-    for pos in sorted(by_z_pos):
-        word = "X" * n if pos < 0 else "X" * pos + "Z" + "X" * (n - 1 - pos)
-        out[MeasurementSetting(word)] = PauliTerms(*by_z_pos[pos])
+    for zmask, members in setting_plan(mz, n):
+        members = members.tolist()
+        out[MeasurementSetting.from_z_mask(zmask, n)] = PauliTerms(
+            [op_sum.words[i] for i in members], [op_sum.coeffs[i] for i in members]
+        )
     return out
 
 

@@ -11,11 +11,12 @@ parities come from one kernel, ``parity_expectations``: one Walsh-Hadamard
 transform of a dense outcome vector gives every word's parity average.
 Sums whose words are over {I,X,Z} with at most one Z feed it per setting
 in extended precision, which keeps the heavily weighted cancellations
-accurate at large N.  Those settings share their basis rotations: visited
-in order of their Z position, each copies the Hadamards already applied
-before its Z and adds the ones after it, about N^2/2 layers for N + 1
-settings.  Other words act on the state directly.  The estimators in
-``experiment`` call the kernel in float64.
+accurate at large N; ``pauli.setting_plan`` groups them.  The settings
+share their basis rotations: visited in order of their Z position, each
+copies the Hadamards already applied before its Z and adds the ones after
+it, about N^2/2 layers for N + 1 settings.  Other words act on the state
+directly.  The estimators in ``experiment`` call the kernel in float64.
+``sample`` returns an int64 count per basis index, not bitstrings.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import WeightedPauliSum, index_masks, word_masks
+from .pauli import WeightedPauliSum, index_masks, setting_plan, word_masks
 
 #: Norm drift beyond this after a kernel indicates an engine bug.
 NORM_TOL = 1e-9
@@ -116,22 +117,6 @@ class Statevector:
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes not normalized (norm {nrm!r})")
         object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True, slots=True)
-class OutcomeCounts:
-    """Measured bitstring histogram; keys are S1-first binary strings."""
-
-    n_qubits: int
-    shots: int
-    counts: dict[str, int]
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts do not add up to the shot total")
-
-    def to_dict(self) -> dict:
-        return {"shots": self.shots, "counts": dict(sorted(self.counts.items()))}
 
 
 def init_basis(n_qubits: int, index: int) -> Statevector:
@@ -237,8 +222,11 @@ def sample(
     shots: int,
     seed=None,
     readout_flip: float = 0.0,
-) -> OutcomeCounts:
+) -> np.ndarray:
     """Projective Z-basis sampling, deterministic for a given seed.
+
+    Returns the int64 count of every outcome, indexed by basis index; the
+    counts add up to ``shots``.
 
     ``readout_flip`` applies a classical bit-flip channel to the sampled
     outcomes: each bit of each shot flips independently with that
@@ -258,8 +246,7 @@ def sample(
         for q in range(n):
             moved = rng.binomial(counts, readout_flip)
             counts = counts - moved + moved[idx ^ (1 << (n - 1 - q))]
-    out = {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c}
-    return OutcomeCounts(n, shots, out)
+    return counts
 
 
 def expectation_pauli(
@@ -340,38 +327,31 @@ def _expectation_grouped(
     # float64 first: a direct longdouble conversion is several times slower
     coeffs = np.array(op_sum.coeffs, dtype=np.float64).astype(np.longdouble)
     parity_masks = mx | mz
-    # one setting per Z mask; a stable sort keeps each setting's terms in
-    # their original order
-    zmasks, first, group = np.unique(mz, return_index=True, return_inverse=True)
-    order = np.argsort(group, kind="stable")
-    sizes = np.bincount(group, minlength=zmasks.size)
-    ends = np.cumsum(sizes)
-    setting_of = {z: g for g, z in enumerate(zmasks.tolist())}
-    sums = [None] * zmasks.size
+    plan = setting_plan(mz, n)
+    members_of = dict(plan)
+    sums = {}
     # Settings are visited by Z position, then all-X.  ``prefix`` carries
     # the Hadamards on every position before ``pos``, so each setting only
     # adds the ones after its Z: about N^2/2 layers instead of N^2, applied
     # in the same order as one setting at a time, so the bits are the same.
     prefix = state.amplitudes.astype(np.clongdouble)
-    pending = len(setting_of)
     for pos in range(n + 1):
-        g = setting_of.get(1 << (n - 1 - pos) if pos < n else 0)
-        if g is not None:
+        zmask = 1 << (n - 1 - pos) if pos < n else 0
+        if zmask in members_of:
             rotated = prefix.copy()
             for later in range(pos + 1, n):
                 _hadamard_layer(rotated, n, later)
             n_rotations = n - 1 if pos < n else n
             probs = (rotated.real**2 + rotated.imag**2) / (1 << n_rotations)
-            members = order[ends[g] - sizes[g] : ends[g]]
+            members = members_of[zmask]
             gathered = parity_expectations(probs, parity_masks[members])
             # elementwise product + pairwise sum; dot would reduce sequentially
-            sums[g] = (coeffs[members] * gathered).sum()
-            pending -= 1
-        if not pending:
+            sums[zmask] = (coeffs[members] * gathered).sum()
+        if len(sums) == len(plan):
             break
         _hadamard_layer(prefix, n, pos)
     # accumulate in order of first appearance, as one setting at a time did
     total = np.longdouble(op_sum.identity_weight)
-    for g in np.argsort(first).tolist():
-        total += sums[g]
+    for zmask, members in sorted(plan, key=lambda setting: setting[1][0]):
+        total += sums[zmask]
     return float(total)

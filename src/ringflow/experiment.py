@@ -11,8 +11,10 @@ Each setting's outcomes (exact probabilities, counts / shots, or supplied
 data) become one dense float64 vector, and one ``parity_expectations``
 call gives all of that setting's word expectations; bitstring maps exist
 only in input data and in the report's setting records.  The estimators
-read the expansion's word and coefficient columns, and one ``word_masks``
-call per run gives the parity masks of every setting's words.
+read the expansion's word and coefficient columns.  A simulation makes
+one ``word_masks`` call per run, for the parity masks and for the setting
+plan (``pauli.setting_plan``, or one setting per word); ``engine.sample``
+returns counts per basis index, whose bitstring keys are made once.
 
 All estimators assemble J as (identity_weight + sum coeff * <V>) / 4pi
 from their own per-term records, and every report round-trips: feeding
@@ -22,15 +24,15 @@ same estimate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
 from .circuits import (
     MeasurementSetting,
     backflow_prep_angles,
-    group_terms,
     measurement_circuit,
     prepare_backflow_circuit,
 )
@@ -43,14 +45,15 @@ from .engine import (
     z_probabilities,
 )
 from .pauli import (
-    PauliTerms,
-    WeightedPauliSum,
     check_register,
     current_decomposition,
+    setting_plan,
     word_masks,
 )
 
-# unused here, but bench/spans.py times experiment.index_masks as a layer
+# unused here, but bench/spans.py times experiment.index_masks and
+# experiment.group_terms as layers
+from .circuits import group_terms  # noqa: F401
 from .pauli import index_masks  # noqa: F401
 
 FOUR_PI = 4.0 * math.pi
@@ -226,29 +229,6 @@ def _outcome_vector(n_qubits: int, values: dict) -> np.ndarray:
     return vec
 
 
-def _setting_masks(n_qubits: int, word_lists) -> list[np.ndarray]:
-    """Each setting's parity masks (its words' non-I positions), in one pass.
-
-    One ``word_masks`` call covers the words of every setting, so its fixed
-    cost is paid once per run rather than once per setting.
-    """
-    mx, my, mz = word_masks(list(chain.from_iterable(word_lists)), n_qubits)
-    bounds = np.cumsum([len(words) for words in word_lists])[:-1]
-    return np.split(mx | my | mz, bounds)
-
-
-def _measurement_plan(
-    decomp: WeightedPauliSum, grouped: bool
-) -> list[tuple[MeasurementSetting, PauliTerms]]:
-    if grouped:
-        return list(group_terms(decomp).items())
-    plan = []
-    for word, coeff in zip(decomp.words, decomp.coeffs):
-        basis = "".join("X" if ch == "X" else "Z" for ch in word)
-        plan.append((MeasurementSetting(basis), PauliTerms((word,), (coeff,))))
-    return plan
-
-
 def _prepared_state(n_qubits: int, coeffs: BackflowCoefficients):
     if n_qubits <= 2:
         circ = prepare_backflow_circuit(n_qubits)
@@ -335,14 +315,23 @@ def run_simulation(
     decomp = current_decomposition(n_qubits)
     coeffs = backflow_coefficients(n_qubits)
     state, prep = _prepared_state(n_qubits, coeffs)
-    plan = _measurement_plan(decomp, grouped)
+    words, term_coeffs = decomp.words, decomp.coeffs
+    # the expansion has no Y, so a word's parity mask is its X and Z letters
+    mx, _, mz = word_masks(words, n_qubits)
+    parity_masks = mx | mz
+    if grouped:
+        plan = setting_plan(mz, n_qubits)
+    else:
+        # one setting per word: X at its X letters, Z everywhere else
+        full = (1 << n_qubits) - 1
+        plan = list(zip((full ^ mx).tolist(), np.arange(len(words))[:, None]))
     sampling = shots_per_setting is not None
     if sampling and seed is None:
         seed = int(np.random.SeedSequence().entropy) % (1 << 32)
     term_records: list[TermRecord] = []
     setting_records: list[SettingRecord] = []
-    masks = _setting_masks(n_qubits, [terms.words for _, terms in plan])
-    for k, ((setting, terms), parity_masks) in enumerate(zip(plan, masks)):
+    for k, (zmask, members) in enumerate(plan):
+        setting = MeasurementSetting.from_z_mask(zmask, n_qubits)
         rotated = apply_circuit(state, measurement_circuit(setting))
         if sampling:
             entropy = [seed, k]
@@ -351,28 +340,31 @@ def run_simulation(
                 shots_per_setting,
                 seed=np.random.SeedSequence(entropy),
                 readout_flip=readout_flip,
-            ).counts
-            outcomes = _outcome_vector(n_qubits, counts) / shots_per_setting
+            )
+            outcomes = counts / shots_per_setting
         else:
             entropy = None
-            counts = None
             outcomes = z_probabilities(rotated)
-        values = parity_expectations(outcomes, parity_masks).tolist()
-        for word, coeff, value in zip(terms.words, terms.coeffs, values):
+        values = parity_expectations(outcomes, parity_masks[members]).tolist()
+        index = members.tolist()
+        for i, value in zip(index, values):
             if sampling:
                 std = math.sqrt(max(0.0, 1.0 - value * value) / shots_per_setting)
             else:
                 std = None
-            term_records.append(TermRecord(word, coeff, setting.basis_word, value, std))
+            term_records.append(
+                TermRecord(words[i], term_coeffs[i], setting.basis_word, value, std)
+            )
+        # bitstring keys are made here, once, for both outcome maps
         nonzero = np.flatnonzero(outcomes)
-        keys = (format(i, f"0{n_qubits}b") for i in nonzero.tolist())
+        keys = [format(i, f"0{n_qubits}b") for i in nonzero.tolist()]
         setting_records.append(
             SettingRecord(
                 setting.basis_word,
                 dict(zip(keys, outcomes[nonzero].tolist())),
-                counts,
+                dict(zip(keys, counts[nonzero].tolist())) if sampling else None,
                 entropy,
-                terms.words,
+                tuple(words[i] for i in index),
             )
         )
     return _finish_report(
@@ -415,6 +407,26 @@ def run_exact(
     )
 
 
+_KIND_NAMES = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    numbers.Integral: "an integer",
+    numbers.Real: "a number",
+}
+
+
+def _check_types(values, kind, what: str) -> None:
+    """Refuse input values that are not of ``kind``; true/false are no numbers.
+
+    Each distinct type is checked once, so a long outcome map costs one pass.
+    """
+    for found in set(map(type, values)):
+        if found is bool or not issubclass(found, kind):
+            name = _KIND_NAMES[kind]
+            raise ValueError(f"{what} must be {name}, got {found.__name__}")
+
+
 def _count(value, position: int) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"settings[{position}]: count {value!r} is not a whole number")
@@ -425,15 +437,18 @@ def _count(value, position: int) -> int:
 
 
 def _parse_setting_entry(entry: dict, n_qubits: int, position: int):
+    _check_types((entry,), dict, f"settings[{position}]")
     basis = entry.get("basis_word")
     if not isinstance(basis, str) or len(basis) != n_qubits:
         raise ValueError(f"settings[{position}]: basis word must have {n_qubits} letters")
     setting = MeasurementSetting(basis)
     if "probabilities" in entry:
-        probs = {str(b): float(p) for b, p in entry["probabilities"].items()}
+        probs = _outcome_map(entry, "probabilities", position)
+        probs = {str(b): float(p) for b, p in probs.items()}
         counts = None
     elif "counts" in entry:
-        counts = {str(b): _count(c, position) for b, c in entry["counts"].items()}
+        counts = _outcome_map(entry, "counts", position)
+        counts = {str(b): _count(c, position) for b, c in counts.items()}
         total = sum(counts.values())
         if total <= 0:
             raise ValueError(f"settings[{position}]: empty counts")
@@ -449,7 +464,18 @@ def _parse_setting_entry(entry: dict, n_qubits: int, position: int):
             raise ValueError(f"settings[{position}]: negative probability")
     if abs(math.fsum(probs.values()) - 1.0) > 1e-6:
         raise ValueError(f"settings[{position}]: probabilities do not sum to 1")
-    return setting, probs, counts, entry.get("terms")
+    terms = entry.get("terms")
+    if terms is not None:
+        _check_types((terms,), list, f"settings[{position}] terms")
+        _check_types(terms, str, f"settings[{position}] terms")
+    return setting, probs, counts, terms
+
+
+def _outcome_map(entry: dict, key: str, position: int) -> dict:
+    values = entry[key]
+    _check_types((values,), dict, f"settings[{position}] {key}")
+    _check_types(values.values(), numbers.Real, f"settings[{position}] {key}")
+    return values
 
 
 def _first_cover(masks, basis_words: list[str], n_qubits: int) -> np.ndarray:
@@ -468,6 +494,39 @@ def _first_cover(masks, basis_words: list[str], n_qubits: int) -> np.ndarray:
     return owner
 
 
+def _listed_owner(words, masks, lists, basis_words, n_qubits: int) -> np.ndarray:
+    """Index of the setting whose ``terms`` list names each word, -1 for none.
+
+    ``masks`` are the ``word_masks`` of ``words``, the expansion.  Read in
+    file order, the first listed word that fails is reported, with the
+    first of its faults: not an expansion word, listed before, or not
+    covered by its own setting (the cover test of ``_first_cover``).
+    """
+    listed = list(chain.from_iterable(lists))
+    setting = np.repeat(np.arange(len(lists)), [len(terms) for terms in lists])
+    position = dict(zip(words, range(len(words))))
+    index = np.fromiter(map(position.get, listed, repeat(-1)), np.int64, len(listed))
+    unknown = index < 0
+    again = np.ones(len(listed), dtype=bool)
+    again[np.unique(index, return_index=True)[1]] = False
+    # an unknown word reads the last word's masks, but fails first anyway
+    mx, my, mz = (mask[index] for mask in masks)
+    bx, _, bz = word_masks(basis_words, n_qubits)
+    uncovered = ((mx & ~bx[setting]) | (mz & ~bz[setting]) | my) != 0
+    failed = np.flatnonzero(unknown | again | uncovered)
+    if failed.size:
+        k = failed[0]
+        word = listed[k]
+        if unknown[k]:
+            raise ValueError(f"{word!r} is not an expansion term")
+        if again[k]:
+            raise ValueError(f"term {word} assigned twice")
+        raise ValueError(f"term {word} not measurable under {basis_words[setting[k]]}")
+    owner = np.full(len(words), -1)
+    owner[index] = setting
+    return owner
+
+
 def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
     """Recombine externally measured data into a current estimate.
 
@@ -481,6 +540,8 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
     if not isinstance(data, dict):
         raise ValueError("measured data must be a mapping")
     n_field = data.get("n")
+    if n_field is not None:
+        _check_types((n_field,), numbers.Integral, "'n'")
     if n_qubits is None:
         if n_field is None:
             raise ValueError("qubit count missing (no 'n' key and none supplied)")
@@ -493,14 +554,19 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
 
     if "expectations" in data:
         supplied = {}
-        for entry in data["expectations"]:
+        entries = data["expectations"]
+        _check_types((entries,), list, "'expectations'")
+        for i, entry in enumerate(entries):
+            _check_types((entry,), dict, f"expectations[{i}]")
+            _check_types((entry["word"],), str, f"expectations[{i}] word")
+            _check_types((entry["value"],), numbers.Real, f"expectations[{i}] value")
             value = float(entry["value"])
             if not -1.0 <= value <= 1.0:
                 raise ValueError(
                     f"expectation of {entry['word']} must be finite and within "
                     f"[-1, 1], got {value!r}"
                 )
-            supplied[str(entry["word"])] = value
+            supplied[entry["word"]] = value
         expected = set(decomp.words)
         if set(supplied) != expected:
             raise ValueError(
@@ -515,6 +581,7 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         setting_records: list[SettingRecord] = []
     elif "settings" in data:
         entries = data["settings"]
+        _check_types((entries,), list, "'settings'")
         if not entries:
             raise ValueError("settings list is empty")
         parsed = [
@@ -526,20 +593,8 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         bases = [setting.basis_word for setting, _, _, _ in parsed]
         masks = word_masks(decomp.words, n_qubits)
         if all(explicit):
-            assignment: dict[str, int] = {}
-            known = set(decomp.words)
-            for i, (setting, _, _, words) in enumerate(parsed):
-                for word in words:
-                    if word not in known:
-                        raise ValueError(f"{word!r} is not an expansion term")
-                    if word in assignment:
-                        raise ValueError(f"term {word} assigned twice")
-                    if not setting.covers(word):
-                        raise ValueError(
-                            f"term {word} not measurable under {setting.basis_word}"
-                        )
-                    assignment[word] = i
-            owner = np.array([assignment.get(w, -1) for w in decomp.words])
+            lists = [words for _, _, _, words in parsed]
+            owner = _listed_owner(decomp.words, masks, lists, bases, n_qubits)
         else:
             owner = _first_cover(masks, bases, n_qubits)
         uncovered = np.flatnonzero(owner < 0)[:4].tolist()

@@ -222,6 +222,23 @@ def word_masks(words, n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return tuple(out)
 
 
+def setting_plan(zmasks: np.ndarray, n_qubits: int) -> list[tuple[int, np.ndarray]]:
+    """Group words into the qubit-wise settings that read them.
+
+    ``zmasks`` are the words' Z masks from ``word_masks``, each with at most
+    one bit set.  A word without Z is read in the all-X setting, a word with
+    a Z at position p in the setting that is Z at p and X elsewhere.
+    Returns (setting Z mask, indices of its words in sum order) for every
+    setting that reads a word: all-X first, then Z at position 0 ... N-1.
+    """
+    plan = []
+    for zmask in [0] + [1 << (n_qubits - 1 - pos) for pos in range(n_qubits)]:
+        members = np.flatnonzero(zmasks == zmask)
+        if members.size:
+            plan.append((zmask, members))
+    return plan
+
+
 class RegisterTooLargeError(ValueError):
     """A register beyond MAX_QUBITS, refused before anything is built."""
 

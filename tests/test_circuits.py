@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from ringflow.circuits import (
     Circuit,
@@ -23,9 +24,15 @@ from ringflow.engine import (
     z_probabilities,
 )
 from ringflow.experiment import backflow_coefficients
-from ringflow.pauli import PauliString, WeightedPauliSum, current_decomposition
+from ringflow.pauli import (
+    PauliString,
+    WeightedPauliSum,
+    current_decomposition,
+    setting_plan,
+    word_masks,
+)
 
-from conftest import random_state_vector
+from conftest import measurable_sums, random_state_vector
 
 
 class TestPrepareBackflowCircuit:
@@ -137,6 +144,98 @@ class TestGrouping:
         bad = WeightedPauliSum(2, 0.0, (PauliString("ZZ", 1.0),))
         with pytest.raises(ValueError):
             group_terms(bad)
+
+
+def group_terms_per_word(op_sum):
+    """The grouping one Python step per word, as ``group_terms`` first ran it.
+
+    Basis word -> (words, coeffs); settings in order of Z position, the
+    all-X setting (no Z) first, and each setting's words in sum order.
+    """
+    n = op_sum.n_qubits
+    by_z_pos = {}
+    for word, coeff in zip(op_sum.words, op_sum.coeffs):
+        if "Y" in word or word.count("Z") > 1:
+            raise ValueError(f"term {word} not measurable with Z/X settings")
+        words, coeffs = by_z_pos.setdefault(word.find("Z"), ([], []))
+        words.append(word)
+        coeffs.append(coeff)
+    out = {}
+    for pos in sorted(by_z_pos):
+        word = "X" * n if pos < 0 else "X" * pos + "Z" + "X" * (n - 1 - pos)
+        out[word] = by_z_pos[pos]
+    return out
+
+
+def unique_grouping(zmasks):
+    """Z mask -> member indices, grouped with ``np.unique`` as the grouped
+    expectation first did it; the keys come in order of first appearance."""
+    zs, first, group = np.unique(zmasks, return_index=True, return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    sizes = np.bincount(group, minlength=zs.size)
+    ends = np.cumsum(sizes)
+    return {
+        zs[g].item(): order[ends[g] - sizes[g] : ends[g]].tolist()
+        for g in np.argsort(first).tolist()
+    }
+
+
+def assert_plan_matches_references(op_sum):
+    n = op_sum.n_qubits
+    _, _, mz = word_masks(op_sum.words, n)
+    plan = [(zmask, members.tolist()) for zmask, members in setting_plan(mz, n)]
+    old = group_terms_per_word(op_sum)
+    # same settings in the same order, each with the same words in sum order
+    assert [MeasurementSetting.from_z_mask(z, n).basis_word for z, _ in plan] == list(old)
+    assert [[op_sum.words[i] for i in members] for _, members in plan] == [
+        words for words, _ in old.values()
+    ]
+    by_unique = unique_grouping(mz)
+    assert dict(plan) == by_unique
+    # the engine adds the settings' sums in order of first appearance
+    assert [z for z, _ in sorted(plan, key=lambda s: s[1][0])] == list(by_unique)
+    groups = group_terms(op_sum)
+    assert [s.basis_word for s in groups] == list(old)
+    assert [(t.words, t.coeffs) for t in groups.values()] == [
+        (tuple(words), tuple(coeffs)) for words, coeffs in old.values()
+    ]
+
+
+class TestSettingPlan:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_expansion_matches_references(self, n):
+        dec = current_decomposition(n)
+        assert_plan_matches_references(dec)
+        perm = np.random.default_rng(n).permutation(len(dec.words)).tolist()
+        shuffled = WeightedPauliSum.from_columns(
+            n,
+            dec.identity_weight,
+            [dec.words[i] for i in perm],
+            [dec.coeffs[i] for i in perm],
+        )
+        assert_plan_matches_references(shuffled)
+
+    @settings(max_examples=300, deadline=None)
+    @given(measurable_sums())
+    @example(WeightedPauliSum(3, 0.5, ()))
+    @example(WeightedPauliSum(2, 0.0, (PauliString("XZ", 1.0),)))
+    def test_random_sums_match_references(self, op_sum):
+        assert_plan_matches_references(op_sum)
+
+    @settings(max_examples=300, deadline=None)
+    @given(measurable_sums(letters="IXYZ"))
+    @example(WeightedPauliSum.from_columns(2, 0.0, ["XX", "ZZ", "YI"], [1.0, 2.0, 3.0]))
+    @example(WeightedPauliSum.from_columns(2, 0.0, ["IX", "YZ", "ZZ"], [1.0, 2.0, 3.0]))
+    def test_unmeasurable_words_named_in_sum_order(self, op_sum):
+        """A Y or a second Z is refused, naming the first such word in sum order."""
+        try:
+            group_terms_per_word(op_sum)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                group_terms(op_sum)
+            assert str(refused.value) == str(exc)
+        else:
+            assert_plan_matches_references(op_sum)
 
 
 class TestParitySign:

@@ -200,6 +200,42 @@ class TestAnalyze:
         assert out == ""
         assert "malformed" in err
 
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ({"n": 1, "settings": {"basis_word": "X", "probabilities": {"0": 1.0}}},
+             "'settings' must be a list"),
+            ({"n": 1, "settings": [["X", {"0": 1.0}]]},
+             "settings[0] must be an object"),
+            ({"n": 1, "settings": [{"basis_word": "X", "probabilities": [1.0, 0.0]}]},
+             "settings[0] probabilities must be an object"),
+            ({"n": 1, "settings": [{"basis_word": "X", "counts": [3, 1]}]},
+             "settings[0] counts must be an object"),
+            ({"n": 1.7, "settings": [{"basis_word": "X", "probabilities": {"0": 1.0}}]},
+             "'n' must be an integer"),
+            ({"n": True, "settings": [{"basis_word": "X", "probabilities": {"0": 1.0}}]},
+             "'n' must be an integer"),
+            ({"n": "2", "expectations": []}, "'n' must be an integer"),
+            ({"n": 1, "expectations": [
+                {"word": "X", "value": True}, {"word": "Z", "value": 0.5},
+            ]}, "expectations[0] value must be a number"),
+            ({"n": 1, "settings": [
+                {"basis_word": "X", "probabilities": {"0": 1.0}, "terms": "X"},
+                {"basis_word": "Z", "probabilities": {"0": 1.0}, "terms": ["Z"]},
+            ]}, "settings[0] terms must be a list"),
+        ],
+        ids=["settings-object", "entry-list", "probabilities-list", "counts-list",
+             "n-fraction", "n-true", "n-string", "value-true", "terms-string"],
+    )
+    def test_wrong_shapes_are_data_errors(self, capsys, tmp_path, data, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "analyze", "--input", str(bad))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("ringflow: malformed measured data: ")
+        assert named in err
+
     def test_wrong_qubit_count_is_data_error(self, capsys, data_dir):
         code, _, _ = run_cli(
             capsys,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringflow.engine import (
@@ -34,7 +34,7 @@ from ringflow.pauli import (
     term_count,
 )
 
-from conftest import random_state_vector
+from conftest import measurable_sums, random_state_vector
 
 INV_SQRT5 = 1.0 / math.sqrt(5.0)
 
@@ -314,6 +314,16 @@ def test_grouped_path_bit_identical_on_partial_settings(n):
     assert expectation_pauli(state, z_first) == grouped_per_word(state, z_first)
 
 
+@settings(max_examples=200, deadline=None)
+@given(measurable_sums(), st.integers(0, 2**32 - 1))
+@example(WeightedPauliSum(3, 0.5, ()), 0)
+def test_grouped_path_bit_identical_on_random_sums(op_sum, seed):
+    """Shuffled sums, sums that lack settings, and the empty sum."""
+    n = op_sum.n_qubits
+    state = init_amplitudes(n, random_state_vector(np.random.default_rng(seed), n))
+    assert expectation_pauli(state, op_sum) == grouped_per_word(state, op_sum)
+
+
 def test_scale_path_builds_no_pauli_strings(monkeypatch):
     """The 16-qubit expectation and a grouped shot run read the word columns."""
     built = []
@@ -370,27 +380,29 @@ class TestProbabilitiesAndSampling:
 
     def test_sample_deterministic_basis_state(self):
         counts = sample(init_basis(2, 1), shots=500, seed=0)
-        assert counts.counts == {"01": 500}
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [0, 500, 0, 0]
 
     def test_sample_reproducible(self, psi2):
         a = sample(psi2, 4000, seed=123)
         b = sample(psi2, 4000, seed=123)
-        assert a.counts == b.counts
-        assert sum(a.counts.values()) == 4000
+        np.testing.assert_array_equal(a, b)
+        assert a.sum() == 4000
 
     def test_sample_frequency_within_three_sigma(self, psi1):
         shots = 1_000_000
         counts = sample(psi1, shots, seed=7)
         sigma = math.sqrt(0.8 * 0.2 / shots)
-        assert abs(counts.counts["0"] / shots - 0.8) < 3 * sigma
+        assert abs(counts[0] / shots - 0.8) < 3 * sigma
 
     def test_sample_converges_to_probabilities(self, psi2):
         """Every outcome frequency sits within four binomial sigmas at 1e6 shots."""
         shots = 1_000_000
         counts = sample(psi2, shots, seed=21)
         probs = z_probabilities(psi2)
+        assert counts.shape == probs.shape
         for i, p in enumerate(probs):
-            freq = counts.counts.get(format(i, "02b"), 0) / shots
+            freq = counts[i] / shots
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / shots)
             assert abs(freq - p) < 4 * sigma
 
@@ -398,7 +410,20 @@ class TestProbabilitiesAndSampling:
         shots = 1_000_000
         counts = sample(init_basis(1, 0), shots, seed=5, readout_flip=0.1)
         sigma = math.sqrt(0.1 * 0.9 / shots)
-        assert abs(counts.counts["1"] / shots - 0.1) < 3 * sigma
+        assert abs(counts[1] / shots - 0.1) < 3 * sigma
+
+    @pytest.mark.parametrize("flip", [0.0, 0.01, 0.3])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_counts_add_up_to_shots(self, n, flip):
+        """One non-negative int64 count per basis index, summing to the shots."""
+        rng = np.random.default_rng(40 + n)
+        state = init_amplitudes(n, random_state_vector(rng, n))
+        for shots in (1, 7, 2000):
+            counts = sample(state, shots, seed=shots, readout_flip=flip)
+            assert counts.dtype == np.int64
+            assert counts.shape == (1 << n,)
+            assert counts.min() >= 0
+            assert counts.sum() == shots
 
     def test_readout_flip_validation(self):
         with pytest.raises(ValueError):
@@ -407,5 +432,20 @@ class TestProbabilitiesAndSampling:
             sample(init_basis(1, 0), 0, seed=0)
 
     def test_counts_serialization(self):
-        counts = sample(init_basis(1, 0), 3, seed=0)
-        assert counts.to_dict() == {"shots": 3, "counts": {"0": 3}}
+        """A report's setting record holds the sampled counts as a sorted
+        bitstring -> count map, next to probabilities with the same keys."""
+        report = run_simulation(3, shots_per_setting=50, seed=0, readout_flip=0.05)
+        state = init_amplitudes(3, backflow_coefficients(3).a)
+        for k, record in enumerate(report.setting_records):
+            rotated = apply_circuit(
+                state, [h(q) for q, b in enumerate(record.basis_word) if b == "X"]
+            )
+            counts = sample(
+                rotated, 50, seed=np.random.SeedSequence([0, k]), readout_flip=0.05
+            )
+            expected = {format(i, "03b"): int(c) for i, c in enumerate(counts) if c}
+            d = record.to_dict()
+            assert d["counts"] == expected
+            assert list(d["counts"]) == sorted(expected)
+            assert list(d["probabilities"]) == list(d["counts"])
+            assert d["probabilities"] == {b: c / 50 for b, c in expected.items()}

@@ -452,3 +452,61 @@ def test_counts_only_ingest_reads_each_word_from_its_first_cover(data, n):
         tuple(w for w, i in zip(words, owner) if i == k) for k in range(len(bases))
     ]
     assert_records_match_parity_oracle(report)
+
+
+def listed_terms_loop(words, lists, bases):
+    """Owner of each word from explicit ``terms`` lists, checked one listed
+    word at a time as ``ingest_measurements`` first did it (-1 if unlisted)."""
+    assignment = {}
+    known = set(words)
+    for i, (basis, listed) in enumerate(zip(bases, lists)):
+        setting = MeasurementSetting(basis)
+        for word in listed:
+            if word not in known:
+                raise ValueError(f"{word!r} is not an expansion term")
+            if word in assignment:
+                raise ValueError(f"term {word} assigned twice")
+            if not setting.covers(word):
+                raise ValueError(f"term {word} not measurable under {basis}")
+            assignment[word] = i
+    return [assignment.get(w, -1) for w in words]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_listed_terms_checked_like_the_word_loop(data, n):
+    """Explicit terms: same owners, or the same first error in file order."""
+    bases = data.draw(setting_lists(n))
+    words = current_decomposition(n).words
+    owner = covers_loop_owner(words, bases)
+    lists = [[w for w, i in zip(words, owner) if i == k] for k in range(len(bases))]
+    # a few insertions: expansion words (listed twice, or under a setting that
+    # may not cover them) and arbitrary words, an all-I one among them
+    extra = st.sampled_from(words) | st.text("IXYZ", min_size=n, max_size=n)
+    for _ in range(data.draw(st.integers(0, 3))):
+        target = lists[data.draw(st.integers(0, len(lists) - 1))]
+        target.insert(data.draw(st.integers(0, len(target))), data.draw(extra))
+    payload = {
+        "n": n,
+        "settings": [
+            {"basis_word": b, "counts": {"0" * n: 2, "1" * n: 1}, "terms": listed}
+            for b, listed in zip(bases, lists)
+        ],
+    }
+    try:
+        expected = listed_terms_loop(words, lists, bases)
+    except ValueError as exc:
+        event("listed word refused")
+        with pytest.raises(ValueError) as refused:
+            ingest_measurements(None, payload)
+        assert str(refused.value) == str(exc)
+        return
+    if -1 in expected:
+        event("some word unlisted")
+        with pytest.raises(ValueError, match="no setting covers terms"):
+            ingest_measurements(None, payload)
+        return
+    event("accepted")
+    report = ingest_measurements(None, payload)
+    assert [r.setting for r in report.term_records] == [bases[i] for i in expected]
+    assert_records_match_parity_oracle(report)
