@@ -6,11 +6,12 @@ range of qubit counts into a plot-ready table), and ``analyze`` recombines
 externally measured outcome data.  Only the report is written to standard
 output; diagnostics go to standard error, so output can be piped.
 
-Exit codes: 2 for bad flags or malformed RINGFLOW_* values, 3 for
-computation failures (including registers above ``MAX_QUBITS`` and a
-report that cannot be written as strict JSON), 4 for unreadable or
-malformed input data.  Environment variables RINGFLOW_SHOTS, RINGFLOW_SEED
-and RINGFLOW_FORMAT override the built-in defaults.
+Exit codes: 2 for bad flags, malformed RINGFLOW_* values or an
+``--output`` FILE that cannot be written, 3 for computation failures
+(including registers above ``MAX_QUBITS`` and a report that cannot be
+written as strict JSON), 4 for unreadable or malformed input data.
+Environment variables RINGFLOW_SHOTS, RINGFLOW_SEED and RINGFLOW_FORMAT
+override the built-in defaults.
 
 JSON reports have the layout of ``json.dumps(report, indent=2,
 sort_keys=True)`` plus a newline.  With ``indent`` set, ``json.dumps``
@@ -19,23 +20,39 @@ instead recurses only through containers that hold containers, and hands
 each flat container (no list, tuple or dict inside) to the C encoder in
 one call, its item separator carrying the newline and indent.  Scalars,
 key order, escapes and the refusal of NaN and infinity thus come from the
-same C code that ``json.dumps`` uses.  The whole text is built before
-anything is written.
+same C code that ``json.dumps`` uses.
+
+The two bulky parts of a current report are written from columns instead:
+the term list from the report's term columns, and each outcome map
+(string keys with float or int values) as key-sorted ``"key": value``
+rows.  Every row follows one template, whose fixed parts are interleaved
+with the column texts in an object grid and joined, so no row string is
+made.  Float text is ``float.__repr__``, which is what the C encoder
+writes, called once per distinct bit pattern of a column (``np.unique``
+over its int64 view, so -0.0 and 0.0 stay apart); nothing is kept between
+renders.  A column holding NaN or infinity is refused before any of its
+text is made.  The whole text is built before anything is written.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import __version__
 from .engine import NormDriftError
 from .experiment import (
     DEFAULT_SHOTS,
     ExperimentReport,
+    TermRecord,
+    TermRecords,
     backflow_coefficients,
     closed_form_current,
     exact_current,
@@ -69,7 +86,7 @@ environment defaults:
 
 exit codes:
   0  success
-  2  invalid flags or flag combinations
+  2  invalid flags or flag combinations, or an unwritable --output FILE
   3  computation failed
   4  input data missing or malformed
 """
@@ -171,12 +188,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, path: str | None) -> None:
+_WRITE_CHUNK = 1 << 20
+
+
+def _write(stream, text: str) -> None:
+    # a slice at a time, so that the encoded copy of a large report stays small
+    for start in range(0, len(text), _WRITE_CHUNK):
+        stream.write(text[start : start + _WRITE_CHUNK])
+
+
+def _emit(text: str, path: str | None) -> int:
+    """Write the finished text; an unwritable FILE exits 2, as argparse's
+    ``FileType`` does, and a failed write removes the regular file it left."""
     if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(sys.stdout, text)
+        return EXIT_OK
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        return _unwritable(path, exc)
+    try:
+        with handle:
+            _write(handle, text)
+    except OSError as exc:
+        if os.path.isfile(path):
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        return _unwritable(path, exc)
+    return EXIT_OK
+
+
+def _unwritable(path: str, exc: OSError) -> int:
+    print(f"ringflow: cannot write {path}: {exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 _INDENT = "  "
@@ -194,11 +238,137 @@ def _flat_encoder(depth: int):
     ).encode
 
 
+class _Terms(list):
+    """A report's term list as ``json.dumps`` reads it: the
+    ``TermRecord.to_dict`` dicts, made one at a time as it is iterated.
+    ``_render`` writes it from the term columns instead."""
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: TermRecords):
+        super().__init__()
+        self.records = records
+
+    def __len__(self):
+        return len(self.records)
+
+    def __iter__(self):
+        return map(TermRecord.to_dict, self.records)
+
+
+class _Outcomes(dict):
+    """An outcome map as ``json.dumps`` reads it, through ``len`` and
+    ``items`` of the map it stands for (no copy is made).  ``_render``
+    writes it as key-sorted rows."""
+
+    __slots__ = ("outcomes",)
+
+    def __init__(self, outcomes: dict):
+        super().__init__()
+        self.outcomes = outcomes
+
+    def __len__(self):
+        return len(self.outcomes)
+
+    def items(self):
+        return self.outcomes.items()
+
+
+def _texts(strings) -> np.ndarray:
+    # an object array that holds the strings themselves, filled from an iterable
+    return np.fromiter(strings, dtype=object)
+
+
+def _float_texts(values: np.ndarray, encode) -> np.ndarray:
+    """``float.__repr__`` of each value, as an object array.
+
+    The repr runs once per distinct bit pattern, so -0.0 and 0.0 stay
+    apart.  NaN or infinity raises ``encode``'s own error first.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        encode(values[~finite][0].item())  # refuses it, as for any other value
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return _texts(map(float.__repr__, bits.view(np.float64).tolist()))[inverse]
+
+
+def _rows_text(open_: str, parts: list, columns: list, close: str, depth: int) -> str:
+    """A non-empty container with one row per line, as json.dumps lays it
+    out.
+
+    Row i is ``parts[0] + columns[0][i] + parts[1] + ... + parts[-1]``: one
+    template per row, filled by interleaving its fixed parts with the
+    column texts in an object grid that is joined once, so no row string
+    is made.  A column is an object array of texts or one text for every
+    row.
+    """
+    newline = "\n" + _INDENT * (depth + 1)
+    grid = np.empty((len(columns[0]), 2 * len(columns) + 1), dtype=object)
+    grid[:, 0] = "," + newline + parts[0]
+    grid[0, 0] = open_ + newline + parts[0]
+    for k, column in enumerate(columns):
+        grid[:, 2 * k + 1] = column
+        grid[:, 2 * k + 2] = parts[k + 1]
+    return "".join(grid.ravel().tolist()) + "\n" + _INDENT * depth + close
+
+
+def _terms_text(records: TermRecords, depth: int, encode) -> str:
+    """The term list from the term columns, each distinct float formatted
+    once."""
+    if not len(records):
+        return "[]"
+    order = records.order
+    words = map(records.words.__getitem__, order.tolist())
+    std = records.std_error
+    # setting -1 picks the appended "null"
+    names = _texts([*map(encode_basestring_ascii, records.bases), "null"])
+    columns = {
+        "word": _texts(map(encode_basestring_ascii, words)),
+        "coeff": _float_texts(records.coeffs[order], encode),
+        "setting": names[records.setting_index[order]],
+        "expectation": _float_texts(records.expectation[order], encode),
+        "std_error": "null" if std is None else _float_texts(std[order], encode),
+    }
+    keys = sorted(columns)
+    inner = "\n" + _INDENT * (depth + 2)
+    parts = [f"{inner}{json.dumps(key)}: " for key in keys]
+    parts = ["{" + parts[0], *("," + part for part in parts[1:])]
+    parts.append("\n" + _INDENT * (depth + 1) + "}")
+    return _rows_text("[", parts, [columns[key] for key in keys], "]", depth)
+
+
+def _outcomes_text(outcomes: dict, depth: int, encode) -> str | None:
+    """An outcome map of string keys and either float or int values as
+    key-sorted ``"key": value`` rows; None for any other map."""
+    if not outcomes or set(map(type, outcomes)) != {str}:
+        return None
+    keys = sorted(outcomes)
+    values = list(map(outcomes.__getitem__, keys))
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        texts = _float_texts(np.array(values, dtype=np.float64), encode)
+    elif kinds == {int}:
+        texts = _texts(map(int.__repr__, values))
+    else:
+        return None
+    key_texts = _texts(map(encode_basestring_ascii, keys))
+    return _rows_text("{", ["", ": ", ""], [key_texts, texts], "}", depth)
+
+
 def _render(value, depth: int, out: list, encoders: list) -> None:
     # encoders[d] serves depth d; recursion reaches each depth from the one above
     if depth == len(encoders):
         encoders.append(_flat_encoder(depth))
     encode = encoders[depth]
+    if type(value) is _Terms:
+        out.append(_terms_text(value.records, depth, encode))
+        return
+    if type(value) is _Outcomes:
+        value = value.outcomes  # any other map is rendered as a plain dict
+        text = _outcomes_text(value, depth, encode)
+        if text is not None:
+            out.append(text)
+            return
     if isinstance(value, dict):
         children = value.values()
     elif isinstance(value, (list, tuple)):
@@ -271,7 +441,7 @@ def _report_summary_rows(report: ExperimentReport) -> list[tuple[str, object]]:
 
 def _report_text(report: ExperimentReport, fmt: str) -> str:
     if fmt == "json":
-        return _json_text(report.to_dict())
+        return _json_text(report.to_dict(_Terms, _Outcomes))
     if fmt == "csv":
         lines = ["record,word,coeff,setting,expectation,std_error"]
         for r in report.term_records:
@@ -347,8 +517,7 @@ def _cmd_decompose(args, parser) -> int:
     except (ValueError, MemoryError) as exc:
         print(f"ringflow: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    _emit(_sum_text(op_sum, args.format, dense), args.output)
-    return EXIT_OK
+    return _emit(_sum_text(op_sum, args.format, dense), args.output)
 
 
 def _cmd_current(args, parser) -> int:
@@ -382,8 +551,7 @@ def _cmd_current(args, parser) -> int:
         except (ValueError, MemoryError) as exc:
             print(f"ringflow: {exc}", file=sys.stderr)
             return EXIT_COMPUTE
-        _emit(_range_text(rows, args.format), args.output)
-        return EXIT_OK
+        return _emit(_range_text(rows, args.format), args.output)
     if args.n < 1:
         parser.error("--n must be a positive integer")
     if args.shots is not None:
@@ -392,7 +560,12 @@ def _cmd_current(args, parser) -> int:
         shots, shots_source = _env_int("RINGFLOW_SHOTS", parser), "RINGFLOW_SHOTS"
     if shots is not None and shots < 1:
         parser.error(f"{shots_source} must be a positive integer, got {shots}")
-    seed = args.seed if args.seed is not None else _env_int("RINGFLOW_SEED", parser)
+    if args.seed is not None:
+        seed, seed_source = args.seed, "--seed"
+    else:
+        seed, seed_source = _env_int("RINGFLOW_SEED", parser), "RINGFLOW_SEED"
+    if seed is not None and seed < 0:
+        parser.error(f"{seed_source} must be a non-negative integer, got {seed}")
     try:
         if args.mode == "exact":
             report = run_exact(args.n, theta0=args.theta0, grouped=args.grouped)
@@ -407,8 +580,7 @@ def _cmd_current(args, parser) -> int:
     except (ValueError, NormDriftError, RuntimeError, MemoryError) as exc:
         print(f"ringflow: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    _emit(_report_text(report, args.format), args.output)
-    return EXIT_OK
+    return _emit(_report_text(report, args.format), args.output)
 
 
 def _cmd_analyze(args, parser) -> int:
@@ -430,8 +602,7 @@ def _cmd_analyze(args, parser) -> int:
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"ringflow: malformed measured data: {exc}", file=sys.stderr)
         return EXIT_DATA
-    _emit(_report_text(report, args.format), args.output)
-    return EXIT_OK
+    return _emit(_report_text(report, args.format), args.output)
 
 
 def main(argv=None) -> int:

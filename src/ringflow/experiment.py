@@ -9,22 +9,25 @@ available through the exact path only.
 
 Each setting's outcomes (exact probabilities, counts / shots, or supplied
 data) become one dense float64 vector, and one ``parity_expectations``
-call gives all of that setting's word expectations; bitstring maps exist
-only in input data and in the report's setting records.  The estimators
-read the expansion's word and coefficient columns.  A simulation makes
-one ``word_masks`` call per run, for the parity masks and for the setting
-plan (``pauli.setting_plan``, or one setting per word); ``engine.sample``
-returns counts per basis index, whose bitstring keys are made once.
+call writes all of that setting's word expectations into the report's
+expectation column; bitstring maps exist only in input data and in the
+report's setting records.  The estimators read the expansion's word and
+coefficient columns.  A simulation makes one ``word_masks`` call per run,
+for the parity masks and for the setting plan (``pauli.setting_plan``, or
+one setting per word); ``engine.sample`` returns counts per basis index,
+whose bitstring keys are made once.
 
 All estimators assemble J as (identity_weight + sum coeff * <V>) / 4pi
-from their own per-term records, and every report round-trips: feeding
-``report.to_dict()`` back into ``ingest_measurements`` reproduces the
-same estimate.
+from their own term columns (``TermRecords``), and every report
+round-trips: feeding ``report.to_dict()`` back into
+``ingest_measurements`` reproduces the same estimate.
 """
 from __future__ import annotations
 
+import copy
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -89,13 +92,91 @@ class TermRecord:
     std_error: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "word": self.word,
-            "coeff": self.coeff,
-            "setting": self.setting,
-            "expectation": self.expectation,
-            "std_error": self.std_error,
-        }
+        return _term_dict(
+            self.word, self.coeff, self.setting, self.expectation, self.std_error
+        )
+
+
+def _term_dict(word, coeff, setting, expectation, std_error) -> dict:
+    return {
+        "word": word,
+        "coeff": coeff,
+        "setting": setting,
+        "expectation": expectation,
+        "std_error": std_error,
+    }
+
+
+class TermRecords(Sequence):
+    """Read-only sequence of ``TermRecord``s over a report's term columns.
+
+    The columns run in expansion order: ``words`` (the expansion's own
+    tuple, not copied), ``coeffs``, ``setting_index`` (each term's index
+    into ``bases``, the setting basis words, or -1 for a value supplied
+    without a setting), and the float64 arrays ``expectation`` and
+    ``std_error`` (None when no term has one).  ``order`` lists the terms
+    in record order, which for a simulation is setting by setting.  As
+    with ``PauliTerms``, nothing is built up front: a ``TermRecord`` is
+    made only for the item read, and code that needs every term reads the
+    columns.
+    """
+
+    __slots__ = (
+        "words", "coeffs", "setting_index", "bases", "expectation", "std_error", "order"
+    )
+
+    def __init__(
+        self, words, coeffs, setting_index, bases, expectation, std_error=None, order=None
+    ):
+        self.words = words
+        self.coeffs = np.asarray(coeffs, dtype=np.float64)
+        self.setting_index = np.asarray(setting_index, dtype=np.int64)
+        self.bases = tuple(bases)
+        self.expectation = expectation
+        self.std_error = std_error
+        self.order = np.arange(len(words)) if order is None else order
+
+    def __len__(self):
+        return len(self.order)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            view = copy.copy(self)
+            view.order = self.order[index]
+            return view
+        i = self.order[index]
+        return TermRecord(
+            self.words[i],
+            self.coeffs[i].item(),
+            (*self.bases, None)[self.setting_index[i]],
+            self.expectation[i].item(),
+            None if self.std_error is None else self.std_error[i].item(),
+        )
+
+    def columns(self) -> tuple:
+        """The five ``TermRecord`` fields as iterables of Python values, in
+        record order."""
+        order = self.order
+        # (*bases, None)[-1] is None, so setting -1 reads as "no setting"
+        names = (*self.bases, None)
+        std = self.std_error
+        return (
+            map(self.words.__getitem__, order.tolist()),
+            self.coeffs[order].tolist(),
+            map(names.__getitem__, self.setting_index[order].tolist()),
+            self.expectation[order].tolist(),
+            repeat(None) if std is None else std[order].tolist(),
+        )
+
+    def __iter__(self):
+        return map(TermRecord, *self.columns())
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, TermRecords)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    __hash__ = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,14 +189,17 @@ class SettingRecord:
     seed_entropy: list[int] | None
     terms: tuple[str, ...]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, outcomes=None) -> dict:
+        """The record as plain data; ``outcomes``, when given, makes the
+        container of each outcome map in place of a key-sorted dict."""
+        outcomes = outcomes or _sorted_map
         d: dict = {
             "basis_word": self.basis_word,
-            "probabilities": dict(sorted(self.probabilities.items())),
+            "probabilities": outcomes(self.probabilities),
             "terms": list(self.terms),
         }
         if self.counts is not None:
-            d["counts"] = dict(sorted(self.counts.items()))
+            d["counts"] = outcomes(self.counts)
         if self.seed_entropy is not None:
             d["seed_entropy"] = list(self.seed_entropy)
         return d
@@ -128,7 +212,8 @@ class ExperimentReport:
     ``j_estimate`` always equals
     (identity_weight + sum of coeff * expectation over term_records) / 4pi;
     reports without estimator records fold the exact value into
-    ``identity_weight`` so the identity still holds.
+    ``identity_weight`` so the identity still holds.  The terms are held
+    as columns, in ``term_records``.
     """
 
     n_qubits: int
@@ -140,7 +225,7 @@ class ExperimentReport:
     rng: str | None
     theta0: float
     identity_weight: float
-    term_records: tuple[TermRecord, ...]
+    term_records: TermRecords
     setting_records: tuple[SettingRecord, ...]
     prep: dict | None
     j_estimate: float
@@ -149,7 +234,14 @@ class ExperimentReport:
     j_closed_form: float
     relative_error: float
 
-    def to_dict(self) -> dict:
+    def to_dict(self, terms=None, outcomes=None) -> dict:
+        """The report as plain data.
+
+        ``terms``, when given, makes the term list from ``term_records`` in
+        place of a list of ``TermRecord.to_dict`` dicts, and ``outcomes``
+        each setting's outcome maps (see ``SettingRecord.to_dict``).
+        """
+        terms = terms or _term_dicts
         return {
             "n": self.n_qubits,
             "mode": self.mode,
@@ -160,8 +252,8 @@ class ExperimentReport:
             "rng": self.rng,
             "theta0": self.theta0,
             "identity_weight": self.identity_weight,
-            "terms": [r.to_dict() for r in self.term_records],
-            "settings": [s.to_dict() for s in self.setting_records],
+            "terms": terms(self.term_records),
+            "settings": [s.to_dict(outcomes) for s in self.setting_records],
             "prep": self.prep,
             "j_estimate": self.j_estimate,
             "j_std_error": self.j_std_error,
@@ -169,6 +261,14 @@ class ExperimentReport:
             "j_closed_form": self.j_closed_form,
             "relative_error": self.relative_error,
         }
+
+
+def _sorted_map(values: dict) -> dict:
+    return dict(sorted(values.items()))
+
+
+def _term_dicts(records: TermRecords) -> list[dict]:
+    return list(map(_term_dict, *records.columns()))
 
 
 def backflow_coefficients(n_qubits: int) -> BackflowCoefficients:
@@ -259,19 +359,22 @@ def _finish_report(
     term_records,
     setting_records,
     prep,
+    family,
 ) -> ExperimentReport:
+    # family: the BackflowCoefficients of n_qubits, for j_exact
+    coeffs = term_records.coeffs
     weighted = identity_weight + math.fsum(
-        r.coeff * r.expectation for r in term_records
+        (coeffs * term_records.expectation).tolist()
     )
     j_estimate = weighted / FOUR_PI
-    if term_records and all(r.std_error is not None for r in term_records):
-        j_std = (
-            math.sqrt(math.fsum((r.coeff * r.std_error) ** 2 for r in term_records))
-            / FOUR_PI
-        )
+    if len(term_records) and term_records.std_error is not None:
+        # Python's ** is libm pow, which differs from numpy's x * x in the
+        # last bit for about one value in a thousand
+        squares = [x**2 for x in (coeffs * term_records.std_error).tolist()]
+        j_std = math.sqrt(math.fsum(squares)) / FOUR_PI
     else:
         j_std = None
-    j_exact = exact_current(backflow_coefficients(n_qubits).a, 0.0)
+    j_exact = exact_current(family.a, 0.0)
     j_closed = closed_form_current(n_qubits)
     return ExperimentReport(
         n_qubits=n_qubits,
@@ -283,7 +386,7 @@ def _finish_report(
         rng=rng,
         theta0=theta0,
         identity_weight=identity_weight,
-        term_records=tuple(term_records),
+        term_records=term_records,
         setting_records=tuple(setting_records),
         prep=prep,
         j_estimate=j_estimate,
@@ -328,7 +431,8 @@ def run_simulation(
     sampling = shots_per_setting is not None
     if sampling and seed is None:
         seed = int(np.random.SeedSequence().entropy) % (1 << 32)
-    term_records: list[TermRecord] = []
+    expectation = np.empty(len(words))
+    term_setting = np.empty(len(words), dtype=np.int64)
     setting_records: list[SettingRecord] = []
     for k, (zmask, members) in enumerate(plan):
         setting = MeasurementSetting.from_z_mask(zmask, n_qubits)
@@ -345,16 +449,8 @@ def run_simulation(
         else:
             entropy = None
             outcomes = z_probabilities(rotated)
-        values = parity_expectations(outcomes, parity_masks[members]).tolist()
-        index = members.tolist()
-        for i, value in zip(index, values):
-            if sampling:
-                std = math.sqrt(max(0.0, 1.0 - value * value) / shots_per_setting)
-            else:
-                std = None
-            term_records.append(
-                TermRecord(words[i], term_coeffs[i], setting.basis_word, value, std)
-            )
+        expectation[members] = parity_expectations(outcomes, parity_masks[members])
+        term_setting[members] = k
         # bitstring keys are made here, once, for both outcome maps
         nonzero = np.flatnonzero(outcomes)
         keys = [format(i, f"0{n_qubits}b") for i in nonzero.tolist()]
@@ -364,9 +460,25 @@ def run_simulation(
                 dict(zip(keys, outcomes[nonzero].tolist())),
                 dict(zip(keys, counts[nonzero].tolist())) if sampling else None,
                 entropy,
-                tuple(words[i] for i in index),
+                tuple(map(words.__getitem__, members.tolist())),
             )
         )
+    if sampling:
+        # the IEEE steps of sqrt(max(0, 1 - v * v) / shots), over the column
+        variance = np.maximum(0.0, 1.0 - expectation * expectation) / shots_per_setting
+        std_error = np.sqrt(variance)
+    else:
+        std_error = None
+    term_records = TermRecords(
+        words,
+        term_coeffs,
+        term_setting,
+        [s.basis_word for s in setting_records],
+        expectation,
+        std_error,
+        # records run setting by setting
+        np.concatenate([members for _, members in plan]),
+    )
     return _finish_report(
         n_qubits=n_qubits,
         mode="shots" if sampling else "exact",
@@ -380,6 +492,7 @@ def run_simulation(
         term_records=term_records,
         setting_records=setting_records,
         prep=prep,
+        family=coeffs,
     )
 
 
@@ -401,9 +514,10 @@ def run_exact(
         rng=None,
         theta0=theta0,
         identity_weight=j * FOUR_PI,
-        term_records=[],
+        term_records=TermRecords((), (), (), (), np.empty(0)),
         setting_records=[],
         prep=None,
+        family=coeffs,
     )
 
 
@@ -574,10 +688,13 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
                 f"missing {sorted(expected - set(supplied))[:4]}, "
                 f"unknown {sorted(set(supplied) - expected)[:4]}"
             )
-        term_records = [
-            TermRecord(word, coeff, None, supplied[word], None)
-            for word, coeff in zip(decomp.words, decomp.coeffs)
-        ]
+        term_records = TermRecords(
+            decomp.words,
+            decomp.coeffs,
+            np.full(len(decomp.words), -1),
+            (),
+            np.array([supplied[word] for word in decomp.words], dtype=np.float64),
+        )
         setting_records: list[SettingRecord] = []
     elif "settings" in data:
         entries = data["settings"]
@@ -604,26 +721,20 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
             )
         # each setting's words and parity masks, in expansion order
         parity_masks = masks[0] | masks[1] | masks[2]
-        owners = owner.tolist()
-        assigned: list[list[str]] = [[] for _ in parsed]
-        for word, i in zip(decomp.words, owners):
-            assigned[i].append(word)
-        values = [
-            iter(
-                parity_expectations(
-                    _outcome_vector(n_qubits, probs), parity_masks[owner == i]
-                ).tolist()
+        expectation = np.empty(len(decomp.words))
+        setting_records = []
+        for i, (setting, probs, counts, _) in enumerate(parsed):
+            members = np.flatnonzero(owner == i)
+            expectation[members] = parity_expectations(
+                _outcome_vector(n_qubits, probs), parity_masks[members]
             )
-            for i, (_, probs, _, _) in enumerate(parsed)
-        ]
-        term_records = [
-            TermRecord(word, coeff, bases[i], next(values[i]), None)
-            for word, coeff, i in zip(decomp.words, decomp.coeffs, owners)
-        ]
-        setting_records = [
-            SettingRecord(setting.basis_word, probs, counts, None, tuple(words))
-            for (setting, probs, counts, _), words in zip(parsed, assigned)
-        ]
+            words = tuple(map(decomp.words.__getitem__, members.tolist()))
+            setting_records.append(
+                SettingRecord(setting.basis_word, probs, counts, None, words)
+            )
+        term_records = TermRecords(
+            decomp.words, decomp.coeffs, owner, bases, expectation
+        )
     else:
         raise ValueError("data carries neither 'settings' nor 'expectations'")
 
@@ -640,4 +751,5 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         term_records=term_records,
         setting_records=setting_records,
         prep=None,
+        family=backflow_coefficients(n_qubits),
     )

@@ -1,16 +1,27 @@
+import contextlib
+import copy
+import dataclasses
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringflow.cli
-from ringflow.cli import _json_text, _NonFiniteReport, main
+import ringflow.experiment
+from ringflow.cli import _json_text, _NonFiniteReport, _report_text, main
+from ringflow.experiment import SettingRecord, TermRecords
 from ringflow.pauli import MAX_QUBITS
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -460,3 +471,263 @@ class TestJsonRenderer:
         assert code == 0
         assert len(payloads) == 1
         assert out == json_dumps_oracle(payloads[0])
+
+
+class TestUsageAndOutputErrors:
+    def test_negative_seed_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["current", "--mode", "shots", "--n", "2", "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed must be a non-negative integer, got -1" in captured.err
+
+    def test_negative_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("RINGFLOW_SEED", "-3")
+        with pytest.raises(SystemExit) as exc:
+            main(["current", "--mode", "shots", "--n", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "RINGFLOW_SEED must be a non-negative integer, got -3" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decompose", "--n", "3"),
+            ("current", "--n", "3"),
+            ("analyze", "--input", "backflow_n1_probabilities.json"),
+        ],
+        ids=["decompose", "current", "analyze"],
+    )
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, data_dir, argv):
+        if argv[0] == "analyze":
+            argv = (*argv[:-1], str(data_dir / argv[-1]))
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"ringflow: cannot write {target}: ")
+        assert "No such file or directory" in err
+        assert err.count("\n") == 1
+        assert not target.parent.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_is_usage_error(self, capsys):
+        # opening succeeds, writing fails; the device is not a file to remove
+        code, out, err = run_cli(capsys, "current", "--n", "3", "--output", "/dev/full")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ringflow: cannot write /dev/full: ")
+        assert os.path.exists("/dev/full")
+
+
+_COLUMN_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -3.0, 2.0**53, 0.1]
+)
+_COUNTS = st.integers(0, 2**70) | st.sampled_from([0, 2**63, 2**64 + 1, 10**23])
+
+
+@st.composite
+def column_reports(draw):
+    """Reports whose term columns and setting records are drawn directly."""
+    n = draw(st.integers(1, 3))
+    size = draw(st.integers(0, 10))
+    floats = st.lists(_COLUMN_FLOATS, min_size=size, max_size=size)
+    words = st.text("IXYZ", min_size=n, max_size=n)
+    bitstrings = st.text("01", min_size=n, max_size=n)
+    bases = draw(st.lists(st.text("XZ", min_size=n, max_size=n), max_size=3))
+    std = draw(st.none() | floats)
+    records = TermRecords(
+        tuple(draw(st.lists(words, min_size=size, max_size=size))),
+        draw(floats),
+        draw(st.lists(st.integers(-1, len(bases) - 1), min_size=size, max_size=size)),
+        bases,
+        np.array(draw(floats), dtype=np.float64),
+        None if std is None else np.array(std, dtype=np.float64),
+        np.array(draw(st.permutations(range(size))), dtype=np.int64),
+    )
+    settings = tuple(
+        SettingRecord(
+            basis,
+            # float maps, and mixed maps that take the generic path
+            draw(st.dictionaries(bitstrings, _COLUMN_FLOATS | _COUNTS, max_size=5)),
+            draw(st.none() | st.dictionaries(bitstrings, _COUNTS, max_size=5)),
+            draw(st.none() | st.lists(st.integers(0, 2**40), max_size=2)),
+            tuple(draw(st.lists(words, max_size=3))),
+        )
+        for basis in bases
+    )
+    return dataclasses.replace(
+        ringflow.experiment.run_exact(n), term_records=records, setting_records=settings
+    )
+
+
+def _with_term_column(report, name, values):
+    records = copy.copy(report.term_records)
+    setattr(records, name, values)
+    return dataclasses.replace(report, term_records=records)
+
+
+class TestColumnRenderer:
+    """The JSON report renderer writes what ``json.dumps`` writes for
+    ``to_dict()``, from the term columns and the outcome maps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(column_reports())
+    def test_matches_json_dumps_of_to_dict(self, report):
+        assert _report_text(report, "json") == json_dumps_oracle(report.to_dict())
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ringflow.experiment.run_exact(3, theta0=0.4),
+            lambda: ringflow.experiment.run_exact(4),
+            lambda: ringflow.experiment.run_simulation(3, 300, seed=2, readout_flip=0.1),
+            lambda: ringflow.experiment.run_simulation(2, 100, seed=5, grouped=False),
+        ],
+        ids=["empty-table", "exact", "shots", "per-term"],
+    )
+    def test_program_reports(self, make):
+        report = make()
+        assert _report_text(report, "json") == json_dumps_oracle(report.to_dict())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "column", ["coeffs", "expectation", "std_error", "probabilities"]
+    )
+    def test_non_finite_column_refused(self, capsys, monkeypatch, bad, column):
+        report = ringflow.experiment.run_simulation(2, 100, seed=1)
+        if column == "probabilities":
+            first = report.setting_records[0]
+            values = {**first.probabilities, "11": bad}
+            changed = dataclasses.replace(first, probabilities=values)
+            report = dataclasses.replace(
+                report, setting_records=(changed, *report.setting_records[1:])
+            )
+        else:
+            values = getattr(report.term_records, column).copy()
+            values[len(values) // 2] = bad
+            report = _with_term_column(report, column, values)
+        with pytest.raises(_NonFiniteReport, match="JSON"):
+            _report_text(report, "json")
+        monkeypatch.setattr(ringflow.cli, "run_simulation", lambda *a, **k: report)
+        argv = ("current", "--mode", "shots", "--n", "2", "--seed", "1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "JSON" in err
+
+    @pytest.mark.parametrize(
+        "data, golden",
+        [
+            ({"n": 1, "settings": [
+                {"basis_word": "X", "probabilities": {"1": 0.75, "0": 0.25}},
+                {"basis_word": "Z", "probabilities": {"0": 1.0, "1": -0.0}},
+            ]}, "analyze_negative_zero_probability.json"),
+            ({"n": 1, "settings": [
+                {"basis_word": "X", "counts": {"0": 10**23, "1": 3}},
+                {"basis_word": "Z", "counts": {"1": 1, "0": 7}},
+            ]}, "analyze_huge_count.json"),
+            ({"n": 1, "expectations": [
+                {"word": "X", "value": -0.0}, {"word": "Z", "value": 0.5},
+            ]}, "analyze_negative_zero_expectation.json"),
+        ],
+        ids=["negative-zero-probability", "huge-count", "negative-zero-expectation"],
+    )
+    def test_analyze_edge_outputs_pinned(self, capsys, tmp_path, data, golden):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 0
+        assert err == ""
+        assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
+
+_ODD_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 10**400, 2**64, -(2**70), -0.0, 0, -1, 1.5,
+     1e308, 5e-324, True, None, "", "X", "01", [], {}, [1], {"0": 1}]
+)
+
+
+def _paths(value, prefix=()):
+    """Every position in a JSON value, containers before their items."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, (*prefix, key))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _paths(child, (*prefix, i))
+
+
+def _mutate(data, path, how, replacement):
+    if not path:
+        return replacement if how != "drop" else {}
+    parent = data
+    for step in path[:-1]:
+        parent = parent[step]
+    key = path[-1]
+    if how == "drop":
+        del parent[key]
+    elif how == "retype":
+        child = parent[key]
+        if isinstance(child, dict):
+            parent[key] = list(child.values())
+        elif isinstance(child, list):
+            parent[key] = {str(i): v for i, v in enumerate(child)}
+        else:
+            parent[key] = str(child)
+    else:
+        parent[key] = replacement
+    return data
+
+
+@st.composite
+def mutated_inputs(draw):
+    n = draw(st.integers(1, 3))
+    report = ringflow.experiment.run_simulation(n, 50, seed=draw(st.integers(0, 9)))
+    full = json.loads(json_dumps_oracle(report.to_dict()))
+    shapes = {
+        "report": full,
+        "counts": {"n": n, "settings": [
+            {"basis_word": s["basis_word"], "counts": s["counts"]}
+            for s in full["settings"]
+        ]},
+        "probabilities": {"n": n, "settings": [
+            {"basis_word": s["basis_word"], "probabilities": s["probabilities"]}
+            for s in full["settings"]
+        ]},
+        "expectations": {"n": n, "expectations": [
+            {"word": t["word"], "value": t["expectation"]} for t in full["terms"]
+        ]},
+    }
+    data = shapes[draw(st.sampled_from(sorted(shapes)))]
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        how = draw(st.sampled_from(["drop", "retype", "replace"]))
+        # a copy: sampled containers are shared between examples
+        data = _mutate(data, path, how, copy.deepcopy(draw(_ODD_VALUES)))
+    return data
+
+
+class TestAnalyzeFuzz:
+    """Mutated measurement files exit 0 with a finite J, or 4; 3 only for a
+    register above the cap; never a traceback."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(mutated_inputs())
+    def test_exit_codes(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz-input.json"
+        path.write_text(json.dumps(data))  # NaN and infinity as bare literals
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", "--input", str(path)])
+        n = data.get("n") if isinstance(data, dict) else None
+        too_large = isinstance(n, int) and not isinstance(n, bool) and n > MAX_QUBITS
+        assert code in ((0, 4, 3) if too_large else (0, 4)), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert math.isfinite(json.loads(out.getvalue())["j_estimate"])
+        else:
+            assert out.getvalue() == ""
