@@ -22,16 +22,17 @@ one call, its item separator carrying the newline and indent.  Scalars,
 key order, escapes and the refusal of NaN and infinity thus come from the
 same C code that ``json.dumps`` uses.
 
-The two bulky parts of a current report are written from columns instead:
-the term list from the report's term columns, and each outcome map
-(string keys with float or int values) as key-sorted ``"key": value``
-rows.  Every row follows one template, whose fixed parts are interleaved
-with the column texts in an object grid and joined, so no row string is
-made.  Float text is ``float.__repr__``, which is what the C encoder
-writes, called once per distinct bit pattern of a column (``np.unique``
-over its int64 view, so -0.0 and 0.0 stay apart); nothing is kept between
-renders.  A column holding NaN or infinity is refused before any of its
-text is made.  The whole text is built before anything is written.
+The two bulky parts of a report are written from the report's own
+columns, which ``ExperimentReport.to_dict(columns=True)`` leaves in
+place: ``_render`` writes a ``TermRecords`` as the term list and an
+``Outcomes`` as ``"key": value`` rows in ascending key order.  Every row
+follows one template, whose fixed parts are interleaved with the column
+texts in an object grid and joined, so no row string is made.  Float
+text is ``float.__repr__``, which is what the C encoder writes, called
+once per distinct bit pattern of a column (``np.unique`` over its int64
+view, so -0.0 and 0.0 stay apart); nothing is kept between renders.  A
+column holding NaN or infinity is refused before any of its text is
+made.  The whole text is built before anything is written.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ import json
 import math
 import os
 import sys
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -51,7 +51,7 @@ from .engine import NormDriftError
 from .experiment import (
     DEFAULT_SHOTS,
     ExperimentReport,
-    TermRecord,
+    Outcomes,
     TermRecords,
     backflow_coefficients,
     closed_form_current,
@@ -74,6 +74,8 @@ EXIT_COMPUTE = 3
 EXIT_DATA = 4
 
 _FORMATS = ("json", "csv", "table")
+
+_MAX_SHOTS = (1 << 63) - 1  # the sampler draws counts as int64
 
 _EPILOG = f"""\
 register cap:
@@ -224,7 +226,8 @@ def _unwritable(path: str, exc: OSError) -> int:
 
 
 _INDENT = "  "
-_CONTAINERS = (dict, list, tuple)
+# by exact type: a payload holds plain containers and the report's columns
+_CONTAINERS = frozenset((dict, list, tuple, TermRecords, Outcomes))
 
 
 def _flat_encoder(depth: int):
@@ -236,42 +239,6 @@ def _flat_encoder(depth: int):
         check_circular=False,
         separators=(",\n" + _INDENT * (depth + 1), ": "),
     ).encode
-
-
-class _Terms(list):
-    """A report's term list as ``json.dumps`` reads it: the
-    ``TermRecord.to_dict`` dicts, made one at a time as it is iterated.
-    ``_render`` writes it from the term columns instead."""
-
-    __slots__ = ("records",)
-
-    def __init__(self, records: TermRecords):
-        super().__init__()
-        self.records = records
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return map(TermRecord.to_dict, self.records)
-
-
-class _Outcomes(dict):
-    """An outcome map as ``json.dumps`` reads it, through ``len`` and
-    ``items`` of the map it stands for (no copy is made).  ``_render``
-    writes it as key-sorted rows."""
-
-    __slots__ = ("outcomes",)
-
-    def __init__(self, outcomes: dict):
-        super().__init__()
-        self.outcomes = outcomes
-
-    def __len__(self):
-        return len(self.outcomes)
-
-    def items(self):
-        return self.outcomes.items()
 
 
 def _texts(strings) -> np.ndarray:
@@ -293,15 +260,15 @@ def _float_texts(values: np.ndarray, encode) -> np.ndarray:
 
 
 def _rows_text(open_: str, parts: list, columns: list, close: str, depth: int) -> str:
-    """A non-empty container with one row per line, as json.dumps lays it
-    out.
+    """A container with one row per line, as json.dumps lays it out.
 
     Row i is ``parts[0] + columns[0][i] + parts[1] + ... + parts[-1]``: one
-    template per row, filled by interleaving its fixed parts with the
-    column texts in an object grid that is joined once, so no row string
-    is made.  A column is an object array of texts or one text for every
-    row.
+    template per row, filled by interleaving its fixed parts with the column
+    texts in an object grid that is joined once, so no row string is made.
+    A column is an object array of texts or one text for every row.
     """
+    if not len(columns[0]):
+        return open_ + close
     newline = "\n" + _INDENT * (depth + 1)
     grid = np.empty((len(columns[0]), 2 * len(columns) + 1), dtype=object)
     grid[:, 0] = "," + newline + parts[0]
@@ -315,8 +282,6 @@ def _rows_text(open_: str, parts: list, columns: list, close: str, depth: int) -
 def _terms_text(records: TermRecords, depth: int, encode) -> str:
     """The term list from the term columns, each distinct float formatted
     once."""
-    if not len(records):
-        return "[]"
     order = records.order
     words = map(records.words.__getitem__, order.tolist())
     std = records.std_error
@@ -337,22 +302,16 @@ def _terms_text(records: TermRecords, depth: int, encode) -> str:
     return _rows_text("[", parts, [columns[key] for key in keys], "]", depth)
 
 
-def _outcomes_text(outcomes: dict, depth: int, encode) -> str | None:
-    """An outcome map of string keys and either float or int values as
-    key-sorted ``"key": value`` rows; None for any other map."""
-    if not outcomes or set(map(type, outcomes)) != {str}:
-        return None
-    keys = sorted(outcomes)
-    values = list(map(outcomes.__getitem__, keys))
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        texts = _float_texts(np.array(values, dtype=np.float64), encode)
-    elif kinds == {int}:
+def _outcomes_text(outcomes: Outcomes, depth: int, encode) -> str:
+    """An outcome map as ``"key": value`` rows in ascending key order, from
+    its index and value columns."""
+    values = outcomes.values
+    if isinstance(values, tuple):
         texts = _texts(map(int.__repr__, values))
     else:
-        return None
-    key_texts = _texts(map(encode_basestring_ascii, keys))
-    return _rows_text("{", ["", ": ", ""], [key_texts, texts], "}", depth)
+        texts = _float_texts(values, encode)
+    # the keys are bitstrings: nothing in them needs escaping
+    return _rows_text("{", ['"', '": ', ""], [_texts(outcomes), texts], "}", depth)
 
 
 def _render(value, depth: int, out: list, encoders: list) -> None:
@@ -360,22 +319,19 @@ def _render(value, depth: int, out: list, encoders: list) -> None:
     if depth == len(encoders):
         encoders.append(_flat_encoder(depth))
     encode = encoders[depth]
-    if type(value) is _Terms:
-        out.append(_terms_text(value.records, depth, encode))
+    if type(value) is TermRecords:
+        out.append(_terms_text(value, depth, encode))
         return
-    if type(value) is _Outcomes:
-        value = value.outcomes  # any other map is rendered as a plain dict
-        text = _outcomes_text(value, depth, encode)
-        if text is not None:
-            out.append(text)
-            return
+    if type(value) is Outcomes:
+        out.append(_outcomes_text(value, depth, encode))
+        return
     if isinstance(value, dict):
         children = value.values()
     elif isinstance(value, (list, tuple)):
         children = value
     else:
         children = ()
-    if not any(map(isinstance, children, repeat(_CONTAINERS))):
+    if _CONTAINERS.isdisjoint(map(type, children)):
         text = encode(value)
         if children:  # open and close a non-empty container on lines of their own
             out += (text[0], "\n", _INDENT * (depth + 1), text[1:-1])
@@ -428,27 +384,20 @@ def _sum_text(op_sum: WeightedPauliSum, fmt: str, dense) -> str:
     return text
 
 
-def _report_summary_rows(report: ExperimentReport) -> list[tuple[str, object]]:
-    rows: list[tuple[str, object]] = [
-        ("j_estimate", report.j_estimate),
-        ("j_std_error", report.j_std_error),
-        ("j_exact", report.j_exact),
-        ("j_closed_form", report.j_closed_form),
-        ("relative_error", report.relative_error),
-    ]
-    return rows
+_SUMMARY = ("j_estimate", "j_std_error", "j_exact", "j_closed_form", "relative_error")
 
 
 def _report_text(report: ExperimentReport, fmt: str) -> str:
     if fmt == "json":
-        return _json_text(report.to_dict(_Terms, _Outcomes))
+        return _json_text(report.to_dict(columns=True))
     if fmt == "csv":
         lines = ["record,word,coeff,setting,expectation,std_error"]
         for r in report.term_records:
             std = "" if r.std_error is None else repr(r.std_error)
             setting = "" if r.setting is None else r.setting
             lines.append(f"term,{r.word},{r.coeff:g},{setting},{r.expectation!r},{std}")
-        for name, value in _report_summary_rows(report):
+        for name in _SUMMARY:
+            value = getattr(report, name)
             lines.append(f"summary,{name},,,{'' if value is None else repr(value)},")
         return "\n".join(lines) + "\n"
     head = f"n={report.n_qubits} mode={report.mode} theta0={report.theta0:g}"
@@ -471,10 +420,10 @@ def _report_text(report: ExperimentReport, fmt: str) -> str:
                 f"{r.word:<{width}}  {r.coeff:>+6g}  {setting:<{width}}  "
                 f"{r.expectation:>12.8f}  {std:>10}"
             )
-    for name, value in _report_summary_rows(report):
-        if value is None:
-            continue
-        lines.append(f"{name:<15} = {value:.9g}")
+    for name in _SUMMARY:
+        value = getattr(report, name)
+        if value is not None:
+            lines.append(f"{name:<15} = {value:.9g}")
     return "\n".join(lines) + "\n"
 
 
@@ -560,6 +509,8 @@ def _cmd_current(args, parser) -> int:
         shots, shots_source = _env_int("RINGFLOW_SHOTS", parser), "RINGFLOW_SHOTS"
     if shots is not None and shots < 1:
         parser.error(f"{shots_source} must be a positive integer, got {shots}")
+    if shots is not None and shots > _MAX_SHOTS:
+        parser.error(f"{shots_source} must be at most {_MAX_SHOTS}, got {shots}")
     if args.seed is not None:
         seed, seed_source = args.seed, "--seed"
     else:

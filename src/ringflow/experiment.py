@@ -10,12 +10,12 @@ available through the exact path only.
 Each setting's outcomes (exact probabilities, counts / shots, or supplied
 data) become one dense float64 vector, and one ``parity_expectations``
 call writes all of that setting's word expectations into the report's
-expectation column; bitstring maps exist only in input data and in the
-report's setting records.  The estimators read the expansion's word and
-coefficient columns.  A simulation makes one ``word_masks`` call per run,
-for the parity masks and for the setting plan (``pauli.setting_plan``, or
-one setting per word); ``engine.sample`` returns counts per basis index,
-whose bitstring keys are made once.
+expectation column.  Setting records keep their outcomes as columns
+(``Outcomes``), from the sampler or the bulk input parser to the JSON
+writer; bitstring keys are made only when a map is read.  The estimators
+read the expansion's word and coefficient columns.  A simulation makes one
+``word_masks`` call per run, for the parity masks and for the setting plan
+(``pauli.setting_plan``, or one setting per word).
 
 All estimators assemble J as (identity_weight + sum coeff * <V>) / 4pi
 from their own term columns (``TermRecords``), and every report
@@ -24,12 +24,12 @@ round-trips: feeding ``report.to_dict()`` back into
 """
 from __future__ import annotations
 
-import copy
 import math
 import numbers
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import lt, truediv
 
 import numpy as np
 
@@ -140,10 +140,6 @@ class TermRecords(Sequence):
         return len(self.order)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            view = copy.copy(self)
-            view.order = self.order[index]
-            return view
         i = self.order[index]
         return TermRecord(
             self.words[i],
@@ -179,33 +175,72 @@ class TermRecords(Sequence):
     __hash__ = None
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Outcomes(Mapping):
+    """Read-only map from bitstring to outcome value, held as two columns:
+    ``index``, the basis indices (int64, ascending), and ``values``, float64
+    probabilities or counts as a tuple of Python ints (which may exceed
+    int64); ``values`` is that column, not the ``Mapping`` method.  Keys
+    (leftmost letter the most significant bit) are made in bulk, only when
+    the map is read."""
+
+    n_qubits: int
+    index: np.ndarray
+    values: np.ndarray | tuple
+
+    def __len__(self):
+        return len(self.index)
+
+    def __iter__(self):
+        width = self.n_qubits
+        bits = (self.index[:, None] >> np.arange(width - 1, -1, -1)) & 1
+        # one UCS-4 code point per letter, read as one string per row
+        letters = (bits + ord("0")).astype(np.uint32)
+        return iter(letters.view(f"U{width}").ravel().tolist())
+
+    def __getitem__(self, key):
+        if isinstance(key, str) and len(key) == self.n_qubits and set(key) <= {"0", "1"}:
+            i = int(key, 2)
+            at = int(np.searchsorted(self.index, i))
+            if at < len(self.index) and self.index[at] == i:
+                value = self.values[at]
+                return value if isinstance(self.values, tuple) else float(value)
+        raise KeyError(key)
+
+    def items(self):
+        """The (key, value) pairs in ascending key order, as a dict's view."""
+        values = self.values
+        if not isinstance(values, tuple):
+            values = values.tolist()
+        return dict(zip(self, values)).items()
+
+
 @dataclass(frozen=True, slots=True)
 class SettingRecord:
-    """Outcome data gathered under one measurement setting."""
+    """Outcome data of one measurement setting; its two maps share one ``index``."""
 
     basis_word: str
-    probabilities: dict[str, float]
-    counts: dict[str, int] | None
+    probabilities: Outcomes
+    counts: Outcomes | None
     seed_entropy: list[int] | None
     terms: tuple[str, ...]
 
-    def to_dict(self, outcomes=None) -> dict:
-        """The record as plain data; ``outcomes``, when given, makes the
-        container of each outcome map in place of a key-sorted dict."""
-        outcomes = outcomes or _sorted_map
+    def to_dict(self, columns: bool = False) -> dict:
+        """The record as plain data; with ``columns`` the outcome maps stay
+        ``Outcomes``, for the JSON writer."""
         d: dict = {
             "basis_word": self.basis_word,
-            "probabilities": outcomes(self.probabilities),
+            "probabilities": _outcome_data(self.probabilities, columns),
             "terms": list(self.terms),
         }
         if self.counts is not None:
-            d["counts"] = outcomes(self.counts)
+            d["counts"] = _outcome_data(self.counts, columns)
         if self.seed_entropy is not None:
             d["seed_entropy"] = list(self.seed_entropy)
         return d
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, kw_only=True)
 class ExperimentReport:
     """Full record of one current evaluation.
 
@@ -213,35 +248,32 @@ class ExperimentReport:
     (identity_weight + sum of coeff * expectation over term_records) / 4pi;
     reports without estimator records fold the exact value into
     ``identity_weight`` so the identity still holds.  The terms are held
-    as columns, in ``term_records``.
+    as columns, in ``term_records``.  The defaults are those of a report
+    without sampling.
     """
 
     n_qubits: int
     mode: str
-    shots_per_setting: int | None
-    seed: int | None
-    grouped: bool | None
-    readout_flip: float
-    rng: str | None
-    theta0: float
+    shots_per_setting: int | None = None
+    seed: int | None = None
+    grouped: bool | None = None
+    readout_flip: float = 0.0
+    rng: str | None = None
+    theta0: float = 0.0
     identity_weight: float
     term_records: TermRecords
     setting_records: tuple[SettingRecord, ...]
-    prep: dict | None
+    prep: dict | None = None
     j_estimate: float
     j_std_error: float | None
     j_exact: float
     j_closed_form: float
     relative_error: float
 
-    def to_dict(self, terms=None, outcomes=None) -> dict:
-        """The report as plain data.
-
-        ``terms``, when given, makes the term list from ``term_records`` in
-        place of a list of ``TermRecord.to_dict`` dicts, and ``outcomes``
-        each setting's outcome maps (see ``SettingRecord.to_dict``).
-        """
-        terms = terms or _term_dicts
+    def to_dict(self, columns: bool = False) -> dict:
+        """The report as plain data; with ``columns`` the terms and outcome maps
+        stay the report's own columns, for the JSON writer."""
+        terms = self.term_records
         return {
             "n": self.n_qubits,
             "mode": self.mode,
@@ -252,8 +284,8 @@ class ExperimentReport:
             "rng": self.rng,
             "theta0": self.theta0,
             "identity_weight": self.identity_weight,
-            "terms": terms(self.term_records),
-            "settings": [s.to_dict(outcomes) for s in self.setting_records],
+            "terms": terms if columns else list(map(_term_dict, *terms.columns())),
+            "settings": [s.to_dict(columns) for s in self.setting_records],
             "prep": self.prep,
             "j_estimate": self.j_estimate,
             "j_std_error": self.j_std_error,
@@ -263,12 +295,8 @@ class ExperimentReport:
         }
 
 
-def _sorted_map(values: dict) -> dict:
-    return dict(sorted(values.items()))
-
-
-def _term_dicts(records: TermRecords) -> list[dict]:
-    return list(map(_term_dict, *records.columns()))
+def _outcome_data(outcomes: Outcomes, columns: bool):
+    return outcomes if columns else dict(outcomes.items())
 
 
 def backflow_coefficients(n_qubits: int) -> BackflowCoefficients:
@@ -321,14 +349,6 @@ def relative_error(j_obs: float, j_theory: float) -> float:
     return abs(j_obs - j_theory) / abs(j_theory)
 
 
-def _outcome_vector(n_qubits: int, values: dict) -> np.ndarray:
-    # bitstring-keyed map -> dense float64 vector indexed by basis index
-    vec = np.zeros(1 << n_qubits)
-    for bits, v in values.items():
-        vec[int(bits, 2)] = v
-    return vec
-
-
 def _prepared_state(n_qubits: int, coeffs: BackflowCoefficients):
     if n_qubits <= 2:
         circ = prepare_backflow_circuit(n_qubits)
@@ -346,22 +366,10 @@ def _prepared_state(n_qubits: int, coeffs: BackflowCoefficients):
 
 
 def _finish_report(
-    *,
-    n_qubits,
-    mode,
-    shots_per_setting,
-    seed,
-    grouped,
-    readout_flip,
-    rng,
-    theta0,
-    identity_weight,
-    term_records,
-    setting_records,
-    prep,
-    family,
+    mode, identity_weight, term_records, setting_records, family, **fields
 ) -> ExperimentReport:
-    # family: the BackflowCoefficients of n_qubits, for j_exact
+    """The report on ``family``'s state from its terms and settings; ``fields``
+    are those that differ from the ``ExperimentReport`` defaults."""
     coeffs = term_records.coeffs
     weighted = identity_weight + math.fsum(
         (coeffs * term_records.expectation).tolist()
@@ -374,24 +382,17 @@ def _finish_report(
         j_std = math.sqrt(math.fsum(squares)) / FOUR_PI
     else:
         j_std = None
-    j_exact = exact_current(family.a, 0.0)
-    j_closed = closed_form_current(n_qubits)
+    j_closed = closed_form_current(family.n_qubits)
     return ExperimentReport(
-        n_qubits=n_qubits,
+        **fields,
+        n_qubits=family.n_qubits,
         mode=mode,
-        shots_per_setting=shots_per_setting,
-        seed=seed,
-        grouped=grouped,
-        readout_flip=readout_flip,
-        rng=rng,
-        theta0=theta0,
         identity_weight=identity_weight,
         term_records=term_records,
         setting_records=tuple(setting_records),
-        prep=prep,
         j_estimate=j_estimate,
         j_std_error=j_std,
-        j_exact=j_exact,
+        j_exact=exact_current(family.a, 0.0),
         j_closed_form=j_closed,
         relative_error=relative_error(j_estimate, j_closed),
     )
@@ -451,14 +452,14 @@ def run_simulation(
             outcomes = z_probabilities(rotated)
         expectation[members] = parity_expectations(outcomes, parity_masks[members])
         term_setting[members] = k
-        # bitstring keys are made here, once, for both outcome maps
         nonzero = np.flatnonzero(outcomes)
-        keys = [format(i, f"0{n_qubits}b") for i in nonzero.tolist()]
         setting_records.append(
             SettingRecord(
                 setting.basis_word,
-                dict(zip(keys, outcomes[nonzero].tolist())),
-                dict(zip(keys, counts[nonzero].tolist())) if sampling else None,
+                Outcomes(n_qubits, nonzero, outcomes[nonzero]),
+                Outcomes(n_qubits, nonzero, tuple(counts[nonzero].tolist()))
+                if sampling
+                else None,
                 entropy,
                 tuple(map(words.__getitem__, members.tolist())),
             )
@@ -480,19 +481,17 @@ def run_simulation(
         np.concatenate([members for _, members in plan]),
     )
     return _finish_report(
-        n_qubits=n_qubits,
-        mode="shots" if sampling else "exact",
+        "shots" if sampling else "exact",
+        decomp.identity_weight,
+        term_records,
+        setting_records,
+        coeffs,
         shots_per_setting=shots_per_setting,
         seed=seed if sampling else None,
         grouped=grouped,
         readout_flip=readout_flip,
         rng=_RNG_NAME if sampling else None,
-        theta0=0.0,
-        identity_weight=decomp.identity_weight,
-        term_records=term_records,
-        setting_records=setting_records,
         prep=prep,
-        family=coeffs,
     )
 
 
@@ -505,19 +504,12 @@ def run_exact(
     coeffs = backflow_coefficients(n_qubits)
     j = exact_current(coeffs.a, theta0)
     return _finish_report(
-        n_qubits=n_qubits,
-        mode="exact",
-        shots_per_setting=None,
-        seed=None,
-        grouped=None,
-        readout_flip=0.0,
-        rng=None,
+        "exact",
+        j * FOUR_PI,
+        TermRecords((), (), (), (), np.empty(0)),
+        [],
+        coeffs,
         theta0=theta0,
-        identity_weight=j * FOUR_PI,
-        term_records=TermRecords((), (), (), (), np.empty(0)),
-        setting_records=[],
-        prep=None,
-        family=coeffs,
     )
 
 
@@ -541,55 +533,79 @@ def _check_types(values, kind, what: str) -> None:
             raise ValueError(f"{what} must be {name}, got {found.__name__}")
 
 
-def _count(value, position: int) -> int:
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"settings[{position}]: count {value!r} is not a whole number")
-    count = int(value)
-    if count < 0:
-        raise ValueError(f"settings[{position}]: negative count {count}")
-    return count
+def _counts(values: list, where: str) -> list[int]:
+    """``int`` of each count; the first fractional or negative one is refused."""
+    floats = list(map(isinstance, values, repeat(float)))
+    whole = list(map(float.is_integer, compress(values, floats)))
+    fractional = np.zeros(len(values), dtype=bool)
+    fractional[np.flatnonzero(floats)] = np.logical_not(whole)
+    negative = np.fromiter(map(lt, values, repeat(0)), bool, len(values))
+    failed = np.flatnonzero(fractional | negative)
+    if failed.size:
+        value = values[failed[0]]
+        if fractional[failed[0]]:
+            raise ValueError(f"{where}: count {value!r} is not a whole number")
+        raise ValueError(f"{where}: negative count {int(value)}")
+    return list(map(int, values))
 
 
 def _parse_setting_entry(entry: dict, n_qubits: int, position: int):
-    _check_types((entry,), dict, f"settings[{position}]")
+    """The setting, its probabilities and counts (or None) as ``Outcomes``,
+    and its ``terms`` list or None.  Each map is checked in bulk; the first
+    outcome in map order that fails is reported, with the first of its
+    faults: a key that is not a bitstring, a non-finite or a negative
+    probability."""
+    where = f"settings[{position}]"
+    _check_types((entry,), dict, where)
     basis = entry.get("basis_word")
     if not isinstance(basis, str) or len(basis) != n_qubits:
-        raise ValueError(f"settings[{position}]: basis word must have {n_qubits} letters")
+        raise ValueError(f"{where}: basis word must have {n_qubits} letters")
     setting = MeasurementSetting(basis)
-    if "probabilities" in entry:
-        probs = _outcome_map(entry, "probabilities", position)
-        probs = {str(b): float(p) for b, p in probs.items()}
-        counts = None
-    elif "counts" in entry:
-        counts = _outcome_map(entry, "counts", position)
-        counts = {str(b): _count(c, position) for b, c in counts.items()}
-        total = sum(counts.values())
+    kind = "probabilities" if "probabilities" in entry else "counts"
+    if kind not in entry:
+        raise ValueError(f"{where}: needs probabilities or counts")
+    given = entry[kind]
+    _check_types((given,), dict, f"{where} {kind}")
+    _check_types(given.values(), numbers.Real, f"{where} {kind}")
+    keys = list(map(str, given))
+    if kind == "counts":
+        counts = _counts(list(given.values()), where)
+        total = sum(counts)
         if total <= 0:
-            raise ValueError(f"settings[{position}]: empty counts")
-        probs = {b: c / total for b, c in counts.items()}
+            raise ValueError(f"{where}: empty counts")
+        probs = np.fromiter(map(truediv, counts, repeat(total)), np.float64, len(keys))
     else:
-        raise ValueError(f"settings[{position}]: needs probabilities or counts")
-    for bits, p in probs.items():
-        if len(bits) != n_qubits or set(bits) - {"0", "1"}:
-            raise ValueError(f"settings[{position}]: bad outcome {bits!r}")
-        if not math.isfinite(p):
-            raise ValueError(f"settings[{position}]: non-finite probability {p!r}")
-        if p < 0.0:
-            raise ValueError(f"settings[{position}]: negative probability")
-    if abs(math.fsum(probs.values()) - 1.0) > 1e-6:
-        raise ValueError(f"settings[{position}]: probabilities do not sum to 1")
+        counts = None
+        probs = np.fromiter(map(float, given.values()), np.float64, len(keys))
+    bad = np.fromiter(map(len, keys), np.int64, len(keys)) != n_qubits
+    fitting = ~bad
+    # one byte per letter; a letter outside ASCII reads as "?"
+    text = "".join(compress(keys, fitting.tolist())).encode("ascii", "replace")
+    letters = np.frombuffer(text, dtype=np.uint8).reshape(-1, n_qubits)
+    ones = letters == ord("1")
+    bad[fitting] = (~ones & (letters != ord("0"))).any(axis=1)
+    finite = np.isfinite(probs)
+    failed = np.flatnonzero(bad | ~finite | (probs < 0.0))
+    if failed.size:
+        k = failed[0]
+        if bad[k]:
+            raise ValueError(f"{where}: bad outcome {keys[k]!r}")
+        if not finite[k]:
+            raise ValueError(f"{where}: non-finite probability {probs[k].item()!r}")
+        raise ValueError(f"{where}: negative probability")
+    if abs(math.fsum(probs.tolist()) - 1.0) > 1e-6:
+        raise ValueError(f"{where}: probabilities do not sum to 1")
     terms = entry.get("terms")
     if terms is not None:
-        _check_types((terms,), list, f"settings[{position}] terms")
-        _check_types(terms, str, f"settings[{position}] terms")
-    return setting, probs, counts, terms
-
-
-def _outcome_map(entry: dict, key: str, position: int) -> dict:
-    values = entry[key]
-    _check_types((values,), dict, f"settings[{position}] {key}")
-    _check_types(values.values(), numbers.Real, f"settings[{position}] {key}")
-    return values
+        _check_types((terms,), list, f"{where} terms")
+        _check_types(terms, str, f"{where} terms")
+    # every key has n_qubits letters now, so ``ones`` has a row per key
+    index = ones @ (1 << np.arange(n_qubits - 1, -1, -1))
+    order = np.argsort(index)
+    index = index[order]
+    if counts is not None:
+        counts = Outcomes(n_qubits, index, tuple(map(counts.__getitem__, order.tolist())))
+    return setting, Outcomes(n_qubits, index, probs[order]), counts, terms
 
 
 def _first_cover(masks, basis_words: list[str], n_qubits: int) -> np.ndarray:
@@ -680,6 +696,8 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
                     f"expectation of {entry['word']} must be finite and within "
                     f"[-1, 1], got {value!r}"
                 )
+            if entry["word"] in supplied:
+                raise ValueError(f"expectation of {entry['word']} given twice")
             supplied[entry["word"]] = value
         expected = set(decomp.words)
         if set(supplied) != expected:
@@ -725,9 +743,9 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         setting_records = []
         for i, (setting, probs, counts, _) in enumerate(parsed):
             members = np.flatnonzero(owner == i)
-            expectation[members] = parity_expectations(
-                _outcome_vector(n_qubits, probs), parity_masks[members]
-            )
+            vector = np.zeros(1 << n_qubits)
+            vector[probs.index] = probs.values
+            expectation[members] = parity_expectations(vector, parity_masks[members])
             words = tuple(map(decomp.words.__getitem__, members.tolist()))
             setting_records.append(
                 SettingRecord(setting.basis_word, probs, counts, None, words)
@@ -739,17 +757,9 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         raise ValueError("data carries neither 'settings' nor 'expectations'")
 
     return _finish_report(
-        n_qubits=n_qubits,
-        mode="ingest",
-        shots_per_setting=None,
-        seed=None,
-        grouped=None,
-        readout_flip=0.0,
-        rng=None,
-        theta0=0.0,
-        identity_weight=decomp.identity_weight,
-        term_records=term_records,
-        setting_records=setting_records,
-        prep=None,
-        family=backflow_coefficients(n_qubits),
+        "ingest",
+        decomp.identity_weight,
+        term_records,
+        setting_records,
+        backflow_coefficients(n_qubits),
     )

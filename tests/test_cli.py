@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import ringflow.cli
 import ringflow.experiment
 from ringflow.cli import _json_text, _NonFiniteReport, _report_text, main
-from ringflow.experiment import SettingRecord, TermRecords
+from ringflow.experiment import Outcomes, SettingRecord, TermRecords
 from ringflow.pauli import MAX_QUBITS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -210,6 +210,19 @@ class TestAnalyze:
         assert code == 4
         assert out == ""
         assert "malformed" in err
+
+    def test_duplicate_expectation_word_is_data_error(self, capsys, tmp_path):
+        # the last value used to win silently; settings refuse a term twice
+        data = {"n": 1, "expectations": [
+            {"word": "X", "value": 0.9}, {"word": "X", "value": -0.9},
+            {"word": "Z", "value": 0.5},
+        ]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "analyze", "--input", str(bad))
+        assert code == 4
+        assert out == ""
+        assert err == "ringflow: malformed measured data: expectation of X given twice\n"
 
     @pytest.mark.parametrize(
         "data, named",
@@ -463,10 +476,19 @@ class TestJsonRenderer:
         if argv[0] == "analyze":
             argv = (*argv[:-1], str(data_dir / argv[-1]))
         payloads = []
-        render = ringflow.cli._json_text
-        monkeypatch.setattr(
-            ringflow.cli, "_json_text", lambda p: payloads.append(p) or render(p)
-        )
+        if argv[0] == "decompose" or "--range" in argv:
+            render = ringflow.cli._json_text
+            monkeypatch.setattr(
+                ringflow.cli, "_json_text", lambda p: payloads.append(p) or render(p)
+            )
+        else:
+            # the plain data of the report that the command built
+            render = ringflow.cli._report_text
+            monkeypatch.setattr(
+                ringflow.cli,
+                "_report_text",
+                lambda r, fmt: payloads.append(r.to_dict()) or render(r, fmt),
+            )
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert len(payloads) == 1
@@ -490,6 +512,27 @@ class TestUsageAndOutputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "RINGFLOW_SEED must be a non-negative integer, got -3" in captured.err
+
+    def test_huge_shots_flag_is_usage_error(self, capsys):
+        # the sampler draws int64 counts; more shots overflowed with a traceback
+        argv = ["current", "--mode", "shots", "--n", "2", "--seed", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--shots", str(10**20)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            f"--shots must be at most {2**63 - 1}, got {10**20}" in captured.err
+        )
+
+    def test_huge_env_shots_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("RINGFLOW_SHOTS", str(2**63))
+        with pytest.raises(SystemExit) as exc:
+            main(["current", "--mode", "shots", "--n", "2", "--seed", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"RINGFLOW_SHOTS must be at most {2**63 - 1}, got {2**63}" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -529,13 +572,22 @@ _COUNTS = st.integers(0, 2**70) | st.sampled_from([0, 2**63, 2**64 + 1, 10**23])
 
 
 @st.composite
+def outcome_columns(draw, n, counts=False):
+    """An ``Outcomes`` over up to five of the 2^n basis indices."""
+    index = sorted(draw(st.sets(st.integers(0, (1 << n) - 1), max_size=5)))
+    size = len(index)
+    drawn = draw(st.lists(_COUNTS if counts else _COLUMN_FLOATS, min_size=size, max_size=size))
+    values = tuple(drawn) if counts else np.array(drawn, dtype=np.float64)
+    return Outcomes(n, np.array(index, dtype=np.int64), values)
+
+
+@st.composite
 def column_reports(draw):
     """Reports whose term columns and setting records are drawn directly."""
     n = draw(st.integers(1, 3))
     size = draw(st.integers(0, 10))
     floats = st.lists(_COLUMN_FLOATS, min_size=size, max_size=size)
     words = st.text("IXYZ", min_size=n, max_size=n)
-    bitstrings = st.text("01", min_size=n, max_size=n)
     bases = draw(st.lists(st.text("XZ", min_size=n, max_size=n), max_size=3))
     std = draw(st.none() | floats)
     records = TermRecords(
@@ -550,9 +602,8 @@ def column_reports(draw):
     settings = tuple(
         SettingRecord(
             basis,
-            # float maps, and mixed maps that take the generic path
-            draw(st.dictionaries(bitstrings, _COLUMN_FLOATS | _COUNTS, max_size=5)),
-            draw(st.none() | st.dictionaries(bitstrings, _COUNTS, max_size=5)),
+            draw(outcome_columns(n)),
+            draw(st.none() | outcome_columns(n, counts=True)),
             draw(st.none() | st.lists(st.integers(0, 2**40), max_size=2)),
             tuple(draw(st.lists(words, max_size=3))),
         )
@@ -600,8 +651,12 @@ class TestColumnRenderer:
         report = ringflow.experiment.run_simulation(2, 100, seed=1)
         if column == "probabilities":
             first = report.setting_records[0]
-            values = {**first.probabilities, "11": bad}
-            changed = dataclasses.replace(first, probabilities=values)
+            probs = first.probabilities
+            values = probs.values.copy()
+            values[len(values) // 2] = bad
+            changed = dataclasses.replace(
+                first, probabilities=Outcomes(probs.n_qubits, probs.index, values)
+            )
             report = dataclasses.replace(
                 report, setting_records=(changed, *report.setting_records[1:])
             )

@@ -1,5 +1,6 @@
 import json
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 
 from ringflow.circuits import MeasurementSetting, parity_sign
 from ringflow.experiment import (
+    _check_types,
     _first_cover,
+    _parse_setting_entry,
     BackflowCoefficients,
+    Outcomes,
     backflow_coefficients,
     closed_form_current,
     exact_current,
@@ -249,7 +253,7 @@ def test_term_records_match_parity_oracle(n, grouped, shots):
         counts_only = {
             "n": n,
             "settings": [
-                {"basis_word": s.basis_word, "counts": s.counts}
+                {"basis_word": s.basis_word, "counts": dict(s.counts)}
                 for s in report.setting_records
             ],
         }
@@ -510,3 +514,189 @@ def test_listed_terms_checked_like_the_word_loop(data, n):
     report = ingest_measurements(None, payload)
     assert [r.setting for r in report.term_records] == [bases[i] for i in expected]
     assert_records_match_parity_oracle(report)
+
+
+class TestOutcomes:
+    def test_keys_ascending_msb_first(self):
+        probs = Outcomes(3, np.array([1, 4, 6]), np.array([0.25, 0.5, 0.25]))
+        assert list(probs) == ["001", "100", "110"]
+        assert list(Outcomes(20, np.array([2**19, 2**20 - 1]), np.ones(2))) == [
+            "1" + "0" * 19, "1" * 20
+        ]
+
+    def test_items_len_and_lookup(self):
+        probs = Outcomes(2, np.array([0, 3]), np.array([-0.0, 1.0]))
+        assert len(probs) == 2
+        assert list(probs.items()) == [("00", -0.0), ("11", 1.0)]
+        assert math.copysign(1.0, probs["00"]) == -1.0
+        assert type(probs["11"]) is float
+        counts = Outcomes(2, np.array([1, 2]), (10**23, 2**70))
+        assert list(counts.items()) == [("01", 10**23), ("10", 2**70)]
+        assert counts["10"] == 2**70
+        assert type(counts["01"]) is int
+
+    @pytest.mark.parametrize("key", ["10", "111", "1", "", "1x", "١١", "0b1", 3, None])
+    def test_missing_keys(self, key):
+        probs = Outcomes(2, np.array([0, 3]), np.array([0.5, 0.5]))
+        with pytest.raises(KeyError):
+            probs[key]
+        assert key not in probs
+        assert probs.get(key) is None
+
+    def test_equals_dict(self):
+        probs = Outcomes(2, np.array([0, 3]), np.array([0.5, 0.5]))
+        assert probs == {"11": 0.5, "00": 0.5}
+        assert {"00": 0.5, "11": 0.5} == probs
+        assert probs != {"00": 0.5, "11": 0.25}
+        assert probs != {"00": 0.5, "11": 0.5, "01": 0.0}
+        assert Outcomes(1, np.empty(0, dtype=np.int64), ()) == {}
+
+    def test_report_maps_share_one_index(self):
+        for record in run_simulation(3, 200, seed=1).setting_records:
+            assert record.counts.index is record.probabilities.index
+            assert list(record.counts.index) == sorted(record.counts.index)
+            assert record.probabilities == {
+                bits: count / 200 for bits, count in record.counts.items()
+            }
+
+
+def _count_reference(value, position):
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"settings[{position}]: count {value!r} is not a whole number")
+    count = int(value)
+    if count < 0:
+        raise ValueError(f"settings[{position}]: negative count {count}")
+    return count
+
+
+def _outcome_map_reference(entry, key, position):
+    values = entry[key]
+    _check_types((values,), dict, f"settings[{position}] {key}")
+    _check_types(values.values(), numbers.Real, f"settings[{position}] {key}")
+    return values
+
+
+def parse_setting_reference(entry, n_qubits, position):
+    """The setting-entry parser as it ran one outcome at a time, returning
+    bitstring-keyed dicts in map order."""
+    _check_types((entry,), dict, f"settings[{position}]")
+    basis = entry.get("basis_word")
+    if not isinstance(basis, str) or len(basis) != n_qubits:
+        raise ValueError(f"settings[{position}]: basis word must have {n_qubits} letters")
+    setting = MeasurementSetting(basis)
+    if "probabilities" in entry:
+        probs = _outcome_map_reference(entry, "probabilities", position)
+        probs = {str(b): float(p) for b, p in probs.items()}
+        counts = None
+    elif "counts" in entry:
+        counts = _outcome_map_reference(entry, "counts", position)
+        counts = {str(b): _count_reference(c, position) for b, c in counts.items()}
+        total = sum(counts.values())
+        if total <= 0:
+            raise ValueError(f"settings[{position}]: empty counts")
+        probs = {b: c / total for b, c in counts.items()}
+    else:
+        raise ValueError(f"settings[{position}]: needs probabilities or counts")
+    for bits, p in probs.items():
+        if len(bits) != n_qubits or set(bits) - {"0", "1"}:
+            raise ValueError(f"settings[{position}]: bad outcome {bits!r}")
+        if not math.isfinite(p):
+            raise ValueError(f"settings[{position}]: non-finite probability {p!r}")
+        if p < 0.0:
+            raise ValueError(f"settings[{position}]: negative probability")
+    if abs(math.fsum(probs.values()) - 1.0) > 1e-6:
+        raise ValueError(f"settings[{position}]: probabilities do not sum to 1")
+    terms = entry.get("terms")
+    if terms is not None:
+        _check_types((terms,), list, f"settings[{position}] terms")
+        _check_types(terms, str, f"settings[{position}] terms")
+    return setting, probs, counts, terms
+
+
+_ODD_KEYS = st.sampled_from(
+    ["", "0", "011", "01x", "0 1", " 01", "0é", "١٠", "０1", "0b", "_1", "-1", "+0"]
+)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_ODD_PROBABILITIES = st.floats() | _NON_FINITE | st.sampled_from(
+    [0, 1, -1, 2, 10**400, 2**64, -0.0, 0.0, 0.5, -0.5, 1e-300, 5e-324]
+)
+_ODD_COUNTS = st.integers(-3, 2**70) | st.floats() | _NON_FINITE | st.sampled_from(
+    [10**400, 10**23, -0.0, 0.0, 2.0, 2.5, -3.0, 1e20, -1e-300]
+)
+
+
+@st.composite
+def setting_entries(draw):
+    """A setting entry for 1..4 qubits whose outcome map is valid or broken:
+    keys of wrong length or letters, non-ASCII letters, NaN, infinities,
+    negatives, fractional counts, huge numbers, empty maps, maps that do not
+    sum to 1, zero entries and shuffled key order."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["probabilities", "counts"]))
+    keys = draw(st.lists(st.text("01", min_size=n, max_size=n), unique=True, max_size=8))
+    weights = draw(st.lists(st.integers(0, 9), min_size=len(keys), max_size=len(keys)))
+    total = sum(weights)
+    if kind == "counts":
+        values = weights
+    else:
+        values = [w / total for w in weights] if total else [0.0] * len(keys)
+    outcomes = dict(zip(keys, values))
+    odd_values = _ODD_COUNTS if kind == "counts" else _ODD_PROBABILITIES
+    odd_keys = _ODD_KEYS | st.text("01", min_size=n, max_size=n) | st.text(max_size=n + 1)
+    for _ in range(draw(st.integers(0, 2))):
+        outcomes[draw(odd_keys)] = draw(odd_values)
+    entry = {
+        "basis_word": "X" * n,
+        kind: dict(draw(st.permutations(list(outcomes.items())))),
+    }
+    terms = draw(st.sampled_from([None, None, ["X" * n], "X", [1]]))
+    if terms is not None:
+        entry["terms"] = terms
+    return n, entry
+
+
+_FAULTS = (
+    "bad outcome", "non-finite", "negative probability", "negative count",
+    "whole number", "empty counts", "sum to 1", "terms", "too large",
+)
+
+
+def _raised(parse, entry, n):
+    try:
+        return parse(entry, n, 3)
+    except (ValueError, OverflowError) as exc:
+        return exc
+
+
+@settings(max_examples=1000, deadline=None)
+@given(setting_entries())
+def test_bulk_setting_parser_matches_outcome_loop(drawn):
+    """The bulk parser gives the per-outcome parser's error message, or the
+    same outcomes as key-sorted columns that share one index."""
+    n, entry = drawn
+    expected = _raised(parse_setting_reference, entry, n)
+    got = _raised(_parse_setting_entry, entry, n)
+    if isinstance(expected, Exception):
+        faults = [fault for fault in _FAULTS if fault in str(expected)]
+        event(f"refused: {faults[:1]}")
+        assert type(got) is type(expected)
+        assert str(got) == str(expected)
+        return
+    event("accepted")
+    setting, probs, counts, terms = got
+    assert setting == expected[0]
+    assert terms == expected[3]
+    keys = sorted(expected[1])
+    assert list(probs.index) == [int(bits, 2) for bits in keys]
+    assert probs.index.dtype == np.int64
+    assert list(probs) == keys
+    # bit for bit, so that -0.0 stays -0.0
+    values = np.array([expected[1][bits] for bits in keys], dtype=np.float64)
+    assert probs.values.dtype == np.float64
+    assert probs.values.view(np.int64).tolist() == values.view(np.int64).tolist()
+    if expected[2] is None:
+        assert counts is None
+    else:
+        assert counts.index is probs.index
+        assert counts.values == tuple(expected[2][bits] for bits in keys)
+        assert set(map(type, counts.values)) <= {int}
