@@ -47,7 +47,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .engine import NormDriftError
+from .engine import MAX_SHOTS, NormDriftError
 from .experiment import (
     DEFAULT_SHOTS,
     ExperimentReport,
@@ -74,8 +74,6 @@ EXIT_COMPUTE = 3
 EXIT_DATA = 4
 
 _FORMATS = ("json", "csv", "table")
-
-_MAX_SHOTS = (1 << 63) - 1  # the sampler draws counts as int64
 
 _EPILOG = f"""\
 register cap:
@@ -305,11 +303,11 @@ def _terms_text(records: TermRecords, depth: int, encode) -> str:
 def _outcomes_text(outcomes: Outcomes, depth: int, encode) -> str:
     """An outcome map as ``"key": value`` rows in ascending key order, from
     its index and value columns."""
-    values = outcomes.values
-    if isinstance(values, tuple):
-        texts = _texts(map(int.__repr__, values))
+    data = outcomes.data
+    if isinstance(data, tuple):
+        texts = _texts(map(int.__repr__, data))
     else:
-        texts = _float_texts(values, encode)
+        texts = _float_texts(data, encode)
     # the keys are bitstrings: nothing in them needs escaping
     return _rows_text("{", ['"', '": ', ""], [_texts(outcomes), texts], "}", depth)
 
@@ -509,8 +507,8 @@ def _cmd_current(args, parser) -> int:
         shots, shots_source = _env_int("RINGFLOW_SHOTS", parser), "RINGFLOW_SHOTS"
     if shots is not None and shots < 1:
         parser.error(f"{shots_source} must be a positive integer, got {shots}")
-    if shots is not None and shots > _MAX_SHOTS:
-        parser.error(f"{shots_source} must be at most {_MAX_SHOTS}, got {shots}")
+    if shots is not None and shots > MAX_SHOTS:
+        parser.error(f"{shots_source} must be at most {MAX_SHOTS}, got {shots}")
     if args.seed is not None:
         seed, seed_source = args.seed, "--seed"
     else:

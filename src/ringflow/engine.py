@@ -5,17 +5,21 @@ amplitude array (stride 2^(N-1-target)); no dense unitary is ever built.
 Qubit 0 (S1) is the most significant bit of the basis index, so the basis
 index of a momentum eigenstate equals the momentum quantum number.
 
-Expectation values of weighted Pauli sums are computed exactly, from the
-sum's word and coefficient columns; no per-word object is built.  Word
+One sweep, ``rotated_settings``, rotates a state into its measurement
+settings for both estimators: strided Hadamard layers on the real and the
+imaginary part as separate real arrays (no imaginary part for a real
+state).  Visited in order of their leftmost Z, settings copy the
+Hadamards already applied before it and add the ones after it: about
+N^2/2 layers for the N + 1 grouped settings instead of N^2.
+
+Expectation values of weighted Pauli sums are computed exactly from the
+sum's word and coefficient columns, with no per-word object.  Word
 parities come from one kernel, ``parity_expectations``: one Walsh-Hadamard
 transform of a dense outcome vector gives every word's parity average.
-Sums whose words are over {I,X,Z} with at most one Z feed it per setting
-in extended precision, which keeps the heavily weighted cancellations
-accurate at large N; ``pauli.setting_plan`` groups them.  The settings
-share their basis rotations: visited in order of their Z position, each
-copies the Hadamards already applied before its Z and adds the ones after
-it, about N^2/2 layers for N + 1 settings.  Other words act on the state
-directly.  The estimators in ``experiment`` call the kernel in float64.
+Sums over {I,X,Z} with at most one Z per word feed it per setting
+(``pauli.setting_plan``) in extended precision, which keeps the heavily
+weighted cancellations accurate at large N; other words act on the state
+directly.  ``experiment`` calls the sweep and the kernel in float64.
 ``sample`` returns an int64 count per basis index, not bitstrings.
 """
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .pauli import WeightedPauliSum, index_masks, setting_plan, word_masks
 
 #: Norm drift beyond this after a kernel indicates an engine bug.
 NORM_TOL = 1e-9
+#: The most shots one draw takes: the sampler's counts are int64.
+MAX_SHOTS = (1 << 63) - 1
 
 GATE_KINDS = ("RY", "H", "X", "Z", "CNOT", "CRY")
 _CONTROLLED = ("CNOT", "CRY")
@@ -233,8 +239,8 @@ def sample(
     probability.  The generator is numpy's default PCG64; ``seed`` may be
     an int or a numpy SeedSequence.
     """
-    if shots < 1:
-        raise ValueError("need at least one shot")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
     if not 0.0 <= readout_flip < 0.5:
         raise ValueError("readout flip probability must lie in [0, 0.5)")
     rng = np.random.default_rng(seed)
@@ -308,13 +314,42 @@ def parity_expectations(probs: np.ndarray, masks) -> np.ndarray:
     return out[np.asarray(masks, dtype=np.int64)]
 
 
-def _hadamard_layer(amps: np.ndarray, n_qubits: int, pos: int) -> None:
-    # unnormalized Hadamard on qubit ``pos``, in place
-    v = np.moveaxis(amps.reshape((2,) * n_qubits), pos, 0)
-    a = v[0].copy()
-    b = v[1]
-    v[0] = a + b
-    v[1] = a - b
+def _hadamard_layer(amps: np.ndarray, n_qubits: int, pos: int, scale=None) -> None:
+    # Hadamard on qubit ``pos`` in place: a + b and a - b, times ``scale`` if given
+    v = amps.reshape(-1, 2, 1 << (n_qubits - 1 - pos))
+    a = v[:, 0].copy()
+    b = v[:, 1]
+    np.add(a, b, out=v[:, 0])
+    np.subtract(a, b, out=b)
+    if scale is not None:
+        np.multiply(amps, scale, out=amps)
+
+
+def rotated_settings(amps: np.ndarray, n_qubits: int, zmasks, dtype, scale=None):
+    """Yield (k, parts): ``amps`` in the basis of setting k, which reads Z
+    where the int ``zmasks[k]`` has a bit (leftmost qubit the MSB) and X
+    elsewhere.  ``parts`` are the real part and, unless it is zero, the
+    imaginary part, as new arrays of ``dtype`` with a Hadamard layer (times
+    ``scale``, if given) at each X position in ascending order, as
+    ``circuits.measurement_circuit`` emits them.  Settings are visited by
+    leftmost Z and share the layers before it.
+    """
+    parts = [amps.real.astype(dtype)]
+    if amps.imag.any():
+        parts.append(amps.imag.astype(dtype))
+    done = 0  # ``parts`` has the layers on every position before ``done``
+    for k in sorted(range(len(zmasks)), key=lambda k: -zmasks[k].bit_length()):
+        first_z = n_qubits - zmasks[k].bit_length()  # n_qubits for all-X
+        for pos in range(done, first_z):
+            for part in parts:
+                _hadamard_layer(part, n_qubits, pos, scale)
+        done = first_z
+        rotated = [part.copy() for part in parts]
+        for pos in range(first_z + 1, n_qubits):
+            if not zmasks[k] >> (n_qubits - 1 - pos) & 1:
+                for part in rotated:
+                    _hadamard_layer(part, n_qubits, pos, scale)
+        yield k, rotated
 
 
 def _expectation_grouped(
@@ -328,30 +363,17 @@ def _expectation_grouped(
     coeffs = np.array(op_sum.coeffs, dtype=np.float64).astype(np.longdouble)
     parity_masks = mx | mz
     plan = setting_plan(mz, n)
-    members_of = dict(plan)
-    sums = {}
-    # Settings are visited by Z position, then all-X.  ``prefix`` carries
-    # the Hadamards on every position before ``pos``, so each setting only
-    # adds the ones after its Z: about N^2/2 layers instead of N^2, applied
-    # in the same order as one setting at a time, so the bits are the same.
-    prefix = state.amplitudes.astype(np.clongdouble)
-    for pos in range(n + 1):
-        zmask = 1 << (n - 1 - pos) if pos < n else 0
-        if zmask in members_of:
-            rotated = prefix.copy()
-            for later in range(pos + 1, n):
-                _hadamard_layer(rotated, n, later)
-            n_rotations = n - 1 if pos < n else n
-            probs = (rotated.real**2 + rotated.imag**2) / (1 << n_rotations)
-            members = members_of[zmask]
-            gathered = parity_expectations(probs, parity_masks[members])
-            # elementwise product + pairwise sum; dot would reduce sequentially
-            sums[zmask] = (coeffs[members] * gathered).sum()
-        if len(sums) == len(plan):
-            break
-        _hadamard_layer(prefix, n, pos)
+    sums = [None] * len(plan)
+    zmasks = [zmask for zmask, _ in plan]
+    for k, parts in rotated_settings(state.amplitudes, n, zmasks, np.longdouble):
+        zmask, members = plan[k]
+        # unnormalized Hadamards: divide by 2 per rotated position at the end
+        probs = sum(part**2 for part in parts) / (1 << (n - zmask.bit_count()))
+        gathered = parity_expectations(probs, parity_masks[members])
+        # elementwise product + pairwise sum; dot would reduce sequentially
+        sums[k] = (coeffs[members] * gathered).sum()
     # accumulate in order of first appearance, as one setting at a time did
     total = np.longdouble(op_sum.identity_weight)
-    for zmask, members in sorted(plan, key=lambda setting: setting[1][0]):
-        total += sums[zmask]
+    for k in sorted(range(len(plan)), key=lambda k: plan[k][1][0]):
+        total += sums[k]
     return float(total)

@@ -15,7 +15,9 @@ expectation column.  Setting records keep their outcomes as columns
 writer; bitstring keys are made only when a map is read.  The estimators
 read the expansion's word and coefficient columns.  A simulation makes one
 ``word_masks`` call per run, for the parity masks and for the setting plan
-(``pauli.setting_plan``, or one setting per word).
+(``pauli.setting_plan``, or one setting per word), and rotates the state
+into every setting with ``engine.rotated_settings``, the one sweep that
+the exact expectation uses too.
 
 All estimators assemble J as (identity_weight + sum coeff * <V>) / 4pi
 from their own term columns (``TermRecords``), and every report
@@ -36,14 +38,18 @@ import numpy as np
 from .circuits import (
     MeasurementSetting,
     backflow_prep_angles,
-    measurement_circuit,
     prepare_backflow_circuit,
 )
 from .engine import (
+    _INV_SQRT2,
+    MAX_SHOTS,
+    Statevector,
+    _check_drift,
     apply_circuit,
     init_amplitudes,
     init_basis,
     parity_expectations,
+    rotated_settings,
     sample,
     z_probabilities,
 )
@@ -54,9 +60,9 @@ from .pauli import (
     word_masks,
 )
 
-# unused here, but bench/spans.py times experiment.index_masks and
-# experiment.group_terms as layers
-from .circuits import group_terms  # noqa: F401
+# unused here, but bench/spans.py times experiment.index_masks,
+# experiment.group_terms and experiment.measurement_circuit as layers
+from .circuits import group_terms, measurement_circuit  # noqa: F401
 from .pauli import index_masks  # noqa: F401
 
 FOUR_PI = 4.0 * math.pi
@@ -178,15 +184,14 @@ class TermRecords(Sequence):
 @dataclass(frozen=True, slots=True, eq=False)
 class Outcomes(Mapping):
     """Read-only map from bitstring to outcome value, held as two columns:
-    ``index``, the basis indices (int64, ascending), and ``values``, float64
+    ``index``, the basis indices (int64, ascending), and ``data``, float64
     probabilities or counts as a tuple of Python ints (which may exceed
-    int64); ``values`` is that column, not the ``Mapping`` method.  Keys
-    (leftmost letter the most significant bit) are made in bulk, only when
-    the map is read."""
+    int64).  Keys (leftmost letter the most significant bit) are made in
+    bulk, only when the map is read."""
 
     n_qubits: int
     index: np.ndarray
-    values: np.ndarray | tuple
+    data: np.ndarray | tuple
 
     def __len__(self):
         return len(self.index)
@@ -203,16 +208,16 @@ class Outcomes(Mapping):
             i = int(key, 2)
             at = int(np.searchsorted(self.index, i))
             if at < len(self.index) and self.index[at] == i:
-                value = self.values[at]
-                return value if isinstance(self.values, tuple) else float(value)
+                value = self.data[at]
+                return value if isinstance(self.data, tuple) else float(value)
         raise KeyError(key)
 
     def items(self):
         """The (key, value) pairs in ascending key order, as a dict's view."""
-        values = self.values
-        if not isinstance(values, tuple):
-            values = values.tolist()
-        return dict(zip(self, values)).items()
+        data = self.data
+        if not isinstance(data, tuple):
+            data = data.tolist()
+        return dict(zip(self, data)).items()
 
 
 @dataclass(frozen=True, slots=True)
@@ -414,8 +419,10 @@ def run_simulation(
     samples with the exact outcome probabilities (the infinite-shot limit,
     reported as mode "exact").
     """
-    if shots_per_setting is not None and shots_per_setting < 1:
-        raise ValueError("need at least one shot per setting")
+    if shots_per_setting is not None and not 1 <= shots_per_setting <= MAX_SHOTS:
+        raise ValueError(
+            f"shots per setting must be between 1 and {MAX_SHOTS}, got {shots_per_setting}"
+        )
     decomp = current_decomposition(n_qubits)
     coeffs = backflow_coefficients(n_qubits)
     state, prep = _prepared_state(n_qubits, coeffs)
@@ -434,10 +441,15 @@ def run_simulation(
         seed = int(np.random.SeedSequence().entropy) % (1 << 32)
     expectation = np.empty(len(words))
     term_setting = np.empty(len(words), dtype=np.int64)
-    setting_records: list[SettingRecord] = []
-    for k, (zmask, members) in enumerate(plan):
-        setting = MeasurementSetting.from_z_mask(zmask, n_qubits)
-        rotated = apply_circuit(state, measurement_circuit(setting))
+    # filled in the sweep's order, which need not be the plan's
+    setting_records: list = [None] * len(plan)
+    zmasks = [zmask for zmask, _ in plan]
+    sweep = rotated_settings(state.amplitudes, n_qubits, zmasks, np.float64, _INV_SQRT2)
+    for k, parts in sweep:
+        zmask, members = plan[k]
+        amps = parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
+        _check_drift(amps)
+        rotated = Statevector(n_qubits, amps)
         if sampling:
             entropy = [seed, k]
             counts = sample(
@@ -453,16 +465,14 @@ def run_simulation(
         expectation[members] = parity_expectations(outcomes, parity_masks[members])
         term_setting[members] = k
         nonzero = np.flatnonzero(outcomes)
-        setting_records.append(
-            SettingRecord(
-                setting.basis_word,
-                Outcomes(n_qubits, nonzero, outcomes[nonzero]),
-                Outcomes(n_qubits, nonzero, tuple(counts[nonzero].tolist()))
-                if sampling
-                else None,
-                entropy,
-                tuple(map(words.__getitem__, members.tolist())),
-            )
+        setting_records[k] = SettingRecord(
+            MeasurementSetting.from_z_mask(zmask, n_qubits).basis_word,
+            Outcomes(n_qubits, nonzero, outcomes[nonzero]),
+            Outcomes(n_qubits, nonzero, tuple(counts[nonzero].tolist()))
+            if sampling
+            else None,
+            entropy,
+            tuple(map(words.__getitem__, members.tolist())),
         )
     if sampling:
         # the IEEE steps of sqrt(max(0, 1 - v * v) / shots), over the column
@@ -744,7 +754,7 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         for i, (setting, probs, counts, _) in enumerate(parsed):
             members = np.flatnonzero(owner == i)
             vector = np.zeros(1 << n_qubits)
-            vector[probs.index] = probs.values
+            vector[probs.index] = probs.data
             expectation[members] = parity_expectations(vector, parity_masks[members])
             words = tuple(map(decomp.words.__getitem__, members.tolist()))
             setting_records.append(

@@ -37,3 +37,28 @@ def measurable_sums(draw, letters="IX"):
     )
     coeffs = draw(st.lists(st.floats(-8, 8), min_size=len(words), max_size=len(words)))
     return WeightedPauliSum.from_columns(n, draw(st.floats(-8, 8)), words, coeffs)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Exact equality of two texts, for multi-megabyte reports.
+
+    A mismatch is reported as the two lengths and the first differing
+    offset with about 80 characters of context, without the full diff that
+    a bare ``assert ==`` would build.
+    """
+    if got == want:
+        return
+    # the longest common prefix, by bisection over C-level slice comparisons
+    lo, hi = 0, min(len(got), len(want))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if got[:mid] == want[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    start = max(0, lo - 40)
+    pytest.fail(
+        f"texts differ: lengths {len(got)} and {len(want)}, first difference at "
+        f"offset {lo}: {got[start:lo + 40]!r} != {want[start:lo + 40]!r}",
+        pytrace=False,
+    )

@@ -21,6 +21,8 @@ from ringflow.cli import _json_text, _NonFiniteReport, _report_text, main
 from ringflow.experiment import Outcomes, SettingRecord, TermRecords
 from ringflow.pauli import MAX_QUBITS
 
+from conftest import assert_same_text
+
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
@@ -492,7 +494,7 @@ class TestJsonRenderer:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert len(payloads) == 1
-        assert out == json_dumps_oracle(payloads[0])
+        assert_same_text(out, json_dumps_oracle(payloads[0]))
 
 
 class TestUsageAndOutputErrors:
@@ -652,7 +654,7 @@ class TestColumnRenderer:
         if column == "probabilities":
             first = report.setting_records[0]
             probs = first.probabilities
-            values = probs.values.copy()
+            values = probs.data.copy()
             values[len(values) // 2] = bad
             changed = dataclasses.replace(
                 first, probabilities=Outcomes(probs.n_qubits, probs.index, values)

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ringflow.engine
+from ringflow.circuits import MeasurementSetting, measurement_circuit
 from ringflow.engine import (
+    MAX_SHOTS,
     Gate,
     NormDriftError,
     Statevector,
@@ -18,13 +21,14 @@ from ringflow.engine import (
     init_amplitudes,
     init_basis,
     parity_expectations,
+    rotated_settings,
     ry,
     sample,
     x,
     z,
     z_probabilities,
 )
-from ringflow.engine import _expectation_direct, _expectation_grouped
+from ringflow.engine import _INV_SQRT2, _expectation_direct, _expectation_grouped
 from ringflow.experiment import backflow_coefficients, run_simulation
 from ringflow.pauli import (
     PauliString,
@@ -431,6 +435,16 @@ class TestProbabilitiesAndSampling:
         with pytest.raises(ValueError):
             sample(init_basis(1, 0), 0, seed=0)
 
+    def test_huge_shot_count_refused(self):
+        """Counts are drawn as int64: more shots than that is a ValueError
+        that names the value, not an OverflowError from the generator."""
+        state = init_amplitudes(2, [1, 2, 3, 4])
+        with pytest.raises(ValueError, match=str(10**20)):
+            sample(state, 10**20, seed=0)
+        with pytest.raises(ValueError, match=str(MAX_SHOTS + 1)):
+            sample(state, MAX_SHOTS + 1, seed=0)
+        assert sample(state, MAX_SHOTS, seed=0, readout_flip=0.01).sum() == MAX_SHOTS
+
     def test_counts_serialization(self):
         """A report's setting record holds the sampled counts as a sorted
         bitstring -> count map, next to probabilities with the same keys."""
@@ -449,3 +463,91 @@ class TestProbabilitiesAndSampling:
             assert list(d["counts"]) == sorted(expected)
             assert list(d["probabilities"]) == list(d["counts"])
             assert d["probabilities"] == {b: c / 50 for b, c in expected.items()}
+
+
+def unitary_rotation(state, zmask):
+    """One setting's basis change gate by gate, in complex128: the reference."""
+    setting = MeasurementSetting.from_z_mask(zmask, state.n_qubits)
+    return apply_circuit(state, measurement_circuit(setting)).amplitudes
+
+
+def unnormalized_rotation(state, zmask):
+    """One setting's unnormalized Hadamards one at a time, in clongdouble."""
+    n = state.n_qubits
+    rotated = state.amplitudes.astype(np.clongdouble)
+    for gate in measurement_circuit(MeasurementSetting.from_z_mask(zmask, n)).gates:
+        v = np.moveaxis(rotated.reshape((2,) * n), gate.target, 0)
+        a = v[0].copy()
+        b = v[1]
+        v[0] = a + b
+        v[1] = a - b
+    return rotated
+
+
+@st.composite
+def sweep_cases(draw):
+    """A state (complex, or real with no imaginary part) and a Z-mask list:
+    masks of at most one bit, as grouped plans have, or any masks; both may
+    repeat."""
+    n = draw(st.integers(1, 6))
+    single = st.sampled_from([0] + [1 << pos for pos in range(n)])
+    masks = draw(st.sampled_from([single, st.integers(0, (1 << n) - 1)]))
+    zmasks = draw(st.lists(masks, max_size=2 * n + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = draw(st.booleans())
+    amps = rng.normal(size=1 << n) if real else random_state_vector(rng, n)
+    return init_amplitudes(n, amps), zmasks, real
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_cases())
+@example((init_amplitudes(3, backflow_coefficients(3).a), [0, 4, 2, 1], True))
+@example((init_amplitudes(2, [1, 1j, -1, 0.5]), [1, 1, 0, 3, 2, 0], False))
+def test_rotated_settings_match_per_gate_rotations(case):
+    """Every setting is yielded once, with the per-gate rotation's bits: in
+    float64 with unitary layers and in longdouble with unnormalized ones."""
+    state, zmasks, real = case
+    n = state.n_qubits
+    for dtype, scale, reference in (
+        (np.float64, _INV_SQRT2, unitary_rotation),
+        (np.longdouble, None, unnormalized_rotation),
+    ):
+        seen = []
+        for k, parts in rotated_settings(state.amplitudes, n, zmasks, dtype, scale):
+            seen.append(k)
+            want = reference(state, zmasks[k])
+            assert [part.dtype for part in parts] == [np.dtype(dtype)] * (2 - real)
+            assert np.array_equal(parts[0], want.real)
+            if real:
+                assert not want.imag.any()
+            else:
+                assert np.array_equal(parts[1], want.imag)
+        assert sorted(seen) == list(range(len(zmasks)))
+
+
+def shared_layer_count(zmasks, n):
+    """Layers per part when settings share the layers before their leftmost
+    Z: those up to the last leftmost Z, then each setting's X positions
+    after its own."""
+    first = [n - zmask.bit_length() for zmask in zmasks]
+    after = sum(n - pos - zmask.bit_count() for zmask, pos in zip(zmasks, first) if zmask)
+    return max(first, default=0) + after
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_rotated_settings_share_the_prefix(monkeypatch, n):
+    """The N + 1 grouped settings take N(N + 1)/2 layers per part, not N^2;
+    any plan shares the layers before each setting's leftmost Z."""
+    layers = []
+    layer = ringflow.engine._hadamard_layer
+    monkeypatch.setattr(
+        ringflow.engine, "_hadamard_layer", lambda *a: layers.append(a[2]) or layer(*a)
+    )
+    state = init_amplitudes(n, random_state_vector(np.random.default_rng(n), n))
+    grouped = [1 << pos for pos in range(n)] + [0]
+    assert len(list(rotated_settings(state.amplitudes, n, grouped, np.float64))) == n + 1
+    assert len(layers) == 2 * n * (n + 1) // 2 == 2 * shared_layer_count(grouped, n)
+    for per_term in ([(1 << n) - 1, 0, 3 % (1 << n), 0], [1 << (n - 1), 1]):
+        layers.clear()
+        list(rotated_settings(state.amplitudes, n, per_term, np.float64))
+        assert len(layers) == 2 * shared_layer_count(per_term, n)

@@ -7,13 +7,19 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from ringflow.circuits import MeasurementSetting, parity_sign
+from ringflow.circuits import MeasurementSetting, measurement_circuit, parity_sign
+from ringflow.engine import apply_circuit, parity_expectations, sample, z_probabilities
 from ringflow.experiment import (
     _check_types,
+    _finish_report,
     _first_cover,
     _parse_setting_entry,
+    _prepared_state,
+    _RNG_NAME,
     BackflowCoefficients,
     Outcomes,
+    SettingRecord,
+    TermRecords,
     backflow_coefficients,
     closed_form_current,
     exact_current,
@@ -28,10 +34,11 @@ from ringflow.pauli import (
     RegisterTooLargeError,
     current_decomposition,
     dense_current_matrix,
+    setting_plan,
     word_masks,
 )
 
-from conftest import random_state_vector
+from conftest import assert_same_text, random_state_vector
 
 FOUR_PI = 4.0 * math.pi
 
@@ -230,6 +237,111 @@ class TestRunSimulation:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             run_simulation(1, 0)
+
+    def test_rejects_huge_shot_counts(self):
+        """More shots than an int64 count holds is a ValueError naming the
+        value, before anything is sampled."""
+        with pytest.raises(ValueError, match=f"shots per setting .* got {10**20}"):
+            run_simulation(1, 10**20, seed=1)
+        with pytest.raises(ValueError, match=f"shots per setting .* got {2**63}"):
+            run_simulation(2, 2**63, seed=1)
+        assert run_simulation(1, 2**63 - 1, seed=1).shots_per_setting == 2**63 - 1
+
+
+def run_simulation_per_gate(n_qubits, shots_per_setting, seed, grouped, readout_flip):
+    """``run_simulation`` one setting at a time, each setting's basis change
+    applied gate by gate with ``apply_circuit``: the reference."""
+    decomp = current_decomposition(n_qubits)
+    coeffs = backflow_coefficients(n_qubits)
+    state, prep = _prepared_state(n_qubits, coeffs)
+    words, term_coeffs = decomp.words, decomp.coeffs
+    mx, _, mz = word_masks(words, n_qubits)
+    parity_masks = mx | mz
+    if grouped:
+        plan = setting_plan(mz, n_qubits)
+    else:
+        full = (1 << n_qubits) - 1
+        plan = list(zip((full ^ mx).tolist(), np.arange(len(words))[:, None]))
+    sampling = shots_per_setting is not None
+    expectation = np.empty(len(words))
+    term_setting = np.empty(len(words), dtype=np.int64)
+    setting_records = []
+    for k, (zmask, members) in enumerate(plan):
+        setting = MeasurementSetting.from_z_mask(zmask, n_qubits)
+        rotated = apply_circuit(state, measurement_circuit(setting))
+        if sampling:
+            entropy = [seed, k]
+            counts = sample(
+                rotated,
+                shots_per_setting,
+                seed=np.random.SeedSequence(entropy),
+                readout_flip=readout_flip,
+            )
+            outcomes = counts / shots_per_setting
+        else:
+            entropy = None
+            outcomes = z_probabilities(rotated)
+        expectation[members] = parity_expectations(outcomes, parity_masks[members])
+        term_setting[members] = k
+        nonzero = np.flatnonzero(outcomes)
+        setting_records.append(
+            SettingRecord(
+                setting.basis_word,
+                Outcomes(n_qubits, nonzero, outcomes[nonzero]),
+                Outcomes(n_qubits, nonzero, tuple(counts[nonzero].tolist()))
+                if sampling
+                else None,
+                entropy,
+                tuple(map(words.__getitem__, members.tolist())),
+            )
+        )
+    if sampling:
+        variance = np.maximum(0.0, 1.0 - expectation * expectation) / shots_per_setting
+        std_error = np.sqrt(variance)
+    else:
+        std_error = None
+    term_records = TermRecords(
+        words,
+        term_coeffs,
+        term_setting,
+        [s.basis_word for s in setting_records],
+        expectation,
+        std_error,
+        np.concatenate([members for _, members in plan]),
+    )
+    return _finish_report(
+        "shots" if sampling else "exact",
+        decomp.identity_weight,
+        term_records,
+        setting_records,
+        coeffs,
+        shots_per_setting=shots_per_setting,
+        seed=seed if sampling else None,
+        grouped=grouped,
+        readout_flip=readout_flip,
+        rng=_RNG_NAME if sampling else None,
+        prep=prep,
+    )
+
+
+@pytest.mark.parametrize(
+    "n, grouped",
+    [(n, True) for n in range(1, 11)] + [(n, False) for n in range(1, 7)],
+    ids=[f"grouped-{n}" for n in range(1, 11)] + [f"per-term-{n}" for n in range(1, 7)],
+)
+@pytest.mark.parametrize(
+    "shots, flip", [(None, 0.0), (2000, 0.0), (2000, 0.01)], ids=["exact", "shots", "flip"]
+)
+def test_reports_equal_the_per_gate_loop(n, grouped, shots, flip):
+    """The shared rotation sweep gives the report of the per-setting loop,
+    byte for byte: the same outcomes, expectations and records in order."""
+    seed = 7 * n + 1
+    got = run_simulation(n, shots, seed=seed, grouped=grouped, readout_flip=flip)
+    want = run_simulation_per_gate(n, shots, seed, grouped, flip)
+    assert_same_text(
+        json.dumps(got.to_dict(), indent=1, sort_keys=True),
+        json.dumps(want.to_dict(), indent=1, sort_keys=True),
+    )
 
 
 def assert_records_match_parity_oracle(report):
@@ -551,6 +663,14 @@ class TestOutcomes:
         assert probs != {"00": 0.5, "11": 0.5, "01": 0.0}
         assert Outcomes(1, np.empty(0, dtype=np.int64), ()) == {}
 
+    def test_mapping_protocol(self):
+        """``values()`` is the ``Mapping`` method: the column is ``data``."""
+        for record in run_simulation(3, 200, seed=1).setting_records:
+            assert sum(record.counts.values()) == 200
+            probs = record.probabilities
+            assert list(probs.values()) == list(dict(probs).values())
+            assert list(probs.keys()) == list(probs)
+
     def test_report_maps_share_one_index(self):
         for record in run_simulation(3, 200, seed=1).setting_records:
             assert record.counts.index is record.probabilities.index
@@ -692,11 +812,11 @@ def test_bulk_setting_parser_matches_outcome_loop(drawn):
     assert list(probs) == keys
     # bit for bit, so that -0.0 stays -0.0
     values = np.array([expected[1][bits] for bits in keys], dtype=np.float64)
-    assert probs.values.dtype == np.float64
-    assert probs.values.view(np.int64).tolist() == values.view(np.int64).tolist()
+    assert probs.data.dtype == np.float64
+    assert probs.data.view(np.int64).tolist() == values.view(np.int64).tolist()
     if expected[2] is None:
         assert counts is None
     else:
         assert counts.index is probs.index
-        assert counts.values == tuple(expected[2][bits] for bits in keys)
-        assert set(map(type, counts.values)) <= {int}
+        assert counts.data == tuple(expected[2][bits] for bits in keys)
+        assert set(map(type, counts.data)) <= {int}
