@@ -6,16 +6,17 @@ range of qubit counts into a plot-ready table), and ``analyze`` recombines
 externally measured outcome data.  Only the report is written to standard
 output; diagnostics go to standard error, so output can be piped.
 
-Exit codes: 2 for bad flags, malformed RINGFLOW_* values or an
-``--output`` FILE that cannot be written, 3 for computation failures
-(including registers above ``MAX_QUBITS`` and a report that cannot be
-written as strict JSON), 4 for unreadable or malformed input data.
+Exit codes: 2 for bad flags, malformed RINGFLOW_* values, or an
+``--output`` FILE or standard output that cannot be written (a closed pipe
+included), 3 for computation failures (including registers above
+``MAX_QUBITS`` and a report that cannot be written as strict JSON), 4 for
+unreadable or malformed input data.
 Environment variables RINGFLOW_SHOTS, RINGFLOW_SEED and RINGFLOW_FORMAT
 override the built-in defaults.
 
 JSON reports have the layout of ``json.dumps(report, indent=2,
 sort_keys=True)`` plus a newline.  With ``indent`` set, ``json.dumps``
-encodes in pure Python, one generator step per value; ``_json_text``
+encodes in pure Python, one generator step per value; ``_render``
 instead recurses only through containers that hold containers, and hands
 each flat container (no list, tuple or dict inside) to the C encoder in
 one call, its item separator carrying the newline and indent.  Scalars,
@@ -29,10 +30,15 @@ place: ``_render`` writes a ``TermRecords`` as the term list and an
 follows one template, whose fixed parts are interleaved with the column
 texts in an object grid and joined, so no row string is made.  Float
 text is ``float.__repr__``, which is what the C encoder writes, called
-once per distinct bit pattern of a column (``np.unique`` over its int64
-view, so -0.0 and 0.0 stay apart); nothing is kept between renders.  A
-column holding NaN or infinity is refused before any of its text is
-made.  The whole text is built before anything is written.
+once per distinct bit pattern of a block of rows (``np.unique`` over its
+int64 view, so -0.0 and 0.0 stay apart); nothing is kept between renders.
+
+Writing goes in two passes.  The first encodes every flat container and
+checks every column with ``np.isfinite``, so a report holding NaN or
+infinity is refused before anything is written.  The second writes the
+pieces in order, the term list and outcome maps ``_BLOCK_ROWS`` rows at a
+time, so at most one block's text exists at once.  ``_json_text`` joins
+the same chunks.
 """
 from __future__ import annotations
 
@@ -42,6 +48,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -86,7 +93,7 @@ environment defaults:
 
 exit codes:
   0  success
-  2  invalid flags or flag combinations, or an unwritable --output FILE
+  2  invalid flags or flag combinations, or an unwritable --output FILE or stdout
   3  computation failed
   4  input data missing or malformed
 """
@@ -188,20 +195,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_WRITE_CHUNK = 1 << 20
-
-
-def _write(stream, text: str) -> None:
-    # a slice at a time, so that the encoded copy of a large report stays small
-    for start in range(0, len(text), _WRITE_CHUNK):
-        stream.write(text[start : start + _WRITE_CHUNK])
-
-
-def _emit(text: str, path: str | None) -> int:
-    """Write the finished text; an unwritable FILE exits 2, as argparse's
-    ``FileType`` does, and a failed write removes the regular file it left."""
+def _emit(chunks, path: str | None) -> int:
+    """Write the text chunks.  Standard output or a FILE that cannot be
+    written exits 2, as argparse's ``FileType`` does for a FILE, and a failed
+    write removes the regular file it left."""
     if path in (None, "-"):
-        _write(sys.stdout, text)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as exc:
+            # Python flushes stdout again at exit: point it at devnull, as
+            # the signal module's docs advise for a closed pipe, so that no
+            # second error follows
+            with contextlib.suppress(OSError, ValueError):
+                fileno = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fileno)
+            return _unwritable("<stdout>", exc)
         return EXIT_OK
     try:
         handle = open(path, "w", encoding="utf-8")
@@ -209,7 +218,7 @@ def _emit(text: str, path: str | None) -> int:
         return _unwritable(path, exc)
     try:
         with handle:
-            _write(handle, text)
+            handle.writelines(chunks)
     except OSError as exc:
         if os.path.isfile(path):
             with contextlib.suppress(OSError):
@@ -224,6 +233,9 @@ def _unwritable(path: str, exc: OSError) -> int:
 
 
 _INDENT = "  "
+#: Rows of a term list or an outcome map made into text and written at a
+#: time, and the most plain pieces written in one chunk
+_BLOCK_ROWS = 1 << 13
 # by exact type: a payload holds plain containers and the report's columns
 _CONTAINERS = frozenset((dict, list, tuple, TermRecords, Outcomes))
 
@@ -244,72 +256,100 @@ def _texts(strings) -> np.ndarray:
     return np.fromiter(strings, dtype=object)
 
 
-def _float_texts(values: np.ndarray, encode) -> np.ndarray:
-    """``float.__repr__`` of each value, as an object array.
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """``float.__repr__`` of each finite value, as an object array.
 
-    The repr runs once per distinct bit pattern, so -0.0 and 0.0 stay
-    apart.  NaN or infinity raises ``encode``'s own error first.
+    The repr runs once per distinct bit pattern, so -0.0 and 0.0 stay apart.
     """
-    finite = np.isfinite(values)
-    if not finite.all():
-        encode(values[~finite][0].item())  # refuses it, as for any other value
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     return _texts(map(float.__repr__, bits.view(np.float64).tolist()))[inverse]
 
 
-def _rows_text(open_: str, parts: list, columns: list, close: str, depth: int) -> str:
-    """A container with one row per line, as json.dumps lays it out.
+def _refuse_non_finite(values: np.ndarray, encode) -> None:
+    """Raise ``encode``'s own error for the first NaN or infinity in ``values``."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        encode(values[bad][0].item())
 
-    Row i is ``parts[0] + columns[0][i] + parts[1] + ... + parts[-1]``: one
-    template per row, filled by interleaving its fixed parts with the column
-    texts in an object grid that is joined once, so no row string is made.
-    A column is an object array of texts or one text for every row.
+
+def _row_blocks(open_: str, parts: list, column_texts, rows: int, close: str, depth: int):
+    """Yield a container with one row per line, as json.dumps lays it out,
+    ``_BLOCK_ROWS`` rows at a time.
+
+    Row i is ``parts[0] + columns[0][i] + parts[1] + ... + parts[-1]``, where
+    ``column_texts(start, stop)`` gives the columns of rows start to stop - 1,
+    each an object array of texts or one text for every row.  A block's
+    fixed parts and column texts are interleaved in an object grid that is
+    joined once, so no row string is made.
     """
-    if not len(columns[0]):
-        return open_ + close
+    if not rows:
+        yield open_ + close
+        return
     newline = "\n" + _INDENT * (depth + 1)
-    grid = np.empty((len(columns[0]), 2 * len(columns) + 1), dtype=object)
-    grid[:, 0] = "," + newline + parts[0]
-    grid[0, 0] = open_ + newline + parts[0]
-    for k, column in enumerate(columns):
-        grid[:, 2 * k + 1] = column
-        grid[:, 2 * k + 2] = parts[k + 1]
-    return "".join(grid.ravel().tolist()) + "\n" + _INDENT * depth + close
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows)
+        columns = column_texts(start, stop)
+        grid = np.empty((stop - start, 2 * len(columns) + 1), dtype=object)
+        grid[:, 0] = "," + newline + parts[0]
+        if not start:
+            grid[0, 0] = open_ + newline + parts[0]
+        for k, column in enumerate(columns):
+            grid[:, 2 * k + 1] = column
+            grid[:, 2 * k + 2] = parts[k + 1]
+        yield "".join(grid.ravel().tolist())
+    yield "\n" + _INDENT * depth + close
 
 
-def _terms_text(records: TermRecords, depth: int, encode) -> str:
-    """The term list from the term columns, each distinct float formatted
-    once."""
+# a term's keys in the order json.dumps sorts them
+_TERM_KEYS = ("coeff", "expectation", "setting", "std_error", "word")
+
+
+def _terms_blocks(records: TermRecords, depth: int, encode):
+    """The term list from the term columns, each checked here in full; its
+    text is made a block at a time as it is read."""
     order = records.order
-    words = map(records.words.__getitem__, order.tolist())
     std = records.std_error
+    for column in (records.coeffs, records.expectation, std):
+        if column is not None:
+            _refuse_non_finite(column[order], encode)
     # setting -1 picks the appended "null"
     names = _texts([*map(encode_basestring_ascii, records.bases), "null"])
-    columns = {
-        "word": _texts(map(encode_basestring_ascii, words)),
-        "coeff": _float_texts(records.coeffs[order], encode),
-        "setting": names[records.setting_index[order]],
-        "expectation": _float_texts(records.expectation[order], encode),
-        "std_error": "null" if std is None else _float_texts(std[order], encode),
-    }
-    keys = sorted(columns)
+
+    def column_texts(start, stop):
+        rows = order[start:stop]
+        words = map(records.words.__getitem__, rows.tolist())
+        return [
+            _float_texts(records.coeffs[rows]),
+            _float_texts(records.expectation[rows]),
+            names[records.setting_index[rows]],
+            "null" if std is None else _float_texts(std[rows]),
+            _texts(map(encode_basestring_ascii, words)),
+        ]
+
     inner = "\n" + _INDENT * (depth + 2)
-    parts = [f"{inner}{json.dumps(key)}: " for key in keys]
+    parts = [f"{inner}{json.dumps(key)}: " for key in _TERM_KEYS]
     parts = ["{" + parts[0], *("," + part for part in parts[1:])]
     parts.append("\n" + _INDENT * (depth + 1) + "}")
-    return _rows_text("[", parts, [columns[key] for key in keys], "]", depth)
+    return _row_blocks("[", parts, column_texts, len(order), "]", depth)
 
 
-def _outcomes_text(outcomes: Outcomes, depth: int, encode) -> str:
+def _outcomes_blocks(outcomes: Outcomes, depth: int, encode):
     """An outcome map as ``"key": value`` rows in ascending key order, from
-    its index and value columns."""
-    data = outcomes.data
-    if isinstance(data, tuple):
-        texts = _texts(map(int.__repr__, data))
-    else:
-        texts = _float_texts(data, encode)
+    its index and value columns, checked here in full; its text is made a
+    block at a time as it is read."""
+    n_qubits, index, data = outcomes.n_qubits, outcomes.index, outcomes.data
+    counts = isinstance(data, tuple)
+    if not counts:
+        _refuse_non_finite(data, encode)
+
+    def column_texts(start, stop):
+        block = Outcomes(n_qubits, index[start:stop], data[start:stop])
+        if counts:
+            return [_texts(block), _texts(map(int.__repr__, block.data))]
+        return [_texts(block), _float_texts(block.data)]
+
     # the keys are bitstrings: nothing in them needs escaping
-    return _rows_text("{", ['"', '": ', ""], [_texts(outcomes), texts], "}", depth)
+    return _row_blocks("{", ['"', '": ', ""], column_texts, len(index), "}", depth)
 
 
 def _render(value, depth: int, out: list, encoders: list) -> None:
@@ -318,10 +358,10 @@ def _render(value, depth: int, out: list, encoders: list) -> None:
         encoders.append(_flat_encoder(depth))
     encode = encoders[depth]
     if type(value) is TermRecords:
-        out.append(_terms_text(value, depth, encode))
+        out.append(_terms_blocks(value, depth, encode))
         return
     if type(value) is Outcomes:
-        out.append(_outcomes_text(value, depth, encode))
+        out.append(_outcomes_blocks(value, depth, encode))
         return
     if isinstance(value, dict):
         children = value.values()
@@ -354,40 +394,58 @@ def _render(value, depth: int, out: list, encoders: list) -> None:
         out.append("\n" + _INDENT * depth + "]")
 
 
-def _json_text(payload) -> str:
+def _json_chunks(payload):
+    """The JSON text of ``payload`` as an iterator of chunks.  Every column
+    is checked before this returns, so NaN or infinity raises
+    ``_NonFiniteReport`` before any text is read."""
     out: list = []
     try:
         _render(payload, 0, out, [])
     except ValueError as exc:
         raise _NonFiniteReport(f"cannot write the report as JSON: {exc}") from None
     out.append("\n")
-    return "".join(out)
+    return _chunks(out)
 
 
-def _sum_text(op_sum: WeightedPauliSum, fmt: str, dense) -> str:
+def _chunks(pieces: list):
+    # plain pieces joined _BLOCK_ROWS at a time, row blocks as they come
+    for plain, group in groupby(pieces, lambda piece: type(piece) is str):
+        if not plain:
+            yield from chain.from_iterable(group)
+            continue
+        group = list(group)
+        for start in range(0, len(group), _BLOCK_ROWS):
+            yield "".join(group[start : start + _BLOCK_ROWS])
+
+
+def _json_text(payload) -> str:
+    return "".join(_json_chunks(payload))
+
+
+def _sum_chunks(op_sum: WeightedPauliSum, fmt: str, dense):
     if fmt == "json":
         payload = op_sum.to_dict()
         if dense is not None:
             payload["dense"] = dense.tolist()
-        return _json_text(payload)
+        return _json_chunks(payload)
     if fmt == "csv":
         lines = ["word,coeff", f"{'I' * op_sum.n_qubits},{op_sum.identity_weight:g}"]
         lines += [f"{w},{c:g}" for w, c in zip(op_sum.words, op_sum.coeffs)]
-        return "\n".join(lines) + "\n"
+        return ("\n".join(lines) + "\n",)
     parts = [f"{op_sum.identity_weight:g}"]
     parts += [f"{c:+g}*{w}" for w, c in zip(op_sum.words, op_sum.coeffs)]
     text = " ".join(parts) + "\n"
     if dense is not None:
         text += "\n".join(" ".join(str(v) for v in row) for row in dense.tolist()) + "\n"
-    return text
+    return (text,)
 
 
 _SUMMARY = ("j_estimate", "j_std_error", "j_exact", "j_closed_form", "relative_error")
 
 
-def _report_text(report: ExperimentReport, fmt: str) -> str:
+def _report_chunks(report: ExperimentReport, fmt: str):
     if fmt == "json":
-        return _json_text(report.to_dict(columns=True))
+        return _json_chunks(report.to_dict(columns=True))
     if fmt == "csv":
         lines = ["record,word,coeff,setting,expectation,std_error"]
         for r in report.term_records:
@@ -397,7 +455,7 @@ def _report_text(report: ExperimentReport, fmt: str) -> str:
         for name in _SUMMARY:
             value = getattr(report, name)
             lines.append(f"summary,{name},,,{'' if value is None else repr(value)},")
-        return "\n".join(lines) + "\n"
+        return ("\n".join(lines) + "\n",)
     head = f"n={report.n_qubits} mode={report.mode} theta0={report.theta0:g}"
     if report.mode == "shots":
         head += (
@@ -422,7 +480,7 @@ def _report_text(report: ExperimentReport, fmt: str) -> str:
         value = getattr(report, name)
         if value is not None:
             lines.append(f"{name:<15} = {value:.9g}")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n",)
 
 
 def _range_rows(lo: int, hi: int) -> list[dict]:
@@ -438,19 +496,19 @@ def _range_rows(lo: int, hi: int) -> list[dict]:
     return rows
 
 
-def _range_text(rows: list[dict], fmt: str) -> str:
+def _range_chunks(rows: list[dict], fmt: str):
     if fmt == "json":
-        return _json_text(rows)
+        return _json_chunks(rows)
     if fmt == "csv":
         lines = ["n,j_exact,j_closed_form"]
         lines += [f"{r['n']},{r['j_exact']!r},{r['j_closed_form']!r}" for r in rows]
-        return "\n".join(lines) + "\n"
+        return ("\n".join(lines) + "\n",)
     lines = [f"{'n':>3}  {'j_exact':>16}  {'j_closed_form':>16}"]
     lines += [
         f"{r['n']:>3}  {r['j_exact']:>16.9f}  {r['j_closed_form']:>16.9f}"
         for r in rows
     ]
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n",)
 
 
 def _cmd_decompose(args, parser) -> int:
@@ -464,7 +522,7 @@ def _cmd_decompose(args, parser) -> int:
     except (ValueError, MemoryError) as exc:
         print(f"ringflow: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    return _emit(_sum_text(op_sum, args.format, dense), args.output)
+    return _emit(_sum_chunks(op_sum, args.format, dense), args.output)
 
 
 def _cmd_current(args, parser) -> int:
@@ -498,7 +556,7 @@ def _cmd_current(args, parser) -> int:
         except (ValueError, MemoryError) as exc:
             print(f"ringflow: {exc}", file=sys.stderr)
             return EXIT_COMPUTE
-        return _emit(_range_text(rows, args.format), args.output)
+        return _emit(_range_chunks(rows, args.format), args.output)
     if args.n < 1:
         parser.error("--n must be a positive integer")
     if args.shots is not None:
@@ -529,7 +587,7 @@ def _cmd_current(args, parser) -> int:
     except (ValueError, NormDriftError, RuntimeError, MemoryError) as exc:
         print(f"ringflow: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    return _emit(_report_text(report, args.format), args.output)
+    return _emit(_report_chunks(report, args.format), args.output)
 
 
 def _cmd_analyze(args, parser) -> int:
@@ -551,7 +609,7 @@ def _cmd_analyze(args, parser) -> int:
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"ringflow: malformed measured data: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return _emit(_report_text(report, args.format), args.output)
+    return _emit(_report_chunks(report, args.format), args.output)
 
 
 def main(argv=None) -> int:

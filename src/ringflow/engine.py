@@ -119,7 +119,7 @@ class Statevector:
             raise ValueError(
                 f"expected {1 << self.n_qubits} amplitudes, got shape {amps.shape}"
             )
-        nrm = np.linalg.norm(amps)
+        nrm = l2_norm(amps)
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes not normalized (norm {nrm!r})")
         object.__setattr__(self, "amplitudes", amps)
@@ -146,7 +146,7 @@ def init_amplitudes(n_qubits: int, amps) -> Statevector:
         raise ValueError(f"expected {1 << n_qubits} amplitudes, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite amplitude")
-    nrm = np.linalg.norm(arr)
+    nrm = l2_norm(arr)
     if nrm < 1e-12:
         raise ValueError("cannot normalize a zero vector")
     return Statevector(n_qubits, arr / nrm)
@@ -193,8 +193,19 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
         v[1] *= -1.0
 
 
+def l2_norm(values: np.ndarray) -> float:
+    """Euclidean norm of a float64 or complex128 array.
+
+    The squares of its float64 view are added by numpy's own pairwise
+    reduction, not by BLAS, whose summation order changes with its thread
+    count; so the digits do not depend on how many threads BLAS runs.
+    """
+    flat = np.ascontiguousarray(values).view(np.float64)
+    return math.sqrt(np.square(flat).sum())
+
+
 def _check_drift(amps: np.ndarray) -> None:
-    nrm = np.linalg.norm(amps)
+    nrm = l2_norm(amps)
     if abs(nrm - 1.0) > NORM_TOL:
         raise NormDriftError(f"norm drifted to {nrm!r}")
 

@@ -44,10 +44,10 @@ from .engine import (
     _INV_SQRT2,
     MAX_SHOTS,
     Statevector,
-    _check_drift,
     apply_circuit,
     init_amplitudes,
     init_basis,
+    l2_norm,
     parity_expectations,
     rotated_settings,
     sample,
@@ -326,7 +326,7 @@ def exact_current(coeffs, theta0: float = 0.0) -> float:
     c = np.asarray(getattr(coeffs, "a", coeffs), dtype=np.complex128)
     if c.ndim != 1 or c.size < 2 or c.size & (c.size - 1):
         raise ValueError("coefficient array length must be 2^N with N >= 1")
-    nrm = np.linalg.norm(c)
+    nrm = l2_norm(c)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"coefficients not normalized (norm {nrm!r})")
     # extended precision: the sums cancel heavily for large registers
@@ -448,7 +448,7 @@ def run_simulation(
     for k, parts in sweep:
         zmask, members = plan[k]
         amps = parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
-        _check_drift(amps)
+        # the state's own norm check guards the sweep against drift
         rotated = Statevector(n_qubits, amps)
         if sampling:
             entropy = [seed, k]

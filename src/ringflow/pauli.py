@@ -286,26 +286,49 @@ def current_decomposition(n_qubits: int) -> WeightedPauliSum:
     position p and {I, X} elsewhere carries coefficient -2^(N-1-p).  No
     two of these words coincide and no weight is zero.
 
-    The words come out sorted lexicographically by construction: suffixes
-    grow one letter at a time, with I, then X, then Z put in front (Z only
-    before {I, X} suffixes).  A Z's weight depends only on how many
-    letters follow it, so the weights grow alongside.  The word and
-    weight lists become the sum's columns as they are; no ``PauliString``
-    is built.  Registers beyond MAX_QUBITS are refused before anything is
-    built.
+    The words come out sorted lexicographically by construction, each made
+    by one concatenation: every sorted word of the first N - N//2 letters
+    is followed by the sorted words of the last N//2 letters (only the
+    {I, X} ones after a prefix that holds a Z).  The word and weight lists
+    become the sum's columns as they are; no ``PauliString`` is built.
+    Registers beyond MAX_QUBITS are refused before anything is built.
     """
     _check_qubits(n_qubits)
     check_register(n_qubits)
-    # words, their weights and the {I, X} words, all of the same suffix length
-    words, weights, ix = [""], [float((1 << n_qubits) - 1)], [""]
-    for k in range(n_qubits):
-        words = ["I" + w for w in words] + ["X" + w for w in words] + ["Z" + w for w in ix]
-        weights = weights + weights + [-float(1 << k)] * len(ix)
-        ix = ["I" + w for w in ix] + ["X" + w for w in ix]
+    low = n_qubits // 2
+    ix_weight = float((1 << n_qubits) - 1)
+    suffixes, suffix_weights, ix = _sorted_words(low, 0, ix_weight)
+    prefixes, prefix_weights, _ = _sorted_words(n_qubits - low, low, ix_weight)
+    words: list[str] = []
+    weights: list[float] = []
+    for prefix, weight in zip(prefixes, prefix_weights):
+        if "Z" in prefix:
+            words += [prefix + w for w in ix]
+            weights += [weight] * len(ix)
+        else:
+            words += [prefix + w for w in suffixes]
+            weights += suffix_weights
     # words[0] is the all-I word; its weight is the identity weight
     return WeightedPauliSum.from_columns(
         n_qubits, weights[0], islice(words, 1, None), islice(weights, 1, None)
     )
+
+
+def _sorted_words(length: int, shift: int, ix_weight: float):
+    """The sorted words of ``length`` letters over {I, X} with at most one Z,
+    their weights, and the {I, X} words alone.
+
+    A word over {I, X} weighs ``ix_weight``; a Z followed by k letters here
+    weighs -2^(k + shift), as ``shift`` more letters follow in the full word.
+    The words grow one letter at a time, with I, then X, then Z put in front
+    (Z only before {I, X} words), so they stay sorted.
+    """
+    words, weights, ix = [""], [ix_weight], [""]
+    for k in range(shift, shift + length):
+        words = ["I" + w for w in words] + ["X" + w for w in words] + ["Z" + w for w in ix]
+        weights = weights + weights + [-float(1 << k)] * len(ix)
+        ix = ["I" + w for w in ix] + ["X" + w for w in ix]
+    return words, weights, ix
 
 
 def realize_dense(op_sum: WeightedPauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,16 @@ from hypothesis import strategies as st
 from ringflow.pauli import WeightedPauliSum
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(**overrides) -> dict:
+    """The environment for a child Python that imports this tree's ringflow,
+    with the default buffered standard output."""
+    env = {**os.environ, **overrides}
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,13 @@ fails, the printed line names it before the assertion detail.
 """
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
+import pytest
 
 from ringflow.circuits import (
     group_terms,
@@ -45,7 +49,7 @@ from ringflow.pauli import (
     realize_dense,
 )
 
-from conftest import DATA_DIR, random_state_vector
+from conftest import DATA_DIR, child_env, random_state_vector
 
 FOUR_PI = 4.0 * math.pi
 
@@ -199,6 +203,35 @@ def test_criterion_7_scale():
     state = init_amplitudes(n, backflow_coefficients(n).a)
     j = expectation_pauli(state, dec) / FOUR_PI
     assert abs(j - closed_form_current(n)) < 1e-9
+
+
+_PEAK_SCRIPT = """
+import re, sys
+from ringflow.cli import main
+code = main(["current", "--mode", "exact", "--n", "16", "--output", sys.argv[1]])
+status = open("/proc/self/status").read()
+print(code, re.search(r"VmHWM:\\s+(\\d+) kB", status).group(1))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_sixteen_qubit_report_peak_memory(tmp_path):
+    """``current --mode exact --n 16`` writes its 170 MB report with a peak
+    resident set of at most 300 MB, read by the child itself: a parent's
+    ``ru_maxrss`` for the child counts the parent's own pages at spawn."""
+    target = tmp_path / "report.json"
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT, str(target)],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    code, peak_kb = map(int, done.stdout.split())
+    assert code == 0
+    assert target.stat().st_size > 150e6
+    assert peak_kb <= 300 * 1024, f"peak {peak_kb / 1024:.0f} MB"
 
 
 def test_measurement_pipeline_identity():

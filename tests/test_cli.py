@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,13 +18,18 @@ from hypothesis import strategies as st
 
 import ringflow.cli
 import ringflow.experiment
-from ringflow.cli import _json_text, _NonFiniteReport, _report_text, main
+from ringflow.cli import _json_text, _NonFiniteReport, _report_chunks, main
 from ringflow.experiment import Outcomes, SettingRecord, TermRecords
 from ringflow.pauli import MAX_QUBITS
 
-from conftest import assert_same_text
+from conftest import assert_same_text, child_env
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def report_json(report) -> str:
+    """The JSON text the CLI writes for ``report``."""
+    return "".join(_report_chunks(report, "json"))
 
 
 def run_cli(capsys, *argv):
@@ -479,16 +485,16 @@ class TestJsonRenderer:
             argv = (*argv[:-1], str(data_dir / argv[-1]))
         payloads = []
         if argv[0] == "decompose" or "--range" in argv:
-            render = ringflow.cli._json_text
+            render = ringflow.cli._json_chunks
             monkeypatch.setattr(
-                ringflow.cli, "_json_text", lambda p: payloads.append(p) or render(p)
+                ringflow.cli, "_json_chunks", lambda p: payloads.append(p) or render(p)
             )
         else:
             # the plain data of the report that the command built
-            render = ringflow.cli._report_text
+            render = ringflow.cli._report_chunks
             monkeypatch.setattr(
                 ringflow.cli,
-                "_report_text",
+                "_report_chunks",
                 lambda r, fmt: payloads.append(r.to_dict()) or render(r, fmt),
             )
         code, out, _ = run_cli(capsys, *argv)
@@ -629,7 +635,7 @@ class TestColumnRenderer:
     @settings(max_examples=300, deadline=None)
     @given(column_reports())
     def test_matches_json_dumps_of_to_dict(self, report):
-        assert _report_text(report, "json") == json_dumps_oracle(report.to_dict())
+        assert report_json(report) == json_dumps_oracle(report.to_dict())
 
     @pytest.mark.parametrize(
         "make",
@@ -643,7 +649,7 @@ class TestColumnRenderer:
     )
     def test_program_reports(self, make):
         report = make()
-        assert _report_text(report, "json") == json_dumps_oracle(report.to_dict())
+        assert report_json(report) == json_dumps_oracle(report.to_dict())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -667,7 +673,7 @@ class TestColumnRenderer:
             values[len(values) // 2] = bad
             report = _with_term_column(report, column, values)
         with pytest.raises(_NonFiniteReport, match="JSON"):
-            _report_text(report, "json")
+            report_json(report)
         monkeypatch.setattr(ringflow.cli, "run_simulation", lambda *a, **k: report)
         argv = ("current", "--mode", "shots", "--n", "2", "--seed", "1")
         code, out, err = run_cli(capsys, *argv)
@@ -699,6 +705,121 @@ class TestColumnRenderer:
         assert code == 0
         assert err == ""
         assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
+
+def rows_report(size: int, with_std: bool):
+    """A three-qubit report whose term list and every outcome map have
+    ``size`` rows, with repeated floats, -0.0 and extreme values."""
+    picks = np.array([0.5, -0.0, 1e300, 5e-324, 0.1, -1.25, 0.5, 0.0])
+    floats = picks[np.arange(size) % 8]
+    records = TermRecords(
+        tuple("IXYZ"[i % 4] + "XZ"[i % 2] + "IXYZ"[i // 4 % 4] for i in range(size)),
+        -floats,
+        np.arange(size) % 3 - 1,
+        ("XXZ", "ZXX"),
+        floats[::-1].copy(),
+        floats.copy() if with_std else None,
+        np.arange(size)[::-1].copy(),
+    )
+    index = np.arange(size, dtype=np.int64)
+    setting = SettingRecord(
+        "XXZ",
+        Outcomes(3, index, floats / 7),
+        Outcomes(3, index, tuple(range(10**20, 10**20 + size))),
+        [7, 1],
+        ("XXZ",),
+    )
+    return dataclasses.replace(
+        ringflow.experiment.run_exact(3), term_records=records, setting_records=(setting,)
+    )
+
+
+_ROW_COUNTS = {"0": lambda b: 0, "1": lambda b: 1, "B": lambda b: b,
+               "B+1": lambda b: b + 1, "2B+1": lambda b: 2 * b + 1}
+
+
+class TestStreamedBlocks:
+    """The term list and the outcome maps are written ``_BLOCK_ROWS`` rows at
+    a time, after every column is checked."""
+
+    @pytest.mark.parametrize("with_std", [True, False], ids=["std", "no-std"])
+    @pytest.mark.parametrize("rows", sorted(_ROW_COUNTS))
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_blocks_match_json_dumps(self, monkeypatch, block, rows, with_std):
+        monkeypatch.setattr(ringflow.cli, "_BLOCK_ROWS", block)
+        report = rows_report(_ROW_COUNTS[rows](block), with_std)
+        chunks = list(_report_chunks(report, "json"))
+        assert "".join(chunks) == json_dumps_oracle(report.to_dict())
+        # a chunk holds at most one block of term rows or of outcome rows
+        assert max(chunk.count('"word": ') for chunk in chunks) <= block
+        assert max(len(re.findall('"[01]{3}": ', chunk)) for chunk in chunks) <= block
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "column", ["coeffs", "expectation", "std_error", "probabilities"]
+    )
+    def test_non_finite_in_last_block_writes_nothing(
+        self, capsys, monkeypatch, tmp_path, column, bad
+    ):
+        monkeypatch.setattr(ringflow.cli, "_BLOCK_ROWS", 2)
+        report = rows_report(5, with_std=True)
+        if column == "probabilities":
+            setting = report.setting_records[0]
+            probs = setting.probabilities
+            values = probs.data.copy()
+            values[-1] = bad
+            setting = dataclasses.replace(
+                setting, probabilities=Outcomes(3, probs.index, values)
+            )
+            report = dataclasses.replace(report, setting_records=(setting,))
+        else:
+            values = getattr(report.term_records, column).copy()
+            values[report.term_records.order[-1]] = bad  # the last row written
+            report = _with_term_column(report, column, values)
+        monkeypatch.setattr(ringflow.cli, "run_simulation", lambda *a, **k: report)
+        argv = ("current", "--mode", "shots", "--n", "3", "--seed", "1")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "JSON" in err
+        target = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert (code, out) == (3, "")
+        assert not target.exists()
+
+
+class TestStdoutFailures:
+    """A standard output that fails is reported like an unwritable FILE, with
+    no second error when Python flushes stdout at exit.  N = 1 fails on the
+    final flush, N = 12 (7.7 MB) while the report streams."""
+
+    @pytest.mark.parametrize("n", ["1", "12"])
+    def test_closed_pipe(self, n):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ringflow", "current", "--mode", "exact", "--n", n],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=child_env(),
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == "ringflow: cannot write <stdout>: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("n", ["1", "12"])
+    def test_full_device(self, n):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ringflow", "current", "--mode", "exact", "--n", n],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=child_env(),
+                timeout=60,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "ringflow: cannot write <stdout>: [Errno 28] No space left on device\n"
+        )
 
 
 _ODD_VALUES = st.sampled_from(

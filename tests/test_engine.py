@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from ringflow.engine import (
     h,
     init_amplitudes,
     init_basis,
+    l2_norm,
     parity_expectations,
     rotated_settings,
     ry,
@@ -38,7 +41,7 @@ from ringflow.pauli import (
     term_count,
 )
 
-from conftest import measurable_sums, random_state_vector
+from conftest import child_env, measurable_sums, random_state_vector
 
 INV_SQRT5 = 1.0 / math.sqrt(5.0)
 
@@ -340,7 +343,7 @@ def test_scale_path_builds_no_pauli_strings(monkeypatch):
     monkeypatch.setattr(PauliString, "__post_init__", counting)
     dec = current_decomposition(16)
     state = init_amplitudes(16, backflow_coefficients(16).a)
-    assert expectation_pauli(state, dec) == -32767.25000572094
+    assert expectation_pauli(state, dec) == -32767.250005722977
     run_simulation(6, shots_per_setting=100, seed=1)
     for n in (1, 5, 16):
         assert len(current_decomposition(n).terms) == term_count(n)
@@ -348,6 +351,45 @@ def test_scale_path_builds_no_pauli_strings(monkeypatch):
     last = dec.terms[-1]  # a term is built, and checked, when it is read
     assert built == [dec.words[-1]]
     assert (last.word, last.coeff) == (dec.words[-1], dec.coeffs[-1])
+
+
+_DIGITS_SCRIPT = """
+from ringflow.engine import expectation_pauli, init_amplitudes
+from ringflow.experiment import backflow_coefficients, run_exact
+from ringflow.pauli import current_decomposition
+state = init_amplitudes(16, backflow_coefficients(16).a)
+print(repr(expectation_pauli(state, current_decomposition(16))))
+print(repr(run_exact(14).j_estimate))
+"""
+
+
+def test_digits_do_not_depend_on_blas_threads():
+    """Norms are summed by numpy, not by BLAS, whose summation order
+    changes with its thread count."""
+    outputs = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", _DIGITS_SCRIPT],
+            env=child_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].split()[0] == "-32767.250005722977"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_l2_norm_matches_blas_norm(dtype):
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=1000).astype(dtype)
+    if dtype is np.complex128:
+        values += 1j * rng.normal(size=1000)
+    assert abs(l2_norm(values) - np.linalg.norm(values)) < 1e-12 * np.linalg.norm(values)
+    assert l2_norm(values[::2]) == l2_norm(values[::2].copy())
+    assert type(l2_norm(values)) is float
 
 
 def test_empty_sum_is_its_identity_weight():

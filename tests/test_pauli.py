@@ -270,6 +270,29 @@ def test_decomposition_equals_merged_sorted_construction(n):
     assert type(dec.identity_weight) is float
 
 
+def level_by_level_expansion(n_qubits: int):
+    """The expansion's words and weights as ``current_decomposition`` built
+    them before it joined halves: one letter put in front per round, for N
+    rounds.  It stays here as the reference for words, weights and order.
+    """
+    words, weights, ix = [""], [float((1 << n_qubits) - 1)], [""]
+    for k in range(n_qubits):
+        words = ["I" + w for w in words] + ["X" + w for w in words] + ["Z" + w for w in ix]
+        weights = weights + weights + [-float(1 << k)] * len(ix)
+        ix = ["I" + w for w in ix] + ["X" + w for w in ix]
+    return words, weights
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_decomposition_equals_level_by_level_build(n):
+    dec = current_decomposition(n)
+    words, weights = level_by_level_expansion(n)
+    assert dec.identity_weight == weights[0]
+    assert dec.words == tuple(words[1:])
+    assert dec.coeffs == tuple(weights[1:])
+    assert all(type(c) is float for c in dec.coeffs)
+
+
 class TestRegisterCap:
     def test_decomposition_refused_above_cap(self):
         # term_count(MAX_QUBITS + 1) words would take minutes to enumerate
