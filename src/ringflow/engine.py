@@ -15,12 +15,14 @@ N^2/2 layers for the N + 1 grouped settings instead of N^2.
 Expectation values of weighted Pauli sums are computed exactly from the
 sum's word and coefficient columns, with no per-word object.  Word
 parities come from one kernel, ``parity_expectations``: one Walsh-Hadamard
-transform of a dense outcome vector gives every word's parity average.
+transform of a dense outcome vector, or of every row of a table of them,
+gives every word's parity average.
 Sums over {I,X,Z} with at most one Z per word feed it per setting
 (``pauli.setting_plan``) in extended precision, which keeps the heavily
 weighted cancellations accurate at large N; other words act on the state
-directly.  ``experiment`` calls the sweep and the kernel in float64.
-``sample`` returns an int64 count per basis index, not bitstrings.
+directly.  ``experiment`` calls the sweep and the kernel in float64, the
+kernel once per run over all its settings.  ``sample`` returns an int64
+count per basis index, not bitstrings.
 """
 from __future__ import annotations
 
@@ -234,8 +236,26 @@ def z_probabilities(state: Statevector) -> np.ndarray:
     return amps.real**2 + amps.imag**2
 
 
+@dataclass(frozen=True, slots=True)
+class Distribution:
+    """Z-basis outcome probabilities of an N-qubit register by basis index,
+    for ``sample`` to draw from where no ``Statevector`` is at hand."""
+
+    n_qubits: int
+    probabilities: np.ndarray
+
+
+def check_shots(shots, what: str) -> None:
+    """Refuse a shot count that is not an ``int`` in [1, MAX_SHOTS]; a
+    ``bool`` or a whole float is no shot count either."""
+    if isinstance(shots, bool) or not isinstance(shots, int):
+        raise ValueError(f"{what} must be an integer, got {shots!r}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"{what} must be between 1 and {MAX_SHOTS}, got {shots}")
+
+
 def sample(
-    state: Statevector,
+    state: Statevector | Distribution,
     shots: int,
     seed=None,
     readout_flip: float = 0.0,
@@ -243,19 +263,23 @@ def sample(
     """Projective Z-basis sampling, deterministic for a given seed.
 
     Returns the int64 count of every outcome, indexed by basis index; the
-    counts add up to ``shots``.
+    counts add up to ``shots``, an ``int`` (not a ``bool``).  A
+    ``Distribution`` is drawn from as it is, a ``Statevector`` through
+    ``z_probabilities``.
 
     ``readout_flip`` applies a classical bit-flip channel to the sampled
     outcomes: each bit of each shot flips independently with that
     probability.  The generator is numpy's default PCG64; ``seed`` may be
     an int or a numpy SeedSequence.
     """
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
+    check_shots(shots, "shots")
     if not 0.0 <= readout_flip < 0.5:
         raise ValueError("readout flip probability must lie in [0, 0.5)")
     rng = np.random.default_rng(seed)
-    probs = z_probabilities(state)
+    if isinstance(state, Distribution):
+        probs = state.probabilities
+    else:
+        probs = z_probabilities(state)
     counts = rng.multinomial(shots, probs / probs.sum())
     n = state.n_qubits
     if readout_flip > 0.0:
@@ -306,23 +330,34 @@ def _expectation_direct(
     return float(total.real)
 
 
-def parity_expectations(probs: np.ndarray, masks) -> np.ndarray:
-    """Parity averages sum_j (-1)^popcount(mask & j) probs[j], one per mask.
+def parity_expectations(
+    probs: np.ndarray, masks, rows=None, overwrite: bool = False
+) -> np.ndarray:
+    """Parity averages sum_j (-1)^popcount(mask & j) probs[..., j], one per mask.
 
-    One unnormalized Walsh-Hadamard transform of the dense outcome vector
-    serves every mask; the result keeps the dtype of ``probs``.
+    One unnormalized Walsh-Hadamard transform of each dense outcome vector
+    (the last axis of ``probs``) serves every mask; the result keeps the
+    dtype of ``probs``.  A 2-D ``probs`` holds one outcome vector per row,
+    each transformed by the same steps as a 1-D call on that row.  Every
+    row is read at every mask, or with ``rows`` (one row index per mask)
+    each mask at its own row.  With ``overwrite`` the transform runs in
+    ``probs`` itself, which must then be C-contiguous.
     """
-    out = probs.copy()
-    size = out.size
+    if overwrite and not probs.flags.c_contiguous:
+        raise ValueError("an overwritten outcome table must be C-contiguous")
+    out = probs if overwrite else probs.copy()
+    size = out.shape[-1]
     half = 1
     while half < size:
+        # a view, as the blocks of 2 * half entries never straddle a row
         v = out.reshape(-1, 2, half)
         a = v[:, 0, :].copy()
         b = v[:, 1, :]
-        v[:, 0, :] = a + b
-        v[:, 1, :] = a - b
+        np.add(a, b, out=v[:, 0, :])
+        np.subtract(a, b, out=b)
         half *= 2
-    return out[np.asarray(masks, dtype=np.int64)]
+    masks = np.asarray(masks, dtype=np.int64)
+    return out[..., masks] if rows is None else out[rows, masks]
 
 
 def _hadamard_layer(amps: np.ndarray, n_qubits: int, pos: int, scale=None) -> None:

@@ -8,16 +8,22 @@ The word-expansion estimator is specific to theta0 = 0; nonzero angles are
 available through the exact path only.
 
 Each setting's outcomes (exact probabilities, counts / shots, or supplied
-data) become one dense float64 vector, and one ``parity_expectations``
-call writes all of that setting's word expectations into the report's
-expectation column.  Setting records keep their outcomes as columns
-(``Outcomes``), from the sampler or the bulk input parser to the JSON
-writer; bitstring keys are made only when a map is read.  The estimators
-read the expansion's word and coefficient columns.  A simulation makes one
-``word_masks`` call per run, for the parity masks and for the setting plan
-(``pauli.setting_plan``, or one setting per word), and rotates the state
-into every setting with ``engine.rotated_settings``, the one sweep that
-the exact expectation uses too.
+data) become one dense float64 vector, and ``parity_expectations`` turns
+them into the report's expectation column.  Setting records keep their
+outcomes as columns (``Outcomes``), from the sampler or the bulk input
+parser to the JSON writer; bitstring keys are made only when a map is
+read.  The estimators read the expansion's word and coefficient columns.
+
+A simulation reads everything that N and the grouping fix from the
+register's layout (``_Layout``): the expansion, its parity masks, the
+setting plan (``pauli.setting_plan``, or one setting per word) with its
+basis words and word tuples, the prepared state and the exact current.
+The layout is built once and kept for N up to ``LAYOUT_CACHE_QUBITS``.
+Each run then rotates the state into every setting with
+``engine.rotated_settings``, the one sweep that the exact expectation uses
+too, squares the parts into a settings x 2^N outcome table, draws the
+shots row by row, and transforms the whole table with one
+``parity_expectations`` call.
 
 All estimators assemble J as (identity_weight + sum coeff * <V>) / 4pi
 from their own term columns (``TermRecords``), and every report
@@ -42,18 +48,20 @@ from .circuits import (
 )
 from .engine import (
     _INV_SQRT2,
-    MAX_SHOTS,
-    Statevector,
+    NORM_TOL,
+    Distribution,
+    NormDriftError,
     apply_circuit,
+    check_shots,
     init_amplitudes,
     init_basis,
     l2_norm,
     parity_expectations,
     rotated_settings,
     sample,
-    z_probabilities,
 )
 from .pauli import (
+    check_qubits,
     check_register,
     current_decomposition,
     setting_plan,
@@ -61,8 +69,10 @@ from .pauli import (
 )
 
 # unused here, but bench/spans.py times experiment.index_masks,
-# experiment.group_terms and experiment.measurement_circuit as layers
+# experiment.group_terms, experiment.measurement_circuit and
+# experiment.z_probabilities as layers
 from .circuits import group_terms, measurement_circuit  # noqa: F401
+from .engine import z_probabilities  # noqa: F401
 from .pauli import index_masks  # noqa: F401
 
 FOUR_PI = 4.0 * math.pi
@@ -371,10 +381,11 @@ def _prepared_state(n_qubits: int, coeffs: BackflowCoefficients):
 
 
 def _finish_report(
-    mode, identity_weight, term_records, setting_records, family, **fields
+    mode, identity_weight, term_records, setting_records, family, j_exact=None, **fields
 ) -> ExperimentReport:
     """The report on ``family``'s state from its terms and settings; ``fields``
-    are those that differ from the ``ExperimentReport`` defaults."""
+    are those that differ from the ``ExperimentReport`` defaults.  ``j_exact``
+    is the state's exact current, evaluated here when not given."""
     coeffs = term_records.coeffs
     weighted = identity_weight + math.fsum(
         (coeffs * term_records.expectation).tolist()
@@ -387,6 +398,8 @@ def _finish_report(
         j_std = math.sqrt(math.fsum(squares)) / FOUR_PI
     else:
         j_std = None
+    if j_exact is None:
+        j_exact = exact_current(family.a, 0.0)
     j_closed = closed_form_current(family.n_qubits)
     return ExperimentReport(
         **fields,
@@ -397,10 +410,110 @@ def _finish_report(
         setting_records=tuple(setting_records),
         j_estimate=j_estimate,
         j_std_error=j_std,
-        j_exact=exact_current(family.a, 0.0),
+        j_exact=j_exact,
         j_closed_form=j_closed,
         relative_error=relative_error(j_estimate, j_closed),
     )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, slots=True)
+class _Layout:
+    """What a simulation of one register needs that depends on N and the
+    grouping alone, shared read-only by every report made from it.
+
+    The expansion's columns (``words`` is its own tuple, ``coeffs`` float64),
+    each word's parity mask, and per setting, in plan order: its Z mask,
+    basis word and words.  ``term_setting`` is each word's setting index and
+    ``order`` the words in record order, setting by setting.  ``family`` is
+    the backflowing family, ``amplitudes`` its prepared state, ``prep`` how
+    it was prepared (copied into each report) and ``j_exact`` its exact
+    current.
+    """
+
+    words: tuple[str, ...]
+    coeffs: np.ndarray
+    identity_weight: float
+    parity_masks: np.ndarray
+    zmasks: tuple[int, ...]
+    bases: tuple[str, ...]
+    setting_terms: tuple[tuple[str, ...], ...]
+    term_setting: np.ndarray
+    order: np.ndarray
+    family: BackflowCoefficients
+    amplitudes: np.ndarray
+    prep: dict
+    j_exact: float
+
+
+#: Registers up to this size keep their layout for the life of the process;
+#: at 12 qubits a layout is 28 671 words and about 3 MB.  Larger layouts are
+#: built for each run and go with its report.
+LAYOUT_CACHE_QUBITS = 12
+
+_LAYOUTS: dict[tuple[int, bool], _Layout] = {}
+
+
+def _layout(n_qubits: int, grouped: bool) -> _Layout:
+    """The register's layout, from the cache when N <= LAYOUT_CACHE_QUBITS."""
+    key = (n_qubits, bool(grouped))
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        layout = _build_layout(n_qubits, grouped)
+        if n_qubits <= LAYOUT_CACHE_QUBITS:
+            _LAYOUTS[key] = layout
+    return layout
+
+
+def _build_layout(n_qubits: int, grouped: bool) -> _Layout:
+    decomp = current_decomposition(n_qubits)
+    coeffs = backflow_coefficients(n_qubits)
+    state, prep = _prepared_state(n_qubits, coeffs)
+    words = decomp.words
+    # the expansion has no Y, so a word's parity mask is its X and Z letters
+    mx, _, mz = word_masks(words, n_qubits)
+    if grouped:
+        plan = setting_plan(mz, n_qubits)
+        term_setting = np.empty(len(words), dtype=np.int64)
+        for k, (_, members) in enumerate(plan):
+            term_setting[members] = k
+        order = np.concatenate([members for _, members in plan])
+    else:
+        # one setting per word: X at its X letters, Z everywhere else
+        full = (1 << n_qubits) - 1
+        term_setting = order = np.arange(len(words))
+        plan = list(zip((full ^ mx).tolist(), order[:, None]))
+    zmasks = tuple(zmask for zmask, _ in plan)
+    return _Layout(
+        words=words,
+        coeffs=_read_only(np.array(decomp.coeffs, dtype=np.float64)),
+        identity_weight=decomp.identity_weight,
+        parity_masks=_read_only(mx | mz),
+        zmasks=zmasks,
+        bases=tuple(
+            MeasurementSetting.from_z_mask(zmask, n_qubits).basis_word
+            for zmask in zmasks
+        ),
+        setting_terms=tuple(
+            tuple(map(words.__getitem__, members.tolist())) for _, members in plan
+        ),
+        term_setting=_read_only(term_setting),
+        order=_read_only(order),
+        family=coeffs,
+        amplitudes=_read_only(state.amplitudes),
+        prep=prep,
+        j_exact=exact_current(coeffs.a, 0.0),
+    )
+
+
+def _copy_prep(prep: dict) -> dict:
+    # one level down is enough: the angles are the only nested map
+    return {key: dict(value) if isinstance(value, dict) else value
+            for key, value in prep.items()}
 
 
 def run_simulation(
@@ -414,66 +527,70 @@ def run_simulation(
 
     The backflowing state is synthesized from rotations for one or two
     qubits and loaded as amplitudes otherwise.  Each measurement setting
-    samples ``shots_per_setting`` outcomes with its own generator, seeded
-    from [seed, setting_index]; ``shots_per_setting=None`` replaces the
-    samples with the exact outcome probabilities (the infinite-shot limit,
-    reported as mode "exact").
+    samples ``shots_per_setting`` outcomes (an ``int``) with its own
+    generator, seeded from [seed, setting_index]; ``shots_per_setting=None``
+    replaces the samples with the exact outcome probabilities (the
+    infinite-shot limit, reported as mode "exact"), which takes no readout
+    flip.
+
+    Everything fixed by N and ``grouped`` (the expansion, parity masks,
+    setting plan, prepared state and exact current) comes from the
+    register's layout, built on the first run and kept for N up to
+    LAYOUT_CACHE_QUBITS.  A run rotates the state into every setting,
+    squares the float64 parts into one settings x 2^N outcome table, draws
+    the shots per row, and makes one ``parity_expectations`` call over the
+    whole table, in place; one gather reads every word's expectation.
     """
-    if shots_per_setting is not None and not 1 <= shots_per_setting <= MAX_SHOTS:
-        raise ValueError(
-            f"shots per setting must be between 1 and {MAX_SHOTS}, got {shots_per_setting}"
-        )
-    decomp = current_decomposition(n_qubits)
-    coeffs = backflow_coefficients(n_qubits)
-    state, prep = _prepared_state(n_qubits, coeffs)
-    words, term_coeffs = decomp.words, decomp.coeffs
-    # the expansion has no Y, so a word's parity mask is its X and Z letters
-    mx, _, mz = word_masks(words, n_qubits)
-    parity_masks = mx | mz
-    if grouped:
-        plan = setting_plan(mz, n_qubits)
-    else:
-        # one setting per word: X at its X letters, Z everywhere else
-        full = (1 << n_qubits) - 1
-        plan = list(zip((full ^ mx).tolist(), np.arange(len(words))[:, None]))
     sampling = shots_per_setting is not None
+    if sampling:
+        check_shots(shots_per_setting, "shots per setting")
+    elif readout_flip != 0.0:
+        raise ValueError("a readout flip needs sampling; exact mode has no shots")
+    check_qubits(n_qubits)
+    check_register(n_qubits)
+    layout = _layout(n_qubits, grouped)
     if sampling and seed is None:
         seed = int(np.random.SeedSequence().entropy) % (1 << 32)
-    expectation = np.empty(len(words))
-    term_setting = np.empty(len(words), dtype=np.int64)
-    # filled in the sweep's order, which need not be the plan's
-    setting_records: list = [None] * len(plan)
-    zmasks = [zmask for zmask, _ in plan]
-    sweep = rotated_settings(state.amplitudes, n_qubits, zmasks, np.float64, _INV_SQRT2)
+    table = np.empty((len(layout.zmasks), 1 << n_qubits))
+    sweep = rotated_settings(
+        layout.amplitudes, n_qubits, layout.zmasks, np.float64, _INV_SQRT2
+    )
     for k, parts in sweep:
-        zmask, members = plan[k]
-        amps = parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
-        # the state's own norm check guards the sweep against drift
-        rotated = Statevector(n_qubits, amps)
+        np.square(parts[0], out=table[k])
+        if len(parts) > 1:
+            table[k] += np.square(parts[1])
+    # a unit norm after the sweep guards it against drift (NaN fails too)
+    drift = np.abs(np.sqrt(table.sum(axis=1)) - 1.0)
+    if not (drift <= NORM_TOL).all():
+        raise NormDriftError(f"norm drifted by {float(drift.max())!r}")
+    setting_records = []
+    for k, outcomes in enumerate(table):
         if sampling:
             entropy = [seed, k]
             counts = sample(
-                rotated,
+                Distribution(n_qubits, outcomes),
                 shots_per_setting,
                 seed=np.random.SeedSequence(entropy),
                 readout_flip=readout_flip,
             )
-            outcomes = counts / shots_per_setting
+            np.divide(counts, shots_per_setting, out=outcomes)
         else:
             entropy = None
-            outcomes = z_probabilities(rotated)
-        expectation[members] = parity_expectations(outcomes, parity_masks[members])
-        term_setting[members] = k
         nonzero = np.flatnonzero(outcomes)
-        setting_records[k] = SettingRecord(
-            MeasurementSetting.from_z_mask(zmask, n_qubits).basis_word,
-            Outcomes(n_qubits, nonzero, outcomes[nonzero]),
-            Outcomes(n_qubits, nonzero, tuple(counts[nonzero].tolist()))
-            if sampling
-            else None,
-            entropy,
-            tuple(map(words.__getitem__, members.tolist())),
+        setting_records.append(
+            SettingRecord(
+                layout.bases[k],
+                Outcomes(n_qubits, nonzero, outcomes[nonzero]),
+                Outcomes(n_qubits, nonzero, tuple(counts[nonzero].tolist()))
+                if sampling
+                else None,
+                entropy,
+                layout.setting_terms[k],
+            )
         )
+    expectation = parity_expectations(
+        table, layout.parity_masks, rows=layout.term_setting, overwrite=True
+    )
     if sampling:
         # the IEEE steps of sqrt(max(0, 1 - v * v) / shots), over the column
         variance = np.maximum(0.0, 1.0 - expectation * expectation) / shots_per_setting
@@ -481,27 +598,27 @@ def run_simulation(
     else:
         std_error = None
     term_records = TermRecords(
-        words,
-        term_coeffs,
-        term_setting,
-        [s.basis_word for s in setting_records],
+        layout.words,
+        layout.coeffs,
+        layout.term_setting,
+        layout.bases,
         expectation,
         std_error,
-        # records run setting by setting
-        np.concatenate([members for _, members in plan]),
+        layout.order,
     )
     return _finish_report(
         "shots" if sampling else "exact",
-        decomp.identity_weight,
+        layout.identity_weight,
         term_records,
         setting_records,
-        coeffs,
+        layout.family,
+        layout.j_exact,
         shots_per_setting=shots_per_setting,
         seed=seed if sampling else None,
         grouped=grouped,
         readout_flip=readout_flip,
         rng=_RNG_NAME if sampling else None,
-        prep=prep,
+        prep=_copy_prep(layout.prep),
     )
 
 

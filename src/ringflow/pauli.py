@@ -251,8 +251,9 @@ def check_register(n_qubits: int) -> None:
         )
 
 
-def _check_qubits(n_qubits: int) -> None:
-    if not isinstance(n_qubits, int) or n_qubits < 1:
+def check_qubits(n_qubits: int) -> None:
+    """Refuse a qubit count that is not a positive ``int`` (a ``bool`` is none)."""
+    if isinstance(n_qubits, bool) or not isinstance(n_qubits, int) or n_qubits < 1:
         raise ValueError(f"qubit count must be a positive integer, got {n_qubits!r}")
 
 
@@ -266,13 +267,13 @@ def _check_cap(n_qubits: int, cap: int) -> None:
 
 def term_count(n_qubits: int) -> int:
     """Number of non-identity words in the current-operator expansion."""
-    _check_qubits(n_qubits)
+    check_qubits(n_qubits)
     return 2**n_qubits + n_qubits * 2 ** (n_qubits - 1) - 1
 
 
 def dense_current_matrix(n_qubits: int, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     """Dense current operator: entry (m, n) = m + n, exact int64."""
-    _check_qubits(n_qubits)
+    check_qubits(n_qubits)
     _check_cap(n_qubits, cap)
     m = np.arange(1 << n_qubits, dtype=np.int64)
     return m[:, None] + m[None, :]
@@ -293,7 +294,7 @@ def current_decomposition(n_qubits: int) -> WeightedPauliSum:
     become the sum's columns as they are; no ``PauliString`` is built.
     Registers beyond MAX_QUBITS are refused before anything is built.
     """
-    _check_qubits(n_qubits)
+    check_qubits(n_qubits)
     check_register(n_qubits)
     low = n_qubits // 2
     ix_weight = float((1 << n_qubits) - 1)

@@ -11,6 +11,7 @@ import ringflow.engine
 from ringflow.circuits import MeasurementSetting, measurement_circuit
 from ringflow.engine import (
     MAX_SHOTS,
+    Distribution,
     Gate,
     NormDriftError,
     Statevector,
@@ -411,6 +412,42 @@ def test_parity_expectations_match_popcount_sum(dtype):
         assert abs(value - (signs * probs).sum()) < 1e-15
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_parity_expectations_rows_equal_one_row_at_a_time(n, dtype):
+    """A 2-D outcome table gives, bit for bit, the values of one 1-D call
+    per row, whether every row is read at every mask or each mask at its
+    own row, and whether the table is copied or overwritten."""
+    rng = np.random.default_rng(60 + n)
+    table = rng.random((n + 2, 1 << n)).astype(dtype)
+    table /= table.sum(axis=1, keepdims=True)
+    masks = rng.integers(0, 1 << n, size=3 * n + 5)
+    rows = rng.integers(0, n + 2, size=masks.size)
+    one_by_one = np.stack([parity_expectations(row, masks) for row in table])
+    batched = parity_expectations(table, masks)
+    assert batched.dtype == dtype
+    assert_same_bits(batched, one_by_one)
+    overwritten = table.copy()
+    gathered = parity_expectations(overwritten, masks, rows=rows, overwrite=True)
+    assert_same_bits(gathered, one_by_one[rows, np.arange(masks.size)])
+    # the overwritten table holds the whole transform
+    assert_same_bits(overwritten[:, masks], batched)
+
+
+def assert_same_bits(got, want):
+    # equal finite values of one dtype have equal bits, but for the sign of
+    # zero; longdouble's padding bytes rule out comparing tobytes()
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_parity_expectations_refuses_to_overwrite_a_strided_table():
+    table = np.full((4, 4), 0.25)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        parity_expectations(table[:, ::2], [0], overwrite=True)
+
+
 class TestProbabilitiesAndSampling:
     def test_z_probabilities_backflow_two_qubit(self, psi2):
         np.testing.assert_allclose(
@@ -476,6 +513,20 @@ class TestProbabilitiesAndSampling:
             sample(init_basis(1, 0), 10, seed=0, readout_flip=0.5)
         with pytest.raises(ValueError):
             sample(init_basis(1, 0), 0, seed=0)
+
+    @pytest.mark.parametrize("shots", [10.7, 10.0, True, "10"], ids=repr)
+    def test_shot_count_must_be_an_int(self, shots):
+        """A float, a bool or a string is refused with a ValueError naming
+        it, not truncated into a count (10.7 drew 10 shots)."""
+        with pytest.raises(ValueError, match=f"must be an integer, got {shots!r}"):
+            sample(init_basis(1, 0), shots, seed=0)
+
+    def test_distribution_draws_like_its_state(self, psi2):
+        """A ``Distribution`` of a state's probabilities draws the state's counts."""
+        for flip in (0.0, 0.2):
+            want = sample(psi2, 5000, seed=8, readout_flip=flip)
+            got = sample(Distribution(2, z_probabilities(psi2)), 5000, seed=8, readout_flip=flip)
+            np.testing.assert_array_equal(got, want)
 
     def test_huge_shot_count_refused(self):
         """Counts are drawn as int64: more shots than that is a ValueError

@@ -1,14 +1,28 @@
 import json
 import math
 import numbers
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from ringflow.circuits import MeasurementSetting, measurement_circuit, parity_sign
-from ringflow.engine import apply_circuit, parity_expectations, sample, z_probabilities
+import ringflow.experiment
+from ringflow.circuits import (
+    MeasurementSetting,
+    backflow_prep_angles,
+    measurement_circuit,
+    parity_sign,
+)
+from ringflow.engine import (
+    NormDriftError,
+    apply_circuit,
+    parity_expectations,
+    sample,
+    z_probabilities,
+)
 from ringflow.experiment import (
     _check_types,
     _finish_report,
@@ -38,7 +52,7 @@ from ringflow.pauli import (
     word_masks,
 )
 
-from conftest import assert_same_text, random_state_vector
+from conftest import assert_same_text, child_env, random_state_vector
 
 FOUR_PI = 4.0 * math.pi
 
@@ -238,6 +252,22 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             run_simulation(1, 0)
 
+    @pytest.mark.parametrize("shots", [100.5, 100.0, True], ids=repr)
+    def test_shot_count_must_be_an_int(self, shots):
+        """A float or a bool is refused, naming it: 100.5 drew 100 shots a
+        setting but divided by 100.5, and True printed as the shot count."""
+        with pytest.raises(ValueError, match=f"must be an integer, got {shots!r}"):
+            run_simulation(3, shots, seed=1)
+
+    def test_exact_mode_refuses_a_readout_flip(self):
+        """Exact probabilities take no flip channel; the report would record
+        a flip that was never applied."""
+        with pytest.raises(ValueError, match="readout flip needs sampling"):
+            run_simulation(3, None, readout_flip=0.9)
+        with pytest.raises(ValueError, match="readout flip needs sampling"):
+            run_simulation(3, None, readout_flip=0.01)
+        assert run_simulation(3, None, readout_flip=0.0).readout_flip == 0.0
+
     def test_rejects_huge_shot_counts(self):
         """More shots than an int64 count holds is a ValueError naming the
         value, before anything is sampled."""
@@ -342,6 +372,94 @@ def test_reports_equal_the_per_gate_loop(n, grouped, shots, flip):
         json.dumps(got.to_dict(), indent=1, sort_keys=True),
         json.dumps(want.to_dict(), indent=1, sort_keys=True),
     )
+
+
+_CASES = [(4, 700, 12, 0.01, True), (4, None, None, 0.0, True), (3, 300, 5, 0.1, False)]
+
+_REPORT_TEXTS = """
+import json, sys
+from ringflow.experiment import run_simulation
+texts = [
+    json.dumps(run_simulation(n, shots, seed=seed, grouped=grouped, readout_flip=flip)
+               .to_dict(), sort_keys=True)
+    for n, shots, seed, flip, grouped in json.loads(sys.argv[1])
+]
+print(json.dumps(texts))
+"""
+
+
+class TestLayout:
+    """What depends on N alone is built once per (N, grouping) and shared
+    read-only by the reports made from it."""
+
+    def test_reports_equal_those_of_a_fresh_process(self):
+        for n, seed, flip in [(5, 3, 0.0), (2, 9, 0.1), (4, 1, 0.3), (3, 2, 0.0)]:
+            run_simulation(n, 500, seed=seed, readout_flip=flip)
+            run_simulation(n, None, grouped=False)
+        here = [
+            json.dumps(
+                run_simulation(n, shots, seed=seed, grouped=grouped, readout_flip=flip)
+                .to_dict(), sort_keys=True,
+            )
+            for n, shots, seed, flip, grouped in _CASES
+        ]
+        child = subprocess.run(
+            [sys.executable, "-c", _REPORT_TEXTS, json.dumps(_CASES)],
+            env=child_env(), capture_output=True, text=True, check=True,
+        )
+        assert json.loads(child.stdout) == here
+
+    @pytest.mark.parametrize("column", ["setting_index", "order", "coeffs"])
+    def test_shared_columns_are_read_only(self, column):
+        report = run_simulation(3, 100, seed=1)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(report.term_records, column)[0] = 5
+        assert report.to_dict() == run_simulation(3, 100, seed=1).to_dict()
+
+    def test_prep_is_each_reports_own(self):
+        first = run_simulation(2, 100, seed=1)
+        first.prep["angles"]["alpha0"] = 0.0
+        first.prep["method"] = "changed"
+        second = run_simulation(2, 100, seed=1)
+        assert second.prep["angles"] == backflow_prep_angles(2)
+        assert second.prep["method"] == "rotation-synthesis"
+
+    def test_built_once_per_register_up_to_the_cache_size(self, monkeypatch):
+        calls = []
+        decompose = ringflow.experiment.current_decomposition
+        monkeypatch.setattr(
+            ringflow.experiment,
+            "current_decomposition",
+            lambda n: calls.append(n) or decompose(n),
+        )
+        monkeypatch.setattr(ringflow.experiment, "_LAYOUTS", {})
+        for seed in range(10):
+            run_simulation(4, 200, seed=seed, readout_flip=0.01 * (seed % 2))
+        assert calls == [4]
+        assert ringflow.experiment.LAYOUT_CACHE_QUBITS < 13
+        run_simulation(13, 10, seed=1)
+        run_simulation(13, 10, seed=2)
+        assert calls == [4, 13, 13]
+
+    def test_rotated_norm_is_checked(self, monkeypatch):
+        """A sweep that loses norm fails the run rather than being sampled."""
+        sweep = ringflow.experiment.rotated_settings
+
+        def drifting(*args):
+            for k, parts in sweep(*args):
+                yield k, [part * (1.0 + 1e-6) for part in parts]
+
+        monkeypatch.setattr(ringflow.experiment, "rotated_settings", drifting)
+        for shots in (100, None):
+            with pytest.raises(NormDriftError, match="norm drifted"):
+                run_simulation(3, shots, seed=1)
+
+    def test_qubit_count_checked_before_the_lookup(self):
+        """2.0 hashes like 2, so it is refused as before any layout is read."""
+        run_simulation(2, 10, seed=1)
+        for bad in (2.0, True, 0):
+            with pytest.raises(ValueError, match=f"positive integer, got {bad!r}"):
+                run_simulation(bad, 10, seed=1)
 
 
 def assert_records_match_parity_oracle(report):
