@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Gate, apply_circuit, cnot, h, init_basis, ry
-from .pauli import PauliString, PauliTerms, WeightedPauliSum, setting_plan, word_masks
+from .pauli import PauliString, PauliTerms, WeightedPauliSum, setting_plan
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,18 +157,15 @@ def group_terms(op_sum: WeightedPauliSum) -> dict[MeasurementSetting, PauliTerms
     of settings.  Each setting's terms keep their order in ``op_sum``.
     """
     n = op_sum.n_qubits
-    _, my, mz = word_masks(op_sum.words, n)
+    _, my, mz = op_sum.masks
     bad = np.flatnonzero(my | (mz & (mz - 1)))
     if bad.size:
         word = op_sum.words[bad[0]]
         raise ValueError(f"term {word} not measurable with Z/X settings")
-    out: dict[MeasurementSetting, PauliTerms] = {}
-    for zmask, members in setting_plan(mz, n):
-        members = members.tolist()
-        out[MeasurementSetting.from_z_mask(zmask, n)] = PauliTerms(
-            [op_sum.words[i] for i in members], [op_sum.coeffs[i] for i in members]
-        )
-    return out
+    return {
+        MeasurementSetting.from_z_mask(zmask, n): op_sum._take(members).terms
+        for zmask, members in setting_plan(mz, n)
+    }
 
 
 def parity_sign(term: PauliString, outcome: str) -> int:

@@ -26,12 +26,15 @@ same C code that ``json.dumps`` uses.
 The two bulky parts of a report are written from the report's own
 columns, which ``ExperimentReport.to_dict(columns=True)`` leaves in
 place: ``_render`` writes a ``TermRecords`` as the term list and an
-``Outcomes`` as ``"key": value`` rows in ascending key order.  Every row
-follows one template, whose fixed parts are interleaved with the column
-texts in an object grid and joined, so no row string is made.  Float
-text is ``float.__repr__``, which is what the C encoder writes, called
-once per distinct bit pattern of a block of rows (``np.unique`` over its
-int64 view, so -0.0 and 0.0 stay apart); nothing is kept between renders.
+``Outcomes`` as ``"key": value`` rows in ascending key order.  So is the
+term list of ``decompose``: ``_render`` writes a ``WeightedPauliSum`` as
+the ``terms`` of its ``to_dict``, from its word and coefficient columns.
+Every row follows one template, whose fixed parts are interleaved with
+the column texts in an object grid and joined, so no row string is
+made.  Float text is ``float.__repr__``, which is what the C encoder
+writes, called once per distinct bit pattern of a block of rows
+(``np.unique`` over its int64 view, so -0.0 and 0.0 stay apart); nothing
+is kept between renders.
 
 Writing goes in two passes.  The first encodes every flat container and
 checks every column with ``np.isfinite``, so a report holding NaN or
@@ -237,7 +240,7 @@ _INDENT = "  "
 #: time, and the most plain pieces written in one chunk
 _BLOCK_ROWS = 1 << 13
 # by exact type: a payload holds plain containers and the report's columns
-_CONTAINERS = frozenset((dict, list, tuple, TermRecords, Outcomes))
+_CONTAINERS = frozenset((dict, list, tuple, TermRecords, Outcomes, WeightedPauliSum))
 
 
 def _flat_encoder(depth: int):
@@ -304,6 +307,16 @@ def _row_blocks(open_: str, parts: list, column_texts, rows: int, close: str, de
 _TERM_KEYS = ("coeff", "expectation", "setting", "std_error", "word")
 
 
+def _object_parts(keys, depth: int) -> list:
+    """The fixed parts of a list item that is an object with ``keys`` (in
+    sorted order), one text before each value and one after the last."""
+    inner = "\n" + _INDENT * (depth + 2)
+    parts = [f"{inner}{json.dumps(key)}: " for key in keys]
+    parts = ["{" + parts[0], *("," + part for part in parts[1:])]
+    parts.append("\n" + _INDENT * (depth + 1) + "}")
+    return parts
+
+
 def _terms_blocks(records: TermRecords, depth: int, encode):
     """The term list from the term columns, each checked here in full; its
     text is made a block at a time as it is read."""
@@ -326,11 +339,24 @@ def _terms_blocks(records: TermRecords, depth: int, encode):
             _texts(map(encode_basestring_ascii, words)),
         ]
 
-    inner = "\n" + _INDENT * (depth + 2)
-    parts = [f"{inner}{json.dumps(key)}: " for key in _TERM_KEYS]
-    parts = ["{" + parts[0], *("," + part for part in parts[1:])]
-    parts.append("\n" + _INDENT * (depth + 1) + "}")
+    parts = _object_parts(_TERM_KEYS, depth)
     return _row_blocks("[", parts, column_texts, len(order), "]", depth)
+
+
+def _sum_terms_blocks(op_sum: WeightedPauliSum, depth: int):
+    """A sum's term list, as ``WeightedPauliSum.to_dict`` holds it, from its
+    coefficient and word columns (a sum's coefficients are finite); its
+    text is made a block at a time as it is read."""
+    words, coeffs = op_sum.words, op_sum.coeff_array
+
+    def column_texts(start, stop):
+        return [
+            _float_texts(coeffs[start:stop]),
+            _texts(map(encode_basestring_ascii, words[start:stop])),
+        ]
+
+    parts = _object_parts(("coeff", "word"), depth)
+    return _row_blocks("[", parts, column_texts, len(coeffs), "]", depth)
 
 
 def _outcomes_blocks(outcomes: Outcomes, depth: int, encode):
@@ -362,6 +388,9 @@ def _render(value, depth: int, out: list, encoders: list) -> None:
         return
     if type(value) is Outcomes:
         out.append(_outcomes_blocks(value, depth, encode))
+        return
+    if type(value) is WeightedPauliSum:
+        out.append(_sum_terms_blocks(value, depth))
         return
     if isinstance(value, dict):
         children = value.values()
@@ -424,7 +453,8 @@ def _json_text(payload) -> str:
 
 def _sum_chunks(op_sum: WeightedPauliSum, fmt: str, dense):
     if fmt == "json":
-        payload = op_sum.to_dict()
+        # the sum stands for its term list, written from its columns
+        payload = {"n": op_sum.n_qubits, "lambda0": op_sum.identity_weight, "terms": op_sum}
         if dense is not None:
             payload["dense"] = dense.tolist()
         return _json_chunks(payload)

@@ -13,10 +13,10 @@ Hadamards already applied before it and add the ones after it: about
 N^2/2 layers for the N + 1 grouped settings instead of N^2.
 
 Expectation values of weighted Pauli sums are computed exactly from the
-sum's word and coefficient columns, with no per-word object.  Word
-parities come from one kernel, ``parity_expectations``: one Walsh-Hadamard
-transform of a dense outcome vector, or of every row of a table of them,
-gives every word's parity average.
+sum's mask and coefficient arrays, with no word string or per-word
+object.  Word parities come from one kernel, ``parity_expectations``: one
+Walsh-Hadamard transform of a dense outcome vector, or of every row of a
+table of them, gives every word's parity average.
 Sums over {I,X,Z} with at most one Z per word feed it per setting
 (``pauli.setting_plan``) in extended precision, which keeps the heavily
 weighted cancellations accurate at large N; other words act on the state
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import WeightedPauliSum, index_masks, setting_plan, word_masks
+from .pauli import WeightedPauliSum, setting_plan
 
 #: Norm drift beyond this after a kernel indicates an engine bug.
 NORM_TOL = 1e-9
@@ -298,11 +298,10 @@ def expectation_pauli(
         raise ValueError(
             f"operator acts on {op_sum.n_qubits} qubits, state has {state.n_qubits}"
         )
-    masks = word_masks(op_sum.words, op_sum.n_qubits)
-    _, my, mz = masks
+    _, my, mz = op_sum.masks
     # no Y anywhere, and at most one Z per word
     if not my.any() and not (mz & (mz - 1)).any():
-        return _expectation_grouped(state, op_sum, masks)
+        return _expectation_grouped(state, op_sum)
     return _expectation_direct(state, op_sum, imag_tol)
 
 
@@ -313,8 +312,8 @@ def _expectation_direct(
     bra = psi.conj()
     idx = np.arange(psi.size)
     total = complex(op_sum.identity_weight)
-    for word, coeff in zip(op_sum.words, op_sum.coeffs):
-        mx, my, mz = index_masks(word)
+    columns = (*op_sum.masks, op_sum.coeff_array)
+    for mx, my, mz, coeff in zip(*(column.tolist() for column in columns)):
         flip = mx | my
         phase = mz | my
         row = bra if flip == 0 else bra[idx ^ flip]
@@ -398,15 +397,10 @@ def rotated_settings(amps: np.ndarray, n_qubits: int, zmasks, dtype, scale=None)
         yield k, rotated
 
 
-def _expectation_grouped(
-    state: Statevector, op_sum: WeightedPauliSum, masks=None
-) -> float:
+def _expectation_grouped(state: Statevector, op_sum: WeightedPauliSum) -> float:
     n = state.n_qubits
-    if masks is None:
-        masks = word_masks(op_sum.words, n)
-    mx, _, mz = masks
-    # float64 first: a direct longdouble conversion is several times slower
-    coeffs = np.array(op_sum.coeffs, dtype=np.float64).astype(np.longdouble)
+    mx, _, mz = op_sum.masks
+    coeffs = op_sum.coeff_array.astype(np.longdouble)
     parity_masks = mx | mz
     plan = setting_plan(mz, n)
     sums = [None] * len(plan)

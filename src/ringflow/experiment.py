@@ -12,7 +12,8 @@ data) become one dense float64 vector, and ``parity_expectations`` turns
 them into the report's expectation column.  Setting records keep their
 outcomes as columns (``Outcomes``), from the sampler or the bulk input
 parser to the JSON writer; bitstring keys are made only when a map is
-read.  The estimators read the expansion's word and coefficient columns.
+read.  The estimators read the expansion's masks and coefficient array;
+its words are read only for the report.
 
 A simulation reads everything that N and the grouping fix from the
 register's layout (``_Layout``): the expansion, its parity masks, the
@@ -22,8 +23,9 @@ The layout is built once and kept for N up to ``LAYOUT_CACHE_QUBITS``.
 Each run then rotates the state into every setting with
 ``engine.rotated_settings``, the one sweep that the exact expectation uses
 too, squares the parts into a settings x 2^N outcome table, draws the
-shots row by row, and transforms the whole table with one
-``parity_expectations`` call.
+shots row by row, and transforms the table with one
+``parity_expectations`` call; a per-term run, with one setting per word,
+does so for one bounded block of settings at a time.
 
 All estimators assemble J as (identity_weight + sum coeff * <V>) / 4pi
 from their own term columns (``TermRecords``), and every report
@@ -450,6 +452,11 @@ class _Layout:
     j_exact: float
 
 
+#: Outcome-table entries a per-term run fills, samples and transforms at a
+#: time (2 MiB of float64): with one setting per word, the whole table would
+#: be about N * 4^N entries.  A grouped run is always one block.
+_PER_TERM_BLOCK_ENTRIES = 1 << 18
+
 #: Registers up to this size keep their layout for the life of the process;
 #: at 12 qubits a layout is 28 671 words and about 3 MB.  Larger layouts are
 #: built for each run and go with its report.
@@ -473,9 +480,9 @@ def _build_layout(n_qubits: int, grouped: bool) -> _Layout:
     decomp = current_decomposition(n_qubits)
     coeffs = backflow_coefficients(n_qubits)
     state, prep = _prepared_state(n_qubits, coeffs)
-    words = decomp.words
+    words = decomp.words  # for the records of each report
     # the expansion has no Y, so a word's parity mask is its X and Z letters
-    mx, _, mz = word_masks(words, n_qubits)
+    mx, _, mz = decomp.masks
     if grouped:
         plan = setting_plan(mz, n_qubits)
         term_setting = np.empty(len(words), dtype=np.int64)
@@ -490,7 +497,7 @@ def _build_layout(n_qubits: int, grouped: bool) -> _Layout:
     zmasks = tuple(zmask for zmask, _ in plan)
     return _Layout(
         words=words,
-        coeffs=_read_only(np.array(decomp.coeffs, dtype=np.float64)),
+        coeffs=decomp.coeff_array,
         identity_weight=decomp.identity_weight,
         parity_masks=_read_only(mx | mz),
         zmasks=zmasks,
@@ -537,9 +544,12 @@ def run_simulation(
     setting plan, prepared state and exact current) comes from the
     register's layout, built on the first run and kept for N up to
     LAYOUT_CACHE_QUBITS.  A run rotates the state into every setting,
-    squares the float64 parts into one settings x 2^N outcome table, draws
+    squares the float64 parts into a settings x 2^N outcome table, draws
     the shots per row, and makes one ``parity_expectations`` call over the
-    whole table, in place; one gather reads every word's expectation.
+    table, in place; one gather reads every word's expectation.  A grouped
+    run makes the whole table at once, a per-term run (one setting per
+    word) blocks of at most _PER_TERM_BLOCK_ENTRIES entries, one after the
+    other.
     """
     sampling = shots_per_setting is not None
     if sampling:
@@ -551,46 +561,58 @@ def run_simulation(
     layout = _layout(n_qubits, grouped)
     if sampling and seed is None:
         seed = int(np.random.SeedSequence().entropy) % (1 << 32)
-    table = np.empty((len(layout.zmasks), 1 << n_qubits))
-    sweep = rotated_settings(
-        layout.amplitudes, n_qubits, layout.zmasks, np.float64, _INV_SQRT2
-    )
-    for k, parts in sweep:
-        np.square(parts[0], out=table[k])
-        if len(parts) > 1:
-            table[k] += np.square(parts[1])
-    # a unit norm after the sweep guards it against drift (NaN fails too)
-    drift = np.abs(np.sqrt(table.sum(axis=1)) - 1.0)
-    if not (drift <= NORM_TOL).all():
-        raise NormDriftError(f"norm drifted by {float(drift.max())!r}")
+    settings = len(layout.zmasks)
+    # the per-term plan reads word k in setting k, so a block of its settings
+    # reads the same span of words; the grouped plan is one block
+    step = settings if grouped else max(1, _PER_TERM_BLOCK_ENTRIES >> n_qubits)
+    table = np.empty((min(step, settings), 1 << n_qubits))
+    expectation = np.empty(len(layout.words))
     setting_records = []
-    for k, outcomes in enumerate(table):
-        if sampling:
-            entropy = [seed, k]
-            counts = sample(
-                Distribution(n_qubits, outcomes),
-                shots_per_setting,
-                seed=np.random.SeedSequence(entropy),
-                readout_flip=readout_flip,
-            )
-            np.divide(counts, shots_per_setting, out=outcomes)
-        else:
-            entropy = None
-        nonzero = np.flatnonzero(outcomes)
-        setting_records.append(
-            SettingRecord(
-                layout.bases[k],
-                Outcomes(n_qubits, nonzero, outcomes[nonzero]),
-                Outcomes(n_qubits, nonzero, tuple(counts[nonzero].tolist()))
-                if sampling
-                else None,
-                entropy,
-                layout.setting_terms[k],
-            )
+    for start in range(0, settings, step):
+        stop = min(start + step, settings)
+        block = table[: stop - start]
+        sweep = rotated_settings(
+            layout.amplitudes, n_qubits, layout.zmasks[start:stop], np.float64, _INV_SQRT2
         )
-    expectation = parity_expectations(
-        table, layout.parity_masks, rows=layout.term_setting, overwrite=True
-    )
+        for k, parts in sweep:
+            np.square(parts[0], out=block[k])
+            if len(parts) > 1:
+                block[k] += np.square(parts[1])
+        # a unit norm after the sweep guards it against drift (NaN fails too)
+        drift = np.abs(np.sqrt(block.sum(axis=1)) - 1.0)
+        if not (drift <= NORM_TOL).all():
+            raise NormDriftError(f"norm drifted by {float(drift.max())!r}")
+        for k, outcomes in enumerate(block, start):
+            if sampling:
+                entropy = [seed, k]
+                counts = sample(
+                    Distribution(n_qubits, outcomes),
+                    shots_per_setting,
+                    seed=np.random.SeedSequence(entropy),
+                    readout_flip=readout_flip,
+                )
+                np.divide(counts, shots_per_setting, out=outcomes)
+            else:
+                entropy = None
+            nonzero = np.flatnonzero(outcomes)
+            setting_records.append(
+                SettingRecord(
+                    layout.bases[k],
+                    Outcomes(n_qubits, nonzero, outcomes[nonzero]),
+                    Outcomes(n_qubits, nonzero, tuple(counts[nonzero].tolist()))
+                    if sampling
+                    else None,
+                    entropy,
+                    layout.setting_terms[k],
+                )
+            )
+        words = slice(None) if grouped else slice(start, stop)
+        expectation[words] = parity_expectations(
+            block,
+            layout.parity_masks[words],
+            rows=layout.term_setting[words] - start,
+            overwrite=True,
+        )
     if sampling:
         # the IEEE steps of sqrt(max(0, 1 - v * v) / shots), over the column
         variance = np.maximum(0.0, 1.0 - expectation * expectation) / shots_per_setting
@@ -835,7 +857,7 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
             )
         term_records = TermRecords(
             decomp.words,
-            decomp.coeffs,
+            decomp.coeff_array,
             np.full(len(decomp.words), -1),
             (),
             np.array([supplied[word] for word in decomp.words], dtype=np.float64),
@@ -853,7 +875,7 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         if any(explicit) and not all(explicit):
             raise ValueError("either every setting lists its terms or none does")
         bases = [setting.basis_word for setting, _, _, _ in parsed]
-        masks = word_masks(decomp.words, n_qubits)
+        masks = decomp.masks
         if all(explicit):
             lists = [words for _, _, _, words in parsed]
             owner = _listed_owner(decomp.words, masks, lists, bases, n_qubits)
@@ -878,7 +900,7 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
                 SettingRecord(setting.basis_word, probs, counts, None, words)
             )
         term_records = TermRecords(
-            decomp.words, decomp.coeffs, owner, bases, expectation
+            decomp.words, decomp.coeff_array, owner, bases, expectation
         )
     else:
         raise ValueError("data carries neither 'settings' nor 'expectations'")

@@ -7,6 +7,16 @@ carrying a single Z with a power-of-two weight.  All coefficients are
 integers, so the dense tensor-product realization can be compared against
 the entry formula with exact integer equality.
 
+Masks first: a ``WeightedPauliSum`` stores each word as three int64 masks
+(its X, Y and Z positions) and its coefficients as one float64 array, both
+read-only, and that is what the engine, the setting plan and the
+estimators read.  Word strings and the coefficient tuple are made only
+when read, for reports and printing, and then kept.
+``current_decomposition`` gathers its masks and weights from two small
+tables of half words and joins the words from the same tables only when
+they are asked for; a sum built from words takes its masks from
+``word_masks`` once.
+
 Letter ordering: the leftmost letter of a word acts on qubit S1, which is
 the most significant bit of the momentum index.
 """
@@ -14,8 +24,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import partial, reduce
 from itertools import islice
 from operator import attrgetter, eq, lt
 
@@ -57,25 +67,30 @@ class PauliString:
 
 
 class PauliTerms(Sequence):
-    """Read-only sequence of ``PauliString``s over word and coefficient columns.
+    """Read-only sequence of a sum's terms as ``PauliString``s.
 
-    Nothing is built up front: ``len`` is O(1), and a ``PauliString`` is made
-    only for the item asked for.  Code that needs every word reads the
-    ``words`` and ``coeffs`` columns instead.
+    Nothing is built up front: ``len`` is O(1) and makes no word, and a
+    ``PauliString`` is made only for the item asked for.  ``words`` and
+    ``coeffs`` are the sum's own columns, made when first read.
     """
 
-    __slots__ = ("words", "coeffs")
+    __slots__ = ("_sum",)
 
-    def __init__(self, words, coeffs):
-        self.words = tuple(words)
-        self.coeffs = tuple(coeffs)
+    def __init__(self, op_sum: "WeightedPauliSum"):
+        self._sum = op_sum
+
+    @property
+    def words(self) -> tuple[str, ...]:
+        return self._sum.words
+
+    @property
+    def coeffs(self) -> tuple[float, ...]:
+        return self._sum.coeffs
 
     def __len__(self):
-        return len(self.words)
+        return len(self._sum.coeff_array)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return PauliTerms(self.words[index], self.coeffs[index])
         return PauliString(self.words[index], self.coeffs[index])
 
     def __iter__(self):
@@ -85,27 +100,45 @@ class PauliTerms(Sequence):
 # deletes every Pauli letter, so whatever str.translate leaves is invalid
 _DROP_PAULI_LETTERS = str.maketrans("", "", PAULI_LETTERS)
 
+# byte b with bit i moved to bit 2i: the bits of a mask spread to base-4 digits
+_SPREAD = np.array(
+    [sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256)], dtype=np.int64
+)
 
-@dataclass(frozen=True, slots=True, init=False)
+
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class WeightedPauliSum:
     """identity_weight * I + sum of weighted Pauli words on n_qubits qubits.
 
-    The words and their coefficients are kept as two parallel columns,
-    ``words`` and ``coeffs``, so a sum of 10^6 words is two tuples rather
-    than 10^6 objects.  ``WeightedPauliSum(n, identity_weight, terms)``
-    splits ``PauliString`` terms into the columns; ``from_columns`` takes
-    them directly.  ``terms`` is a derived read-only ``PauliTerms`` view.
+    Masks first: the words are stored as ``masks``, three read-only int64
+    arrays with each word's X, Y and Z positions (as ``word_masks`` gives
+    them), and the coefficients as ``coeff_array``, a read-only float64
+    array.  The engine, the setting plan and the estimators read only
+    these.  ``words`` and ``coeffs`` are the same columns as tuples of
+    ``str`` and ``float``; each is made the first time it is read, and
+    kept.  A sum built from words, by ``WeightedPauliSum(n, identity_weight,
+    terms)`` (``PauliString`` terms) or ``from_columns`` (parallel word and
+    coefficient sequences), keeps them as given and takes its masks from
+    ``word_masks`` once.  ``current_decomposition`` builds its masks
+    directly and makes its words only when they are read.  ``terms`` is a
+    derived read-only ``PauliTerms`` view.
 
     Terms are kept merged: no duplicate words, and the all-identity word
     lives exclusively in ``identity_weight``.  Every word must be
     ``n_qubits`` letters over IXYZ and every coefficient finite, the same
-    checks ``PauliString`` makes one word at a time.
+    checks ``PauliString`` makes one word at a time.  Two sums are equal
+    when they have the same qubit count and identity weight and the same
+    words with the same coefficients in the same order.
     """
 
     n_qubits: int
     identity_weight: float
-    words: tuple[str, ...]
-    coeffs: tuple[float, ...]
+    masks: tuple[np.ndarray, np.ndarray, np.ndarray]
+    coeff_array: np.ndarray
+    # the words tuple, or until it is read, a function that makes the words
+    _words: object = field(repr=False)
+    # the coefficient tuple, or None until it is read
+    _coeffs: object = field(repr=False)
 
     def __init__(self, n_qubits: int, identity_weight: float, terms=()):
         terms = tuple(terms)
@@ -125,13 +158,50 @@ class WeightedPauliSum:
         out._set_columns(n_qubits, identity_weight, tuple(words), tuple(coeffs))
         return out
 
+    @classmethod
+    def _from_masks(
+        cls, n_qubits: int, identity_weight: float, masks, coeff_array, make_words
+    ) -> "WeightedPauliSum":
+        """A sum from its int64 masks and float64 coefficient array, which it
+        takes over; ``make_words()`` yields the words when they are first read.
+        ``from_columns``'s checks run on the masks in bulk, with the same
+        messages, for up to 31 qubits."""
+        _check_sizes(n_qubits, identity_weight, len(masks[0]), len(coeff_array))
+        mx, my, mz = masks
+
+        def word(i):  # the word a refusal names; only then are the words made
+            return tuple(make_words())[i]
+
+        union = mx | my | mz
+        outside = np.flatnonzero(union >> n_qubits)
+        if outside.size:
+            raise ValueError(f"term {word(outside[0])} does not act on {n_qubits} qubits")
+        # masks within N bits are disjoint when their sum carries nothing
+        shared = np.flatnonzero(mx + my + mz != union)
+        if shared.size:
+            raise ValueError(f"invalid Pauli word {word(shared[0])!r}")
+        bad = np.flatnonzero(~np.isfinite(coeff_array))
+        if bad.size:
+            raise ValueError(f"non-finite coefficient for {word(bad[0])}")
+        # one base-4 digit per letter, I X Y Z = 0 1 2 3 with the leftmost
+        # letter most significant, so words of one length order as their
+        # codes; a digit's low bit marks X or Z, its high bit Y or Z
+        code = np.zeros(len(mx), dtype=np.int64)
+        for high, bits in ((0, mx | mz), (1, my | mz)):
+            for shift in range(0, n_qubits, 8):
+                code += _SPREAD[(bits >> shift) & 255] << (2 * shift + high)
+        ascending = bool((code[1:] > code[:-1]).all())
+        ordered = code if ascending else np.sort(code)
+        if ordered.size and ordered[0] == 0:
+            raise ValueError("all-identity term belongs in identity_weight")
+        if not ascending and (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("duplicate Pauli words; merge like terms first")
+        out = object.__new__(cls)
+        out._set(n_qubits, identity_weight, masks, coeff_array, make_words, None)
+        return out
+
     def _set_columns(self, n_qubits, identity_weight, words, coeffs) -> None:
-        if n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        if not math.isfinite(identity_weight):
-            raise ValueError("non-finite identity weight")
-        if len(words) != len(coeffs):
-            raise ValueError(f"{len(words)} words but {len(coeffs)} coefficients")
+        _check_sizes(n_qubits, identity_weight, len(words), len(coeffs))
         # bulk checks: each runs in C over a whole column, which matters at
         # 10^6 words
         if set(map(len, words)) - {n_qubits}:
@@ -153,15 +223,62 @@ class WeightedPauliSum:
             raise ValueError("all-identity term belongs in identity_weight")
         if not ascending and any(map(eq, ordered, islice(ordered, 1, None))):
             raise ValueError("duplicate Pauli words; merge like terms first")
+        masks = word_masks(words, n_qubits)
+        coeff_array = np.array(coeffs, dtype=np.float64)
+        self._set(n_qubits, identity_weight, masks, coeff_array, words, coeffs)
+
+    def _set(self, n_qubits, identity_weight, masks, coeff_array, words, coeffs):
+        for array in (*masks, coeff_array):
+            array.flags.writeable = False
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "identity_weight", identity_weight)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "coeff_array", coeff_array)
+        object.__setattr__(self, "_words", words)
+        object.__setattr__(self, "_coeffs", coeffs)
+
+    def _take(self, members: np.ndarray) -> "WeightedPauliSum":
+        """The terms at ``members``, distinct indices, in that order and
+        without the identity weight; its words are read from this sum's."""
+        def words():
+            return map(self.words.__getitem__, members.tolist())
+
+        out = object.__new__(WeightedPauliSum)
+        masks = tuple(mask[members] for mask in self.masks)
+        out._set(self.n_qubits, 0.0, masks, self.coeff_array[members], words, None)
+        return out
+
+    @property
+    def words(self) -> tuple[str, ...]:
+        """The words, leftmost letter on qubit S1; made when first read."""
+        words = self._words
+        if not isinstance(words, tuple):
+            words = tuple(words())
+            object.__setattr__(self, "_words", words)
+        return words
+
+    @property
+    def coeffs(self) -> tuple[float, ...]:
+        """The coefficients, in word order; made when first read."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(self.coeff_array.tolist()))
+        return self._coeffs
 
     @property
     def terms(self) -> PauliTerms:
         """The words as ``PauliString``s, each built only when read."""
-        return PauliTerms(self.words, self.coeffs)
+        return PauliTerms(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightedPauliSum):
+            return NotImplemented
+        if (self.n_qubits, self.identity_weight) != (other.n_qubits, other.identity_weight):
+            return False
+        columns = zip((*self.masks, self.coeff_array), (*other.masks, other.coeff_array))
+        return all(np.array_equal(ours, theirs) for ours, theirs in columns)
+
+    def __hash__(self):
+        return hash((self.n_qubits, self.identity_weight, len(self.coeff_array)))
 
     def to_dict(self) -> dict:
         return {
@@ -183,6 +300,15 @@ class WeightedPauliSum:
         )
 
 
+def _check_sizes(n_qubits, identity_weight, word_count, coeff_count) -> None:
+    if n_qubits < 1:
+        raise ValueError("need at least one qubit")
+    if not math.isfinite(identity_weight):
+        raise ValueError("non-finite identity weight")
+    if word_count != coeff_count:
+        raise ValueError(f"{word_count} words but {coeff_count} coefficients")
+
+
 def index_masks(word: str) -> tuple[int, int, int]:
     """(X, Y, Z) position masks over basis-index bits; leftmost letter = MSB."""
     n = len(word)
@@ -201,8 +327,11 @@ def index_masks(word: str) -> tuple[int, int, int]:
 def word_masks(words, n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``index_masks`` of every word at once, as three int64 arrays.
 
-    ``words`` is a sequence of words over IXYZ, each ``n_qubits`` long.
+    ``words`` is a sequence of words over IXYZ, each ``n_qubits`` long; an
+    int64 mask holds at most 63 of them.
     """
+    if n_qubits > 63:
+        raise ValueError(f"word masks hold at most 63 qubits, got {n_qubits}")
     if set(map(len, words)) - {n_qubits}:
         raise ValueError(f"every word must have {n_qubits} letters")
     # left-pad each word to whole bytes, so packbits yields each mask's
@@ -287,37 +416,39 @@ def current_decomposition(n_qubits: int) -> WeightedPauliSum:
     position p and {I, X} elsewhere carries coefficient -2^(N-1-p).  No
     two of these words coincide and no weight is zero.
 
-    The words come out sorted lexicographically by construction, each made
-    by one concatenation: every sorted word of the first N - N//2 letters
-    is followed by the sorted words of the last N//2 letters (only the
-    {I, X} ones after a prefix that holds a Z).  The word and weight lists
-    become the sum's columns as they are; no ``PauliString`` is built.
+    The words come out sorted lexicographically by construction, each one
+    prefix table entry followed by one suffix table entry: every sorted
+    word of the first N - N//2 letters is followed by the sorted words of
+    the last N//2 letters (only the {I, X} ones after a prefix that holds a
+    Z).  The sum's masks and weights are gathered from the two tables (at
+    most 1 280 entries each at N = 16) with one (prefix, suffix) index pair
+    per word; its words are joined from the same pairs only when read.
     Registers beyond MAX_QUBITS are refused before anything is built.
     """
     check_qubits(n_qubits)
     check_register(n_qubits)
     low = n_qubits // 2
     ix_weight = float((1 << n_qubits) - 1)
-    suffixes, suffix_weights, ix = _sorted_words(low, 0, ix_weight)
-    prefixes, prefix_weights, _ = _sorted_words(n_qubits - low, low, ix_weight)
-    words: list[str] = []
-    weights: list[float] = []
-    for prefix, weight in zip(prefixes, prefix_weights):
-        if "Z" in prefix:
-            words += [prefix + w for w in ix]
-            weights += [weight] * len(ix)
-        else:
-            words += [prefix + w for w in suffixes]
-            weights += suffix_weights
-    # words[0] is the all-I word; its weight is the identity weight
-    return WeightedPauliSum.from_columns(
-        n_qubits, weights[0], islice(words, 1, None), islice(weights, 1, None)
+    prefixes, prefix_weights, prefix_x, prefix_z = _sorted_words(
+        n_qubits - low, low, ix_weight
     )
+    suffixes, suffix_weights, suffix_x, suffix_z = _sorted_words(low, 0, ix_weight)
+    first, second = _word_pairs(prefix_z, suffix_z)
+    in_prefix = prefix_z[first] != 0  # the word's Z, if any, is in its prefix
+    masks = (
+        prefix_x[first] | suffix_x[second],
+        np.zeros(len(first), dtype=np.int64),
+        prefix_z[first] | suffix_z[second],
+    )
+    weights = np.where(in_prefix, prefix_weights[first], suffix_weights[second])
+    make_words = partial(_joined_words, prefixes, suffixes, prefix_z, suffix_z)
+    return WeightedPauliSum._from_masks(n_qubits, ix_weight, masks, weights, make_words)
 
 
 def _sorted_words(length: int, shift: int, ix_weight: float):
     """The sorted words of ``length`` letters over {I, X} with at most one Z,
-    their weights, and the {I, X} words alone.
+    as columns: the words (an object array), their weights, and their X and
+    Z masks at their place in the full word, ahead of ``shift`` letters.
 
     A word over {I, X} weighs ``ix_weight``; a Z followed by k letters here
     weighs -2^(k + shift), as ``shift`` more letters follow in the full word.
@@ -329,7 +460,26 @@ def _sorted_words(length: int, shift: int, ix_weight: float):
         words = ["I" + w for w in words] + ["X" + w for w in words] + ["Z" + w for w in ix]
         weights = weights + weights + [-float(1 << k)] * len(ix)
         ix = ["I" + w for w in ix] + ["X" + w for w in ix]
-    return words, weights, ix
+    mx, _, mz = word_masks(words, length)
+    return np.array(words, dtype=object), np.array(weights), mx << shift, mz << shift
+
+
+def _word_pairs(prefix_z: np.ndarray, suffix_z: np.ndarray):
+    """(prefix index, suffix index) of every expansion word but the all-I
+    one, in sorted order: each prefix is followed by every suffix, or only
+    by the {I, X} suffixes (Z mask 0) when it holds a Z."""
+    every = np.arange(len(suffix_z))
+    ix = np.flatnonzero(suffix_z == 0)
+    blocks = [ix if z else every for z in prefix_z.tolist()]
+    first = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
+    return first[1:], np.concatenate(blocks)[1:]
+
+
+def _joined_words(prefixes, suffixes, prefix_z, suffix_z):
+    """The expansion's words, each its prefix and suffix table entries
+    joined, for the pairs of ``_word_pairs``."""
+    first, second = _word_pairs(prefix_z, suffix_z)
+    return map(str.__add__, prefixes[first].tolist(), suffixes[second].tolist())
 
 
 def realize_dense(op_sum: WeightedPauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:

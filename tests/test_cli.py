@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -20,7 +21,7 @@ import ringflow.cli
 import ringflow.experiment
 from ringflow.cli import _json_text, _NonFiniteReport, _report_chunks, main
 from ringflow.experiment import Outcomes, SettingRecord, TermRecords
-from ringflow.pauli import MAX_QUBITS
+from ringflow.pauli import MAX_QUBITS, WeightedPauliSum, current_decomposition
 
 from conftest import assert_same_text, child_env
 
@@ -48,6 +49,13 @@ class TestDecompose:
             {"coeff": 1.0, "word": "X"},
             {"coeff": -1.0, "word": "Z"},
         ]
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_json_from_columns_matches_json_dumps_of_to_dict(self, capsys, n):
+        code, out, _ = run_cli(capsys, "decompose", "--n", str(n))
+        assert code == 0
+        op_sum = current_decomposition(n)
+        assert_same_text(out, json.dumps(op_sum.to_dict(), indent=2, sort_keys=True) + "\n")
 
     def test_table_golden_line(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--n", "1", "--format", "table")
@@ -413,8 +421,18 @@ class TestRegisterCap:
 
 
 def json_dumps_oracle(payload) -> str:
-    """The report layout: ``json.dumps`` with indent 2 and sorted keys."""
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The report layout: ``json.dumps`` with indent 2 and sorted keys.  A
+    ``WeightedPauliSum`` in a payload (``decompose`` passes the sum as its
+    ``terms``) stands for the term list of its ``to_dict``."""
+    return json.dumps(
+        payload, indent=2, sort_keys=True, allow_nan=False, default=_sum_term_list
+    ) + "\n"
+
+
+def _sum_term_list(value):
+    if type(value) is not WeightedPauliSum:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return value.to_dict()["terms"]
 
 
 _SCALARS = (
@@ -909,3 +927,49 @@ class TestAnalyzeFuzz:
             assert math.isfinite(json.loads(out.getvalue())["j_estimate"])
         else:
             assert out.getvalue() == ""
+
+
+# sha256 of each output as the program wrote it before the expansion was
+# stored as masks; every byte must stay as it was
+_PINNED = [
+    (("decompose", "--n", "10"),
+     "2fe935e74bc3e09758cb305ea4d04bb4c211f4013e831652821cba206344bc61"),
+    (("decompose", "--n", "10", "--format", "csv"),
+     "740963e3cbf52921734f1fccda371af25719809e2b41d1d8e65527708dcd8519"),
+    (("decompose", "--n", "10", "--format", "table"),
+     "c00f6c5b9852d181d89a9969c1bc49f9bcc601780bcd6f86ce8917398eda18b2"),
+    (("current", "--mode", "exact", "--n", "10"),
+     "34337486bb729e7354482c73acaf124526b4b58cbecce1a45f87fb64fac1c143"),
+    (("current", "--mode", "shots", "--n", "8", "--seed", "3"),
+     "20c73c69a47c0f3d6c72459eae952df02187229a61826dfd9eac1d178c8262ca"),
+]
+_PER_TERM_ARGV = ("current", "--n", "6", "--mode", "shots", "--per-term", "--seed", "11")
+_PER_TERM_SHA = "d98cdf6c59336708a8d1e2b342d8729375d4b11204f903ce305535b98b1892b5"
+_ANALYZE_SHA = "62dcd4da1c54af8b47c574b26961d2690c741878977f24cb2fc7a5c5f0e7fcd0"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestPinnedOutputs:
+    @pytest.fixture(autouse=True)
+    def _built_in_defaults(self, monkeypatch):
+        for name in ("RINGFLOW_SHOTS", "RINGFLOW_SEED", "RINGFLOW_FORMAT"):
+            monkeypatch.delenv(name, raising=False)
+
+    @pytest.mark.parametrize("argv, digest", _PINNED, ids=[" ".join(a) for a, _ in _PINNED])
+    def test_output_unchanged(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert _sha256(out) == digest
+
+    def test_per_term_shots_report_and_its_analysis_unchanged(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, *_PER_TERM_ARGV)
+        assert code == 0
+        assert _sha256(out) == _PER_TERM_SHA
+        report = tmp_path / "per-term.json"
+        report.write_text(out, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "analyze", "--input", str(report))
+        assert code == 0
+        assert _sha256(out) == _ANALYZE_SHA

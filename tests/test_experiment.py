@@ -1,6 +1,7 @@
 import json
 import math
 import numbers
+import os
 import subprocess
 import sys
 
@@ -372,6 +373,73 @@ def test_reports_equal_the_per_gate_loop(n, grouped, shots, flip):
         json.dumps(got.to_dict(), indent=1, sort_keys=True),
         json.dumps(want.to_dict(), indent=1, sort_keys=True),
     )
+
+
+class TestPerTermBlocks:
+    """A per-term run fills, samples and transforms its outcome table a
+    bounded block of settings at a time; a grouped run in one block."""
+
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize(
+        "shots, flip", [(None, 0.0), (500, 0.0), (500, 0.05)], ids=["exact", "shots", "flip"]
+    )
+    def test_blocks_give_the_per_gate_report(self, monkeypatch, n, rows, shots, flip):
+        calls = counting_transforms(monkeypatch)
+        monkeypatch.setattr(ringflow.experiment, "_PER_TERM_BLOCK_ENTRIES", rows << n)
+        got = run_simulation(n, shots, seed=n, grouped=False, readout_flip=flip)
+        want = run_simulation_per_gate(n, shots, n, False, flip)
+        assert_same_text(
+            json.dumps(got.to_dict(), indent=1, sort_keys=True),
+            json.dumps(want.to_dict(), indent=1, sort_keys=True),
+        )
+        settings_ = len(got.setting_records)
+        assert calls == [min(rows, settings_ - start) for start in range(0, settings_, rows)]
+
+    def test_grouped_run_is_one_block(self, monkeypatch):
+        calls = counting_transforms(monkeypatch)
+        monkeypatch.setattr(ringflow.experiment, "_PER_TERM_BLOCK_ENTRIES", 1)
+        report = run_simulation(6, 100, seed=2)
+        assert calls == [7]
+        assert report.to_dict() == run_simulation_per_gate(6, 100, 2, True, 0.0).to_dict()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_ten_qubit_per_term_peak_memory(self, tmp_path):
+        """``current --mode exact --n 10 --per-term`` (6 143 settings of 1 024
+        outcomes) peaks at no more than 150 MB, read by the child itself."""
+        target = tmp_path / "report.json"
+        argv = ["current", "--mode", "exact", "--n", "10", "--per-term", "--output", str(target)]
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_SCRIPT, json.dumps(argv)],
+            env=child_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        code, peak_kb = map(int, done.stdout.split())
+        assert code == 0
+        assert target.stat().st_size > 50e6
+        assert peak_kb <= 150 * 1024, f"peak {peak_kb / 1024:.0f} MB"
+
+
+_PEAK_SCRIPT = """
+import json, re, sys
+from ringflow.cli import main
+code = main(json.loads(sys.argv[1]))
+status = open("/proc/self/status").read()
+print(code, re.search(r"VmHWM:\\s+(\\d+) kB", status).group(1))
+"""
+
+
+def counting_transforms(monkeypatch) -> list:
+    """Record the rows of each outcome table ``run_simulation`` transforms."""
+    calls = []
+    transform = ringflow.experiment.parity_expectations
+
+    def counting(probs, *args, **kwargs):
+        calls.append(len(probs))
+        return transform(probs, *args, **kwargs)
+
+    monkeypatch.setattr(ringflow.experiment, "parity_expectations", counting)
+    return calls
 
 
 _CASES = [(4, 700, 12, 0.01, True), (4, None, None, 0.0, True), (3, 300, 5, 0.1, False)]

@@ -255,6 +255,17 @@ def test_word_masks_every_letter_at_every_position(n):
     assert list(zip(*(m.tolist() for m in masks))) == [index_masks(w) for w in words]
 
 
+def test_masks_hold_at_most_63_qubits():
+    """A wider word would lose its leftmost letters from its masks, which
+    are a sum's only stored form of its words."""
+    assert word_masks(["X" + "I" * 62], 63)[0].tolist() == [1 << 62]
+    for n in (64, 70):
+        with pytest.raises(ValueError, match="at most 63 qubits"):
+            word_masks(["X" + "I" * (n - 1)], n)
+        with pytest.raises(ValueError, match="at most 63 qubits"):
+            WeightedPauliSum.from_columns(n, 0.0, ["X" + "I" * (n - 1)], [1.0])
+
+
 def test_word_masks_reject_wrong_length():
     with pytest.raises(ValueError, match="letters"):
         word_masks(["XX", "X", "XXX"], 2)
@@ -283,14 +294,20 @@ def level_by_level_expansion(n_qubits: int):
     return words, weights
 
 
-@pytest.mark.parametrize("n", range(1, 15))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_decomposition_equals_level_by_level_build(n):
+    """The masks and coefficient array the sum stores, and the words and
+    coefficient tuple it makes when they are read."""
     dec = current_decomposition(n)
     words, weights = level_by_level_expansion(n)
     assert dec.identity_weight == weights[0]
+    assert dec.coeff_array.tolist() == weights[1:]
     assert dec.words == tuple(words[1:])
     assert dec.coeffs == tuple(weights[1:])
     assert all(type(c) is float for c in dec.coeffs)
+    for got, want in zip(dec.masks, word_masks(dec.words, n)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 class TestRegisterCap:
@@ -373,3 +390,164 @@ def test_columnar_checks_match_per_term_checks(n, pairs):
         op = WeightedPauliSum.from_columns(n, 0.5, words, coeffs)
         assert op.words == tuple(words)
         assert op == WeightedPauliSum(n, 0.5, (PauliString(w, c) for w, c in pairs))
+
+
+class TestMasksFirst:
+    """The expansion is stored as masks and a coefficient array; its words
+    and coefficient tuple are made only when read."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: current_decomposition(5),
+            lambda: WeightedPauliSum.from_columns(2, 0.5, ["XZ", "YI"], [1.0, 2.0]),
+            lambda: WeightedPauliSum(2, 0.5, (PauliString("ZZ", 3.0),)),
+        ],
+        ids=["decomposition", "from_columns", "terms"],
+    )
+    def test_arrays_are_read_only(self, make):
+        op = make()
+        for array in (*op.masks, op.coeff_array):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_words_are_made_once_and_kept(self, monkeypatch):
+        joined = counting_joins(monkeypatch)
+        dec = current_decomposition(6)
+        assert joined == []
+        assert dec.words is dec.words
+        assert dec.coeffs is dec.coeffs
+        assert len(joined) == 1
+
+    def test_len_of_terms_builds_no_words(self, monkeypatch):
+        joined = counting_joins(monkeypatch)
+        for n in (1, 7, 16):
+            assert len(current_decomposition(n).terms) == term_count(n)
+        assert joined == []
+
+    def test_sixteen_qubit_expectation_builds_no_words(self, monkeypatch):
+        from ringflow.engine import expectation_pauli, init_amplitudes
+        from ringflow.experiment import backflow_coefficients
+
+        joined = counting_joins(monkeypatch)
+        state = init_amplitudes(16, backflow_coefficients(16).a)
+        assert expectation_pauli(state, current_decomposition(16)) == -32767.250005722977
+        assert joined == []
+
+    def test_equality_keeps_its_meaning(self):
+        dec = current_decomposition(4)
+        words, coeffs = list(dec.words), list(dec.coeffs)
+        same = (
+            WeightedPauliSum.from_dict(dec.to_dict()),
+            WeightedPauliSum.from_columns(4, dec.identity_weight, words, coeffs),
+            WeightedPauliSum(4, dec.identity_weight, dec.terms),
+            current_decomposition(4),
+        )
+        for other in same:
+            assert dec == other and other == dec
+            assert hash(dec) == hash(other)
+        coeffs[3] += 1.0
+        swapped = [*words[:2], words[3], words[2], *words[4:]]
+        unlike = (
+            WeightedPauliSum.from_columns(4, dec.identity_weight, words, coeffs),
+            WeightedPauliSum.from_columns(4, dec.identity_weight, swapped, dec.coeffs),
+            WeightedPauliSum.from_columns(4, dec.identity_weight, words[1:], dec.coeffs[1:]),
+            WeightedPauliSum.from_columns(4, 0.0, words, dec.coeffs),
+            current_decomposition(3),
+        )
+        for other in unlike:
+            assert dec != other and other != dec
+        assert dec != dec.to_dict()
+        # -0.0 and 0.0 are equal coefficients, as they were in the tuples
+        plus, minus = (WeightedPauliSum.from_columns(1, 0.0, ["X"], [c]) for c in (0.0, -0.0))
+        assert plus == minus
+
+
+def counting_joins(monkeypatch) -> list:
+    """Record each call of the expansion's word builder."""
+    import ringflow.pauli
+
+    calls = []
+    join = ringflow.pauli._joined_words
+
+    def counting(*args):
+        calls.append(args)
+        return join(*args)
+
+    monkeypatch.setattr(ringflow.pauli, "_joined_words", counting)
+    return calls
+
+
+_REFUSALS = [
+    (0, 0.0, ["X"], [1.0], "need at least one qubit"),
+    (2, math.nan, ["XZ"], [1.0], "non-finite identity weight"),
+    (2, 0.0, ["XZ", "ZX"], [1.0], "2 words but 1 coefficients"),
+    (2, 0.0, ["XZ", "XZI"], [1.0, 1.0], "term XZI does not act on 2 qubits"),
+    (2, 0.0, ["XZ", "XQ"], [1.0, 1.0], "invalid Pauli word 'XQ'"),
+    (2, 0.0, ["XZ", "ZX"], [1.0, math.inf], "non-finite coefficient for ZX"),
+    (2, 0.0, ["ZX", "II"], [1.0, 2.0], "all-identity term belongs in identity_weight"),
+    (2, 0.0, ["ZX", "XI", "ZX"], [1.0, 2.0, 3.0],
+     "duplicate Pauli words; merge like terms first"),
+]
+
+
+@pytest.mark.parametrize("n, weight, words, coeffs, message", _REFUSALS)
+def test_refusals_name_the_same_fault_through_every_constructor(
+    n, weight, words, coeffs, message
+):
+    """``from_columns``, the ``PauliString`` constructor (whose terms check
+    their own letters and coefficients) and the masks of a sum built as
+    ``current_decomposition`` builds one all refuse with the same message."""
+    with pytest.raises(ValueError) as refused:
+        WeightedPauliSum.from_columns(n, weight, words, coeffs)
+    assert str(refused.value) == message
+    if len(words) == len(coeffs):  # terms cannot hold unequal columns
+        with pytest.raises(ValueError) as refused:
+            WeightedPauliSum(n, weight, [PauliString(w, c) for w, c in zip(words, coeffs)])
+        assert str(refused.value) == message
+    # the masks of each word; "Q" reads as X and Z at once
+    masks = [index_masks(w.replace("Q", "X")) for w in words]
+    masks = [(x, y, z | x * ("Q" in w)) for w, (x, y, z) in zip(words, masks)]
+    columns = tuple(np.array(column, dtype=np.int64).reshape(-1) for column in zip(*masks))
+    with pytest.raises(ValueError) as refused:
+        WeightedPauliSum._from_masks(
+            n, weight, columns, np.array(coeffs, dtype=np.float64), lambda: iter(words)
+        )
+    assert str(refused.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    data=st.data(),
+)
+@example(n=2, data=None)
+def test_mask_checks_match_word_checks(n, data):
+    """On words of n letters over IXYZ (sorted, shuffled, with repeats or the
+    all-I word), the bulk mask checks refuse exactly what the word checks
+    refuse, with the same message."""
+    if data is None:
+        words, coeffs = ["IX", "IZ", "XI"], [1.0, -1.0, 1.0]
+    else:
+        words = data.draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), max_size=8))
+        if data.draw(st.booleans()):
+            words = sorted(words)
+        coeffs = data.draw(
+            st.lists(st.floats(-4, 4) | st.just(math.nan), min_size=len(words),
+                     max_size=len(words))
+        )
+    try:
+        want = WeightedPauliSum.from_columns(n, 0.5, words, coeffs)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            WeightedPauliSum._from_masks(
+                n, 0.5, word_masks(words, n), np.array(coeffs), lambda: iter(words)
+            )
+        assert str(refused.value) == str(exc)
+    else:
+        got = WeightedPauliSum._from_masks(
+            n, 0.5, word_masks(words, n), np.array(coeffs), lambda: iter(words)
+        )
+        assert got == want
+        assert got.words == want.words
