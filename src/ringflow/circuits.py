@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Gate, apply_circuit, cnot, h, init_basis, ry
-from .pauli import PauliString, PauliTerms, WeightedPauliSum, setting_plan
+from .pauli import PauliString, PauliTerms, WeightedPauliSum, check_measurable, setting_plan
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,13 +43,6 @@ class Circuit:
             ):
                 raise ValueError(f"gate {g} addresses qubits outside the register")
 
-    def to_dict(self) -> dict:
-        return {"n": self.n_qubits, "gates": [g.to_dict() for g in self.gates]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Circuit":
-        return cls(int(data["n"]), tuple(Gate.from_dict(g) for g in data["gates"]))
-
 
 @dataclass(frozen=True, slots=True)
 class MeasurementSetting:
@@ -65,15 +58,6 @@ class MeasurementSetting:
     def from_z_mask(cls, zmask: int, n_qubits: int) -> "MeasurementSetting":
         """Z where ``zmask`` has a bit (leftmost letter = MSB), X elsewhere."""
         return cls(format(zmask, f"0{n_qubits}b").replace("0", "X").replace("1", "Z"))
-
-    def covers(self, word: str) -> bool:
-        """True when every non-identity letter matches this setting's basis."""
-        if len(word) != len(self.basis_word):
-            return False
-        return all(
-            letter == "I" or letter == basis
-            for letter, basis in zip(word, self.basis_word)
-        )
 
 
 def measurement_circuit(setting: MeasurementSetting) -> Circuit:
@@ -154,17 +138,14 @@ def group_terms(op_sum: WeightedPauliSum) -> dict[MeasurementSetting, PauliTerms
     Z-free terms share the all-X setting; terms with a Z at position p go
     to the setting that is Z at p and X elsewhere (``pauli.setting_plan``).
     Words with a Y or more than one Z are not measurable under this family
-    of settings.  Each setting's terms keep their order in ``op_sum``.
+    of settings, and ``pauli.check_measurable`` refuses them.  Each
+    setting's terms keep their order in ``op_sum``.
     """
+    check_measurable(op_sum)
     n = op_sum.n_qubits
-    _, my, mz = op_sum.masks
-    bad = np.flatnonzero(my | (mz & (mz - 1)))
-    if bad.size:
-        word = op_sum.words[bad[0]]
-        raise ValueError(f"term {word} not measurable with Z/X settings")
     return {
         MeasurementSetting.from_z_mask(zmask, n): op_sum._take(members).terms
-        for zmask, members in setting_plan(mz, n)
+        for zmask, members in setting_plan(op_sum.masks[2], n)
     }
 
 

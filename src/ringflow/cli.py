@@ -40,8 +40,8 @@ Writing goes in two passes.  The first encodes every flat container and
 checks every column with ``np.isfinite``, so a report holding NaN or
 infinity is refused before anything is written.  The second writes the
 pieces in order, the term list and outcome maps ``_BLOCK_ROWS`` rows at a
-time, so at most one block's text exists at once.  ``_json_text`` joins
-the same chunks.
+time, so at most one block's text exists at once.  ``decompose`` writes
+its csv and table text ``_BLOCK_ROWS`` words at a time too.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -447,10 +447,6 @@ def _chunks(pieces: list):
             yield "".join(group[start : start + _BLOCK_ROWS])
 
 
-def _json_text(payload) -> str:
-    return "".join(_json_chunks(payload))
-
-
 def _sum_chunks(op_sum: WeightedPauliSum, fmt: str, dense):
     if fmt == "json":
         # the sum stands for its term list, written from its columns
@@ -458,16 +454,16 @@ def _sum_chunks(op_sum: WeightedPauliSum, fmt: str, dense):
         if dense is not None:
             payload["dense"] = dense.tolist()
         return _json_chunks(payload)
-    if fmt == "csv":
-        lines = ["word,coeff", f"{'I' * op_sum.n_qubits},{op_sum.identity_weight:g}"]
-        lines += [f"{w},{c:g}" for w, c in zip(op_sum.words, op_sum.coeffs)]
-        return ("\n".join(lines) + "\n",)
-    parts = [f"{op_sum.identity_weight:g}"]
-    parts += [f"{c:+g}*{w}" for w, c in zip(op_sum.words, op_sum.coeffs)]
-    text = " ".join(parts) + "\n"
-    if dense is not None:
-        text += "\n".join(" ".join(str(v) for v in row) for row in dense.tolist()) + "\n"
-    return (text,)
+    identity = f"{op_sum.identity_weight:g}"
+    if fmt == "csv":  # a header, then one line per word
+        first, line = f"word,coeff\n{'I' * op_sum.n_qubits},{identity}", "\n{},{:g}"
+    else:  # one line of words, then the rows of any dense matrix
+        first, line = identity, " {1:+g}*{0}"
+    lines = map(line.format, op_sum.words, op_sum.coeff_array)
+    blocks = iter(lambda: "".join(islice(lines, _BLOCK_ROWS)), "")
+    rows = () if dense is None else dense.tolist()
+    last = "\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    return chain((first,), blocks, (last,))
 
 
 _SUMMARY = ("j_estimate", "j_std_error", "j_exact", "j_closed_form", "relative_error")
@@ -546,6 +542,8 @@ def _cmd_decompose(args, parser) -> int:
         parser.error("--n must be a positive integer")
     if args.dense and args.n > 8:
         parser.error("--dense is limited to n <= 8")
+    if args.dense and args.format == "csv":
+        parser.error("--dense needs --format json or table")
     try:
         op_sum = current_decomposition(args.n)
         dense = dense_current_matrix(args.n) if args.dense else None

@@ -19,9 +19,9 @@ Walsh-Hadamard transform of a dense outcome vector, or of every row of a
 table of them, gives every word's parity average.
 Sums over {I,X,Z} with at most one Z per word feed it per setting
 (``pauli.setting_plan``) in extended precision, which keeps the heavily
-weighted cancellations accurate at large N; other words act on the state
-directly.  ``experiment`` calls the sweep and the kernel in float64, the
-kernel once per run over all its settings.  ``sample`` returns an int64
+weighted cancellations accurate at large N; a Y or a second Z is refused.
+``experiment`` calls the sweep and the kernel in float64, the kernel once
+per run over all its settings.  ``sample`` returns an int64
 count per basis index, not bitstrings.
 """
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import WeightedPauliSum, setting_plan
+from .pauli import WeightedPauliSum, check_measurable, setting_plan
 
 #: Norm drift beyond this after a kernel indicates an engine bug.
 NORM_TOL = 1e-9
@@ -43,7 +43,6 @@ _CONTROLLED = ("CNOT", "CRY")
 _PARAMETRIC = ("RY", "CRY")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
 
 
 class NormDriftError(RuntimeError):
@@ -70,18 +69,6 @@ class Gate:
             raise ValueError("control and target must differ")
         if self.target < 0 or (self.control is not None and self.control < 0):
             raise ValueError("negative qubit index")
-
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind, "target": self.target}
-        if self.control is not None:
-            d["control"] = self.control
-        if self.angle is not None:
-            d["angle"] = self.angle
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Gate":
-        return cls(d["kind"], d["target"], d.get("control"), d.get("angle"))
 
 
 def ry(target: int, angle: float) -> Gate:
@@ -183,10 +170,7 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
     if gate.kind == "RY":
         _rotate_pair(v, gate.angle)
     elif gate.kind == "H":
-        a = v[0].copy()
-        b = v[1]
-        v[0] = (a + b) * _INV_SQRT2
-        v[1] = (a - b) * _INV_SQRT2
+        _hadamard_layer(amps, n_qubits, gate.target, _INV_SQRT2)
     elif gate.kind == "X":
         tmp = v[0].copy()
         v[0] = v[1]
@@ -290,45 +274,6 @@ def sample(
     return counts
 
 
-def expectation_pauli(
-    state: Statevector, op_sum: WeightedPauliSum, imag_tol: float = 1e-10
-) -> float:
-    """Exact expectation value of a weighted Pauli sum."""
-    if op_sum.n_qubits != state.n_qubits:
-        raise ValueError(
-            f"operator acts on {op_sum.n_qubits} qubits, state has {state.n_qubits}"
-        )
-    _, my, mz = op_sum.masks
-    # no Y anywhere, and at most one Z per word
-    if not my.any() and not (mz & (mz - 1)).any():
-        return _expectation_grouped(state, op_sum)
-    return _expectation_direct(state, op_sum, imag_tol)
-
-
-def _expectation_direct(
-    state: Statevector, op_sum: WeightedPauliSum, imag_tol: float
-) -> float:
-    psi = state.amplitudes
-    bra = psi.conj()
-    idx = np.arange(psi.size)
-    total = complex(op_sum.identity_weight)
-    columns = (*op_sum.masks, op_sum.coeff_array)
-    for mx, my, mz, coeff in zip(*(column.tolist() for column in columns)):
-        flip = mx | my
-        phase = mz | my
-        row = bra if flip == 0 else bra[idx ^ flip]
-        if phase:
-            # bitwise_count yields uint8; widen before it can wrap
-            parity = np.bitwise_count(idx & phase).astype(np.int64) & 1
-            val = np.dot(row * (1 - 2 * parity), psi)
-        else:
-            val = np.dot(row, psi)
-        total += coeff * val * _I_POWERS[my.bit_count() & 3]
-    if abs(total.imag) > imag_tol:
-        raise ValueError(f"imaginary residue {total.imag!r} exceeds {imag_tol}")
-    return float(total.real)
-
-
 def parity_expectations(
     probs: np.ndarray, masks, rows=None, overwrite: bool = False
 ) -> np.ndarray:
@@ -397,7 +342,14 @@ def rotated_settings(amps: np.ndarray, n_qubits: int, zmasks, dtype, scale=None)
         yield k, rotated
 
 
-def _expectation_grouped(state: Statevector, op_sum: WeightedPauliSum) -> float:
+def expectation_pauli(state: Statevector, op_sum: WeightedPauliSum) -> float:
+    """Exact expectation value of a weighted Pauli sum over {I, X, Z} with at
+    most one Z per word, read per setting; a Y or a second Z is refused."""
+    if op_sum.n_qubits != state.n_qubits:
+        raise ValueError(
+            f"operator acts on {op_sum.n_qubits} qubits, state has {state.n_qubits}"
+        )
+    check_measurable(op_sum)
     n = state.n_qubits
     mx, _, mz = op_sum.masks
     coeffs = op_sum.coeff_array.astype(np.longdouble)

@@ -757,29 +757,31 @@ def _parse_setting_entry(entry: dict, n_qubits: int, position: int):
     return setting, Outcomes(n_qubits, index, probs[order]), counts, terms
 
 
-def _first_cover(masks, basis_words: list[str], n_qubits: int) -> np.ndarray:
-    """Index of the first setting that covers each word, -1 where none does.
-
-    ``masks`` are the words' ``word_masks``.  A setting covers a word when
-    the word's X letters sit on the setting's X positions, its Z letters on
-    Z positions, and it has no Y.
-    """
+def _covered(masks, bx, bz) -> np.ndarray:
+    """True where a setting with X and Z masks ``bx`` and ``bz`` covers a
+    word: its X letters on X positions, its Z letters on Z positions, no Y."""
     mx, my, mz = masks
-    bx, _, bz = word_masks(basis_words, n_qubits)
-    owner = np.full(len(mx), -1)
+    return ((mx & ~bx) | (mz & ~bz) | my) == 0
+
+
+def _first_cover(masks, basis_masks) -> np.ndarray:
+    """Index of the first setting that covers each word, -1 where none does;
+    ``masks`` are the words' ``word_masks``, ``basis_masks`` the settings'."""
+    bx, _, bz = basis_masks
+    owner = np.full(len(masks[0]), -1)
     # last setting first, so that the first covering setting is written last
-    for i in range(len(basis_words) - 1, -1, -1):
-        owner[((mx & ~bx[i]) | (mz & ~bz[i]) | my) == 0] = i
+    for i in range(len(bx) - 1, -1, -1):
+        owner[_covered(masks, bx[i], bz[i])] = i
     return owner
 
 
-def _listed_owner(words, masks, lists, basis_words, n_qubits: int) -> np.ndarray:
+def _listed_owner(words, masks, lists, basis_words, basis_masks) -> np.ndarray:
     """Index of the setting whose ``terms`` list names each word, -1 for none.
 
-    ``masks`` are the ``word_masks`` of ``words``, the expansion.  Read in
-    file order, the first listed word that fails is reported, with the
-    first of its faults: not an expansion word, listed before, or not
-    covered by its own setting (the cover test of ``_first_cover``).
+    ``masks`` are the ``word_masks`` of ``words``, the expansion, and
+    ``basis_masks`` those of ``basis_words``.  Read in file order, the first
+    listed word that fails is reported, with the first of its faults: not
+    an expansion word, listed before, or not covered by its own setting.
     """
     listed = list(chain.from_iterable(lists))
     setting = np.repeat(np.arange(len(lists)), [len(terms) for terms in lists])
@@ -789,9 +791,8 @@ def _listed_owner(words, masks, lists, basis_words, n_qubits: int) -> np.ndarray
     again = np.ones(len(listed), dtype=bool)
     again[np.unique(index, return_index=True)[1]] = False
     # an unknown word reads the last word's masks, but fails first anyway
-    mx, my, mz = (mask[index] for mask in masks)
-    bx, _, bz = word_masks(basis_words, n_qubits)
-    uncovered = ((mx & ~bx[setting]) | (mz & ~bz[setting]) | my) != 0
+    bx, _, bz = basis_masks
+    uncovered = ~_covered([mask[index] for mask in masks], bx[setting], bz[setting])
     failed = np.flatnonzero(unknown | again | uncovered)
     if failed.size:
         k = failed[0]
@@ -875,12 +876,12 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         if any(explicit) and not all(explicit):
             raise ValueError("either every setting lists its terms or none does")
         bases = [setting.basis_word for setting, _, _, _ in parsed]
-        masks = decomp.masks
+        masks, basis_masks = decomp.masks, word_masks(bases, n_qubits)
         if all(explicit):
             lists = [words for _, _, _, words in parsed]
-            owner = _listed_owner(decomp.words, masks, lists, bases, n_qubits)
+            owner = _listed_owner(decomp.words, masks, lists, bases, basis_masks)
         else:
-            owner = _first_cover(masks, bases, n_qubits)
+            owner = _first_cover(masks, basis_masks)
         uncovered = np.flatnonzero(owner < 0)[:4].tolist()
         if uncovered:
             raise ValueError(

@@ -15,7 +15,7 @@ when read, for reports and printing, and then kept.
 ``current_decomposition`` gathers its masks and weights from two small
 tables of half words and joins the words from the same tables only when
 they are asked for; a sum built from words takes its masks from
-``word_masks`` once.
+``word_masks`` once.  Either way the masks pass one set of bulk checks.
 
 Letter ordering: the leftmost letter of a word acts on qubit S1, which is
 the most significant bit of the momentum index.
@@ -26,8 +26,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import islice
-from operator import attrgetter, eq, lt
+from operator import attrgetter
 
 import numpy as np
 
@@ -70,8 +69,8 @@ class PauliTerms(Sequence):
     """Read-only sequence of a sum's terms as ``PauliString``s.
 
     Nothing is built up front: ``len`` is O(1) and makes no word, and a
-    ``PauliString`` is made only for the item asked for.  ``words`` and
-    ``coeffs`` are the sum's own columns, made when first read.
+    ``PauliString`` is made only for the item asked for, from the sum's
+    ``words`` and ``coeffs``.
     """
 
     __slots__ = ("_sum",)
@@ -79,22 +78,14 @@ class PauliTerms(Sequence):
     def __init__(self, op_sum: "WeightedPauliSum"):
         self._sum = op_sum
 
-    @property
-    def words(self) -> tuple[str, ...]:
-        return self._sum.words
-
-    @property
-    def coeffs(self) -> tuple[float, ...]:
-        return self._sum.coeffs
-
     def __len__(self):
         return len(self._sum.coeff_array)
 
     def __getitem__(self, index):
-        return PauliString(self.words[index], self.coeffs[index])
+        return PauliString(self._sum.words[index], self._sum.coeffs[index])
 
     def __iter__(self):
-        return map(PauliString, self.words, self.coeffs)
+        return map(PauliString, self._sum.words, self._sum.coeffs)
 
 
 # deletes every Pauli letter, so whatever str.translate leaves is invalid
@@ -118,17 +109,19 @@ class WeightedPauliSum:
     ``str`` and ``float``; each is made the first time it is read, and
     kept.  A sum built from words, by ``WeightedPauliSum(n, identity_weight,
     terms)`` (``PauliString`` terms) or ``from_columns`` (parallel word and
-    coefficient sequences), keeps them as given and takes its masks from
-    ``word_masks`` once.  ``current_decomposition`` builds its masks
+    coefficient sequences), keeps its words as given and takes its masks
+    from ``word_masks`` once.  ``current_decomposition`` builds its masks
     directly and makes its words only when they are read.  ``terms`` is a
     derived read-only ``PauliTerms`` view.
 
     Terms are kept merged: no duplicate words, and the all-identity word
     lives exclusively in ``identity_weight``.  Every word must be
     ``n_qubits`` letters over IXYZ and every coefficient finite, the same
-    checks ``PauliString`` makes one word at a time.  Two sums are equal
-    when they have the same qubit count and identity weight and the same
-    words with the same coefficients in the same order.
+    checks ``PauliString`` makes one word at a time.  Words are checked
+    only for what masks cannot hold, their lengths and letters; the rest is
+    checked on the masks (``_check_masks``), for at most 31 qubits.  Two
+    sums are equal when they have the same qubit count and identity weight
+    and the same words with the same coefficients in the same order.
     """
 
     n_qubits: int
@@ -163,71 +156,29 @@ class WeightedPauliSum:
         cls, n_qubits: int, identity_weight: float, masks, coeff_array, make_words
     ) -> "WeightedPauliSum":
         """A sum from its int64 masks and float64 coefficient array, which it
-        takes over; ``make_words()`` yields the words when they are first read.
-        ``from_columns``'s checks run on the masks in bulk, with the same
-        messages, for up to 31 qubits."""
+        takes over; ``make_words()`` yields the words when they are first read."""
         _check_sizes(n_qubits, identity_weight, len(masks[0]), len(coeff_array))
-        mx, my, mz = masks
-
-        def word(i):  # the word a refusal names; only then are the words made
-            return tuple(make_words())[i]
-
-        union = mx | my | mz
-        outside = np.flatnonzero(union >> n_qubits)
-        if outside.size:
-            raise ValueError(f"term {word(outside[0])} does not act on {n_qubits} qubits")
-        # masks within N bits are disjoint when their sum carries nothing
-        shared = np.flatnonzero(mx + my + mz != union)
-        if shared.size:
-            raise ValueError(f"invalid Pauli word {word(shared[0])!r}")
-        bad = np.flatnonzero(~np.isfinite(coeff_array))
-        if bad.size:
-            raise ValueError(f"non-finite coefficient for {word(bad[0])}")
-        # one base-4 digit per letter, I X Y Z = 0 1 2 3 with the leftmost
-        # letter most significant, so words of one length order as their
-        # codes; a digit's low bit marks X or Z, its high bit Y or Z
-        code = np.zeros(len(mx), dtype=np.int64)
-        for high, bits in ((0, mx | mz), (1, my | mz)):
-            for shift in range(0, n_qubits, 8):
-                code += _SPREAD[(bits >> shift) & 255] << (2 * shift + high)
-        ascending = bool((code[1:] > code[:-1]).all())
-        ordered = code if ascending else np.sort(code)
-        if ordered.size and ordered[0] == 0:
-            raise ValueError("all-identity term belongs in identity_weight")
-        if not ascending and (ordered[1:] == ordered[:-1]).any():
-            raise ValueError("duplicate Pauli words; merge like terms first")
+        _check_masks(n_qubits, masks, coeff_array, lambda i: tuple(make_words())[i])
         out = object.__new__(cls)
-        out._set(n_qubits, identity_weight, masks, coeff_array, make_words, None)
+        out._set(n_qubits, identity_weight, masks, coeff_array, make_words)
         return out
 
     def _set_columns(self, n_qubits, identity_weight, words, coeffs) -> None:
         _check_sizes(n_qubits, identity_weight, len(words), len(coeffs))
-        # bulk checks: each runs in C over a whole column, which matters at
-        # 10^6 words
+        # what masks cannot hold: each word's length and letters, checked in
+        # bulk, in C over a whole column, which matters at 10^6 words
         if set(map(len, words)) - {n_qubits}:
             bad = next(w for w in words if len(w) != n_qubits)
             raise ValueError(f"term {bad} does not act on {n_qubits} qubits")
         if "".join(words).translate(_DROP_PAULI_LETTERS):
             bad = next(w for w in words if w.translate(_DROP_PAULI_LETTERS))
             raise ValueError(f"invalid Pauli word {bad!r}")
-        if not all(map(math.isfinite, coeffs)):
-            bad = next(w for w, c in zip(words, coeffs) if not math.isfinite(c))
-            raise ValueError(f"non-finite coefficient for {bad}")
-        # strictly ascending words (as current_decomposition makes them) are
-        # distinct as they stand; otherwise duplicates end up side by side in
-        # a sorted copy.  Either way the all-I word, the smallest word of its
-        # length over IXYZ, comes first if it is there at all
-        ascending = all(map(lt, words, islice(words, 1, None)))
-        ordered = words if ascending else sorted(words)
-        if ordered and ordered[0] == "I" * n_qubits:
-            raise ValueError("all-identity term belongs in identity_weight")
-        if not ascending and any(map(eq, ordered, islice(ordered, 1, None))):
-            raise ValueError("duplicate Pauli words; merge like terms first")
         masks = word_masks(words, n_qubits)
         coeff_array = np.array(coeffs, dtype=np.float64)
-        self._set(n_qubits, identity_weight, masks, coeff_array, words, coeffs)
+        _check_masks(n_qubits, masks, coeff_array, words.__getitem__)
+        self._set(n_qubits, identity_weight, masks, coeff_array, words)
 
-    def _set(self, n_qubits, identity_weight, masks, coeff_array, words, coeffs):
+    def _set(self, n_qubits, identity_weight, masks, coeff_array, words):
         for array in (*masks, coeff_array):
             array.flags.writeable = False
         object.__setattr__(self, "n_qubits", n_qubits)
@@ -235,7 +186,7 @@ class WeightedPauliSum:
         object.__setattr__(self, "masks", tuple(masks))
         object.__setattr__(self, "coeff_array", coeff_array)
         object.__setattr__(self, "_words", words)
-        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_coeffs", None)
 
     def _take(self, members: np.ndarray) -> "WeightedPauliSum":
         """The terms at ``members``, distinct indices, in that order and
@@ -245,7 +196,7 @@ class WeightedPauliSum:
 
         out = object.__new__(WeightedPauliSum)
         masks = tuple(mask[members] for mask in self.masks)
-        out._set(self.n_qubits, 0.0, masks, self.coeff_array[members], words, None)
+        out._set(self.n_qubits, 0.0, masks, self.coeff_array[members], words)
         return out
 
     @property
@@ -289,24 +240,60 @@ class WeightedPauliSum:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "WeightedPauliSum":
-        terms = data["terms"]
-        return cls.from_columns(
-            int(data["n"]),
-            float(data["lambda0"]),
-            [t["word"] for t in terms],
-            [float(t["coeff"]) for t in terms],
-        )
+
+#: Most qubits a sum holds: the int64 base-4 code of ``_check_masks``' words
+_SUM_QUBIT_CAP = 31
 
 
 def _check_sizes(n_qubits, identity_weight, word_count, coeff_count) -> None:
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
+    if n_qubits > _SUM_QUBIT_CAP:
+        raise ValueError(f"a sum holds at most {_SUM_QUBIT_CAP} qubits, got {n_qubits}")
     if not math.isfinite(identity_weight):
         raise ValueError("non-finite identity weight")
     if word_count != coeff_count:
         raise ValueError(f"{word_count} words but {coeff_count} coefficients")
+
+
+def _check_masks(n_qubits, masks, coeff_array, word) -> None:
+    """Refuse masks beyond N bits or that share a bit, a non-finite
+    coefficient, the all-I word or a repeated word, in bulk; a refusal
+    names ``word(i)``, with the message a check of the words would give."""
+    mx, my, mz = masks
+    union = mx | my | mz
+    outside = np.flatnonzero(union >> n_qubits)
+    if outside.size:
+        raise ValueError(f"term {word(outside[0])} does not act on {n_qubits} qubits")
+    # masks within N bits are disjoint when their sum carries nothing
+    shared = np.flatnonzero(mx + my + mz != union)
+    if shared.size:
+        raise ValueError(f"invalid Pauli word {word(shared[0])!r}")
+    del union, shared  # freed before the letter code, the larger peak
+    bad = np.flatnonzero(~np.isfinite(coeff_array))
+    if bad.size:
+        raise ValueError(f"non-finite coefficient for {word(bad[0])}")
+    # one base-4 digit per letter, I X Y Z = 0 1 2 3 with the leftmost
+    # letter most significant, so words of one length order as their
+    # codes; a digit's low bit marks X or Z, its high bit Y or Z
+    code = np.zeros(len(mx), dtype=np.int64)
+    for high, bits in ((0, mx | mz), (1, my | mz)):
+        for shift in range(0, n_qubits, 8):
+            code += _SPREAD[(bits >> shift) & 255] << (2 * shift + high)
+    ascending = bool((code[1:] > code[:-1]).all())
+    ordered = code if ascending else np.sort(code)
+    if ordered.size and ordered[0] == 0:
+        raise ValueError("all-identity term belongs in identity_weight")
+    if not ascending and (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("duplicate Pauli words; merge like terms first")
+
+
+def check_measurable(op_sum: WeightedPauliSum) -> None:
+    """Refuse a word with a Y or a second Z, which no Z/X setting reads."""
+    _, my, mz = op_sum.masks
+    bad = np.flatnonzero(my | (mz & (mz - 1)))
+    if bad.size:
+        raise ValueError(f"term {op_sum.words[bad[0]]} not measurable with Z/X settings")
 
 
 def index_masks(word: str) -> tuple[int, int, int]:
@@ -441,6 +428,7 @@ def current_decomposition(n_qubits: int) -> WeightedPauliSum:
         prefix_z[first] | suffix_z[second],
     )
     weights = np.where(in_prefix, prefix_weights[first], suffix_weights[second])
+    del first, second, in_prefix  # freed before the checks, which peak higher
     make_words = partial(_joined_words, prefixes, suffixes, prefix_z, suffix_z)
     return WeightedPauliSum._from_masks(n_qubits, ix_weight, masks, weights, make_words)
 

@@ -20,6 +20,17 @@ def child_env(**overrides) -> dict:
     return env
 
 
+#: A child Python's script: run the CLI on the JSON argv list in sys.argv[1],
+#: then print its exit code and its own peak resident set (VmHWM, kB)
+PEAK_SCRIPT = """
+import json, re, sys
+from ringflow.cli import main
+code = main(json.loads(sys.argv[1]))
+status = open("/proc/self/status").read()
+print(code, re.search(r"VmHWM:\\s+(\\d+) kB", status).group(1))
+"""
+
+
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR

@@ -33,6 +33,7 @@ from ringflow.pauli import (
 )
 
 from conftest import measurable_sums, random_state_vector
+from oracles import covers
 
 
 class TestPrepareBackflowCircuit:
@@ -94,11 +95,11 @@ class TestPrepareBackflowCircuit:
 class TestMeasurementCircuit:
     def test_single_x_basis(self):
         circ = measurement_circuit(MeasurementSetting("X"))
-        assert [g.to_dict() for g in circ.gates] == [{"kind": "H", "target": 0}]
+        assert circ.gates == (h(0),)
 
     def test_mixed_basis_word(self):
         circ = measurement_circuit(MeasurementSetting("ZX"))
-        assert [g.to_dict() for g in circ.gates] == [{"kind": "H", "target": 1}]
+        assert circ.gates == (h(1),)
 
     def test_all_z_is_empty(self):
         assert measurement_circuit(MeasurementSetting("ZZZ")).gates == ()
@@ -133,7 +134,7 @@ class TestGrouping:
         assert sorted(assigned) == sorted(t.word for t in dec.terms)
         for setting, terms in groups.items():
             for t in terms:
-                assert setting.covers(t.word)
+                assert covers(setting, t.word)
 
     def test_rejects_y_words(self):
         bad = WeightedPauliSum(1, 0.0, (PauliString("Y", 1.0),))
@@ -196,8 +197,8 @@ def assert_plan_matches_references(op_sum):
     assert [z for z, _ in sorted(plan, key=lambda s: s[1][0])] == list(by_unique)
     groups = group_terms(op_sum)
     assert [s.basis_word for s in groups] == list(old)
-    assert [(t.words, t.coeffs) for t in groups.values()] == [
-        (tuple(words), tuple(coeffs)) for words, coeffs in old.values()
+    assert [([t.word for t in ts], [t.coeff for t in ts]) for ts in groups.values()] == [
+        (words, coeffs) for words, coeffs in old.values()
     ]
 
 
@@ -294,10 +295,6 @@ class TestCircuitType:
         with pytest.raises(ValueError):
             Circuit(1, (h(1),))
 
-    def test_serialization_round_trip(self):
-        circ = prepare_backflow_circuit(2)
-        assert Circuit.from_dict(circ.to_dict()) == circ
-
     def test_setting_validation(self):
         with pytest.raises(ValueError):
             MeasurementSetting("XY")
@@ -306,6 +303,6 @@ class TestCircuitType:
 
     def test_setting_covers(self):
         setting = MeasurementSetting("ZX")
-        assert setting.covers("IX") and setting.covers("ZI") and setting.covers("ZX")
-        assert not setting.covers("XI")
-        assert not setting.covers("X")
+        assert covers(setting, "IX") and covers(setting, "ZI") and covers(setting, "ZX")
+        assert not covers(setting, "XI")
+        assert not covers(setting, "X")

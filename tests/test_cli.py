@@ -19,11 +19,16 @@ from hypothesis import strategies as st
 
 import ringflow.cli
 import ringflow.experiment
-from ringflow.cli import _json_text, _NonFiniteReport, _report_chunks, main
+from ringflow.cli import _json_chunks, _NonFiniteReport, _report_chunks, main
 from ringflow.experiment import Outcomes, SettingRecord, TermRecords
-from ringflow.pauli import MAX_QUBITS, WeightedPauliSum, current_decomposition
+from ringflow.pauli import (
+    MAX_QUBITS,
+    WeightedPauliSum,
+    current_decomposition,
+    dense_current_matrix,
+)
 
-from conftest import assert_same_text, child_env
+from conftest import PEAK_SCRIPT, assert_same_text, child_env
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -88,6 +93,70 @@ class TestDecompose:
         with pytest.raises(SystemExit) as exc:
             main(["decompose", "--n", "9", "--dense"])
         assert exc.value.code == 2
+
+    def test_dense_csv_is_usage_error(self, capsys):
+        """csv has no place for the matrix, so it is refused, not dropped."""
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--n", "2", "--dense", "--format", "csv"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--dense needs --format json or table" in captured.err
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("block", [1, 2, 7, 1 << 13])
+    def test_text_formats_stream_in_blocks(self, capsys, monkeypatch, fmt, n, block):
+        """csv and table text is written ``_BLOCK_ROWS`` words at a time and
+        reads as it did when it was built whole."""
+        monkeypatch.setattr(ringflow.cli, "_BLOCK_ROWS", block)
+        dec = current_decomposition(n)
+        if fmt == "csv":
+            lines = ["word,coeff", f"{'I' * n},{dec.identity_weight:g}"]
+            lines += [f"{w},{c:g}" for w, c in zip(dec.words, dec.coeffs)]
+            want = "\n".join(lines) + "\n"
+        else:
+            parts = [f"{dec.identity_weight:g}"]
+            parts += [f"{c:+g}*{w}" for w, c in zip(dec.words, dec.coeffs)]
+            want = " ".join(parts) + "\n"
+        written = []
+        monkeypatch.setattr(ringflow.cli, "_emit", lambda chunks, path: written.extend(chunks))
+        main(["decompose", "--n", str(n), "--format", fmt])
+        assert "".join(written) == want
+        # the first and last chunks hold no word, every other one a block of
+        # words, each with one "," in csv and one "*" in table
+        assert [chunk.count("," if fmt == "csv" else "*") for chunk in written[1:-1]] == [
+            min(block, len(dec.words) - start) for start in range(0, len(dec.words), block)
+        ]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_table_with_dense_rows(self, capsys, n):
+        code, out, _ = run_cli(capsys, "decompose", "--n", str(n), "--dense", "--format", "table")
+        assert code == 0
+        dec = current_decomposition(n)
+        rows = [" ".join(map(str, row)) for row in dense_current_matrix(n).tolist()]
+        assert out.splitlines()[1:] == rows
+        assert out.splitlines()[0].split() == [
+            f"{dec.identity_weight:g}", *(f"{c:+g}*{w}" for w, c in zip(dec.words, dec.coeffs))
+        ]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_sixteen_qubit_text_peak_memory(self, tmp_path, fmt):
+        """``decompose --n 16`` in csv and table (589 823 words, 13 MB) peaks
+        at no more than 150 MB, read by the child itself; built whole, the
+        text took 209 MB."""
+        target = tmp_path / f"terms.{fmt}"
+        argv = ["decompose", "--n", "16", "--format", fmt, "--output", str(target)]
+        done = subprocess.run(
+            [sys.executable, "-c", PEAK_SCRIPT, json.dumps(argv)],
+            env=child_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        code, peak_kb = map(int, done.stdout.split())
+        assert code == 0
+        assert target.stat().st_size > 12e6
+        assert peak_kb <= 150 * 1024, f"peak {peak_kb / 1024:.0f} MB"
 
 
 class TestCurrent:
@@ -454,19 +523,19 @@ _JSON_VALUES = st.recursive(
 
 
 class TestJsonRenderer:
-    """``_json_text`` writes exactly what ``json.dumps(indent=2)`` writes."""
+    """``_json_chunks`` writes exactly what ``json.dumps(indent=2)`` writes."""
 
     @settings(max_examples=400, deadline=None)
     @given(_JSON_VALUES)
     def test_matches_json_dumps(self, value):
-        assert _json_text(value) == json_dumps_oracle(value)
+        assert "".join(_json_chunks(value)) == json_dumps_oracle(value)
 
     @pytest.mark.parametrize(
         "value",
         [{}, [], (), {"a": {}}, [[], {}], {"": [{"": []}]}, "x", 0, None, [1e300, -0.0]],
     )
     def test_empty_and_scalar_edges(self, value):
-        assert _json_text(value) == json_dumps_oracle(value)
+        assert "".join(_json_chunks(value)) == json_dumps_oracle(value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -482,7 +551,7 @@ class TestJsonRenderer:
     )
     def test_non_finite_refused(self, bad, wrap):
         with pytest.raises(_NonFiniteReport, match="JSON"):
-            _json_text(wrap(bad))
+            _json_chunks(wrap(bad))
 
     @pytest.mark.parametrize(
         "argv",

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ringflow.engine
-from ringflow.circuits import MeasurementSetting, measurement_circuit
+from ringflow.circuits import MeasurementSetting, group_terms, measurement_circuit
 from ringflow.engine import (
     MAX_SHOTS,
     Distribution,
@@ -32,7 +32,7 @@ from ringflow.engine import (
     z,
     z_probabilities,
 )
-from ringflow.engine import _INV_SQRT2, _expectation_direct, _expectation_grouped
+from ringflow.engine import _INV_SQRT2
 from ringflow.experiment import backflow_coefficients, run_simulation
 from ringflow.pauli import (
     PauliString,
@@ -43,6 +43,7 @@ from ringflow.pauli import (
 )
 
 from conftest import child_env, measurable_sums, random_state_vector
+from oracles import expectation_direct
 
 INV_SQRT5 = 1.0 / math.sqrt(5.0)
 
@@ -204,6 +205,8 @@ class TestExpectation:
         assert abs(expectation_pauli(psi2, op) - 2.0 / 3.0) < 1e-12
 
     def test_y_word_against_dense(self):
+        """The per-word oracle reads a Y word, which ``expectation_pauli``
+        refuses."""
         rng = np.random.default_rng(3)
         state = init_amplitudes(2, random_state_vector(rng, 2))
         op = WeightedPauliSum(2, 0.0, (PauliString("YX", 1.0),))
@@ -211,7 +214,9 @@ class TestExpectation:
         xm = np.array([[0, 1], [1, 0]])
         dense = np.kron(y, xm)
         expected = np.real(np.conj(state.amplitudes) @ dense @ state.amplitudes)
-        assert abs(expectation_pauli(state, op) - expected) < 1e-12
+        assert abs(expectation_direct(state, op) - expected) < 1e-12
+        with pytest.raises(ValueError, match="term YX not measurable"):
+            expectation_pauli(state, op)
 
     def test_qubit_count_mismatch(self, psi1):
         with pytest.raises(ValueError, match="mismatch|qubits"):
@@ -237,19 +242,27 @@ class TestExpectation:
         dec = current_decomposition(n)
         for _ in range(5):
             state = init_amplitudes(n, random_state_vector(rng, n))
-            direct = _expectation_direct(state, dec, 1e-10)
-            grouped = _expectation_grouped(state, dec)
+            direct = expectation_direct(state, dec)
+            grouped = expectation_pauli(state, dec)
             assert abs(direct - grouped) < 1e-10
 
     def test_path_chosen_by_word_shape(self):
-        """Every {I,X,Z} sum with at most one Z per word takes the grouped path."""
+        """A sum over {I,X,Z} with at most one Z per word is read per setting;
+        a Y or a second Z anywhere is refused, with the message and the word
+        that ``group_terms`` gives, and only the per-word oracle reads it."""
         rng = np.random.default_rng(7)
         state = init_amplitudes(3, random_state_vector(rng, 3))
         dec = current_decomposition(3)
-        assert expectation_pauli(state, dec) == _expectation_grouped(state, dec)
+        assert abs(expectation_pauli(state, dec) - expectation_direct(state, dec)) < 1e-12
         for word in ("YXI", "ZZI"):
-            op = WeightedPauliSum(3, 0.5, (PauliString(word, 1.0),))
-            assert expectation_pauli(state, op) == _expectation_direct(state, op, 1e-10)
+            op = WeightedPauliSum.from_columns(3, 0.5, [*dec.words, word], [*dec.coeffs, 1.0])
+            with pytest.raises(ValueError) as refused:
+                expectation_pauli(state, op)
+            assert str(refused.value) == f"term {word} not measurable with Z/X settings"
+            with pytest.raises(ValueError) as grouped:
+                group_terms(op)
+            assert str(grouped.value) == str(refused.value)
+            assert math.isfinite(expectation_direct(state, op))
 
     def test_grouped_path_engages_at_scale(self):
         state = init_amplitudes(12, backflow_coefficients(12).a)
@@ -303,7 +316,7 @@ def test_grouped_path_bit_identical_to_per_word_grouping(n):
     )
     for op in (dec, shuffled):
         assert expectation_pauli(state, op) == grouped_per_word(state, op)
-        assert abs(_expectation_direct(state, op, 1e-10) - grouped_per_word(state, op)) < 1e-10
+        assert abs(expectation_direct(state, op) - grouped_per_word(state, op)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -558,10 +571,35 @@ class TestProbabilitiesAndSampling:
             assert d["probabilities"] == {b: c / 50 for b, c in expected.items()}
 
 
+def per_gate_hadamard(amps, n, pos):
+    """A Hadamard on qubit ``pos`` as the gate kernel once applied it, on a
+    (2,)*n view: (a + b) / sqrt(2) and (a - b) / sqrt(2), in place."""
+    v = np.moveaxis(amps.reshape((2,) * n), pos, 0)
+    a = v[0].copy()
+    b = v[1]
+    v[0] = (a + b) * _INV_SQRT2
+    v[1] = (a - b) * _INV_SQRT2
+
+
 def unitary_rotation(state, zmask):
     """One setting's basis change gate by gate, in complex128: the reference."""
-    setting = MeasurementSetting.from_z_mask(zmask, state.n_qubits)
-    return apply_circuit(state, measurement_circuit(setting)).amplitudes
+    n = state.n_qubits
+    rotated = state.amplitudes.copy()
+    for gate in measurement_circuit(MeasurementSetting.from_z_mask(zmask, n)).gates:
+        per_gate_hadamard(rotated, n, gate.target)
+    return rotated
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 6), pos=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_hadamard_gate_is_the_sweep_layer_bit_for_bit(n, pos, seed):
+    """The H gate runs the sweep's layer, times 1/sqrt(2): the same IEEE
+    operations as the per-gate formula, so the same bits."""
+    pos %= n
+    state = init_amplitudes(n, random_state_vector(np.random.default_rng(seed), n))
+    want = state.amplitudes.copy()
+    per_gate_hadamard(want, n, pos)
+    assert np.array_equal(apply_gate(state, h(pos)).amplitudes, want)
 
 
 def unnormalized_rotation(state, zmask):

@@ -53,7 +53,8 @@ from ringflow.pauli import (
     word_masks,
 )
 
-from conftest import assert_same_text, child_env, random_state_vector
+from conftest import PEAK_SCRIPT, assert_same_text, child_env, random_state_vector
+from oracles import covers
 
 FOUR_PI = 4.0 * math.pi
 
@@ -410,7 +411,7 @@ class TestPerTermBlocks:
         target = tmp_path / "report.json"
         argv = ["current", "--mode", "exact", "--n", "10", "--per-term", "--output", str(target)]
         done = subprocess.run(
-            [sys.executable, "-c", _PEAK_SCRIPT, json.dumps(argv)],
+            [sys.executable, "-c", PEAK_SCRIPT, json.dumps(argv)],
             env=child_env(), capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
@@ -418,15 +419,6 @@ class TestPerTermBlocks:
         assert code == 0
         assert target.stat().st_size > 50e6
         assert peak_kb <= 150 * 1024, f"peak {peak_kb / 1024:.0f} MB"
-
-
-_PEAK_SCRIPT = """
-import json, re, sys
-from ringflow.cli import main
-code = main(json.loads(sys.argv[1]))
-status = open("/proc/self/status").read()
-print(code, re.search(r"VmHWM:\\s+(\\d+) kB", status).group(1))
-"""
 
 
 def counting_transforms(monkeypatch) -> list:
@@ -693,12 +685,12 @@ class TestIngestMeasurements:
 
 
 def covers_loop_owner(words, basis_words):
-    """First covering setting of each word by ``MeasurementSetting.covers``,
-    -1 where none covers it: the assignment as it ran one word at a time."""
+    """First covering setting of each word by the ``covers`` oracle, -1
+    where none covers it: the assignment as it ran one word at a time."""
     settings_ = [MeasurementSetting(b) for b in basis_words]
     owner = []
     for word in words:
-        owner.append(next((i for i, s in enumerate(settings_) if s.covers(word)), -1))
+        owner.append(next((i for i, s in enumerate(settings_) if covers(s, word)), -1))
     return owner
 
 
@@ -722,7 +714,7 @@ def test_first_cover_matches_covers_loop(data, n):
         | st.just(list(current_decomposition(n).words))
     )
     bases = data.draw(setting_lists(n))
-    owner = _first_cover(word_masks(words, n), bases, n)
+    owner = _first_cover(word_masks(words, n), word_masks(bases, n))
     assert owner.tolist() == covers_loop_owner(words, bases)
 
 
@@ -768,7 +760,7 @@ def listed_terms_loop(words, lists, bases):
                 raise ValueError(f"{word!r} is not an expansion term")
             if word in assignment:
                 raise ValueError(f"term {word} assigned twice")
-            if not setting.covers(word):
+            if not covers(setting, word):
                 raise ValueError(f"term {word} not measurable under {basis}")
             assignment[word] = i
     return [assignment.get(w, -1) for w in words]

@@ -4,8 +4,10 @@ The dense matrix (entry = row index + column index) and the tensor-product
 realization of the expansion are independent routes; everything here is
 integer-exact, so comparisons use strict equality.
 """
-import json
 import math
+import os
+import subprocess
+import sys
 from functools import reduce
 from itertools import product
 
@@ -27,6 +29,8 @@ from ringflow.pauli import (
     term_count,
     word_masks,
 )
+
+from conftest import child_env
 
 I2 = np.eye(2, dtype=np.int64)
 X2 = np.array([[0, 1], [1, 0]], dtype=np.int64)
@@ -163,11 +167,6 @@ class TestCurrentDecomposition:
             assert "Y" not in word
             assert word.count("Z") <= 1
 
-    def test_serialization_round_trip(self):
-        dec = current_decomposition(3)
-        data = json.loads(json.dumps(dec.to_dict()))
-        assert WeightedPauliSum.from_dict(data) == dec
-
 
 class TestTermCount:
     @pytest.mark.parametrize("n, expected", [(1, 2), (2, 7), (4, 47)])
@@ -257,13 +256,33 @@ def test_word_masks_every_letter_at_every_position(n):
 
 def test_masks_hold_at_most_63_qubits():
     """A wider word would lose its leftmost letters from its masks, which
-    are a sum's only stored form of its words."""
+    are a sum's only stored form of its words.  A sum holds fewer still:
+    the letter code of its checks fills an int64 at 31 letters."""
     assert word_masks(["X" + "I" * 62], 63)[0].tolist() == [1 << 62]
     for n in (64, 70):
         with pytest.raises(ValueError, match="at most 63 qubits"):
             word_masks(["X" + "I" * (n - 1)], n)
-        with pytest.raises(ValueError, match="at most 63 qubits"):
+        with pytest.raises(ValueError, match=f"a sum holds at most 31 qubits, got {n}"):
             WeightedPauliSum.from_columns(n, 0.0, ["X" + "I" * (n - 1)], [1.0])
+
+
+def test_sums_hold_at_most_31_qubits():
+    """Every constructor refuses a 32-qubit sum with the same message; at
+    31 qubits the letter code still orders words and finds repeats."""
+    top = ["Z" + "I" * 30, "Y" * 31, "Z" * 31]
+    assert WeightedPauliSum.from_columns(31, 0.0, top, [1.0, 2.0, 3.0]).words == tuple(top)
+    with pytest.raises(ValueError, match="duplicate"):
+        WeightedPauliSum.from_columns(31, 0.0, [top[2], top[0], top[2]], [1.0] * 3)
+    masks = tuple(np.array([m], dtype=np.int64) for m in index_masks("X" * 32))
+    for make in (
+        lambda: WeightedPauliSum.from_columns(32, 0.0, ["X" * 32], [1.0]),
+        lambda: WeightedPauliSum(32, 0.0, (PauliString("X" * 32, 1.0),)),
+        lambda: WeightedPauliSum(32, 0.0, ()),
+        lambda: WeightedPauliSum._from_masks(32, 0.0, masks, np.ones(1), lambda: ["X" * 32]),
+    ):
+        with pytest.raises(ValueError) as refused:
+            make()
+        assert str(refused.value) == "a sum holds at most 31 qubits, got 32"
 
 
 def test_word_masks_reject_wrong_length():
@@ -308,6 +327,32 @@ def test_decomposition_equals_level_by_level_build(n):
     for got, want in zip(dec.masks, word_masks(dec.words, n)):
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+
+
+_DECOMPOSITION_PEAK_SCRIPT = """
+import re, sys
+from ringflow.pauli import current_decomposition
+op_sum = current_decomposition(int(sys.argv[1]))
+status = open("/proc/self/status").read()
+print(len(op_sum.coeff_array), re.search(r"VmHWM:\\s+(\\d+) kB", status).group(1))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_eighteen_qubit_decomposition_peak_memory():
+    """``current_decomposition(18)`` (2 621 439 words: 80 MiB of masks and
+    weights) peaks at no more than 240 MiB, read by the child itself.  The
+    word pair indices go before the checks run, and the checks' temporaries
+    before the letter code is built; with all of them alive at once the
+    peak was 273 MiB."""
+    done = subprocess.run(
+        [sys.executable, "-c", _DECOMPOSITION_PEAK_SCRIPT, "18"],
+        env=child_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    words, peak_kb = map(int, done.stdout.split())
+    assert words == term_count(18)
+    assert peak_kb <= 240 * 1024, f"peak {peak_kb / 1024:.0f} MiB"
 
 
 class TestRegisterCap:
@@ -439,7 +484,6 @@ class TestMasksFirst:
         dec = current_decomposition(4)
         words, coeffs = list(dec.words), list(dec.coeffs)
         same = (
-            WeightedPauliSum.from_dict(dec.to_dict()),
             WeightedPauliSum.from_columns(4, dec.identity_weight, words, coeffs),
             WeightedPauliSum(4, dec.identity_weight, dec.terms),
             current_decomposition(4),
