@@ -347,12 +347,12 @@ def _sum_terms_blocks(op_sum: WeightedPauliSum, depth: int):
     """A sum's term list, as ``WeightedPauliSum.to_dict`` holds it, from its
     coefficient and word columns (a sum's coefficients are finite); its
     text is made a block at a time as it is read."""
-    words, coeffs = op_sum.words, op_sum.coeff_array
+    words, coeffs = op_sum.iter_words(), op_sum.coeff_array
 
-    def column_texts(start, stop):
+    def column_texts(start, stop):  # asked for the blocks in order
         return [
             _float_texts(coeffs[start:stop]),
-            _texts(map(encode_basestring_ascii, words[start:stop])),
+            _texts(map(encode_basestring_ascii, islice(words, stop - start))),
         ]
 
     parts = _object_parts(("coeff", "word"), depth)
@@ -459,7 +459,7 @@ def _sum_chunks(op_sum: WeightedPauliSum, fmt: str, dense):
         first, line = f"word,coeff\n{'I' * op_sum.n_qubits},{identity}", "\n{},{:g}"
     else:  # one line of words, then the rows of any dense matrix
         first, line = identity, " {1:+g}*{0}"
-    lines = map(line.format, op_sum.words, op_sum.coeff_array)
+    lines = map(line.format, op_sum.iter_words(), op_sum.coeff_array)
     blocks = iter(lambda: "".join(islice(lines, _BLOCK_ROWS)), "")
     rows = () if dense is None else dense.tolist()
     last = "\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)

@@ -5,24 +5,28 @@ amplitude array (stride 2^(N-1-target)); no dense unitary is ever built.
 Qubit 0 (S1) is the most significant bit of the basis index, so the basis
 index of a momentum eigenstate equals the momentum quantum number.
 
-One sweep, ``rotated_settings``, rotates a state into its measurement
-settings for both estimators: strided Hadamard layers on the real and the
-imaginary part as separate real arrays (no imaginary part for a real
-state).  Visited in order of their leftmost Z, settings copy the
-Hadamards already applied before it and add the ones after it: about
-N^2/2 layers for the N + 1 grouped settings instead of N^2.
+``rotated_settings`` rotates a state into its measurement settings for
+the shot and exact estimators of ``experiment``: strided Hadamard layers
+on the real and the imaginary part as separate real float64 arrays (no
+imaginary part for a real state).  Visited in order of their leftmost Z,
+settings copy the Hadamards already applied before it and add the ones
+after it: about N^2/2 layers for the N + 1 grouped settings instead of N^2.
 
 Expectation values of weighted Pauli sums are computed exactly from the
 sum's mask and coefficient arrays, with no word string or per-word
 object.  Word parities come from one kernel, ``parity_expectations``: one
 Walsh-Hadamard transform of a dense outcome vector, or of every row of a
 table of them, gives every word's parity average.
-Sums over {I,X,Z} with at most one Z per word feed it per setting
-(``pauli.setting_plan``) in extended precision, which keeps the heavily
-weighted cancellations accurate at large N; a Y or a second Z is refused.
-``experiment`` calls the sweep and the kernel in float64, the kernel once
-per run over all its settings.  ``sample`` returns an int64
-count per basis index, not bitstrings.
+``expectation_pauli`` reads sums over {I,X,Z} with at most one Z per word
+(a Y or a second Z is refused) in extended precision, which keeps the
+heavily weighted cancellations accurate at large N.  It rotates the state
+once, N Hadamard layers per part, and reads every setting of
+``pauli.setting_plan`` from that: the all-X setting through one
+full-length transform, each Z setting through one half-length transform
+of a product of the rotated state's two halves across the Z bit.
+``experiment`` calls the kernel in float64, once per run over all its
+settings.  ``sample`` returns an int64 count per basis index, not
+bitstrings.
 """
 from __future__ import annotations
 
@@ -315,36 +319,45 @@ def _hadamard_layer(amps: np.ndarray, n_qubits: int, pos: int, scale=None) -> No
         np.multiply(amps, scale, out=amps)
 
 
-def rotated_settings(amps: np.ndarray, n_qubits: int, zmasks, dtype, scale=None):
+def rotated_settings(amps: np.ndarray, n_qubits: int, zmasks):
     """Yield (k, parts): ``amps`` in the basis of setting k, which reads Z
     where the int ``zmasks[k]`` has a bit (leftmost qubit the MSB) and X
     elsewhere.  ``parts`` are the real part and, unless it is zero, the
-    imaginary part, as new arrays of ``dtype`` with a Hadamard layer (times
-    ``scale``, if given) at each X position in ascending order, as
-    ``circuits.measurement_circuit`` emits them.  Settings are visited by
-    leftmost Z and share the layers before it.
+    imaginary part, as new float64 arrays with a Hadamard layer at each X
+    position in ascending order, as ``circuits.measurement_circuit`` emits
+    them.  Settings are visited by leftmost Z and share the layers before it.
     """
-    parts = [amps.real.astype(dtype)]
+    parts = [amps.real.astype(np.float64)]
     if amps.imag.any():
-        parts.append(amps.imag.astype(dtype))
+        parts.append(amps.imag.astype(np.float64))
     done = 0  # ``parts`` has the layers on every position before ``done``
     for k in sorted(range(len(zmasks)), key=lambda k: -zmasks[k].bit_length()):
         first_z = n_qubits - zmasks[k].bit_length()  # n_qubits for all-X
         for pos in range(done, first_z):
             for part in parts:
-                _hadamard_layer(part, n_qubits, pos, scale)
+                _hadamard_layer(part, n_qubits, pos, _INV_SQRT2)
         done = first_z
         rotated = [part.copy() for part in parts]
         for pos in range(first_z + 1, n_qubits):
             if not zmasks[k] >> (n_qubits - 1 - pos) & 1:
                 for part in rotated:
-                    _hadamard_layer(part, n_qubits, pos, scale)
+                    _hadamard_layer(part, n_qubits, pos, _INV_SQRT2)
         yield k, rotated
 
 
 def expectation_pauli(state: Statevector, op_sum: WeightedPauliSum) -> float:
     """Exact expectation value of a weighted Pauli sum over {I, X, Z} with at
-    most one Z per word, read per setting; a Y or a second Z is refused."""
+    most one Z per word, read per setting; a Y or a second Z is refused.
+
+    The state is rotated once, by unnormalized Hadamards on every position
+    in extended precision: Phi.  The all-X setting's outcomes are
+    sum(part^2) / 2^N.  A Hadamard on bit b of Phi gives the setting with Z
+    there, so that setting's outcome difference across bit b is
+    sum(u * v) / 2^(N-1), with u and v the bit-b halves of Phi; every word
+    it reads has bit b in its parity mask, so a transform of that
+    half-length vector, read at the masks with bit b deleted, gives their
+    parities.
+    """
     if op_sum.n_qubits != state.n_qubits:
         raise ValueError(
             f"operator acts on {op_sum.n_qubits} qubits, state has {state.n_qubits}"
@@ -354,17 +367,30 @@ def expectation_pauli(state: Statevector, op_sum: WeightedPauliSum) -> float:
     mx, _, mz = op_sum.masks
     coeffs = op_sum.coeff_array.astype(np.longdouble)
     parity_masks = mx | mz
+    amps = state.amplitudes
+    parts = [amps.real.astype(np.longdouble)]
+    if amps.imag.any():
+        parts.append(amps.imag.astype(np.longdouble))
+    for part in parts:
+        for pos in range(n):
+            _hadamard_layer(part, n, pos)
     plan = setting_plan(mz, n)
-    sums = [None] * len(plan)
-    zmasks = [zmask for zmask, _ in plan]
-    for k, parts in rotated_settings(state.amplitudes, n, zmasks, np.longdouble):
-        zmask, members = plan[k]
-        # unnormalized Hadamards: divide by 2 per rotated position at the end
-        probs = sum(part**2 for part in parts) / (1 << (n - zmask.bit_count()))
-        gathered = parity_expectations(probs, parity_masks[members])
+    sums = []
+    for zmask, members in plan:
+        masks = parity_masks[members]
+        if zmask:
+            b = zmask.bit_length() - 1  # counted from the LSB
+            halves = [part.reshape(-1, 2, 1 << b) for part in parts]
+            probs = sum(v[:, 0] * v[:, 1] for v in halves).reshape(-1)
+            masks = ((masks >> (b + 1)) << b) | (masks & ((1 << b) - 1))
+        else:
+            probs = sum(part**2 for part in parts)
+        # unnormalized Hadamards: divide by 2 per rotated position
+        probs /= 1 << (n - zmask.bit_count())
+        gathered = parity_expectations(probs, masks, overwrite=True)
         # elementwise product + pairwise sum; dot would reduce sequentially
-        sums[k] = (coeffs[members] * gathered).sum()
-    # accumulate in order of first appearance, as one setting at a time did
+        sums.append((coeffs[members] * gathered).sum())
+    # accumulate in order of first appearance, the per-word reference's order
     total = np.longdouble(op_sum.identity_weight)
     for k in sorted(range(len(plan)), key=lambda k: plan[k][1][0]):
         total += sums[k]

@@ -21,9 +21,8 @@ setting plan (``pauli.setting_plan``, or one setting per word) with its
 basis words and word tuples, the prepared state and the exact current.
 The layout is built once and kept for N up to ``LAYOUT_CACHE_QUBITS``.
 Each run then rotates the state into every setting with
-``engine.rotated_settings``, the one sweep that the exact expectation uses
-too, squares the parts into a settings x 2^N outcome table, draws the
-shots row by row, and transforms the table with one
+``engine.rotated_settings``, squares the parts into a settings x 2^N
+outcome table, draws the shots row by row, and transforms the table with one
 ``parity_expectations`` call; a per-term run, with one setting per word,
 does so for one bounded block of settings at a time.
 
@@ -49,7 +48,6 @@ from .circuits import (
     prepare_backflow_circuit,
 )
 from .engine import (
-    _INV_SQRT2,
     NORM_TOL,
     Distribution,
     NormDriftError,
@@ -571,9 +569,7 @@ def run_simulation(
     for start in range(0, settings, step):
         stop = min(start + step, settings)
         block = table[: stop - start]
-        sweep = rotated_settings(
-            layout.amplitudes, n_qubits, layout.zmasks[start:stop], np.float64, _INV_SQRT2
-        )
+        sweep = rotated_settings(layout.amplitudes, n_qubits, layout.zmasks[start:stop])
         for k, parts in sweep:
             np.square(parts[0], out=block[k])
             if len(parts) > 1:

@@ -107,8 +107,9 @@ class WeightedPauliSum:
     array.  The engine, the setting plan and the estimators read only
     these.  ``words`` and ``coeffs`` are the same columns as tuples of
     ``str`` and ``float``; each is made the first time it is read, and
-    kept.  A sum built from words, by ``WeightedPauliSum(n, identity_weight,
-    terms)`` (``PauliString`` terms) or ``from_columns`` (parallel word and
+    kept.  ``iter_words()`` reads the words without keeping them.  A sum
+    built from words, by ``WeightedPauliSum(n, identity_weight, terms)``
+    (``PauliString`` terms) or ``from_columns`` (parallel word and
     coefficient sequences), keeps its words as given and takes its masks
     from ``word_masks`` once.  ``current_decomposition`` builds its masks
     directly and makes its words only when they are read.  ``terms`` is a
@@ -207,6 +208,12 @@ class WeightedPauliSum:
             words = tuple(words())
             object.__setattr__(self, "_words", words)
         return words
+
+    def iter_words(self):
+        """The words in order, without keeping them: from ``words`` if it is
+        made, else each made as it is read."""
+        words = self._words
+        return iter(words if isinstance(words, tuple) else words())
 
     @property
     def coeffs(self) -> tuple[float, ...]:

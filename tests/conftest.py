@@ -47,13 +47,13 @@ def _put_z(word_and_position):
 
 
 @st.composite
-def measurable_sums(draw, letters="IX"):
+def measurable_sums(draw, letters="IX", z=None):
     """Sums of words over ``letters`` plus at most one Z, in drawn order, so
-    settings may be missing and the words come shuffled; may be empty."""
+    settings may be missing and the words come shuffled; may be empty.
+    With ``z`` True every word has one Z, with ``z`` False none."""
     n = draw(st.integers(1, 6))
-    word = st.tuples(
-        st.text(letters, min_size=n, max_size=n), st.integers(-1, n - 1)
-    ).map(_put_z)
+    positions = st.integers(0 if z else -1, -1 if z is False else n - 1)
+    word = st.tuples(st.text(letters, min_size=n, max_size=n), positions).map(_put_z)
     words = draw(
         st.lists(word.filter(lambda w: w != "I" * n), unique=True, max_size=3 * n + 6)
     )

@@ -39,6 +39,7 @@ from ringflow.pauli import (
     WeightedPauliSum,
     current_decomposition,
     index_masks,
+    realize_dense,
     term_count,
 )
 
@@ -278,29 +279,33 @@ def grouped_per_word(state, op_sum):
 
     Settings are keyed by Z mask in a dict, so they are visited in order of
     first appearance and keep their terms in order; the bulk version must
-    give the same bits.
+    give the same bits.  The state is rotated once, with the per-gate
+    formula on every qubit: Phi.  The all-X setting reads |Phi|^2; the
+    setting with Z on qubit p reads the products of Phi's halves across p,
+    at each word's parity mask with its Z letter taken out.
     """
     n = state.n_qubits
     groups = {}
     for term in op_sum.terms:
-        mx, _, mz = index_masks(term.word)
-        masks, coeffs = groups.setdefault(mz, ([], []))
-        masks.append(mx | mz)
+        pos = term.word.find("Z")
+        mx, _, _ = index_masks(term.word if pos < 0 else term.word[:pos] + term.word[pos + 1 :])
+        masks, coeffs = groups.setdefault(pos, ([], []))
+        masks.append(mx)
         coeffs.append(term.coeff)
-    base = state.amplitudes.astype(np.clongdouble)
+    phi = state.amplitudes.astype(np.clongdouble)
+    for pos in range(n):
+        v = np.moveaxis(phi.reshape((2,) * n), pos, 0)
+        a = v[0].copy()
+        b = v[1]
+        v[0] = a + b
+        v[1] = a - b
     total = np.longdouble(op_sum.identity_weight)
-    for zmask, (masks, coeffs) in groups.items():
-        rotated = base.copy()
-        n_rotations = 0
-        for pos in range(n):
-            if not (1 << (n - 1 - pos)) & zmask:
-                v = np.moveaxis(rotated.reshape((2,) * n), pos, 0)
-                a = v[0].copy()
-                b = v[1]
-                v[0] = a + b
-                v[1] = a - b
-                n_rotations += 1
-        probs = (rotated.real**2 + rotated.imag**2) / (1 << n_rotations)
+    for pos, (masks, coeffs) in groups.items():
+        if pos < 0:
+            probs = (phi.real**2 + phi.imag**2) / (1 << n)
+        else:
+            v = np.moveaxis(phi.reshape((2,) * n), pos, 0)
+            probs = (v[0].real * v[1].real + v[0].imag * v[1].imag).reshape(-1) / (1 << (n - 1))
         gathered = parity_expectations(probs, masks)
         total += (np.asarray(coeffs, dtype=np.longdouble) * gathered).sum()
     return float(total)
@@ -345,6 +350,53 @@ def test_grouped_path_bit_identical_on_random_sums(op_sum, seed):
     assert expectation_pauli(state, op_sum) == grouped_per_word(state, op_sum)
 
 
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_backflow_current_within_1e_10_of_closed_form(n):
+    """Tighter than criterion 7's 1e-9: the one extended-precision rotation
+    reads J to 8.2e-11 at N = 16, 3.4e-13 at 14 and 2.8e-14 at 12."""
+    from ringflow.experiment import closed_form_current
+
+    state = init_amplitudes(n, backflow_coefficients(n).a)
+    value = expectation_pauli(state, current_decomposition(n)) / (4 * math.pi)
+    assert abs(value - closed_form_current(n)) < 1e-10
+
+
+def dense_expectation(state, op_sum):
+    psi = state.amplitudes
+    return float((psi.conj() @ realize_dense(op_sum) @ psi).real)
+
+
+@pytest.mark.parametrize("z", [True, False], ids=["single-Z words", "IX words"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), real=st.booleans())
+def test_each_setting_branch_alone_matches_dense_oracle(z, data, seed, real):
+    """Sums read only in Z settings (the bit-halves branch) or only in the
+    all-X setting (the full transform), on real and complex states."""
+    op_sum = data.draw(measurable_sums(z=z))
+    n = op_sum.n_qubits
+    assert all(("Z" in word) == z for word in op_sum.words)
+    rng = np.random.default_rng(seed)
+    state = init_amplitudes(n, rng.normal(size=1 << n) if real else random_state_vector(rng, n))
+    assert abs(expectation_pauli(state, op_sum) - dense_expectation(state, op_sum)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_expectation_rotates_the_state_once(monkeypatch, n):
+    """N Hadamard layers per part, whatever the number of settings; a real
+    state has one part."""
+    layers = []
+    layer = ringflow.engine._hadamard_layer
+    monkeypatch.setattr(
+        ringflow.engine, "_hadamard_layer", lambda *a: layers.append(a[2]) or layer(*a)
+    )
+    dec = current_decomposition(n)
+    rng = np.random.default_rng(n)
+    for amps, parts in ((random_state_vector(rng, n), 2), (backflow_coefficients(n).a, 1)):
+        layers.clear()
+        expectation_pauli(init_amplitudes(n, amps), dec)
+        assert sorted(layers) == sorted(list(range(n)) * parts)
+
+
 def test_scale_path_builds_no_pauli_strings(monkeypatch):
     """The 16-qubit expectation and a grouped shot run read the word columns."""
     built = []
@@ -357,7 +409,7 @@ def test_scale_path_builds_no_pauli_strings(monkeypatch):
     monkeypatch.setattr(PauliString, "__post_init__", counting)
     dec = current_decomposition(16)
     state = init_amplitudes(16, backflow_coefficients(16).a)
-    assert expectation_pauli(state, dec) == -32767.250005722977
+    assert expectation_pauli(state, dec) == -32767.250005723035
     run_simulation(6, shots_per_setting=100, seed=1)
     for n in (1, 5, 16):
         assert len(current_decomposition(n).terms) == term_count(n)
@@ -392,7 +444,7 @@ def test_digits_do_not_depend_on_blas_threads():
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
-    assert outputs[0].split()[0] == "-32767.250005722977"
+    assert outputs[0].split()[0] == "-32767.250005723035"
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -602,19 +654,6 @@ def test_hadamard_gate_is_the_sweep_layer_bit_for_bit(n, pos, seed):
     assert np.array_equal(apply_gate(state, h(pos)).amplitudes, want)
 
 
-def unnormalized_rotation(state, zmask):
-    """One setting's unnormalized Hadamards one at a time, in clongdouble."""
-    n = state.n_qubits
-    rotated = state.amplitudes.astype(np.clongdouble)
-    for gate in measurement_circuit(MeasurementSetting.from_z_mask(zmask, n)).gates:
-        v = np.moveaxis(rotated.reshape((2,) * n), gate.target, 0)
-        a = v[0].copy()
-        b = v[1]
-        v[0] = a + b
-        v[1] = a - b
-    return rotated
-
-
 @st.composite
 def sweep_cases(draw):
     """A state (complex, or real with no imaginary part) and a Z-mask list:
@@ -635,25 +674,21 @@ def sweep_cases(draw):
 @example((init_amplitudes(3, backflow_coefficients(3).a), [0, 4, 2, 1], True))
 @example((init_amplitudes(2, [1, 1j, -1, 0.5]), [1, 1, 0, 3, 2, 0], False))
 def test_rotated_settings_match_per_gate_rotations(case):
-    """Every setting is yielded once, with the per-gate rotation's bits: in
-    float64 with unitary layers and in longdouble with unnormalized ones."""
+    """Every setting is yielded once, with the per-gate rotation's bits, in
+    float64 with unitary layers."""
     state, zmasks, real = case
     n = state.n_qubits
-    for dtype, scale, reference in (
-        (np.float64, _INV_SQRT2, unitary_rotation),
-        (np.longdouble, None, unnormalized_rotation),
-    ):
-        seen = []
-        for k, parts in rotated_settings(state.amplitudes, n, zmasks, dtype, scale):
-            seen.append(k)
-            want = reference(state, zmasks[k])
-            assert [part.dtype for part in parts] == [np.dtype(dtype)] * (2 - real)
-            assert np.array_equal(parts[0], want.real)
-            if real:
-                assert not want.imag.any()
-            else:
-                assert np.array_equal(parts[1], want.imag)
-        assert sorted(seen) == list(range(len(zmasks)))
+    seen = []
+    for k, parts in rotated_settings(state.amplitudes, n, zmasks):
+        seen.append(k)
+        want = unitary_rotation(state, zmasks[k])
+        assert [part.dtype for part in parts] == [np.dtype(np.float64)] * (2 - real)
+        assert np.array_equal(parts[0], want.real)
+        if real:
+            assert not want.imag.any()
+        else:
+            assert np.array_equal(parts[1], want.imag)
+    assert sorted(seen) == list(range(len(zmasks)))
 
 
 def shared_layer_count(zmasks, n):
@@ -676,9 +711,9 @@ def test_rotated_settings_share_the_prefix(monkeypatch, n):
     )
     state = init_amplitudes(n, random_state_vector(np.random.default_rng(n), n))
     grouped = [1 << pos for pos in range(n)] + [0]
-    assert len(list(rotated_settings(state.amplitudes, n, grouped, np.float64))) == n + 1
+    assert len(list(rotated_settings(state.amplitudes, n, grouped))) == n + 1
     assert len(layers) == 2 * n * (n + 1) // 2 == 2 * shared_layer_count(grouped, n)
     for per_term in ([(1 << n) - 1, 0, 3 % (1 << n), 0], [1 << (n - 1), 1]):
         layers.clear()
-        list(rotated_settings(state.amplitudes, n, per_term, np.float64))
+        list(rotated_settings(state.amplitudes, n, per_term))
         assert len(layers) == 2 * shared_layer_count(per_term, n)

@@ -465,6 +465,19 @@ class TestMasksFirst:
         assert dec.coeffs is dec.coeffs
         assert len(joined) == 1
 
+    def test_iter_words_keeps_no_words(self, monkeypatch):
+        """``iter_words`` makes the words afresh until ``words`` is read, and
+        from then on reads the kept tuple; a sum built from words has it."""
+        joined = counting_joins(monkeypatch)
+        dec = current_decomposition(6)
+        assert tuple(dec.iter_words()) == tuple(dec.iter_words())
+        assert len(joined) == 2
+        kept = dec.words
+        assert len(joined) == 3 and tuple(dec.iter_words()) == kept
+        assert len(joined) == 3
+        op = WeightedPauliSum.from_columns(2, 0.0, ["XI", "IZ"], [1.0, 2.0])
+        assert list(op.iter_words()) == ["XI", "IZ"]
+
     def test_len_of_terms_builds_no_words(self, monkeypatch):
         joined = counting_joins(monkeypatch)
         for n in (1, 7, 16):
@@ -477,7 +490,7 @@ class TestMasksFirst:
 
         joined = counting_joins(monkeypatch)
         state = init_amplitudes(16, backflow_coefficients(16).a)
-        assert expectation_pauli(state, current_decomposition(16)) == -32767.250005722977
+        assert expectation_pauli(state, current_decomposition(16)) == -32767.250005723035
         assert joined == []
 
     def test_equality_keeps_its_meaning(self):
