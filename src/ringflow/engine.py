@@ -21,12 +21,14 @@ table of them, gives every word's parity average.
 (a Y or a second Z is refused) in extended precision, which keeps the
 heavily weighted cancellations accurate at large N.  It rotates the state
 once, N Hadamard layers per part, and reads every setting of
-``pauli.setting_plan`` from that: the all-X setting through one
-full-length transform, each Z setting through one half-length transform
-of a product of the rotated state's two halves across the Z bit.
-``experiment`` calls the kernel in float64, once per run over all its
-settings.  ``sample`` returns an int64 count per basis index, not
-bitstrings.
+``pauli.setting_plan`` from that: the all-X setting's outcomes are the
+rotated state's squares, and a Z setting's outcome differences a product
+of its two halves across the Z bit.  There the kernel transforms each
+setting's coefficients, not its outcomes, and the outcomes are summed
+against that transform: exactly, in int64, for integer coefficients such
+as the current operator's.  ``experiment`` calls the kernel in float64,
+once per run over all its settings.  ``sample`` returns an int64 count
+per basis index, not bitstrings.
 """
 from __future__ import annotations
 
@@ -131,7 +133,14 @@ def init_basis(n_qubits: int, index: int) -> Statevector:
 
 
 def init_amplitudes(n_qubits: int, amps) -> Statevector:
-    """Load an explicit amplitude vector, renormalizing it."""
+    """Load an explicit amplitude vector, renormalizing it.
+
+    A vector with a component of magnitude 1 or more is first scaled down
+    by the power of two that brings its largest real or imaginary part
+    below 1, so that no square overflows.  The scaling is exact: where no
+    square overflows or underflows, the result is bit for bit the unscaled
+    vector over its norm.
+    """
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
     arr = np.asarray(amps, dtype=np.complex128)
@@ -139,8 +148,10 @@ def init_amplitudes(n_qubits: int, amps) -> Statevector:
         raise ValueError(f"expected {1 << n_qubits} amplitudes, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite amplitude")
+    _, e = math.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))
+    arr = arr * math.ldexp(1.0, -max(e, 0))
     nrm = l2_norm(arr)
-    if nrm < 1e-12:
+    if nrm < 1e-12:  # never true of a scaled vector, whose norm is at least 1/2
         raise ValueError("cannot normalize a zero vector")
     return Statevector(n_qubits, arr / nrm)
 
@@ -279,7 +290,7 @@ def sample(
 
 
 def parity_expectations(
-    probs: np.ndarray, masks, rows=None, overwrite: bool = False
+    probs: np.ndarray, masks=None, rows=None, overwrite: bool = False
 ) -> np.ndarray:
     """Parity averages sum_j (-1)^popcount(mask & j) probs[..., j], one per mask.
 
@@ -289,7 +300,8 @@ def parity_expectations(
     each transformed by the same steps as a 1-D call on that row.  Every
     row is read at every mask, or with ``rows`` (one row index per mask)
     each mask at its own row.  With ``overwrite`` the transform runs in
-    ``probs`` itself, which must then be C-contiguous.
+    ``probs`` itself, which must then be C-contiguous.  Without ``masks``
+    the whole transform is returned, every mask in index order.
     """
     if overwrite and not probs.flags.c_contiguous:
         raise ValueError("an overwritten outcome table must be C-contiguous")
@@ -304,6 +316,8 @@ def parity_expectations(
         np.add(a, b, out=v[:, 0, :])
         np.subtract(a, b, out=b)
         half *= 2
+    if masks is None:
+        return out
     masks = np.asarray(masks, dtype=np.int64)
     return out[..., masks] if rows is None else out[rows, masks]
 
@@ -354,9 +368,15 @@ def expectation_pauli(state: Statevector, op_sum: WeightedPauliSum) -> float:
     sum(part^2) / 2^N.  A Hadamard on bit b of Phi gives the setting with Z
     there, so that setting's outcome difference across bit b is
     sum(u * v) / 2^(N-1), with u and v the bit-b halves of Phi; every word
-    it reads has bit b in its parity mask, so a transform of that
-    half-length vector, read at the masks with bit b deleted, gives their
-    parities.
+    it reads has bit b in its parity mask, so it is read on that
+    half-length vector at its mask with bit b deleted.
+
+    A setting's words are read together from the transform of their
+    coefficients, not of its outcomes: sum_t c_t (H p)[m_t] equals
+    sum_k p[k] (H C)[k], with C the coefficients scattered to their masks.
+    C is int64 when every coefficient is an integer and their absolute sum
+    is below 2^53, so that every transformed entry is exact, even in
+    float64; otherwise it is longdouble.
     """
     if op_sum.n_qubits != state.n_qubits:
         raise ValueError(
@@ -365,7 +385,16 @@ def expectation_pauli(state: Statevector, op_sum: WeightedPauliSum) -> float:
     check_measurable(op_sum)
     n = state.n_qubits
     mx, _, mz = op_sum.masks
-    coeffs = op_sum.coeff_array.astype(np.longdouble)
+    coeffs = op_sum.coeff_array
+    magnitudes = np.abs(coeffs)
+    # each entry below 2^53 keeps the float64 sum from overflowing; a sum of
+    # such integers that rounds below 2^53 is exact
+    integral = (
+        (magnitudes < 2.0**53).all()
+        and magnitudes.sum() < 2.0**53
+        and (coeffs == np.trunc(coeffs)).all()
+    )
+    score_dtype = np.int64 if integral else np.longdouble
     parity_masks = mx | mz
     amps = state.amplitudes
     parts = [amps.real.astype(np.longdouble)]
@@ -385,11 +414,12 @@ def expectation_pauli(state: Statevector, op_sum: WeightedPauliSum) -> float:
             masks = ((masks >> (b + 1)) << b) | (masks & ((1 << b) - 1))
         else:
             probs = sum(part**2 for part in parts)
-        # unnormalized Hadamards: divide by 2 per rotated position
-        probs /= 1 << (n - zmask.bit_count())
-        gathered = parity_expectations(probs, masks, overwrite=True)
-        # elementwise product + pairwise sum; dot would reduce sequentially
-        sums.append((coeffs[members] * gathered).sum())
+        scores = np.zeros(probs.size, dtype=score_dtype)
+        scores[masks] = coeffs[members]
+        probs *= parity_expectations(scores, overwrite=True)
+        # unnormalized Hadamards: divide by 2 per rotated position; a
+        # pairwise sum, where dot would reduce sequentially
+        sums.append(probs.sum() / (1 << (n - zmask.bit_count())))
     # accumulate in order of first appearance, the per-word reference's order
     total = np.longdouble(op_sum.identity_weight)
     for k in sorted(range(len(plan)), key=lambda k: plan[k][1][0]):

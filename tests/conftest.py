@@ -50,14 +50,19 @@ def _put_z(word_and_position):
 def measurable_sums(draw, letters="IX", z=None):
     """Sums of words over ``letters`` plus at most one Z, in drawn order, so
     settings may be missing and the words come shuffled; may be empty.
-    With ``z`` True every word has one Z, with ``z`` False none."""
+    With ``z`` True every word has one Z, with ``z`` False none.  Each sum
+    draws whether every coefficient is an integer or none is."""
     n = draw(st.integers(1, 6))
     positions = st.integers(0 if z else -1, -1 if z is False else n - 1)
     word = st.tuples(st.text(letters, min_size=n, max_size=n), positions).map(_put_z)
     words = draw(
         st.lists(word.filter(lambda w: w != "I" * n), unique=True, max_size=3 * n + 6)
     )
-    coeffs = draw(st.lists(st.floats(-8, 8), min_size=len(words), max_size=len(words)))
+    if draw(st.booleans()):
+        coeff = st.integers(-8, 8).map(float)
+    else:
+        coeff = st.floats(-8, 8).filter(lambda c: not c.is_integer())
+    coeffs = draw(st.lists(coeff, min_size=len(words), max_size=len(words)))
     return WeightedPauliSum.from_columns(n, draw(st.floats(-8, 8)), words, coeffs)
 
 

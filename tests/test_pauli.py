@@ -490,7 +490,7 @@ class TestMasksFirst:
 
         joined = counting_joins(monkeypatch)
         state = init_amplitudes(16, backflow_coefficients(16).a)
-        assert expectation_pauli(state, current_decomposition(16)) == -32767.250005723035
+        assert expectation_pauli(state, current_decomposition(16)) == -32767.25000572292
         assert joined == []
 
     def test_equality_keeps_its_meaning(self):
