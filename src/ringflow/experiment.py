@@ -18,13 +18,14 @@ its words are read only for the report.
 A simulation reads everything that N and the grouping fix from the
 register's layout (``_Layout``): the expansion, its parity masks, the
 setting plan (``pauli.setting_plan``, or one setting per word) with its
-basis words and word tuples, the prepared state and the exact current.
-The layout is built once and kept for N up to ``LAYOUT_CACHE_QUBITS``.
-Each run then rotates the state into every setting with
-``engine.rotated_settings``, squares the parts into a settings x 2^N
-outcome table, draws the shots row by row, and transforms the table with one
+basis words and word tuples, the prepared state, the exact current and,
+for the grouped plan, the exact outcome rows: the state rotated into every
+setting with ``engine.rotated_settings`` and its parts squared into a
+settings x 2^N table, norm-checked once.  The layout is built once and
+kept for N up to ``LAYOUT_CACHE_QUBITS``.  A grouped run then only copies
+the rows, draws the shots row by row, and transforms the table with one
 ``parity_expectations`` call; a per-term run, with one setting per word,
-does so for one bounded block of settings at a time.
+makes its rows the same way for one bounded block of settings at a time.
 
 All estimators assemble J as (identity_weight + sum coeff * <V>) / 4pi
 from their own term columns (``TermRecords``), and every report
@@ -432,7 +433,10 @@ class _Layout:
     ``order`` the words in record order, setting by setting.  ``family`` is
     the backflowing family, ``amplitudes`` its prepared state, ``prep`` how
     it was prepared (copied into each report) and ``j_exact`` its exact
-    current.
+    current.  ``outcomes`` is the grouped plan's settings x 2^N float64
+    table of exact outcome probabilities (``_outcome_rows``), one row per
+    setting in plan order; a per-term layout, whose table would be about
+    N * 4^N entries, has None and makes its rows for each run.
     """
 
     words: tuple[str, ...]
@@ -448,6 +452,7 @@ class _Layout:
     amplitudes: np.ndarray
     prep: dict
     j_exact: float
+    outcomes: np.ndarray | None
 
 
 #: Outcome-table entries a per-term run fills, samples and transforms at a
@@ -456,7 +461,7 @@ class _Layout:
 _PER_TERM_BLOCK_ENTRIES = 1 << 18
 
 #: Registers up to this size keep their layout for the life of the process;
-#: at 12 qubits a layout is 28 671 words and about 3 MB.  Larger layouts are
+#: at 12 qubits a layout is 28 671 words and about 3.7 MB.  Larger layouts are
 #: built for each run and go with its report.
 LAYOUT_CACHE_QUBITS = 12
 
@@ -472,6 +477,22 @@ def _layout(n_qubits: int, grouped: bool) -> _Layout:
         if n_qubits <= LAYOUT_CACHE_QUBITS:
             _LAYOUTS[key] = layout
     return layout
+
+
+def _outcome_rows(
+    amplitudes: np.ndarray, n_qubits: int, zmasks, out: np.ndarray
+) -> np.ndarray:
+    """Fill row k of ``out`` with the exact outcome probabilities of setting
+    ``zmasks[k]``: the squared parts of ``amplitudes`` rotated into it.  A
+    row whose norm drifted past NORM_TOL (NaN included) fails the fill."""
+    for k, parts in rotated_settings(amplitudes, n_qubits, zmasks):
+        np.square(parts[0], out=out[k])
+        if len(parts) > 1:
+            out[k] += np.square(parts[1])
+    drift = np.abs(np.sqrt(out.sum(axis=1)) - 1.0)
+    if not (drift <= NORM_TOL).all():
+        raise NormDriftError(f"norm drifted by {float(drift.max())!r}")
+    return out
 
 
 def _build_layout(n_qubits: int, grouped: bool) -> _Layout:
@@ -493,6 +514,10 @@ def _build_layout(n_qubits: int, grouped: bool) -> _Layout:
         term_setting = order = np.arange(len(words))
         plan = list(zip((full ^ mx).tolist(), order[:, None]))
     zmasks = tuple(zmask for zmask, _ in plan)
+    outcomes = None
+    if grouped:
+        table = np.empty((len(zmasks), 1 << n_qubits))
+        outcomes = _read_only(_outcome_rows(state.amplitudes, n_qubits, zmasks, table))
     return _Layout(
         words=words,
         coeffs=decomp.coeff_array,
@@ -512,6 +537,7 @@ def _build_layout(n_qubits: int, grouped: bool) -> _Layout:
         amplitudes=_read_only(state.amplitudes),
         prep=prep,
         j_exact=exact_current(coeffs.a, 0.0),
+        outcomes=outcomes,
     )
 
 
@@ -539,15 +565,15 @@ def run_simulation(
     flip.
 
     Everything fixed by N and ``grouped`` (the expansion, parity masks,
-    setting plan, prepared state and exact current) comes from the
-    register's layout, built on the first run and kept for N up to
-    LAYOUT_CACHE_QUBITS.  A run rotates the state into every setting,
-    squares the float64 parts into a settings x 2^N outcome table, draws
+    setting plan, prepared state, exact current and, when grouped, the
+    norm-checked exact outcome rows) comes from the register's layout,
+    built on the first run and kept for N up to LAYOUT_CACHE_QUBITS.  A
+    grouped run copies the rows into a settings x 2^N outcome table, draws
     the shots per row, and makes one ``parity_expectations`` call over the
-    table, in place; one gather reads every word's expectation.  A grouped
-    run makes the whole table at once, a per-term run (one setting per
-    word) blocks of at most _PER_TERM_BLOCK_ENTRIES entries, one after the
-    other.
+    table, in place; one gather reads every word's expectation.  A per-term
+    run (one setting per word) makes its rows as the layout makes the
+    grouped ones, with ``_outcome_rows``, in blocks of at most
+    _PER_TERM_BLOCK_ENTRIES entries, one after the other.
     """
     sampling = shots_per_setting is not None
     if sampling:
@@ -569,15 +595,10 @@ def run_simulation(
     for start in range(0, settings, step):
         stop = min(start + step, settings)
         block = table[: stop - start]
-        sweep = rotated_settings(layout.amplitudes, n_qubits, layout.zmasks[start:stop])
-        for k, parts in sweep:
-            np.square(parts[0], out=block[k])
-            if len(parts) > 1:
-                block[k] += np.square(parts[1])
-        # a unit norm after the sweep guards it against drift (NaN fails too)
-        drift = np.abs(np.sqrt(block.sum(axis=1)) - 1.0)
-        if not (drift <= NORM_TOL).all():
-            raise NormDriftError(f"norm drifted by {float(drift.max())!r}")
+        if grouped:
+            np.copyto(block, layout.outcomes)
+        else:
+            _outcome_rows(layout.amplitudes, n_qubits, layout.zmasks[start:stop], block)
         for k, outcomes in enumerate(block, start):
             if sampling:
                 entropy = [seed, k]
@@ -590,7 +611,7 @@ def run_simulation(
                 np.divide(counts, shots_per_setting, out=outcomes)
             else:
                 entropy = None
-            nonzero = np.flatnonzero(outcomes)
+            nonzero = outcomes.nonzero()[0]
             setting_records.append(
                 SettingRecord(
                     layout.bases[k],

@@ -480,15 +480,19 @@ def _joined_words(prefixes, suffixes, prefix_z, suffix_z):
 def realize_dense(op_sum: WeightedPauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     """Dense matrix of a weighted Pauli sum via explicit tensor products.
 
-    Uses exact integer arithmetic whenever all coefficients are integers
-    and no word contains Y; this is the oracle the decomposition is checked
-    against, so it deliberately stays a plain kron chain.
+    Uses exact integer arithmetic whenever no word contains Y, all weights
+    (identity included) are integers and their absolute sum, which bounds
+    every entry, is below 2^63; this is the oracle the decomposition is
+    checked against, so it deliberately stays a plain kron chain.
     """
     _check_cap(op_sum.n_qubits, cap)
     dim = 1 << op_sum.n_qubits
     has_y = any("Y" in word for word in op_sum.words)
-    exact = not has_y and float(op_sum.identity_weight).is_integer() and all(
-        float(coeff).is_integer() for coeff in op_sum.coeffs
+    weights = [float(op_sum.identity_weight), *map(float, op_sum.coeffs)]
+    exact = (
+        not has_y
+        and all(map(float.is_integer, weights))
+        and sum(abs(int(w)) for w in weights) < 1 << 63
     )
     if has_y:
         dtype = np.complex128

@@ -21,6 +21,7 @@ from ringflow.engine import (
     NormDriftError,
     apply_circuit,
     parity_expectations,
+    rotated_settings,
     sample,
     z_probabilities,
 )
@@ -502,7 +503,8 @@ class TestLayout:
         assert calls == [4, 13, 13]
 
     def test_rotated_norm_is_checked(self, monkeypatch):
-        """A sweep that loses norm fails the run rather than being sampled."""
+        """A sweep that loses norm fails the run rather than being sampled:
+        at the layout's build for the grouped plan, in each block per term."""
         sweep = ringflow.experiment.rotated_settings
 
         def drifting(*args):
@@ -510,9 +512,41 @@ class TestLayout:
                 yield k, [part * (1.0 + 1e-6) for part in parts]
 
         monkeypatch.setattr(ringflow.experiment, "rotated_settings", drifting)
-        for shots in (100, None):
-            with pytest.raises(NormDriftError, match="norm drifted"):
-                run_simulation(3, shots, seed=1)
+        for grouped in (True, False):
+            for shots in (100, None):
+                # an empty cache, so that the grouped rows are built anew
+                monkeypatch.setattr(ringflow.experiment, "_LAYOUTS", {})
+                with pytest.raises(NormDriftError, match="norm drifted"):
+                    run_simulation(3, shots, seed=1, grouped=grouped)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_outcome_rows_are_read_only_fresh_squares(self, n):
+        """The grouped layout's rows stay bit-equal to a fresh sweep after
+        sampled and exact runs have read them."""
+        run_simulation(n, 50, seed=n, readout_flip=0.01)
+        run_simulation(n, None)
+        layout = ringflow.experiment._layout(n, True)
+        rows = layout.outcomes
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.5
+        fresh = np.empty((len(layout.zmasks), 1 << n))
+        for k, parts in rotated_settings(layout.amplitudes, n, layout.zmasks):
+            np.square(parts[0], out=fresh[k])
+            if len(parts) > 1:
+                fresh[k] += np.square(parts[1])
+        assert rows.tobytes() == fresh.tobytes()
+        assert ringflow.experiment._layout(n, False).outcomes is None
+
+    @pytest.mark.parametrize("flip", [0.0, 0.01])
+    def test_a_seed_repeats_its_report_after_another_seed(self, monkeypatch, flip):
+        def text(seed):
+            report = run_simulation(4, 300, seed=seed, readout_flip=flip)
+            return json.dumps(report.to_dict(), sort_keys=True)
+
+        first, second, third = text(1), text(2), text(1)
+        assert first == third != second
+        monkeypatch.setattr(ringflow.experiment, "_LAYOUTS", {})
+        assert text(1) == first
 
     def test_qubit_count_checked_before_the_lookup(self):
         """2.0 hashes like 2, so it is refused as before any layout is read."""

@@ -204,6 +204,21 @@ class TestRealizeDense:
         out = realize_dense(WeightedPauliSum(1, 0.0, (PauliString("Y", 2.0),)))
         np.testing.assert_array_equal(out, 2.0 * Y2)
 
+    def test_integer_path_needs_an_absolute_sum_below_2_63(self):
+        """Whole weights whose entries could reach 2^63 take float64: 2^62 on
+        the identity and on Z would wrap to -2^63 at (0, 0) in int64."""
+        out = realize_dense(WeightedPauliSum.from_columns(1, 2.0**62, ["Z"], [2.0**62]))
+        assert out.dtype == np.float64
+        assert out.tolist() == [[2.0**63, 0.0], [0.0, 0.0]]
+        below = realize_dense(WeightedPauliSum.from_columns(1, 2.0**61, ["Z"], [2.0**61]))
+        assert below.dtype == np.int64
+        assert below.tolist() == [[2**62, 0], [0, 0]]
+
+    def test_weight_beyond_int64_takes_float64(self):
+        out = realize_dense(WeightedPauliSum.from_columns(1, 0.0, ["X"], [1.5e308]))
+        assert out.dtype == np.float64
+        assert out.tolist() == [[0.0, 1.5e308], [1.5e308, 0.0]]
+
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             realize_dense(WeightedPauliSum(DENSE_QUBIT_CAP + 1, 0.0, ()))
