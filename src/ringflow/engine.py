@@ -14,9 +14,10 @@ after it: about N^2/2 layers for the N + 1 grouped settings instead of N^2.
 
 Expectation values of weighted Pauli sums are computed exactly from the
 sum's mask and coefficient arrays, with no word string or per-word
-object.  Word parities come from one kernel, ``parity_expectations``: one
-Walsh-Hadamard transform of a dense outcome vector, or of every row of a
-table of them, gives every word's parity average.
+object.  Word parities come from one kernel, ``parity_expectations``, which
+takes nothing but the table: one in-place Walsh-Hadamard transform, made
+of the rotations' own Hadamard layer, turns a dense outcome vector, or
+every row of a table of them, into every mask's parity average.
 ``expectation_pauli`` reads sums over {I,X,Z} with at most one Z per word
 (a Y or a second Z is refused) in extended precision, which keeps the
 heavily weighted cancellations accurate at large N.  It rotates the state
@@ -27,8 +28,8 @@ of its two halves across the Z bit.  There the kernel transforms each
 setting's coefficients, not its outcomes, and the outcomes are summed
 against that transform: exactly, in int64, for integer coefficients such
 as the current operator's.  ``experiment`` calls the kernel in float64,
-once per run over all its settings.  ``sample`` returns an int64 count
-per basis index, not bitstrings.
+once per bounded block of outcome rows.  ``sample`` returns an int64
+count per basis index, not bitstrings.
 """
 from __future__ import annotations
 
@@ -289,41 +290,28 @@ def sample(
     return counts
 
 
-def parity_expectations(
-    probs: np.ndarray, masks=None, rows=None, overwrite: bool = False
-) -> np.ndarray:
-    """Parity averages sum_j (-1)^popcount(mask & j) probs[..., j], one per mask.
+def parity_expectations(table: np.ndarray) -> np.ndarray:
+    """Every parity average sum_j (-1)^popcount(mask & j) table[..., j], in place.
 
-    One unnormalized Walsh-Hadamard transform of each dense outcome vector
-    (the last axis of ``probs``) serves every mask; the result keeps the
-    dtype of ``probs``.  A 2-D ``probs`` holds one outcome vector per row,
-    each transformed by the same steps as a 1-D call on that row.  Every
-    row is read at every mask, or with ``rows`` (one row index per mask)
-    each mask at its own row.  With ``overwrite`` the transform runs in
-    ``probs`` itself, which must then be C-contiguous.  Without ``masks``
-    the whole transform is returned, every mask in index order.
+    One unnormalized Walsh-Hadamard transform along the last axis turns
+    each dense outcome vector of ``table`` into its parity averages, entry
+    m for mask m, in the table's dtype; ``table`` is overwritten and
+    returned.  The transform is a Hadamard layer per position, the shortest
+    stride first, so every row of a 2-D table is transformed by the same
+    steps as a 1-D call on that row.  A table that is not C-contiguous is
+    refused: its transform would land in a copy.
     """
-    if overwrite and not probs.flags.c_contiguous:
-        raise ValueError("an overwritten outcome table must be C-contiguous")
-    out = probs if overwrite else probs.copy()
-    size = out.shape[-1]
-    half = 1
-    while half < size:
-        # a view, as the blocks of 2 * half entries never straddle a row
-        v = out.reshape(-1, 2, half)
-        a = v[:, 0, :].copy()
-        b = v[:, 1, :]
-        np.add(a, b, out=v[:, 0, :])
-        np.subtract(a, b, out=b)
-        half *= 2
-    if masks is None:
-        return out
-    masks = np.asarray(masks, dtype=np.int64)
-    return out[..., masks] if rows is None else out[rows, masks]
+    if not table.flags.c_contiguous:
+        raise ValueError("an outcome table must be C-contiguous")
+    n_qubits = table.shape[-1].bit_length() - 1
+    for pos in range(n_qubits - 1, -1, -1):
+        _hadamard_layer(table, n_qubits, pos)
+    return table
 
 
 def _hadamard_layer(amps: np.ndarray, n_qubits: int, pos: int, scale=None) -> None:
-    # Hadamard on qubit ``pos`` in place: a + b and a - b, times ``scale`` if given
+    # Hadamard on qubit ``pos`` in place: a + b and a - b, times ``scale`` if
+    # given; the blocks of 2 * stride entries never straddle a row of a table
     v = amps.reshape(-1, 2, 1 << (n_qubits - 1 - pos))
     a = v[:, 0].copy()
     b = v[:, 1]
@@ -416,7 +404,7 @@ def expectation_pauli(state: Statevector, op_sum: WeightedPauliSum) -> float:
             probs = sum(part**2 for part in parts)
         scores = np.zeros(probs.size, dtype=score_dtype)
         scores[masks] = coeffs[members]
-        probs *= parity_expectations(scores, overwrite=True)
+        probs *= parity_expectations(scores)
         # unnormalized Hadamards: divide by 2 per rotated position; a
         # pairwise sum, where dot would reduce sequentially
         sums.append(probs.sum() / (1 << (n - zmask.bit_count())))

@@ -8,24 +8,23 @@ The word-expansion estimator is specific to theta0 = 0; nonzero angles are
 available through the exact path only.
 
 Each setting's outcomes (exact probabilities, counts / shots, or supplied
-data) become one dense float64 vector, and ``parity_expectations`` turns
-them into the report's expectation column.  Setting records keep their
-outcomes as columns (``Outcomes``), from the sampler or the bulk input
-parser to the JSON writer; bitstring keys are made only when a map is
-read.  The estimators read the expansion's masks and coefficient array;
-its words are read only for the report.
+data) become one row of a float64 outcome table, and one loop,
+``_expectations``, fills that table a bounded block of settings at a time,
+transforms each block in place with ``parity_expectations`` and reads each
+word at its setting's row.  Setting records keep their outcomes as columns
+(``Outcomes``), from the sampler or the bulk input parser to the JSON
+writer; bitstring keys are made only when a map is read.  The estimators
+read the expansion's masks and coefficient array, and its words only for
+the report.
 
 A simulation reads everything that N and the grouping fix from the
 register's layout (``_Layout``): the expansion, its parity masks, the
 setting plan (``pauli.setting_plan``, or one setting per word) with its
 basis words and word tuples, the prepared state, the exact current and,
-for the grouped plan, the exact outcome rows: the state rotated into every
-setting with ``engine.rotated_settings`` and its parts squared into a
-settings x 2^N table, norm-checked once.  The layout is built once and
-kept for N up to ``LAYOUT_CACHE_QUBITS``.  A grouped run then only copies
-the rows, draws the shots row by row, and transforms the table with one
-``parity_expectations`` call; a per-term run, with one setting per word,
-makes its rows the same way for one bounded block of settings at a time.
+when the plan's whole table fits one block, the exact outcome rows: the
+state rotated into every setting with ``engine.rotated_settings`` and its
+parts squared into a settings x 2^N table, norm-checked once.  The layout
+is built once and kept for N up to ``LAYOUT_CACHE_QUBITS``.
 
 All estimators assemble J as (identity_weight + sum coeff * <V>) / 4pi
 from their own term columns (``TermRecords``), and every report
@@ -433,10 +432,10 @@ class _Layout:
     ``order`` the words in record order, setting by setting.  ``family`` is
     the backflowing family, ``amplitudes`` its prepared state, ``prep`` how
     it was prepared (copied into each report) and ``j_exact`` its exact
-    current.  ``outcomes`` is the grouped plan's settings x 2^N float64
-    table of exact outcome probabilities (``_outcome_rows``), one row per
-    setting in plan order; a per-term layout, whose table would be about
-    N * 4^N entries, has None and makes its rows for each run.
+    current.  ``outcomes`` is the plan's settings x 2^N float64 table of
+    exact outcome probabilities (``_outcome_rows``), one row per setting in
+    plan order, when it fits one block of _BLOCK_ENTRIES entries; a larger
+    plan has None, and each run makes its rows block by block.
     """
 
     words: tuple[str, ...]
@@ -455,10 +454,10 @@ class _Layout:
     outcomes: np.ndarray | None
 
 
-#: Outcome-table entries a per-term run fills, samples and transforms at a
-#: time (2 MiB of float64): with one setting per word, the whole table would
-#: be about N * 4^N entries.  A grouped run is always one block.
-_PER_TERM_BLOCK_ENTRIES = 1 << 18
+#: Outcome-table entries filled and transformed at a time (2 MiB of float64):
+#: one block holds a grouped plan up to 14 qubits, a per-term plan (about
+#: N * 4^N entries in all) up to 7.
+_BLOCK_ENTRIES = 1 << 18
 
 #: Registers up to this size keep their layout for the life of the process;
 #: at 12 qubits a layout is 28 671 words and about 3.7 MB.  Larger layouts are
@@ -515,7 +514,7 @@ def _build_layout(n_qubits: int, grouped: bool) -> _Layout:
         plan = list(zip((full ^ mx).tolist(), order[:, None]))
     zmasks = tuple(zmask for zmask, _ in plan)
     outcomes = None
-    if grouped:
+    if len(zmasks) << n_qubits <= _BLOCK_ENTRIES:
         table = np.empty((len(zmasks), 1 << n_qubits))
         outcomes = _read_only(_outcome_rows(state.amplitudes, n_qubits, zmasks, table))
     return _Layout(
@@ -539,6 +538,24 @@ def _build_layout(n_qubits: int, grouped: bool) -> _Layout:
         j_exact=exact_current(coeffs.a, 0.0),
         outcomes=outcomes,
     )
+
+
+def _expectations(n_qubits: int, parity_masks, term_setting, settings: int, fill):
+    """Each word's parity average over the outcome row of its setting, made
+    in blocks of at most _BLOCK_ENTRIES table entries: ``fill(start, block)``
+    writes the rows of settings start, start + 1, ... into ``block``, which
+    is transformed in place; then each word whose setting (``term_setting``)
+    lies in the block is read at its ``parity_masks`` entry."""
+    step = max(1, _BLOCK_ENTRIES >> n_qubits)
+    table = np.empty((min(step, settings), 1 << n_qubits))
+    expectation = np.empty(len(term_setting))
+    for start in range(0, settings, step):
+        block = table[: min(step, settings - start)]
+        fill(start, block)
+        rows = term_setting - start
+        words = ((rows >= 0) & (rows < len(block))).nonzero()[0]
+        expectation[words] = parity_expectations(block)[rows[words], parity_masks[words]]
+    return expectation
 
 
 def _copy_prep(prep: dict) -> dict:
@@ -565,15 +582,14 @@ def run_simulation(
     flip.
 
     Everything fixed by N and ``grouped`` (the expansion, parity masks,
-    setting plan, prepared state, exact current and, when grouped, the
-    norm-checked exact outcome rows) comes from the register's layout,
-    built on the first run and kept for N up to LAYOUT_CACHE_QUBITS.  A
-    grouped run copies the rows into a settings x 2^N outcome table, draws
-    the shots per row, and makes one ``parity_expectations`` call over the
-    table, in place; one gather reads every word's expectation.  A per-term
-    run (one setting per word) makes its rows as the layout makes the
-    grouped ones, with ``_outcome_rows``, in blocks of at most
-    _PER_TERM_BLOCK_ENTRIES entries, one after the other.
+    setting plan, prepared state, exact current and, when the plan's table
+    fits one block, the norm-checked exact outcome rows) comes from the
+    register's layout, built on the first run and kept for N up to
+    LAYOUT_CACHE_QUBITS.  The run fills its outcome table with
+    ``_expectations``, a block of at most _BLOCK_ENTRIES entries at a time:
+    it copies each block's rows from the layout, or makes them as the
+    layout does, with ``_outcome_rows``, draws the shots row by row and
+    builds the setting records; each block is then transformed in place.
     """
     sampling = shots_per_setting is not None
     if sampling:
@@ -585,20 +601,14 @@ def run_simulation(
     layout = _layout(n_qubits, grouped)
     if sampling and seed is None:
         seed = int(np.random.SeedSequence().entropy) % (1 << 32)
-    settings = len(layout.zmasks)
-    # the per-term plan reads word k in setting k, so a block of its settings
-    # reads the same span of words; the grouped plan is one block
-    step = settings if grouped else max(1, _PER_TERM_BLOCK_ENTRIES >> n_qubits)
-    table = np.empty((min(step, settings), 1 << n_qubits))
-    expectation = np.empty(len(layout.words))
     setting_records = []
-    for start in range(0, settings, step):
-        stop = min(start + step, settings)
-        block = table[: stop - start]
-        if grouped:
-            np.copyto(block, layout.outcomes)
-        else:
+
+    def fill(start, block):
+        stop = start + len(block)
+        if layout.outcomes is None:
             _outcome_rows(layout.amplitudes, n_qubits, layout.zmasks[start:stop], block)
+        else:
+            np.copyto(block, layout.outcomes[start:stop])
         for k, outcomes in enumerate(block, start):
             if sampling:
                 entropy = [seed, k]
@@ -623,13 +633,10 @@ def run_simulation(
                     layout.setting_terms[k],
                 )
             )
-        words = slice(None) if grouped else slice(start, stop)
-        expectation[words] = parity_expectations(
-            block,
-            layout.parity_masks[words],
-            rows=layout.term_setting[words] - start,
-            overwrite=True,
-        )
+
+    expectation = _expectations(
+        n_qubits, layout.parity_masks, layout.term_setting, len(layout.zmasks), fill
+    )
     if sampling:
         # the IEEE steps of sqrt(max(0, 1 - v * v) / shots), over the column
         variance = np.maximum(0.0, 1.0 - expectation * expectation) / shots_per_setting
@@ -675,6 +682,7 @@ def run_exact(
         TermRecords((), (), (), (), np.empty(0)),
         [],
         coeffs,
+        j,
         theta0=theta0,
     )
 
@@ -904,15 +912,19 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
             raise ValueError(
                 f"no setting covers terms {[decomp.words[k] for k in uncovered]}"
             )
-        # each setting's words and parity masks, in expansion order
+
+        def fill(start, block):
+            block.fill(0.0)
+            for k, row in enumerate(block, start):
+                probs = parsed[k][1]
+                row[probs.index] = probs.data
+
         parity_masks = masks[0] | masks[1] | masks[2]
-        expectation = np.empty(len(decomp.words))
+        expectation = _expectations(n_qubits, parity_masks, owner, len(parsed), fill)
         setting_records = []
         for i, (setting, probs, counts, _) in enumerate(parsed):
+            # each setting's words, in expansion order
             members = np.flatnonzero(owner == i)
-            vector = np.zeros(1 << n_qubits)
-            vector[probs.index] = probs.data
-            expectation[members] = parity_expectations(vector, parity_masks[members])
             words = tuple(map(decomp.words.__getitem__, members.tolist()))
             setting_records.append(
                 SettingRecord(setting.basis_word, probs, counts, None, words)

@@ -380,11 +380,11 @@ def check_qubits(n_qubits: int) -> None:
         raise ValueError(f"qubit count must be a positive integer, got {n_qubits!r}")
 
 
-def _check_cap(n_qubits: int, cap: int) -> None:
-    if n_qubits > cap:
+def _check_cap(n_qubits: int) -> None:
+    if n_qubits > DENSE_QUBIT_CAP:
         raise ValueError(
-            f"dense realization of {n_qubits} qubits exceeds the cap of {cap} "
-            f"(2^{n_qubits} x 2^{n_qubits} entries)"
+            f"dense realization of {n_qubits} qubits exceeds the cap of "
+            f"{DENSE_QUBIT_CAP} (2^{n_qubits} x 2^{n_qubits} entries)"
         )
 
 
@@ -394,10 +394,10 @@ def term_count(n_qubits: int) -> int:
     return 2**n_qubits + n_qubits * 2 ** (n_qubits - 1) - 1
 
 
-def dense_current_matrix(n_qubits: int, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def dense_current_matrix(n_qubits: int) -> np.ndarray:
     """Dense current operator: entry (m, n) = m + n, exact int64."""
     check_qubits(n_qubits)
-    _check_cap(n_qubits, cap)
+    _check_cap(n_qubits)
     m = np.arange(1 << n_qubits, dtype=np.int64)
     return m[:, None] + m[None, :]
 
@@ -477,7 +477,7 @@ def _joined_words(prefixes, suffixes, prefix_z, suffix_z):
     return map(str.__add__, prefixes[first].tolist(), suffixes[second].tolist())
 
 
-def realize_dense(op_sum: WeightedPauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def realize_dense(op_sum: WeightedPauliSum) -> np.ndarray:
     """Dense matrix of a weighted Pauli sum via explicit tensor products.
 
     Uses exact integer arithmetic whenever no word contains Y, all weights
@@ -485,7 +485,7 @@ def realize_dense(op_sum: WeightedPauliSum, cap: int = DENSE_QUBIT_CAP) -> np.nd
     every entry, is below 2^63; this is the oracle the decomposition is
     checked against, so it deliberately stays a plain kron chain.
     """
-    _check_cap(op_sum.n_qubits, cap)
+    _check_cap(op_sum.n_qubits)
     dim = 1 << op_sum.n_qubits
     has_y = any("Y" in word for word in op_sum.words)
     weights = [float(op_sum.identity_weight), *map(float, op_sum.coeffs)]

@@ -447,7 +447,7 @@ def test_coefficient_transform_dtype_follows_the_coefficients(monkeypatch, words
     monkeypatch.setattr(
         ringflow.engine,
         "parity_expectations",
-        lambda scores, **kw: dtypes.append(scores.dtype) or transform(scores, **kw),
+        lambda scores: dtypes.append(scores.dtype) or transform(scores),
     )
     n = len(words[0])
     op_sum = WeightedPauliSum.from_columns(n, 1.0, words, coeffs)
@@ -475,18 +475,28 @@ def test_coefficients_whose_absolute_sum_overflows_float64():
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_expectation_rotates_the_state_once(monkeypatch, n):
     """N Hadamard layers per part, whatever the number of settings; a real
-    state has one part."""
-    layers = []
+    state has one part.  The other layers are the kernel's, one per
+    position of each setting's coefficient vector."""
+    layers, tables = [], []
     layer = ringflow.engine._hadamard_layer
+    transform = ringflow.engine.parity_expectations
     monkeypatch.setattr(
-        ringflow.engine, "_hadamard_layer", lambda *a: layers.append(a[2]) or layer(*a)
+        ringflow.engine, "_hadamard_layer", lambda *a: layers.append((a[0], a[2])) or layer(*a)
+    )
+    monkeypatch.setattr(
+        ringflow.engine, "parity_expectations", lambda t: tables.append(t) or transform(t)
     )
     dec = current_decomposition(n)
     rng = np.random.default_rng(n)
     for amps, parts in ((random_state_vector(rng, n), 2), (backflow_coefficients(n).a, 1)):
         layers.clear()
+        tables.clear()
         expectation_pauli(init_amplitudes(n, amps), dec)
-        assert sorted(layers) == sorted(list(range(n)) * parts)
+        # the two lists keep every array alive, so no two of them share an id
+        kernel = {id(table) for table in tables}
+        rotations = [pos for array, pos in layers if id(array) not in kernel]
+        assert sorted(rotations) == sorted(list(range(n)) * parts)
+        assert len(layers) - len(rotations) == sum(t.size.bit_length() - 1 for t in tables)
 
 
 def test_scale_path_builds_no_pauli_strings(monkeypatch):
@@ -561,7 +571,7 @@ def test_parity_expectations_match_popcount_sum(dtype):
     probs = rng.random(32).astype(dtype)
     probs /= probs.sum()
     masks = [0, 1, 6, 19, 31]
-    out = parity_expectations(probs, masks)
+    out = parity_expectations(probs.copy())[masks]
     assert out.dtype == dtype
     idx = np.arange(32)
     for mask, value in zip(masks, out):
@@ -572,23 +582,21 @@ def test_parity_expectations_match_popcount_sum(dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_parity_expectations_rows_equal_one_row_at_a_time(n, dtype):
-    """A 2-D outcome table gives, bit for bit, the values of one 1-D call
-    per row, whether every row is read at every mask or each mask at its
-    own row, and whether the table is copied or overwritten."""
+    """A 2-D outcome table is transformed in place, and each row comes out
+    bit for bit as a 1-D call on that row transforms it, in place too."""
     rng = np.random.default_rng(60 + n)
     table = rng.random((n + 2, 1 << n)).astype(dtype)
     table /= table.sum(axis=1, keepdims=True)
-    masks = rng.integers(0, 1 << n, size=3 * n + 5)
-    rows = rng.integers(0, n + 2, size=masks.size)
-    one_by_one = np.stack([parity_expectations(row, masks) for row in table])
-    batched = parity_expectations(table, masks)
+    rows = [row.copy() for row in table]
+    assert all(parity_expectations(row) is row for row in rows)
+    batched = table.copy()
+    assert parity_expectations(batched) is batched
     assert batched.dtype == dtype
-    assert_same_bits(batched, one_by_one)
-    overwritten = table.copy()
-    gathered = parity_expectations(overwritten, masks, rows=rows, overwrite=True)
-    assert_same_bits(gathered, one_by_one[rows, np.arange(masks.size)])
-    # the overwritten table holds the whole transform
-    assert_same_bits(overwritten[:, masks], batched)
+    assert_same_bits(batched, np.stack(rows))
+    # entry m is the parity average at mask m
+    idx = np.arange(1 << n)
+    signs = 1 - 2 * (np.bitwise_count(idx[:, None] & idx).astype(np.int64) & 1)
+    np.testing.assert_allclose(batched, table @ signs.astype(dtype), rtol=0, atol=1e-14)
 
 
 def assert_same_bits(got, want):
@@ -600,9 +608,14 @@ def assert_same_bits(got, want):
 
 
 def test_parity_expectations_refuses_to_overwrite_a_strided_table():
+    """A strided view would be transformed in a copy; it is refused, and the
+    table it views is left as it was."""
     table = np.full((4, 4), 0.25)
     with pytest.raises(ValueError, match="C-contiguous"):
-        parity_expectations(table[:, ::2], [0], overwrite=True)
+        parity_expectations(table[:, ::2])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        parity_expectations(table.T)
+    assert (table == 0.25).all()
 
 
 class TestProbabilitiesAndSampling:

@@ -11,6 +11,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import ringflow.experiment
+from ringflow.cli import main
 from ringflow.circuits import (
     MeasurementSetting,
     backflow_prep_angles,
@@ -314,7 +315,7 @@ def run_simulation_per_gate(n_qubits, shots_per_setting, seed, grouped, readout_
         else:
             entropy = None
             outcomes = z_probabilities(rotated)
-        expectation[members] = parity_expectations(outcomes, parity_masks[members])
+        expectation[members] = parity_expectations(outcomes.copy())[parity_masks[members]]
         term_setting[members] = k
         nonzero = np.flatnonzero(outcomes)
         setting_records.append(
@@ -379,7 +380,7 @@ def test_reports_equal_the_per_gate_loop(n, grouped, shots, flip):
 
 class TestPerTermBlocks:
     """A per-term run fills, samples and transforms its outcome table a
-    bounded block of settings at a time; a grouped run in one block."""
+    bounded block of settings at a time."""
 
     @pytest.mark.parametrize("n", [3, 5, 6])
     @pytest.mark.parametrize("rows", [1, 3, 64])
@@ -388,7 +389,9 @@ class TestPerTermBlocks:
     )
     def test_blocks_give_the_per_gate_report(self, monkeypatch, n, rows, shots, flip):
         calls = counting_transforms(monkeypatch)
-        monkeypatch.setattr(ringflow.experiment, "_PER_TERM_BLOCK_ENTRIES", rows << n)
+        monkeypatch.setattr(ringflow.experiment, "_BLOCK_ENTRIES", rows << n)
+        # a layout built under these blocks, so that each block makes its rows
+        monkeypatch.setattr(ringflow.experiment, "_LAYOUTS", {})
         got = run_simulation(n, shots, seed=n, grouped=False, readout_flip=flip)
         want = run_simulation_per_gate(n, shots, n, False, flip)
         assert_same_text(
@@ -397,13 +400,6 @@ class TestPerTermBlocks:
         )
         settings_ = len(got.setting_records)
         assert calls == [min(rows, settings_ - start) for start in range(0, settings_, rows)]
-
-    def test_grouped_run_is_one_block(self, monkeypatch):
-        calls = counting_transforms(monkeypatch)
-        monkeypatch.setattr(ringflow.experiment, "_PER_TERM_BLOCK_ENTRIES", 1)
-        report = run_simulation(6, 100, seed=2)
-        assert calls == [7]
-        assert report.to_dict() == run_simulation_per_gate(6, 100, 2, True, 0.0).to_dict()
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
     def test_ten_qubit_per_term_peak_memory(self, tmp_path):
@@ -422,14 +418,75 @@ class TestPerTermBlocks:
         assert peak_kb <= 150 * 1024, f"peak {peak_kb / 1024:.0f} MB"
 
 
+class TestBlocks:
+    """Every plan, and every analysis, is recombined in blocks of at most
+    _BLOCK_ENTRIES outcome-table entries by the one loop ``_expectations``."""
+
+    @pytest.mark.parametrize(
+        "shots, flip", [(None, 0.0), (500, 0.0), (500, 0.05)], ids=["exact", "shots", "flip"]
+    )
+    def test_grouped_blocks_give_the_per_gate_report(self, monkeypatch, shots, flip):
+        calls = counting_transforms(monkeypatch)
+        monkeypatch.setattr(ringflow.experiment, "_BLOCK_ENTRIES", 3 << 6)
+        monkeypatch.setattr(ringflow.experiment, "_LAYOUTS", {})
+        got = run_simulation(6, shots, seed=4, readout_flip=flip)
+        assert ringflow.experiment._layout(6, True).outcomes is None
+        want = run_simulation_per_gate(6, shots, 4, True, flip)
+        assert_same_text(
+            json.dumps(got.to_dict(), indent=1, sort_keys=True),
+            json.dumps(want.to_dict(), indent=1, sort_keys=True),
+        )
+        assert calls == [3, 3, 1]
+
+    def test_grouped_run_is_blocked(self, monkeypatch):
+        """One transform of the whole table while it fits one block, one
+        per row with blocks of one row, from the same layout."""
+        calls = counting_transforms(monkeypatch)
+        report = run_simulation(6, 100, seed=2)
+        assert calls == [7]
+        monkeypatch.setattr(ringflow.experiment, "_BLOCK_ENTRIES", 1)
+        assert run_simulation(6, 100, seed=2).to_dict() == report.to_dict()
+        assert calls == [7] + [1] * 7
+        assert report.to_dict() == run_simulation_per_gate(6, 100, 2, True, 0.0).to_dict()
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_analyze_blocks_give_the_same_bytes(self, monkeypatch, capsys, tmp_path, rows):
+        """``analyze`` of a per-term shots report, full and counts only,
+        prints the same bytes with small blocks as with the default ones."""
+        data = run_simulation(5, 300, seed=3, grouped=False).to_dict()
+        counts = {
+            "n": 5,
+            "settings": [
+                {"basis_word": s["basis_word"], "counts": s["counts"]} for s in data["settings"]
+            ],
+        }
+        paths = [tmp_path / "full.json", tmp_path / "counts.json"]
+        for path, payload in zip(paths, (data, counts)):
+            path.write_text(json.dumps(payload))
+
+        def analyze():
+            texts = []
+            for path in paths:
+                assert main(["analyze", "--input", str(path)]) == 0
+                texts.append(capsys.readouterr().out)
+            return texts
+
+        want = analyze()
+        calls = counting_transforms(monkeypatch)
+        monkeypatch.setattr(ringflow.experiment, "_BLOCK_ENTRIES", rows << 5)
+        assert analyze() == want
+        settings_ = len(data["settings"])
+        assert calls == 2 * [min(rows, settings_ - start) for start in range(0, settings_, rows)]
+
+
 def counting_transforms(monkeypatch) -> list:
-    """Record the rows of each outcome table ``run_simulation`` transforms."""
+    """Record the rows of each outcome table that ``experiment`` transforms."""
     calls = []
     transform = ringflow.experiment.parity_expectations
 
-    def counting(probs, *args, **kwargs):
-        calls.append(len(probs))
-        return transform(probs, *args, **kwargs)
+    def counting(table):
+        calls.append(len(table))
+        return transform(table)
 
     monkeypatch.setattr(ringflow.experiment, "parity_expectations", counting)
     return calls
@@ -504,7 +561,8 @@ class TestLayout:
 
     def test_rotated_norm_is_checked(self, monkeypatch):
         """A sweep that loses norm fails the run rather than being sampled:
-        at the layout's build for the grouped plan, in each block per term."""
+        at the layout's build where the plan's rows fit one block, and in
+        each block of the run where they do not."""
         sweep = ringflow.experiment.rotated_settings
 
         def drifting(*args):
@@ -512,30 +570,43 @@ class TestLayout:
                 yield k, [part * (1.0 + 1e-6) for part in parts]
 
         monkeypatch.setattr(ringflow.experiment, "rotated_settings", drifting)
-        for grouped in (True, False):
-            for shots in (100, None):
-                # an empty cache, so that the grouped rows are built anew
-                monkeypatch.setattr(ringflow.experiment, "_LAYOUTS", {})
-                with pytest.raises(NormDriftError, match="norm drifted"):
-                    run_simulation(3, shots, seed=1, grouped=grouped)
+        for entries in (ringflow.experiment._BLOCK_ENTRIES, 8):
+            monkeypatch.setattr(ringflow.experiment, "_BLOCK_ENTRIES", entries)
+            for grouped in (True, False):
+                for shots in (100, None):
+                    # an empty cache, so that the layout is built anew
+                    monkeypatch.setattr(ringflow.experiment, "_LAYOUTS", {})
+                    with pytest.raises(NormDriftError, match="norm drifted"):
+                        run_simulation(3, shots, seed=1, grouped=grouped)
+                    # a layout without rows is built, and the run's block fails
+                    assert bool(ringflow.experiment._LAYOUTS) == (entries == 8)
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_outcome_rows_are_read_only_fresh_squares(self, n):
-        """The grouped layout's rows stay bit-equal to a fresh sweep after
+    def test_outcome_rows_are_read_only_fresh_squares(self, n, monkeypatch):
+        """A layout has its plan's exact rows if and only if the whole table
+        fits one block, and they stay bit-equal to a fresh sweep after
         sampled and exact runs have read them."""
-        run_simulation(n, 50, seed=n, readout_flip=0.01)
-        run_simulation(n, None)
-        layout = ringflow.experiment._layout(n, True)
-        rows = layout.outcomes
-        with pytest.raises(ValueError, match="read-only"):
-            rows[0, 0] = 0.5
-        fresh = np.empty((len(layout.zmasks), 1 << n))
-        for k, parts in rotated_settings(layout.amplitudes, n, layout.zmasks):
-            np.square(parts[0], out=fresh[k])
-            if len(parts) > 1:
-                fresh[k] += np.square(parts[1])
-        assert rows.tobytes() == fresh.tobytes()
-        assert ringflow.experiment._layout(n, False).outcomes is None
+        for grouped in (True, False):
+            run_simulation(n, 50, seed=n, grouped=grouped, readout_flip=0.01)
+            run_simulation(n, None, grouped=grouped)
+            layout = ringflow.experiment._layout(n, grouped)
+            fresh = np.empty((len(layout.zmasks), 1 << n))
+            if fresh.size > ringflow.experiment._BLOCK_ENTRIES:
+                assert layout.outcomes is None
+                continue
+            rows = layout.outcomes
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 0.5
+            for k, parts in rotated_settings(layout.amplitudes, n, layout.zmasks):
+                np.square(parts[0], out=fresh[k])
+                if len(parts) > 1:
+                    fresh[k] += np.square(parts[1])
+            assert rows.tobytes() == fresh.tobytes()
+            # one entry fewer in a block, and the layout has no rows
+            monkeypatch.setattr(ringflow.experiment, "_BLOCK_ENTRIES", fresh.size - 1)
+            assert ringflow.experiment._build_layout(n, grouped).outcomes is None
+            monkeypatch.undo()
+        assert (ringflow.experiment._layout(n, False).outcomes is None) == (n == 8)
 
     @pytest.mark.parametrize("flip", [0.0, 0.01])
     def test_a_seed_repeats_its_report_after_another_seed(self, monkeypatch, flip):
@@ -599,6 +670,15 @@ class TestRunExact:
         )
         # the assembly identity still holds with the value folded into lambda0
         assert report.j_estimate == report.identity_weight / FOUR_PI
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_j_exact_is_the_current_at_the_angle(self, n):
+        """``j_exact`` is J at theta0, the value ``j_estimate`` also reads."""
+        a = backflow_coefficients(n).a
+        for theta0 in (0.5, -1.2, 2.0, math.pi):
+            report = run_exact(n, theta0=theta0)
+            assert report.j_exact == exact_current(a, theta0)
+            assert report.j_estimate == pytest.approx(report.j_exact, abs=1e-15)
 
 
 class TestIngestMeasurements:

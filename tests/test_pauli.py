@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import reduce
 from itertools import product
 
@@ -111,8 +112,6 @@ class TestDenseCurrentMatrix:
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             dense_current_matrix(DENSE_QUBIT_CAP + 1)
-        with pytest.raises(ValueError):
-            dense_current_matrix(9, cap=8)
 
     def test_rejects_bad_qubit_count(self):
         with pytest.raises(ValueError):
@@ -222,6 +221,19 @@ class TestRealizeDense:
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             realize_dense(WeightedPauliSum(DENSE_QUBIT_CAP + 1, 0.0, ()))
+
+    def test_seventeen_qubits_refused_before_allocating(self):
+        """The 2^17 x 2^17 matrix (128 GiB) is refused before any of it is
+        allocated: the refused call traces less than 1 MiB."""
+        op_sum = WeightedPauliSum(DENSE_QUBIT_CAP + 1, 1.0, ())
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the cap of 16"):
+                realize_dense(op_sum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 @settings(deadline=None, max_examples=60)
