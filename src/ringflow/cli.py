@@ -31,17 +31,26 @@ term list of ``decompose``: ``_render`` writes a ``WeightedPauliSum`` as
 the ``terms`` of its ``to_dict``, from its word and coefficient columns.
 Every row follows one template, whose fixed parts are interleaved with
 the column texts in an object grid and joined, so no row string is
-made.  Float text is ``float.__repr__``, which is what the C encoder
-writes, called once per distinct bit pattern of a block of rows
-(``np.unique`` over its int64 view, so -0.0 and 0.0 stay apart); nothing
-is kept between renders.
+made; the word quotes and a column that is one text for every row (the
+``std_error`` nulls of an exact report) join the fixed parts.  Term words
+are expansion words over IXYZ and keys are bitstrings, so neither is
+escaped.  The texts come from tables that one render fills as it needs
+them and every block of that render shares (``_Tables``): float text is
+``float.__repr__``, which is what the C encoder writes, made once per
+distinct bit pattern in the render (``np.unique`` over a block's int64
+view, so -0.0 and 0.0 stay apart), and an outcome row's key head, newline
+and indent included, once per basis index and map shape.  The tables hold
+one text per distinct float of the report and at most 2^N heads per shape
+(93 k floats and 65 536 heads, about 13 MB, for the 16-qubit exact
+report); nothing is built at import, and they go with the render's chunks.
 
 Writing goes in two passes.  The first encodes every flat container and
 checks every column with ``np.isfinite``, so a report holding NaN or
 infinity is refused before anything is written.  The second writes the
 pieces in order, the term list and outcome maps ``_BLOCK_ROWS`` rows at a
-time, so at most one block's text exists at once.  ``decompose`` writes
-its csv and table text ``_BLOCK_ROWS`` words at a time too.
+time, so at most one block's text exists at once.  csv and table text
+is written ``_BLOCK_ROWS`` words or terms at a time too, each line
+formatted from the columns.
 """
 from __future__ import annotations
 
@@ -243,29 +252,77 @@ _BLOCK_ROWS = 1 << 13
 _CONTAINERS = frozenset((dict, list, tuple, TermRecords, Outcomes, WeightedPauliSum))
 
 
-def _flat_encoder(depth: int):
-    """C-backed ``encode`` for flat containers at ``depth``: its item
-    separator carries the newline and the indent of depth + 1."""
-    return json.JSONEncoder(
-        sort_keys=True,
-        allow_nan=False,
-        check_circular=False,
-        separators=(",\n" + _INDENT * (depth + 1), ": "),
-    ).encode
-
-
 def _texts(strings) -> np.ndarray:
     # an object array that holds the strings themselves, filled from an iterable
     return np.fromiter(strings, dtype=object)
 
 
-def _float_texts(values: np.ndarray) -> np.ndarray:
-    """``float.__repr__`` of each finite value, as an object array.
+def _float_reprs(bits: np.ndarray) -> map:
+    """``float.__repr__`` of each float64 given as its int64 bit pattern."""
+    return map(float.__repr__, bits.view(np.float64).tolist())
 
-    The repr runs once per distinct bit pattern, so -0.0 and 0.0 stay apart.
+
+class _Tables:
+    """The texts that every block of one render shares, each made when first
+    needed and dropped with the render's chunks.
+
+    ``encoders[depth]`` encodes flat containers at ``depth``; ``floats``
+    maps an int64 bit pattern to its float text, so -0.0 and 0.0 stay
+    apart; ``heads[(n_qubits, depth)]`` is the key head
+    ``,\\n<indent>"<bits>": `` of each basis index, 2^n_qubits long, with a
+    flag per index that tells whether it has been made.
     """
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return _texts(map(float.__repr__, bits.view(np.float64).tolist()))[inverse]
+
+    __slots__ = ("encoders", "floats", "heads")
+
+    def __init__(self):
+        self.encoders: list = []
+        self.floats: dict = {}
+        self.heads: dict = {}
+
+    def encoder(self, depth: int):
+        """C-backed ``encode`` for flat containers at ``depth``: its item
+        separator carries the newline and the indent of depth + 1."""
+        # recursion reaches each depth from the one above
+        if depth == len(self.encoders):
+            self.encoders.append(
+                json.JSONEncoder(
+                    sort_keys=True,
+                    allow_nan=False,
+                    check_circular=False,
+                    separators=(",\n" + _INDENT * (depth + 1), ": "),
+                ).encode
+            )
+        return self.encoders[depth]
+
+    def float_texts(self, values: np.ndarray) -> np.ndarray:
+        """The text of each finite value, as an object array; only bit
+        patterns that no earlier block of the render had are made."""
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        keys = bits.tolist()
+        table = self.floats
+        new = [key for key in keys if key not in table]
+        if new:
+            table.update(zip(new, _float_reprs(np.array(new, dtype=np.int64))))
+        return _texts(map(table.__getitem__, keys))[inverse]
+
+    def key_heads(self, n_qubits: int, index: np.ndarray, depth: int) -> np.ndarray:
+        """The key head of each basis index of a map at ``depth``, as an
+        object array; only heads that no earlier map of this shape had are
+        made."""
+        shape = (n_qubits, depth)
+        if shape not in self.heads:
+            size = 1 << n_qubits
+            self.heads[shape] = np.empty(size, dtype=object), np.zeros(size, dtype=bool)
+        heads, made = self.heads[shape]
+        new = index[~made[index]]
+        if new.size:
+            # the keys are bitstrings: nothing in them needs escaping; a
+            # map's keys are made from its index alone, so no data is given
+            lead = ",\n" + _INDENT * (depth + 1) + '"'
+            heads[new] = _texts(f'{lead}{key}": ' for key in Outcomes(n_qubits, new, ()))
+            made[new] = True
+        return heads[index]
 
 
 def _refuse_non_finite(values: np.ndarray, encode) -> None:
@@ -275,123 +332,123 @@ def _refuse_non_finite(values: np.ndarray, encode) -> None:
         encode(values[bad][0].item())
 
 
-def _row_blocks(open_: str, parts: list, column_texts, rows: int, close: str, depth: int):
+def _row_blocks(open_: str, row_pieces, rows: int, close: str, depth: int):
     """Yield a container with one row per line, as json.dumps lays it out,
     ``_BLOCK_ROWS`` rows at a time.
 
-    Row i is ``parts[0] + columns[0][i] + parts[1] + ... + parts[-1]``, where
-    ``column_texts(start, stop)`` gives the columns of rows start to stop - 1,
-    each an object array of texts or one text for every row.  A block's
-    fixed parts and column texts are interleaved in an object grid that is
-    joined once, so no row string is made.
+    ``row_pieces(start, stop)`` gives the pieces of rows start to stop - 1,
+    in order: each one text for every row or an object array of one text
+    per row.  A row starts with the "," that follows the row before it,
+    which the first row swaps for ``open_``.  A block's pieces, runs of
+    shared texts joined into one, are interleaved in an object grid that
+    is joined once, so no row string is made.
     """
     if not rows:
         yield open_ + close
         return
-    newline = "\n" + _INDENT * (depth + 1)
     for start in range(0, rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, rows)
-        columns = column_texts(start, stop)
-        grid = np.empty((stop - start, 2 * len(columns) + 1), dtype=object)
-        grid[:, 0] = "," + newline + parts[0]
-        if not start:
-            grid[0, 0] = open_ + newline + parts[0]
+        columns: list = []
+        for piece in row_pieces(start, stop):
+            if type(piece) is str and columns and type(columns[-1]) is str:
+                columns[-1] += piece
+            else:
+                columns.append(piece)
+        grid = np.empty((stop - start, len(columns)), dtype=object)
         for k, column in enumerate(columns):
-            grid[:, 2 * k + 1] = column
-            grid[:, 2 * k + 2] = parts[k + 1]
+            grid[:, k] = column
+        if not start:
+            grid[0, 0] = open_ + grid[0, 0][1:]
         yield "".join(grid.ravel().tolist())
     yield "\n" + _INDENT * depth + close
 
 
-# a term's keys in the order json.dumps sorts them
-_TERM_KEYS = ("coeff", "expectation", "setting", "std_error", "word")
-
-
 def _object_parts(keys, depth: int) -> list:
     """The fixed parts of a list item that is an object with ``keys`` (in
-    sorted order), one text before each value and one after the last."""
-    inner = "\n" + _INDENT * (depth + 2)
-    parts = [f"{inner}{json.dumps(key)}: " for key in keys]
-    parts = ["{" + parts[0], *("," + part for part in parts[1:])]
+    sorted order, none needing escapes): the text before each value, then
+    the text after the last."""
+    inner = ",\n" + _INDENT * (depth + 2)
+    parts = [f'{inner}"{key}": ' for key in keys]
+    parts[0] = ",\n" + _INDENT * (depth + 1) + "{" + parts[0][1:]
     parts.append("\n" + _INDENT * (depth + 1) + "}")
     return parts
 
 
-def _terms_blocks(records: TermRecords, depth: int, encode):
+def _terms_blocks(records: TermRecords, depth: int, tables: _Tables):
     """The term list from the term columns, each checked here in full; its
     text is made a block at a time as it is read."""
     order = records.order
     std = records.std_error
     for column in (records.coeffs, records.expectation, std):
         if column is not None:
-            _refuse_non_finite(column[order], encode)
+            _refuse_non_finite(column[order], tables.encoder(depth))
     # setting -1 picks the appended "null"
     names = _texts([*map(encode_basestring_ascii, records.bases), "null"])
+    coeff, expectation, setting, std_error, word, end = _object_parts(
+        ("coeff", "expectation", "setting", "std_error", "word"), depth
+    )
 
-    def column_texts(start, stop):
+    def row_pieces(start, stop):
         rows = order[start:stop]
-        words = map(records.words.__getitem__, rows.tolist())
+        # the words are expansion words over IXYZ: they need no escaping
         return [
-            _float_texts(records.coeffs[rows]),
-            _float_texts(records.expectation[rows]),
-            names[records.setting_index[rows]],
-            "null" if std is None else _float_texts(std[rows]),
-            _texts(map(encode_basestring_ascii, words)),
+            coeff, tables.float_texts(records.coeffs[rows]),
+            expectation, tables.float_texts(records.expectation[rows]),
+            setting, names[records.setting_index[rows]],
+            std_error, "null" if std is None else tables.float_texts(std[rows]),
+            word + '"', _texts(map(records.words.__getitem__, rows.tolist())),
+            '"' + end,
         ]
 
-    parts = _object_parts(_TERM_KEYS, depth)
-    return _row_blocks("[", parts, column_texts, len(order), "]", depth)
+    return _row_blocks("[", row_pieces, len(order), "]", depth)
 
 
-def _sum_terms_blocks(op_sum: WeightedPauliSum, depth: int):
+def _sum_terms_blocks(op_sum: WeightedPauliSum, depth: int, tables: _Tables):
     """A sum's term list, as ``WeightedPauliSum.to_dict`` holds it, from its
-    coefficient and word columns (a sum's coefficients are finite); its
-    text is made a block at a time as it is read."""
+    coefficient and word columns (a sum's coefficients are finite, its
+    words over IXYZ); its text is made a block at a time as it is read."""
     words, coeffs = op_sum.iter_words(), op_sum.coeff_array
+    coeff, word, end = _object_parts(("coeff", "word"), depth)
 
-    def column_texts(start, stop):  # asked for the blocks in order
+    def row_pieces(start, stop):  # asked for the blocks in order
         return [
-            _float_texts(coeffs[start:stop]),
-            _texts(map(encode_basestring_ascii, islice(words, stop - start))),
+            coeff, tables.float_texts(coeffs[start:stop]),
+            word + '"', _texts(islice(words, stop - start)),
+            '"' + end,
         ]
 
-    parts = _object_parts(("coeff", "word"), depth)
-    return _row_blocks("[", parts, column_texts, len(coeffs), "]", depth)
+    return _row_blocks("[", row_pieces, len(coeffs), "]", depth)
 
 
-def _outcomes_blocks(outcomes: Outcomes, depth: int, encode):
+def _outcomes_blocks(outcomes: Outcomes, depth: int, tables: _Tables):
     """An outcome map as ``"key": value`` rows in ascending key order, from
     its index and value columns, checked here in full; its text is made a
     block at a time as it is read."""
     n_qubits, index, data = outcomes.n_qubits, outcomes.index, outcomes.data
     counts = isinstance(data, tuple)
     if not counts:
-        _refuse_non_finite(data, encode)
+        _refuse_non_finite(data, tables.encoder(depth))
 
-    def column_texts(start, stop):
-        block = Outcomes(n_qubits, index[start:stop], data[start:stop])
+    def row_pieces(start, stop):
+        heads = tables.key_heads(n_qubits, index[start:stop], depth)
         if counts:
-            return [_texts(block), _texts(map(int.__repr__, block.data))]
-        return [_texts(block), _float_texts(block.data)]
+            return [heads, _texts(map(int.__repr__, data[start:stop]))]
+        return [heads, tables.float_texts(data[start:stop])]
 
-    # the keys are bitstrings: nothing in them needs escaping
-    return _row_blocks("{", ['"', '": ', ""], column_texts, len(index), "}", depth)
+    return _row_blocks("{", row_pieces, len(index), "}", depth)
 
 
-def _render(value, depth: int, out: list, encoders: list) -> None:
-    # encoders[d] serves depth d; recursion reaches each depth from the one above
-    if depth == len(encoders):
-        encoders.append(_flat_encoder(depth))
-    encode = encoders[depth]
+def _render(value, depth: int, out: list, tables: _Tables) -> None:
     if type(value) is TermRecords:
-        out.append(_terms_blocks(value, depth, encode))
+        out.append(_terms_blocks(value, depth, tables))
         return
     if type(value) is Outcomes:
-        out.append(_outcomes_blocks(value, depth, encode))
+        out.append(_outcomes_blocks(value, depth, tables))
         return
     if type(value) is WeightedPauliSum:
-        out.append(_sum_terms_blocks(value, depth))
+        out.append(_sum_terms_blocks(value, depth, tables))
         return
+    encode = tables.encoder(depth)
     if isinstance(value, dict):
         children = value.values()
     elif isinstance(value, (list, tuple)):
@@ -413,13 +470,13 @@ def _render(value, depth: int, out: list, encoders: list) -> None:
             # '"key": ' cut from the encoding of {key: null}, so that the key
             # is converted and escaped as json does it
             out.append(("," if i else "") + newline + encode({key: None})[1:-5])
-            _render(child, depth + 1, out, encoders)
+            _render(child, depth + 1, out, tables)
         out.append("\n" + _INDENT * depth + "}")
     else:
         out.append("[")
         for i, child in enumerate(value):
             out.append(("," if i else "") + newline)
-            _render(child, depth + 1, out, encoders)
+            _render(child, depth + 1, out, tables)
         out.append("\n" + _INDENT * depth + "]")
 
 
@@ -429,7 +486,7 @@ def _json_chunks(payload):
     ``_NonFiniteReport`` before any text is read."""
     out: list = []
     try:
-        _render(payload, 0, out, [])
+        _render(payload, 0, out, _Tables())
     except ValueError as exc:
         raise _NonFiniteReport(f"cannot write the report as JSON: {exc}") from None
     out.append("\n")
@@ -460,53 +517,67 @@ def _sum_chunks(op_sum: WeightedPauliSum, fmt: str, dense):
     else:  # one line of words, then the rows of any dense matrix
         first, line = identity, " {1:+g}*{0}"
     lines = map(line.format, op_sum.iter_words(), op_sum.coeff_array)
-    blocks = iter(lambda: "".join(islice(lines, _BLOCK_ROWS)), "")
     rows = () if dense is None else dense.tolist()
     last = "\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
-    return chain((first,), blocks, (last,))
+    return chain((first,), _blocks(lines), (last,))
+
+
+def _blocks(lines):
+    # the texts of ``lines`` joined _BLOCK_ROWS at a time, as they are read
+    return iter(lambda: "".join(islice(lines, _BLOCK_ROWS)), "")
 
 
 _SUMMARY = ("j_estimate", "j_std_error", "j_exact", "j_closed_form", "relative_error")
 
 
 def _report_chunks(report: ExperimentReport, fmt: str):
+    """The report's text in ``fmt``; csv and table text is made from the
+    term columns and written ``_BLOCK_ROWS`` terms at a time."""
     if fmt == "json":
         return _json_chunks(report.to_dict(columns=True))
+    records = report.term_records
+    words, coeffs, settings, expectations, stds = records.columns()
+    summary = [(name, getattr(report, name)) for name in _SUMMARY]
     if fmt == "csv":
-        lines = ["record,word,coeff,setting,expectation,std_error"]
-        for r in report.term_records:
-            std = "" if r.std_error is None else repr(r.std_error)
-            setting = "" if r.setting is None else r.setting
-            lines.append(f"term,{r.word},{r.coeff:g},{setting},{r.expectation!r},{std}")
-        for name in _SUMMARY:
-            value = getattr(report, name)
-            lines.append(f"summary,{name},,,{'' if value is None else repr(value)},")
-        return ("\n".join(lines) + "\n",)
-    head = f"n={report.n_qubits} mode={report.mode} theta0={report.theta0:g}"
+        rows = map(
+            "term,{},{:g},{},{!r},{}\n".format,
+            words,
+            coeffs,
+            ("" if setting is None else setting for setting in settings),
+            expectations,
+            ("" if std is None else repr(std) for std in stds),
+        )
+        last = "".join(
+            f"summary,{name},,,{'' if value is None else repr(value)},\n"
+            for name, value in summary
+        )
+        first = "record,word,coeff,setting,expectation,std_error\n"
+        return chain((first,), _blocks(rows), (last,))
+    first = f"n={report.n_qubits} mode={report.mode} theta0={report.theta0:g}"
     if report.mode == "shots":
-        head += (
+        first += (
             f" shots/setting={report.shots_per_setting} seed={report.seed}"
             f" grouped={report.grouped} readout_flip={report.readout_flip:g}"
         )
-    lines = [head]
-    if report.term_records:
+    rows = iter(())
+    if records:
         width = max(4, report.n_qubits)
-        lines.append(
-            f"{'word':<{width}}  {'coeff':>6}  {'setting':<{width}}  "
+        first += (
+            f"\n{'word':<{width}}  {'coeff':>6}  {'setting':<{width}}  "
             f"{'expectation':>12}  {'std_error':>10}"
         )
-        for r in report.term_records:
-            std = "" if r.std_error is None else f"{r.std_error:10.6f}"
-            setting = "-" if r.setting is None else r.setting
-            lines.append(
-                f"{r.word:<{width}}  {r.coeff:>+6g}  {setting:<{width}}  "
-                f"{r.expectation:>12.8f}  {std:>10}"
-            )
-    for name in _SUMMARY:
-        value = getattr(report, name)
-        if value is not None:
-            lines.append(f"{name:<15} = {value:.9g}")
-    return ("\n".join(lines) + "\n",)
+        rows = map(
+            f"{{:<{width}}}  {{:>+6g}}  {{:<{width}}}  {{:>12.8f}}  {{:>10}}\n".format,
+            words,
+            coeffs,
+            ("-" if setting is None else setting for setting in settings),
+            expectations,
+            ("" if std is None else f"{std:10.6f}" for std in stds),
+        )
+    last = "".join(
+        f"{name:<15} = {value:.9g}\n" for name, value in summary if value is not None
+    )
+    return chain((first + "\n",), _blocks(rows), (last,))
 
 
 def _range_rows(lo: int, hi: int) -> list[dict]:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Tolerances and runtime bounds are pinned here; if a criterion
 fails, the printed line names it before the assertion detail.
 """
+import hashlib
 import json
 import math
 import os
@@ -212,13 +213,16 @@ code = main(["current", "--mode", "exact", "--n", "16", "--output", sys.argv[1]]
 status = open("/proc/self/status").read()
 print(code, re.search(r"VmHWM:\\s+(\\d+) kB", status).group(1))
 """
+# sha256 of the 16-qubit exact report (md5 4037f447...)
+_SIXTEEN_QUBIT_SHA = "8430512578df4e35f1821acf6b186f3ffc4bd81029ae1424777ce3eaf89de3c1"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_sixteen_qubit_report_peak_memory(tmp_path):
-    """``current --mode exact --n 16`` writes its 170 MB report with a peak
-    resident set of at most 300 MB, read by the child itself: a parent's
-    ``ru_maxrss`` for the child counts the parent's own pages at spawn."""
+    """``current --mode exact --n 16`` writes its 170 MB report, byte for
+    byte as pinned, with a peak resident set of at most 300 MB, read by the
+    child itself: a parent's ``ru_maxrss`` for the child counts the
+    parent's own pages at spawn."""
     target = tmp_path / "report.json"
     done = subprocess.run(
         [sys.executable, "-c", _PEAK_SCRIPT, str(target)],
@@ -232,6 +236,11 @@ def test_sixteen_qubit_report_peak_memory(tmp_path):
     assert code == 0
     assert target.stat().st_size > 150e6
     assert peak_kb <= 300 * 1024, f"peak {peak_kb / 1024:.0f} MB"
+    digest = hashlib.sha256()
+    with open(target, "rb") as handle:  # a MiB at a time
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    assert digest.hexdigest() == _SIXTEEN_QUBIT_SHA
 
 
 def test_measurement_pipeline_identity():

@@ -821,6 +821,70 @@ def rows_report(size: int, with_std: bool):
     )
 
 
+def shared_values_report(picks: np.ndarray):
+    """A three-qubit report of seven terms and two settings in which every
+    float column and both settings' outcome maps cycle through ``picks``,
+    and both maps have the keys 0 to 6."""
+    floats = picks[np.arange(7) % len(picks)]
+    records = TermRecords(
+        tuple("IXYZ"[i % 4] + "XZ"[i % 2] + "IXYZ"[i // 4 % 4] for i in range(7)),
+        floats,
+        np.arange(7) % 2,
+        ("XXZ", "ZXX"),
+        floats[::-1].copy(),
+        floats.copy(),
+    )
+    index = np.arange(7, dtype=np.int64)
+    settings = tuple(
+        SettingRecord(basis, Outcomes(3, index, floats.copy()), None, None, (basis,))
+        for basis in records.bases
+    )
+    return dataclasses.replace(
+        ringflow.experiment.run_exact(3), term_records=records, setting_records=settings
+    )
+
+
+def text_report_oracle(report, fmt: str) -> str:
+    """The csv or table text of ``report``, built whole from one
+    ``TermRecord`` per term."""
+    summary = ("j_estimate", "j_std_error", "j_exact", "j_closed_form", "relative_error")
+    if fmt == "csv":
+        lines = ["record,word,coeff,setting,expectation,std_error"]
+        for r in report.term_records:
+            std = "" if r.std_error is None else repr(r.std_error)
+            setting = "" if r.setting is None else r.setting
+            lines.append(f"term,{r.word},{r.coeff:g},{setting},{r.expectation!r},{std}")
+        for name in summary:
+            value = getattr(report, name)
+            lines.append(f"summary,{name},,,{'' if value is None else repr(value)},")
+        return "\n".join(lines) + "\n"
+    head = f"n={report.n_qubits} mode={report.mode} theta0={report.theta0:g}"
+    if report.mode == "shots":
+        head += (
+            f" shots/setting={report.shots_per_setting} seed={report.seed}"
+            f" grouped={report.grouped} readout_flip={report.readout_flip:g}"
+        )
+    lines = [head]
+    if report.term_records:
+        width = max(4, report.n_qubits)
+        lines.append(
+            f"{'word':<{width}}  {'coeff':>6}  {'setting':<{width}}  "
+            f"{'expectation':>12}  {'std_error':>10}"
+        )
+        for r in report.term_records:
+            std = "" if r.std_error is None else f"{r.std_error:10.6f}"
+            setting = "-" if r.setting is None else r.setting
+            lines.append(
+                f"{r.word:<{width}}  {r.coeff:>+6g}  {setting:<{width}}  "
+                f"{r.expectation:>12.8f}  {std:>10}"
+            )
+    for name in summary:
+        value = getattr(report, name)
+        if value is not None:
+            lines.append(f"{name:<15} = {value:.9g}")
+    return "\n".join(lines) + "\n"
+
+
 _ROW_COUNTS = {"0": lambda b: 0, "1": lambda b: 1, "B": lambda b: b,
                "B+1": lambda b: b + 1, "2B+1": lambda b: 2 * b + 1}
 
@@ -840,6 +904,61 @@ class TestStreamedBlocks:
         # a chunk holds at most one block of term rows or of outcome rows
         assert max(chunk.count('"word": ') for chunk in chunks) <= block
         assert max(len(re.findall('"[01]{3}": ', chunk)) for chunk in chunks) <= block
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_texts_are_made_once_per_render(self, monkeypatch, block):
+        """Each distinct float bit pattern becomes text once per render, and
+        each key once per map shape, however many columns, maps and blocks
+        repeat it; the next render makes its own."""
+        monkeypatch.setattr(ringflow.cli, "_BLOCK_ROWS", block)
+        floats, keys = [], []
+        reprs, keys_of = ringflow.cli._float_reprs, Outcomes.__iter__
+
+        def float_spy(bits):
+            floats.extend(bits.tolist())
+            return reprs(bits)
+
+        def key_spy(outcomes):
+            keys.extend(outcomes.index.tolist())
+            return keys_of(outcomes)
+
+        monkeypatch.setattr(ringflow.cli, "_float_reprs", float_spy)
+        monkeypatch.setattr(Outcomes, "__iter__", key_spy)
+        for picks in ([0.5, -0.0, 1e300, 5e-324, 0.0, -1.25], [0.5, 0.25, -0.0]):
+            report = shared_values_report(np.array(picks))
+            want = json_dumps_oracle(report.to_dict())
+            floats.clear()
+            keys.clear()
+            chunks = list(_report_chunks(report, "json"))
+            assert "".join(chunks) == want
+            assert max(chunk.count('"word": ') for chunk in chunks) <= block
+            assert sorted(floats) == np.unique(np.array(picks).view(np.int64)).tolist()
+            assert sorted(keys) == list(range(7))
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: rows_report(7, with_std=True),
+            lambda: rows_report(7, with_std=False),
+            lambda: ringflow.experiment.run_simulation(3, 300, seed=2, readout_flip=0.1),
+            lambda: ringflow.experiment.run_exact(3, theta0=0.4),
+        ],
+        ids=["std", "no-std", "shots", "empty-table"],
+    )
+    @pytest.mark.parametrize("block", [1, 2, 3, 1 << 13])
+    def test_text_formats_stream_in_blocks(self, monkeypatch, block, make, fmt):
+        """csv and table reports are written ``_BLOCK_ROWS`` terms at a time
+        and read as they did when they were built whole from records."""
+        monkeypatch.setattr(ringflow.cli, "_BLOCK_ROWS", block)
+        report = make()
+        chunks = list(_report_chunks(report, fmt))
+        assert "".join(chunks) == text_report_oracle(report, fmt)
+        # the first and last chunks hold no term, every other one a block
+        terms = len(report.term_records)
+        assert [chunk.count("\n") for chunk in chunks[1:-1]] == [
+            min(block, terms - start) for start in range(0, terms, block)
+        ]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -1011,6 +1130,17 @@ _PINNED = [
      "34337486bb729e7354482c73acaf124526b4b58cbecce1a45f87fb64fac1c143"),
     (("current", "--mode", "shots", "--n", "8", "--seed", "3"),
      "20c73c69a47c0f3d6c72459eae952df02187229a61826dfd9eac1d178c8262ca"),
+    # as written before the report writers shared text tables across blocks
+    (("current", "--mode", "exact", "--n", "12"),
+     "6232c525ffb8600c5cc0a246073cc7d1435bdf3194f59470d3b19a3cbb943281"),
+    (("current", "--mode", "exact", "--n", "10", "--format", "csv"),
+     "e0d32ba28eee6560c9a9ccebada0cd3039c04dd1433f81b9616d3d3046d350ed"),
+    (("current", "--mode", "exact", "--n", "10", "--format", "table"),
+     "b5e447243c04dcab0509afbea3d5190f753e01cf7d888a5bcd386467cb74e7f1"),
+    (("current", "--mode", "shots", "--n", "8", "--seed", "3", "--format", "csv"),
+     "8bedb52ea5dc71dbecee3832373a3e75fe750b2f28deeee713404ed6afac1784"),
+    (("current", "--mode", "shots", "--n", "8", "--seed", "3", "--format", "table"),
+     "f0d887336f465587a552cc8e2ab1cb37423bd81477f2b04d58de4f8cefda60d7"),
 ]
 _PER_TERM_ARGV = ("current", "--n", "6", "--mode", "shots", "--per-term", "--seed", "11")
 _PER_TERM_SHA = "d98cdf6c59336708a8d1e2b342d8729375d4b11204f903ce305535b98b1892b5"
