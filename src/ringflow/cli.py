@@ -50,7 +50,8 @@ infinity is refused before anything is written.  The second writes the
 pieces in order, the term list and outcome maps ``_BLOCK_ROWS`` rows at a
 time, so at most one block's text exists at once.  csv and table text
 is written ``_BLOCK_ROWS`` words or terms at a time too, each line
-formatted from the columns.
+formatted from that block's columns, which are read only when it is
+written.
 """
 from __future__ import annotations
 
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--theta0",
         type=float,
         default=0.0,
-        help="ring angle for the exact current (exact mode only)",
+        help="ring angle at which J is evaluated, a phase on the prepared state",
     )
     add_io(p_cur)
 
@@ -517,14 +518,11 @@ def _sum_chunks(op_sum: WeightedPauliSum, fmt: str, dense):
     else:  # one line of words, then the rows of any dense matrix
         first, line = identity, " {1:+g}*{0}"
     lines = map(line.format, op_sum.iter_words(), op_sum.coeff_array)
+    # the lines joined _BLOCK_ROWS at a time, as they are read
+    blocks = iter(lambda: "".join(islice(lines, _BLOCK_ROWS)), "")
     rows = () if dense is None else dense.tolist()
     last = "\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
-    return chain((first,), _blocks(lines), (last,))
-
-
-def _blocks(lines):
-    # the texts of ``lines`` joined _BLOCK_ROWS at a time, as they are read
-    return iter(lambda: "".join(islice(lines, _BLOCK_ROWS)), "")
+    return chain((first,), blocks, (last,))
 
 
 _SUMMARY = ("j_estimate", "j_std_error", "j_exact", "j_closed_form", "relative_error")
@@ -532,52 +530,47 @@ _SUMMARY = ("j_estimate", "j_std_error", "j_exact", "j_closed_form", "relative_e
 
 def _report_chunks(report: ExperimentReport, fmt: str):
     """The report's text in ``fmt``; csv and table text is made from the
-    term columns and written ``_BLOCK_ROWS`` terms at a time."""
+    term columns, read and written ``_BLOCK_ROWS`` terms at a time."""
     if fmt == "json":
         return _json_chunks(report.to_dict(columns=True))
     records = report.term_records
-    words, coeffs, settings, expectations, stds = records.columns()
     summary = [(name, getattr(report, name)) for name in _SUMMARY]
     if fmt == "csv":
-        rows = map(
-            "term,{},{:g},{},{!r},{}\n".format,
-            words,
-            coeffs,
-            ("" if setting is None else setting for setting in settings),
-            expectations,
-            ("" if std is None else repr(std) for std in stds),
-        )
+        first = "record,word,coeff,setting,expectation,std_error\n"
+        line, no_setting, std_text = "term,{},{:g},{},{!r},{}\n".format, "", repr
         last = "".join(
             f"summary,{name},,,{'' if value is None else repr(value)},\n"
             for name, value in summary
         )
-        first = "record,word,coeff,setting,expectation,std_error\n"
-        return chain((first,), _blocks(rows), (last,))
-    first = f"n={report.n_qubits} mode={report.mode} theta0={report.theta0:g}"
-    if report.mode == "shots":
-        first += (
-            f" shots/setting={report.shots_per_setting} seed={report.seed}"
-            f" grouped={report.grouped} readout_flip={report.readout_flip:g}"
-        )
-    rows = iter(())
-    if records:
+    else:
+        first = f"n={report.n_qubits} mode={report.mode} theta0={report.theta0:g}"
+        if report.mode == "shots":
+            first += (
+                f" shots/setting={report.shots_per_setting} seed={report.seed}"
+                f" grouped={report.grouped} readout_flip={report.readout_flip:g}"
+            )
         width = max(4, report.n_qubits)
-        first += (
-            f"\n{'word':<{width}}  {'coeff':>6}  {'setting':<{width}}  "
-            f"{'expectation':>12}  {'std_error':>10}"
+        if records:
+            first += (
+                f"\n{'word':<{width}}  {'coeff':>6}  {'setting':<{width}}  "
+                f"{'expectation':>12}  {'std_error':>10}"
+            )
+        first += "\n"
+        line = f"{{:<{width}}}  {{:>+6g}}  {{:<{width}}}  {{:>12.8f}}  {{:>10}}\n".format
+        no_setting, std_text = "-", "{:10.6f}".format
+        last = "".join(
+            f"{name:<15} = {value:.9g}\n" for name, value in summary if value is not None
         )
-        rows = map(
-            f"{{:<{width}}}  {{:>+6g}}  {{:<{width}}}  {{:>12.8f}}  {{:>10}}\n".format,
-            words,
-            coeffs,
-            ("-" if setting is None else setting for setting in settings),
-            expectations,
-            ("" if std is None else f"{std:10.6f}" for std in stds),
+
+    def block(start):  # the lines of one block, from that block's columns
+        words, coeffs, settings, expectations, stds = records.columns(
+            start, start + _BLOCK_ROWS
         )
-    last = "".join(
-        f"{name:<15} = {value:.9g}\n" for name, value in summary if value is not None
-    )
-    return chain((first + "\n",), _blocks(rows), (last,))
+        settings = (no_setting if setting is None else setting for setting in settings)
+        stds = ("" if std is None else std_text(std) for std in stds)
+        return "".join(map(line, words, coeffs, settings, expectations, stds))
+
+    return chain((first,), map(block, range(0, len(records), _BLOCK_ROWS)), (last,))
 
 
 def _range_rows(lo: int, hi: int) -> list[dict]:
@@ -635,11 +628,8 @@ def _cmd_current(args, parser) -> int:
                 parser.error(f"{name} requires --mode shots")
         if args.readout_flip != 0.0:
             parser.error("--readout-flip requires --mode shots")
-    else:
-        if args.theta0 != 0.0:
-            parser.error("--theta0 applies to --mode exact only")
-        if not 0.0 <= args.readout_flip < 0.5:
-            parser.error("--readout-flip must lie in [0, 0.5)")
+    elif not 0.0 <= args.readout_flip < 0.5:
+        parser.error("--readout-flip must lie in [0, 0.5)")
     if args.n_range is not None:
         if args.mode != "exact" or args.theta0 != 0.0:
             parser.error("--range supports exact mode at theta0=0 only")
@@ -682,6 +672,7 @@ def _cmd_current(args, parser) -> int:
                 seed=seed,
                 grouped=args.grouped,
                 readout_flip=args.readout_flip,
+                theta0=args.theta0,
             )
     except (ValueError, NormDriftError, RuntimeError, MemoryError) as exc:
         print(f"ringflow: {exc}", file=sys.stderr)

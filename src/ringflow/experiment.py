@@ -2,10 +2,11 @@
 
 The current J at ring angle theta0 is evaluated four ways: exactly from
 the momentum coefficients (phase-weighted double sum), from the closed
-form for the built-in backflowing family, by shot-based simulation of the
-measurement circuits, and by recombining externally measured outcome data.
-The word-expansion estimator is specific to theta0 = 0; nonzero angles are
-available through the exact path only.
+form for the built-in backflowing family (at theta0 = 0), by shot-based
+simulation of the measurement circuits, and by recombining externally
+measured outcome data.  The word expansion is that of theta0 = 0 at every
+angle: J(theta0; c) = J(0; c e^(i m theta0)), so a nonzero angle is the
+phase e^(i m theta0) on prepared amplitude m, one phase gate per qubit.
 
 Each setting's outcomes (exact probabilities, counts / shots, or supplied
 data) become one row of a float64 outcome table, and one loop,
@@ -24,7 +25,7 @@ basis words and word tuples, the prepared state, the exact current and,
 when the plan's whole table fits one block, the exact outcome rows: the
 state rotated into every setting with ``engine.rotated_settings`` and its
 parts squared into a settings x 2^N table, norm-checked once.  The layout
-is built once and kept for N up to ``LAYOUT_CACHE_QUBITS``.
+at theta0 = 0 is built once and kept for N up to ``LAYOUT_CACHE_QUBITS``.
 
 All estimators assemble J as (identity_weight + sum coeff * <V>) / 4pi
 from their own term columns (``TermRecords``), and every report
@@ -51,6 +52,7 @@ from .engine import (
     NORM_TOL,
     Distribution,
     NormDriftError,
+    Statevector,
     apply_circuit,
     check_shots,
     init_amplitudes,
@@ -165,10 +167,10 @@ class TermRecords(Sequence):
             None if self.std_error is None else self.std_error[i].item(),
         )
 
-    def columns(self) -> tuple:
+    def columns(self, start: int = 0, stop: int | None = None) -> tuple:
         """The five ``TermRecord`` fields as iterables of Python values, in
-        record order."""
-        order = self.order
+        record order, of the records from ``start`` up to ``stop``."""
+        order = self.order[start:stop]
         # (*bases, None)[-1] is None, so setting -1 reads as "no setting"
         names = (*self.bases, None)
         std = self.std_error
@@ -260,11 +262,11 @@ class ExperimentReport:
     """Full record of one current evaluation.
 
     ``j_estimate`` always equals
-    (identity_weight + sum of coeff * expectation over term_records) / 4pi;
-    reports without estimator records fold the exact value into
-    ``identity_weight`` so the identity still holds.  The terms are held
-    as columns, in ``term_records``.  The defaults are those of a report
-    without sampling.
+    (identity_weight + sum of coeff * expectation over term_records) / 4pi.
+    The terms are held as columns, in ``term_records``.  ``j_exact`` is J
+    at ``theta0``; the closed form is J at theta0 = 0, so at a nonzero
+    angle ``j_closed_form`` and ``relative_error`` are None.  The defaults
+    are those of a report without sampling.
     """
 
     n_qubits: int
@@ -282,8 +284,8 @@ class ExperimentReport:
     j_estimate: float
     j_std_error: float | None
     j_exact: float
-    j_closed_form: float
-    relative_error: float
+    j_closed_form: float | None
+    relative_error: float | None
 
     def to_dict(self, columns: bool = False) -> dict:
         """The report as plain data; with ``columns`` the terms and outcome maps
@@ -364,7 +366,9 @@ def relative_error(j_obs: float, j_theory: float) -> float:
     return abs(j_obs - j_theory) / abs(j_theory)
 
 
-def _prepared_state(n_qubits: int, coeffs: BackflowCoefficients):
+def _prepared_state(n_qubits: int, coeffs: BackflowCoefficients, theta0: float = 0.0):
+    """The prepared state and how it was prepared; a nonzero theta0
+    multiplies amplitude m by e^(i m theta0)."""
     if n_qubits <= 2:
         circ = prepare_backflow_circuit(n_qubits)
         state = apply_circuit(init_basis(n_qubits, 0), circ)
@@ -377,15 +381,19 @@ def _prepared_state(n_qubits: int, coeffs: BackflowCoefficients):
     else:
         state = init_amplitudes(n_qubits, coeffs.a)
         prep = {"method": "amplitude-load"}
+    if theta0 != 0.0:
+        phases = np.exp(1j * theta0 * np.arange(1 << n_qubits))
+        state = Statevector(n_qubits, state.amplitudes * phases)
     return state, prep
 
 
 def _finish_report(
-    mode, identity_weight, term_records, setting_records, family, j_exact=None, **fields
+    mode, identity_weight, term_records, setting_records, family, j_exact=None,
+    theta0=0.0, **fields
 ) -> ExperimentReport:
-    """The report on ``family``'s state from its terms and settings; ``fields``
-    are those that differ from the ``ExperimentReport`` defaults.  ``j_exact``
-    is the state's exact current, evaluated here when not given."""
+    """The report on ``family``'s state at ring angle ``theta0``; ``fields`` are
+    those that differ from the ``ExperimentReport`` defaults.  ``j_exact`` is
+    the state's exact current, evaluated here when not given."""
     coeffs = term_records.coeffs
     weighted = identity_weight + math.fsum(
         (coeffs * term_records.expectation).tolist()
@@ -399,12 +407,16 @@ def _finish_report(
     else:
         j_std = None
     if j_exact is None:
-        j_exact = exact_current(family.a, 0.0)
-    j_closed = closed_form_current(family.n_qubits)
+        j_exact = exact_current(family.a, theta0)
+    j_closed = error = None
+    if theta0 == 0.0:  # the closed form is J at theta0 = 0 only
+        j_closed = closed_form_current(family.n_qubits)
+        error = relative_error(j_estimate, j_closed)
     return ExperimentReport(
         **fields,
         n_qubits=family.n_qubits,
         mode=mode,
+        theta0=theta0,
         identity_weight=identity_weight,
         term_records=term_records,
         setting_records=tuple(setting_records),
@@ -412,7 +424,7 @@ def _finish_report(
         j_std_error=j_std,
         j_exact=j_exact,
         j_closed_form=j_closed,
-        relative_error=relative_error(j_estimate, j_closed),
+        relative_error=error,
     )
 
 
@@ -430,12 +442,13 @@ class _Layout:
     each word's parity mask, and per setting, in plan order: its Z mask,
     basis word and words.  ``term_setting`` is each word's setting index and
     ``order`` the words in record order, setting by setting.  ``family`` is
-    the backflowing family, ``amplitudes`` its prepared state, ``prep`` how
-    it was prepared (copied into each report) and ``j_exact`` its exact
-    current.  ``outcomes`` is the plan's settings x 2^N float64 table of
-    exact outcome probabilities (``_outcome_rows``), one row per setting in
-    plan order, when it fits one block of _BLOCK_ENTRIES entries; a larger
-    plan has None, and each run makes its rows block by block.
+    the backflowing family, ``amplitudes`` its prepared state at the ring
+    angle, ``prep`` how it was prepared (copied into each report) and
+    ``j_exact`` its exact current there.  ``outcomes`` is the plan's
+    settings x 2^N float64 table of exact outcome probabilities
+    (``_outcome_rows``), one row per setting in plan order, when it fits one
+    block of _BLOCK_ENTRIES entries; a larger plan has None, and each run
+    makes its rows block by block.
     """
 
     words: tuple[str, ...]
@@ -459,16 +472,19 @@ class _Layout:
 #: N * 4^N entries in all) up to 7.
 _BLOCK_ENTRIES = 1 << 18
 
-#: Registers up to this size keep their layout for the life of the process;
-#: at 12 qubits a layout is 28 671 words and about 3.7 MB.  Larger layouts are
+#: Registers up to this size keep their layout at theta0 = 0 for the life of
+#: the process (28 671 words and about 3.7 MB at 12 qubits); other layouts are
 #: built for each run and go with its report.
 LAYOUT_CACHE_QUBITS = 12
 
 _LAYOUTS: dict[tuple[int, bool], _Layout] = {}
 
 
-def _layout(n_qubits: int, grouped: bool) -> _Layout:
-    """The register's layout, from the cache when N <= LAYOUT_CACHE_QUBITS."""
+def _layout(n_qubits: int, grouped: bool, theta0: float = 0.0) -> _Layout:
+    """The register's layout at ring angle theta0, from the cache when
+    theta0 = 0 and N <= LAYOUT_CACHE_QUBITS."""
+    if theta0 != 0.0:
+        return _build_layout(n_qubits, grouped, theta0)
     key = (n_qubits, bool(grouped))
     layout = _LAYOUTS.get(key)
     if layout is None:
@@ -494,10 +510,10 @@ def _outcome_rows(
     return out
 
 
-def _build_layout(n_qubits: int, grouped: bool) -> _Layout:
+def _build_layout(n_qubits: int, grouped: bool, theta0: float = 0.0) -> _Layout:
     decomp = current_decomposition(n_qubits)
     coeffs = backflow_coefficients(n_qubits)
-    state, prep = _prepared_state(n_qubits, coeffs)
+    state, prep = _prepared_state(n_qubits, coeffs, theta0)
     words = decomp.words  # for the records of each report
     # the expansion has no Y, so a word's parity mask is its X and Z letters
     mx, _, mz = decomp.masks
@@ -535,7 +551,7 @@ def _build_layout(n_qubits: int, grouped: bool) -> _Layout:
         family=coeffs,
         amplitudes=_read_only(state.amplitudes),
         prep=prep,
-        j_exact=exact_current(coeffs.a, 0.0),
+        j_exact=exact_current(coeffs.a, theta0),
         outcomes=outcomes,
     )
 
@@ -570,22 +586,24 @@ def run_simulation(
     seed: int | None = None,
     grouped: bool = True,
     readout_flip: float = 0.0,
+    theta0: float = 0.0,
 ) -> ExperimentReport:
-    """Estimate the current by simulating the measurement circuits.
+    """Estimate the current at ring angle theta0 from the measurement circuits.
 
     The backflowing state is synthesized from rotations for one or two
-    qubits and loaded as amplitudes otherwise.  Each measurement setting
+    qubits and loaded as amplitudes otherwise; a nonzero theta0 then puts
+    the phase e^(i m theta0) on amplitude m.  Each measurement setting
     samples ``shots_per_setting`` outcomes (an ``int``) with its own
     generator, seeded from [seed, setting_index]; ``shots_per_setting=None``
     replaces the samples with the exact outcome probabilities (the
     infinite-shot limit, reported as mode "exact"), which takes no readout
     flip.
 
-    Everything fixed by N and ``grouped`` (the expansion, parity masks,
-    setting plan, prepared state, exact current and, when the plan's table
-    fits one block, the norm-checked exact outcome rows) comes from the
-    register's layout, built on the first run and kept for N up to
-    LAYOUT_CACHE_QUBITS.  The run fills its outcome table with
+    Everything fixed by N, ``grouped`` and theta0 (the expansion, parity
+    masks, setting plan, prepared state, exact current and, when the plan's
+    table fits one block, the norm-checked exact outcome rows) comes from
+    the register's layout, built on the first run and kept for N up to
+    LAYOUT_CACHE_QUBITS at theta0 = 0.  The run fills its outcome table with
     ``_expectations``, a block of at most _BLOCK_ENTRIES entries at a time:
     it copies each block's rows from the layout, or makes them as the
     layout does, with ``_outcome_rows``, draws the shots row by row and
@@ -598,7 +616,8 @@ def run_simulation(
         raise ValueError("a readout flip needs sampling; exact mode has no shots")
     check_qubits(n_qubits)
     check_register(n_qubits)
-    layout = _layout(n_qubits, grouped)
+    theta0 = float(theta0) if theta0 else 0.0  # -0.0 reads as 0.0
+    layout = _layout(n_qubits, grouped, theta0)
     if sampling and seed is None:
         seed = int(np.random.SeedSequence().entropy) % (1 << 32)
     setting_records = []
@@ -664,6 +683,7 @@ def run_simulation(
         grouped=grouped,
         readout_flip=readout_flip,
         rng=_RNG_NAME if sampling else None,
+        theta0=theta0,
         prep=_copy_prep(layout.prep),
     )
 
@@ -671,20 +691,8 @@ def run_simulation(
 def run_exact(
     n_qubits: int, theta0: float = 0.0, grouped: bool = True
 ) -> ExperimentReport:
-    """Exact current report; nonzero theta0 uses the double sum only."""
-    if theta0 == 0.0:
-        return run_simulation(n_qubits, shots_per_setting=None, grouped=grouped)
-    coeffs = backflow_coefficients(n_qubits)
-    j = exact_current(coeffs.a, theta0)
-    return _finish_report(
-        "exact",
-        j * FOUR_PI,
-        TermRecords((), (), (), (), np.empty(0)),
-        [],
-        coeffs,
-        j,
-        theta0=theta0,
-    )
+    """Exact current report at ring angle theta0: the infinite-shot limit."""
+    return run_simulation(n_qubits, None, grouped=grouped, theta0=theta0)
 
 
 _KIND_NAMES = {

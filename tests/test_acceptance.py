@@ -209,23 +209,24 @@ def test_criterion_7_scale():
 _PEAK_SCRIPT = """
 import re, sys
 from ringflow.cli import main
-code = main(["current", "--mode", "exact", "--n", "16", "--output", sys.argv[1]])
+argv = ["current", "--mode", "exact", "--n", "16", "--format", sys.argv[2]]
+code = main([*argv, "--output", sys.argv[1]])
 status = open("/proc/self/status").read()
 print(code, re.search(r"VmHWM:\\s+(\\d+) kB", status).group(1))
 """
-# sha256 of the 16-qubit exact report (md5 4037f447...)
-_SIXTEEN_QUBIT_SHA = "8430512578df4e35f1821acf6b186f3ffc4bd81029ae1424777ce3eaf89de3c1"
+# sha256 of the 16-qubit exact report in each format (json md5 4037f447...)
+_SIXTEEN_QUBIT_SHA = {
+    "json": "8430512578df4e35f1821acf6b186f3ffc4bd81029ae1424777ce3eaf89de3c1",
+    "csv": "df400e5ddc7573aef8c6d2d1af2c7bd475252b1c8a67188856e38c681d77e636",
+    "table": "2d78a59c9845391f3c68e9d6aecb1e2634d963a9bdef27bed85d5afd1785fbe9",
+}
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
-def test_sixteen_qubit_report_peak_memory(tmp_path):
-    """``current --mode exact --n 16`` writes its 170 MB report, byte for
-    byte as pinned, with a peak resident set of at most 300 MB, read by the
-    child itself: a parent's ``ru_maxrss`` for the child counts the
-    parent's own pages at spawn."""
-    target = tmp_path / "report.json"
+def _sixteen_qubit_report(target, fmt: str):
+    """The child's peak resident set in kB and the sha256 of the report it
+    wrote to ``target`` in ``fmt``."""
     done = subprocess.run(
-        [sys.executable, "-c", _PEAK_SCRIPT, str(target)],
+        [sys.executable, "-c", _PEAK_SCRIPT, str(target), fmt],
         env=child_env(),
         capture_output=True,
         text=True,
@@ -234,13 +235,29 @@ def test_sixteen_qubit_report_peak_memory(tmp_path):
     assert done.returncode == 0, done.stderr
     code, peak_kb = map(int, done.stdout.split())
     assert code == 0
-    assert target.stat().st_size > 150e6
-    assert peak_kb <= 300 * 1024, f"peak {peak_kb / 1024:.0f} MB"
     digest = hashlib.sha256()
     with open(target, "rb") as handle:  # a MiB at a time
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
-    assert digest.hexdigest() == _SIXTEEN_QUBIT_SHA
+    return peak_kb, digest.hexdigest()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_sixteen_qubit_report_peak_memory(tmp_path):
+    """``current --mode exact --n 16`` writes its 170 MB report, byte for
+    byte as pinned, with a peak resident set of at most 300 MB, read by the
+    child itself: a parent's ``ru_maxrss`` for the child counts the
+    parent's own pages at spawn.  The csv and table reports, written from
+    the same term columns, peak no higher than the JSON report."""
+    target = tmp_path / "report.json"
+    peak_kb, digest = _sixteen_qubit_report(target, "json")
+    assert target.stat().st_size > 150e6
+    assert peak_kb <= 300 * 1024, f"peak {peak_kb / 1024:.0f} MB"
+    assert digest == _SIXTEEN_QUBIT_SHA["json"]
+    for fmt in ("csv", "table"):
+        text_kb, digest = _sixteen_qubit_report(tmp_path / f"report.{fmt}", fmt)
+        assert text_kb <= peak_kb, f"{fmt} peak {text_kb} kB, json {peak_kb} kB"
+        assert digest == _SIXTEEN_QUBIT_SHA[fmt]
 
 
 def test_measurement_pipeline_identity():

@@ -188,10 +188,31 @@ class TestCurrent:
         closed = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(b < a for a, b in zip(closed, closed[1:]))
 
-    def test_theta0_exact_only(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["current", "--n", "1", "--mode", "shots", "--theta0", "0.5"])
-        assert exc.value.code == 2
+    def test_theta0_in_shots_mode(self, capsys, tmp_path):
+        """A shots run at a nonzero angle has no closed form to compare with,
+        and ``analyze`` reads its report to the same estimate."""
+        code, out, _ = run_cli(
+            capsys, "current", "--n", "1", "--mode", "shots", "--seed", "3",
+            "--theta0", "0.5",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["theta0"] == 0.5
+        assert payload["j_closed_form"] is None
+        assert payload["relative_error"] is None
+        path = tmp_path / "report.json"
+        path.write_text(out, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 0
+        assert json.loads(out)["j_estimate"] == payload["j_estimate"]
+
+    def test_negative_zero_angle_is_zero(self, capsys):
+        code, zero, _ = run_cli(capsys, "current", "--n", "2", "--theta0", "0")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "current", "--n", "2", "--theta0", "-0")
+        assert code == 0
+        assert out == zero
+        assert '"theta0": 0.0\n' in out
 
     def test_theta0_changes_exact_value(self, capsys):
         code, out, _ = run_cli(capsys, "current", "--n", "2", "--theta0", "1.5708")
@@ -727,12 +748,13 @@ class TestColumnRenderer:
     @pytest.mark.parametrize(
         "make",
         [
+            lambda: rows_report(0, with_std=True),
             lambda: ringflow.experiment.run_exact(3, theta0=0.4),
             lambda: ringflow.experiment.run_exact(4),
             lambda: ringflow.experiment.run_simulation(3, 300, seed=2, readout_flip=0.1),
             lambda: ringflow.experiment.run_simulation(2, 100, seed=5, grouped=False),
         ],
-        ids=["empty-table", "exact", "shots", "per-term"],
+        ids=["empty-table", "theta0", "exact", "shots", "per-term"],
     )
     def test_program_reports(self, make):
         report = make()
@@ -943,8 +965,9 @@ class TestStreamedBlocks:
             lambda: rows_report(7, with_std=False),
             lambda: ringflow.experiment.run_simulation(3, 300, seed=2, readout_flip=0.1),
             lambda: ringflow.experiment.run_exact(3, theta0=0.4),
+            lambda: rows_report(0, with_std=False),
         ],
-        ids=["std", "no-std", "shots", "empty-table"],
+        ids=["std", "no-std", "shots", "theta0", "empty-table"],
     )
     @pytest.mark.parametrize("block", [1, 2, 3, 1 << 13])
     def test_text_formats_stream_in_blocks(self, monkeypatch, block, make, fmt):
@@ -1141,6 +1164,11 @@ _PINNED = [
      "8bedb52ea5dc71dbecee3832373a3e75fe750b2f28deeee713404ed6afac1784"),
     (("current", "--mode", "shots", "--n", "8", "--seed", "3", "--format", "table"),
      "f0d887336f465587a552cc8e2ab1cb37423bd81477f2b04d58de4f8cefda60d7"),
+    # as first written with the ring angle a phase on the prepared state
+    (("current", "--n", "3", "--theta0", "0.5"),
+     "54a2e9158e91c5eca93d01570a4015b1a058f5093639201d1f188c89f8c25cd6"),
+    (("current", "--mode", "shots", "--n", "3", "--seed", "4", "--theta0", "0.5"),
+     "f9f870925b2d74ac333c11352fe1d56c79ecd29892469de19e5f16d55fd76850"),
 ]
 _PER_TERM_ARGV = ("current", "--n", "6", "--mode", "shots", "--per-term", "--seed", "11")
 _PER_TERM_SHA = "d98cdf6c59336708a8d1e2b342d8729375d4b11204f903ce305535b98b1892b5"

@@ -661,24 +661,75 @@ class TestRunExact:
         assert report.term_records
         assert abs(report.j_estimate - report.j_exact) < 1e-12
 
-    def test_nonzero_angle_skips_estimator(self):
-        report = run_exact(2, theta0=0.7)
-        assert report.term_records == ()
+    def test_nonzero_angle_uses_estimator(self):
+        """A nonzero angle is a phase on the prepared state: the report has
+        the words and bases of theta0 = 0 and reads J at the angle."""
+        zero, report = run_exact(2), run_exact(2, theta0=0.7)
         assert report.theta0 == 0.7
-        assert report.j_estimate == pytest.approx(
-            exact_current(backflow_coefficients(2).a, 0.7), abs=1e-15
-        )
-        # the assembly identity still holds with the value folded into lambda0
-        assert report.j_estimate == report.identity_weight / FOUR_PI
+        assert report.term_records.words == zero.term_records.words
+        assert report.term_records.bases == zero.term_records.bases
+        assert [s.basis_word for s in report.setting_records] == [
+            s.basis_word for s in zero.setting_records
+        ]
+        assert report.identity_weight == 2**2 - 1
+        j = exact_current(backflow_coefficients(2).a, 0.7)
+        assert abs(report.j_estimate - j) < 1e-12
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_j_exact_is_the_current_at_the_angle(self, n):
-        """``j_exact`` is J at theta0, the value ``j_estimate`` also reads."""
+        """``j_exact`` is J at theta0, which ``j_estimate`` reads to the
+        estimator's bound at theta0 = 0."""
         a = backflow_coefficients(n).a
         for theta0 in (0.5, -1.2, 2.0, math.pi):
             report = run_exact(n, theta0=theta0)
             assert report.j_exact == exact_current(a, theta0)
-            assert report.j_estimate == pytest.approx(report.j_exact, abs=1e-15)
+            assert abs(report.j_estimate - report.j_exact) < 1e-12
+
+    @pytest.mark.parametrize(
+        "grouped, sizes", [(True, range(1, 9)), (False, range(1, 7))],
+        ids=["grouped", "per-term"],
+    )
+    def test_every_angle_is_right(self, grouped, sizes):
+        """Over 61 angles in [-pi, pi], where J changes sign more than once,
+        the exact report reads J at the angle and has no closed form."""
+        for n in sizes:
+            a = backflow_coefficients(n).a
+            for theta0 in np.linspace(-math.pi, math.pi, 61).tolist():
+                report = run_exact(n, theta0=theta0, grouped=grouped)
+                assert abs(report.j_estimate - exact_current(a, theta0)) < 1e-12
+                if theta0 != 0.0:
+                    assert report.j_closed_form is None
+                    assert report.relative_error is None
+
+    def test_shots_at_an_angle_are_unbiased(self):
+        """The mean over 40 seeds lies within 4 standard errors of J(0.5),
+        the errors taken from the spread over seeds."""
+        estimates = [
+            run_simulation(3, 8000, seed=seed, theta0=0.5).j_estimate
+            for seed in range(40)
+        ]
+        error = np.std(estimates, ddof=1) / math.sqrt(len(estimates))
+        j = exact_current(backflow_coefficients(3).a, 0.5)
+        assert abs(np.mean(estimates) - j) < 4 * error
+
+    @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "per-term"])
+    @pytest.mark.parametrize("shots", [None, 500], ids=["exact", "shots"])
+    def test_angle_reports_reingest_to_their_estimate(self, grouped, shots):
+        for n, theta0 in ((1, 0.5), (3, -2.0), (4, math.pi)):
+            report = run_simulation(n, shots, seed=n, grouped=grouped, theta0=theta0)
+            again = ingest_measurements(None, report.to_dict())
+            assert again.j_estimate == report.j_estimate
+
+    def test_angle_layout_is_not_kept(self):
+        layouts = ringflow.experiment._LAYOUTS
+        cached = run_exact(3)
+        before = dict(layouts)
+        for theta0 in (0.5, -1.0, 0.5):
+            run_exact(3, theta0=theta0)
+            run_simulation(2, 100, seed=1, theta0=theta0)
+        assert layouts.keys() == before.keys()
+        assert all(layouts[key] is layout for key, layout in before.items())
+        assert run_exact(3).to_dict() == cached.to_dict()
 
 
 class TestIngestMeasurements:
