@@ -29,7 +29,8 @@ setting's coefficients, not its outcomes, and the outcomes are summed
 against that transform: exactly, in int64, for integer coefficients such
 as the current operator's.  ``experiment`` calls the kernel in float64,
 once per bounded block of outcome rows.  ``sample`` returns an int64
-count per basis index, not bitstrings.
+count per basis index, not bitstrings; a readout flip is one element-wise
+channel, ``readout_channel``, on the outcome distribution before the draw.
 """
 from __future__ import annotations
 
@@ -254,6 +255,13 @@ def check_shots(shots, what: str) -> None:
         raise ValueError(f"{what} must be between 1 and {MAX_SHOTS}, got {shots}")
 
 
+def check_flip(readout_flip) -> None:
+    """Refuse a readout flip probability outside [0, 0.5); NaN and the
+    infinities lie outside it too."""
+    if not 0.0 <= readout_flip < 0.5:
+        raise ValueError("readout flip probability must lie in [0, 0.5)")
+
+
 def sample(
     state: Statevector | Distribution,
     shots: int,
@@ -267,27 +275,45 @@ def sample(
     ``Distribution`` is drawn from as it is, a ``Statevector`` through
     ``z_probabilities``.
 
-    ``readout_flip`` applies a classical bit-flip channel to the sampled
-    outcomes: each bit of each shot flips independently with that
-    probability.  The generator is numpy's default PCG64; ``seed`` may be
-    an int or a numpy SeedSequence.
+    ``readout_flip`` is a classical bit-flip channel on the outcomes, each
+    bit flipping independently with that probability.  A shot's outcome is
+    then one draw from A P, with A the tensor product of one
+    [[1 - p, p], [p, 1 - p]] per qubit (``readout_channel``), so the counts
+    are one multinomial draw from A P: the law of flipping every bit of
+    every shot.  The generator is numpy's default PCG64; ``seed`` may be an
+    int or a numpy SeedSequence.
     """
     check_shots(shots, "shots")
-    if not 0.0 <= readout_flip < 0.5:
-        raise ValueError("readout flip probability must lie in [0, 0.5)")
+    check_flip(readout_flip)
     rng = np.random.default_rng(seed)
     if isinstance(state, Distribution):
         probs = state.probabilities
     else:
         probs = z_probabilities(state)
-    counts = rng.multinomial(shots, probs / probs.sum())
-    n = state.n_qubits
     if readout_flip > 0.0:
-        idx = np.arange(counts.size)
-        for q in range(n):
-            moved = rng.binomial(counts, readout_flip)
-            counts = counts - moved + moved[idx ^ (1 << (n - 1 - q))]
-    return counts
+        probs = readout_channel(np.array(probs, dtype=np.float64), readout_flip)
+    return rng.multinomial(shots, probs / probs.sum())
+
+
+def readout_channel(table: np.ndarray, flip: float) -> np.ndarray:
+    """Flip every bit of the outcome distributions in ``table``, in place.
+
+    Each position mixes the outcome pairs that differ in its bit: with d =
+    (hi - lo) * flip, lo gains d and hi loses it, the shortest stride first.
+    The steps are element-wise, so every row of a 2-D table gets the same
+    floats as a 1-D call on that row.  ``table`` is returned.
+    """
+    if not table.flags.c_contiguous:
+        raise ValueError("an outcome table must be C-contiguous")
+    n_qubits = table.shape[-1].bit_length() - 1
+    for pos in range(n_qubits - 1, -1, -1):
+        v = table.reshape(-1, 2, 1 << (n_qubits - 1 - pos))
+        lo, hi = v[:, 0], v[:, 1]
+        d = hi - lo
+        d *= flip
+        lo += d
+        hi -= d
+    return table
 
 
 def parity_expectations(table: np.ndarray) -> np.ndarray:

@@ -54,11 +54,13 @@ from .engine import (
     NormDriftError,
     Statevector,
     apply_circuit,
+    check_flip,
     check_shots,
     init_amplitudes,
     init_basis,
     l2_norm,
     parity_expectations,
+    readout_channel,
     rotated_settings,
     sample,
 )
@@ -606,12 +608,16 @@ def run_simulation(
     LAYOUT_CACHE_QUBITS at theta0 = 0.  The run fills its outcome table with
     ``_expectations``, a block of at most _BLOCK_ENTRIES entries at a time:
     it copies each block's rows from the layout, or makes them as the
-    layout does, with ``_outcome_rows``, draws the shots row by row and
-    builds the setting records; each block is then transformed in place.
+    layout does, with ``_outcome_rows``, puts a readout flip on the whole
+    block with ``engine.readout_channel`` (the channel ``sample`` applies,
+    element-wise, so each row gets the floats it would get alone), draws
+    each row's shots with one multinomial and builds the setting records;
+    each block is then transformed in place.
     """
     sampling = shots_per_setting is not None
     if sampling:
         check_shots(shots_per_setting, "shots per setting")
+        check_flip(readout_flip)
     elif readout_flip != 0.0:
         raise ValueError("a readout flip needs sampling; exact mode has no shots")
     check_qubits(n_qubits)
@@ -628,6 +634,8 @@ def run_simulation(
             _outcome_rows(layout.amplitudes, n_qubits, layout.zmasks[start:stop], block)
         else:
             np.copyto(block, layout.outcomes[start:stop])
+        if readout_flip:
+            readout_channel(block, readout_flip)
         for k, outcomes in enumerate(block, start):
             if sampling:
                 entropy = [seed, k]
@@ -635,7 +643,6 @@ def run_simulation(
                     Distribution(n_qubits, outcomes),
                     shots_per_setting,
                     seed=np.random.SeedSequence(entropy),
-                    readout_flip=readout_flip,
                 )
                 np.divide(counts, shots_per_setting, out=outcomes)
             else:
@@ -840,15 +847,32 @@ def _listed_owner(words, masks, lists, basis_words, basis_masks) -> np.ndarray:
     return owner
 
 
+def _ring_angle(data: dict) -> float:
+    """The input's ``theta0``, a finite real; 0.0 when it has none."""
+    if "theta0" not in data:
+        return 0.0
+    value = data["theta0"]
+    _check_types((value,), numbers.Real, "'theta0'")
+    try:
+        theta0 = float(value)
+    except OverflowError:
+        raise ValueError("'theta0' is too large for a float") from None
+    if not math.isfinite(theta0):
+        raise ValueError(f"'theta0' must be finite, got {theta0!r}")
+    return theta0 if theta0 else 0.0  # -0.0 reads as 0.0
+
+
 def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
     """Recombine externally measured data into a current estimate.
 
     ``data`` maps "n" plus either ``settings`` (a list of
     {basis_word, probabilities|counts[, terms]} entries) or
-    ``expectations`` (a list of {word, value}).  Without explicit ``terms``
-    lists, every expansion term is read from the first setting that covers
-    it, in file order.  No simulation happens here: the output is exact
-    arithmetic on the supplied numbers.
+    ``expectations`` (a list of {word, value}), and optionally the ring
+    angle ``theta0`` the data were taken at (0 when absent), which sets
+    ``j_exact`` and, away from 0, leaves the closed form out.  Without
+    explicit ``terms`` lists, every expansion term is read from the first
+    setting that covers it, in file order.  No simulation happens here: the
+    output is exact arithmetic on the supplied numbers.
     """
     if not isinstance(data, dict):
         raise ValueError("measured data must be a mapping")
@@ -863,6 +887,7 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         raise ValueError(f"data is for n={n_field}, not n={n_qubits}")
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
+    theta0 = _ring_angle(data)
     decomp = current_decomposition(n_qubits)
 
     if "expectations" in data:
@@ -949,4 +974,5 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         term_records,
         setting_records,
         backflow_coefficients(n_qubits),
+        theta0=theta0,
     )

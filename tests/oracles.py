@@ -1,6 +1,7 @@
 """Reference implementations that the fast paths in ``src/`` are tested
-against: a per-word expectation value that reads any word over IXYZ, and
-the letter-by-letter cover test of a measurement setting."""
+against: a per-word expectation value that reads any word over IXYZ, the
+letter-by-letter cover test of a measurement setting, the per-shot
+readout-flip sampler and the dense readout-flip matrix."""
 import numpy as np
 
 _I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
@@ -43,3 +44,29 @@ def covers(setting, word: str) -> bool:
     return all(
         letter == "I" or letter == basis for letter, basis in zip(word, setting.basis_word)
     )
+
+
+def binomial_flip_sample(probs, shots: int, seed, readout_flip: float) -> np.ndarray:
+    """Counts drawn from ``probs``, then each bit of each shot flipped with
+    probability ``readout_flip``: one binomial per qubit over the whole count
+    vector moves that many shots of every outcome to its partner across the
+    qubit's bit."""
+    rng = np.random.default_rng(seed)
+    probs = np.asarray(probs, dtype=np.float64)
+    counts = rng.multinomial(shots, probs / probs.sum())
+    n = probs.size.bit_length() - 1
+    idx = np.arange(counts.size)
+    for q in range(n):
+        moved = rng.binomial(counts, readout_flip)
+        counts = counts - moved + moved[idx ^ (1 << (n - 1 - q))]
+    return counts
+
+
+def readout_matrix(n_qubits: int, flip: float) -> np.ndarray:
+    """The dense 2^N x 2^N transition matrix of independent bit flips: the
+    Kronecker product of one [[1 - p, p], [p, 1 - p]] per qubit."""
+    one = np.array([[1.0 - flip, flip], [flip, 1.0 - flip]])
+    dense = np.ones((1, 1))
+    for _ in range(n_qubits):
+        dense = np.kron(dense, one)
+    return dense

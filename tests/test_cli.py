@@ -206,6 +206,45 @@ class TestCurrent:
         assert code == 0
         assert json.loads(out)["j_estimate"] == payload["j_estimate"]
 
+    def test_analyze_prints_the_angle_report_numbers(self, capsys, tmp_path):
+        """``analyze`` of a report at theta0 = 0.5 prints the report's J at
+        that angle, not the theta0 = 0 one (-0.262137553, relative error
+        6.77), and no closed form."""
+        code, out, _ = run_cli(capsys, "current", "--n", "3", "--theta0", "0.5")
+        assert code == 0
+        payload = json.loads(out)
+        path = tmp_path / "report.json"
+        path.write_text(out, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 0
+        again = json.loads(out)
+        for key in ("theta0", "j_estimate", "j_exact", "j_closed_form", "relative_error"):
+            assert again[key] == payload[key], key
+        assert again["j_closed_form"] is None and again["relative_error"] is None
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "null", '"0.5"', "true", "1e999"])
+    def test_analyze_refuses_a_bad_theta0(self, capsys, tmp_path, value):
+        path = tmp_path / "report.json"
+        path.write_text(
+            '{"n": 1, "theta0": %s, "expectations": '
+            '[{"word": "X", "value": 0.5}, {"word": "Z", "value": 0.5}]}' % value,
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 4
+        assert out == ""
+        assert "theta0" in err
+
+    @pytest.mark.parametrize("flip", ["0.5", "0.7", "-0.1", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("plan", [(), ("--per-term",)], ids=["grouped", "per-term"])
+    def test_readout_flip_outside_its_range_is_usage_error(self, capsys, flip, plan):
+        with pytest.raises(SystemExit) as exc:
+            main(["current", "--n", "2", "--mode", "shots", *plan, f"--readout-flip={flip}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--readout-flip must lie in [0, 0.5)" in captured.err
+
     def test_negative_zero_angle_is_zero(self, capsys):
         code, zero, _ = run_cli(capsys, "current", "--n", "2", "--theta0", "0")
         assert code == 0

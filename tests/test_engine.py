@@ -26,6 +26,7 @@ from ringflow.engine import (
     init_basis,
     l2_norm,
     parity_expectations,
+    readout_channel,
     rotated_settings,
     ry,
     sample,
@@ -45,7 +46,7 @@ from ringflow.pauli import (
 )
 
 from conftest import child_env, measurable_sums, random_state_vector
-from oracles import expectation_direct
+from oracles import binomial_flip_sample, expectation_direct, readout_matrix
 
 INV_SQRT5 = 1.0 / math.sqrt(5.0)
 
@@ -684,6 +685,11 @@ class TestProbabilitiesAndSampling:
         with pytest.raises(ValueError):
             sample(init_basis(1, 0), 0, seed=0)
 
+    @pytest.mark.parametrize("flip", [0.5, 0.7, -0.1, math.nan, math.inf, -math.inf])
+    def test_flip_outside_its_range_is_refused(self, flip):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 0\.5\)"):
+            sample(init_basis(1, 0), 10, seed=0, readout_flip=flip)
+
     @pytest.mark.parametrize("shots", [10.7, 10.0, True, "10"], ids=repr)
     def test_shot_count_must_be_an_int(self, shots):
         """A float, a bool or a string is refused with a ValueError naming
@@ -726,6 +732,77 @@ class TestProbabilitiesAndSampling:
             assert list(d["counts"]) == sorted(expected)
             assert list(d["probabilities"]) == list(d["counts"])
             assert d["probabilities"] == {b: c / 50 for b, c in expected.items()}
+
+
+def random_distributions(rng, rows, n):
+    table = rng.random((rows, 1 << n))
+    return table / table.sum(axis=1, keepdims=True)
+
+
+class TestReadoutChannel:
+    """``readout_channel`` is the flip channel A = (x)_q [[1 - p, p], [p, 1 - p]]
+    on outcome distributions, and ``sample`` draws its counts from A P."""
+
+    @pytest.mark.parametrize("flip", [0.0, 0.01, 0.3, 0.49])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_the_dense_transition_matrix(self, n, flip):
+        table = random_distributions(np.random.default_rng(n), 5, n)
+        dense = readout_matrix(n, flip)
+        block = readout_channel(table.copy(), flip)
+        np.testing.assert_allclose(block, table @ dense.T, rtol=1e-12, atol=1e-16)
+        for row, want in zip(table, block):
+            alone = readout_channel(row.copy(), flip)
+            np.testing.assert_allclose(alone, dense @ row, rtol=1e-12, atol=1e-16)
+            # element-wise steps: a row gets the same bits in a block as alone
+            assert_same_bits(alone, want)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_parities_shrink_by_one_factor_per_bit(self, n):
+        """After the channel, parity average m is (1 - 2p)^popcount(m) times
+        the clean one."""
+        table = random_distributions(np.random.default_rng(50 + n), 3, n)
+        clean = parity_expectations(table.copy())
+        weight = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
+        for flip in (0.01, 0.2, 0.45):
+            noisy = parity_expectations(readout_channel(table.copy(), flip))
+            np.testing.assert_allclose(noisy, clean * (1 - 2 * flip) ** weight, rtol=0, atol=1e-12)
+
+    def test_refuses_a_strided_table(self):
+        table = np.full((4, 4), 0.25)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            readout_channel(table[:, ::2], 0.1)
+        assert (table == 0.25).all()
+
+    def test_distribution_is_left_as_it_was(self):
+        probs = np.array([0.5, 0.25, 0.125, 0.125])
+        sample(Distribution(2, probs), 100, seed=1, readout_flip=0.2)
+        np.testing.assert_array_equal(probs, [0.5, 0.25, 0.125, 0.125])
+
+    def test_counts_follow_the_per_shot_flip_law(self):
+        """Over 600 seeds, the multinomial draw from A P and the per-shot
+        binomial flips agree in every outcome's mean and variance: each mean
+        within 5 standard errors of shots * (A P)_b and of the other
+        sampler's, each variance within [0.7, 1.4] of shots * q (1 - q) and
+        of the other's (the relative standard error of a variance over 600
+        draws is about 0.06)."""
+        n, shots, flip, seeds = 3, 500, 0.1, 600
+        probs = random_distributions(np.random.default_rng(9), 1, n)[0]
+        q = readout_matrix(n, flip) @ probs
+        new = np.array([
+            sample(Distribution(n, probs), shots, seed=s, readout_flip=flip)
+            for s in range(seeds)
+        ])
+        old = np.array([binomial_flip_sample(probs, shots, s, flip) for s in range(seeds)])
+        law_var = shots * q * (1 - q)
+        for counts in (new, old):
+            assert (counts.sum(axis=1) == shots).all()
+            mean, var = counts.mean(axis=0), counts.var(axis=0, ddof=1)
+            assert (abs(mean - shots * q) < 5 * np.sqrt(law_var / seeds)).all()
+            assert (0.7 < var / law_var).all() and (var / law_var < 1.4).all()
+        var_new, var_old = new.var(axis=0, ddof=1), old.var(axis=0, ddof=1)
+        gap = abs(new.mean(axis=0) - old.mean(axis=0))
+        assert (gap < 5 * np.sqrt((var_new + var_old) / seeds)).all()
+        assert (0.7 < var_new / var_old).all() and (var_new / var_old < 1.4).all()
 
 
 def per_gate_hadamard(amps, n, pos):

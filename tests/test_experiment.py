@@ -56,7 +56,7 @@ from ringflow.pauli import (
 )
 
 from conftest import PEAK_SCRIPT, assert_same_text, child_env, random_state_vector
-from oracles import covers
+from oracles import binomial_flip_sample, covers
 
 FOUR_PI = 4.0 * math.pi
 
@@ -271,6 +271,56 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="readout flip needs sampling"):
             run_simulation(3, None, readout_flip=0.01)
         assert run_simulation(3, None, readout_flip=0.0).readout_flip == 0.0
+
+    @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "per-term"])
+    @pytest.mark.parametrize("flip", [0.5, 0.7, -0.1, math.nan, math.inf, -math.inf])
+    def test_flip_outside_its_range_is_refused_before_any_draw(
+        self, monkeypatch, grouped, flip
+    ):
+        """The flip is checked once per run, before the layout's rows are
+        drawn from: 0.7 once returned a J when the channel moved out of
+        ``sample``."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew shots with a flip out of range")
+
+        monkeypatch.setattr(ringflow.experiment, "sample", no_draw)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 0\.5\)"):
+            run_simulation(2, 100, seed=1, grouped=grouped, readout_flip=flip)
+
+    def test_flip_draws_follow_the_per_shot_law(self, monkeypatch):
+        """``j_estimate`` at N = 4, flip 0.01 and 8 000 shots, over 200 seeds,
+        with the multinomial draw from A P and with per-shot binomial flips:
+        each mean lies within 4.5 standard errors of the (1 - 2p)^weight
+        model and of the other's mean, and the two spreads agree within
+        [0.75, 1.33] (the standard error of an SD ratio over 200 seeds is
+        about 0.07)."""
+        n, shots, flip, seeds = 4, 8000, 0.01, 200
+        exact = run_exact(n)
+        model = exact.identity_weight + math.fsum(
+            r.coeff * (1 - 2 * flip) ** (n - r.word.count("I")) * r.expectation
+            for r in exact.term_records
+        )
+        model /= 4 * math.pi
+        new = [run_simulation(n, shots, seed=s, readout_flip=flip).j_estimate
+               for s in range(seeds)]
+        with monkeypatch.context() as patch:
+            patch.setattr(ringflow.experiment, "readout_channel", lambda block, p: block)
+            patch.setattr(
+                ringflow.experiment,
+                "sample",
+                lambda dist, shots, seed: binomial_flip_sample(
+                    dist.probabilities, shots, seed, flip
+                ),
+            )
+            old = [run_simulation(n, shots, seed=s, readout_flip=flip).j_estimate
+                   for s in range(seeds)]
+        assert old != new
+        sd_new, sd_old = np.std(new, ddof=1), np.std(old, ddof=1)
+        for estimates, sd in ((new, sd_new), (old, sd_old)):
+            assert abs(np.mean(estimates) - model) < 4.5 * sd / math.sqrt(seeds)
+        gap = abs(np.mean(new) - np.mean(old))
+        assert gap < 4.5 * math.hypot(sd_new, sd_old) / math.sqrt(seeds)
+        assert 0.75 < sd_new / sd_old < 1.33
 
     def test_rejects_huge_shot_counts(self):
         """More shots than an int64 count holds is a ValueError naming the
@@ -720,6 +770,26 @@ class TestRunExact:
             again = ingest_measurements(None, report.to_dict())
             assert again.j_estimate == report.j_estimate
 
+    @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "per-term"])
+    @pytest.mark.parametrize("shots", [None, 500], ids=["exact", "shots"])
+    def test_angle_reports_reingest_to_their_exact_values(self, grouped, shots):
+        """``ingest_measurements`` reads the report's ``theta0``: the same
+        angle, ``j_exact``, ``j_closed_form`` and ``relative_error``."""
+        fields = ("theta0", "j_estimate", "j_exact", "j_closed_form", "relative_error")
+        for n, theta0 in ((1, 0.5), (3, -2.0), (4, 0.0), (2, -0.0)):
+            report = run_simulation(n, shots, seed=n, grouped=grouped, theta0=theta0)
+            again = ingest_measurements(None, report.to_dict())
+            for field in fields:
+                assert getattr(again, field) == getattr(report, field), field
+            supplied = {
+                "n": n,
+                "theta0": theta0,
+                "expectations": [
+                    {"word": r.word, "value": r.expectation} for r in report.term_records
+                ],
+            }
+            assert ingest_measurements(None, supplied).j_exact == report.j_exact
+
     def test_angle_layout_is_not_kept(self):
         layouts = ringflow.experiment._LAYOUTS
         cached = run_exact(3)
@@ -733,6 +803,33 @@ class TestRunExact:
 
 
 class TestIngestMeasurements:
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (math.nan, "must be finite"),
+            (math.inf, "must be finite"),
+            (-math.inf, "must be finite"),
+            (10**400, "is too large"),
+            (None, "must be a number"),
+            ("0.5", "must be a number"),
+            (True, "must be a number"),
+            ([0.5], "must be a number"),
+        ],
+        ids=["nan", "inf", "-inf", "10**400", "null", "string", "true", "list"],
+    )
+    def test_theta0_must_be_a_finite_number(self, value, message):
+        data = run_exact(2).to_dict()
+        data["theta0"] = value
+        with pytest.raises(ValueError, match=f"'theta0' {message}"):
+            ingest_measurements(None, data)
+
+    def test_missing_theta0_reads_as_zero(self):
+        data = run_exact(2).to_dict()
+        del data["theta0"]
+        again = ingest_measurements(None, data)
+        assert again.theta0 == 0.0
+        assert again.j_exact == run_exact(2).j_exact
+
     def test_published_one_qubit_probabilities(self, data_dir):
         data = json.loads((data_dir / "backflow_n1_probabilities.json").read_text())
         report = ingest_measurements(None, data)
