@@ -17,18 +17,25 @@ sum's mask and coefficient arrays, with no word string or per-word
 object.  Word parities come from one kernel, ``parity_expectations``, which
 takes nothing but the table: one in-place Walsh-Hadamard transform, made
 of the rotations' own Hadamard layer, turns a dense outcome vector, or
-every row of a table of them, into every mask's parity average.
+every row of a table of them, into every mask's parity average.  Its
+layers of short stride, where numpy would run inner loops of 2 to 16
+entries, run on cache-sized transposed tiles, where the same pairs lie
+whole rows apart (``_walsh``); every entry meets the same additions in the
+same order, so the tiles change no bit of any table.
 ``expectation_pauli`` reads sums over {I,X,Z} with at most one Z per word
 (a Y or a second Z is refused) in extended precision, which keeps the
-heavily weighted cancellations accurate at large N.  It rotates the state
-once, N Hadamard layers per part, and reads every setting of
-``pauli.setting_plan`` from that: the all-X setting's outcomes are the
-rotated state's squares, and a Z setting's outcome differences a product
-of its two halves across the Z bit.  There the kernel transforms each
-setting's coefficients, not its outcomes, and the outcomes are summed
-against that transform: exactly, in int64, for integer coefficients such
-as the current operator's.  ``experiment`` calls the kernel in float64,
-once per bounded block of outcome rows.  ``sample`` returns an int64
+heavily weighted cancellations accurate at large N.  One blocked pass over
+the sum's words (``_score_columns``) finds each word's setting by
+``pauli.reading_setting``, its mask and the coefficients' dtype.  It
+rotates the state once, N Hadamard layers per part, tiled like the
+kernel's, and reads every setting from that: the all-X setting's outcomes
+are the rotated state's squares, and a Z setting's outcome differences a
+product of its two halves across the Z bit.  There the kernel transforms
+each setting's coefficients, scattered straight to their masks, not its
+outcomes, and the outcomes are summed against that transform: exactly, in
+int64, for integer coefficients such as the current operator's.
+``experiment`` calls the kernel in float64, once per bounded block of
+outcome rows.  ``sample`` returns an int64
 count per basis index, not bitstrings; a readout flip is one element-wise
 channel, ``readout_channel``, on the outcome distribution before the draw.
 """
@@ -39,7 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import WeightedPauliSum, check_measurable, setting_plan
+from .pauli import (
+    WORD_BLOCK,
+    WeightedPauliSum,
+    check_measurable,
+    measurable,
+    reading_setting,
+)
 
 #: Norm drift beyond this after a kernel indicates an engine bug.
 NORM_TOL = 1e-9
@@ -51,6 +64,12 @@ _CONTROLLED = ("CNOT", "CRY")
 _PARAMETRIC = ("RY", "CRY")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+#: A Walsh transform's layers of stride below 2^_TILE_BITS run on transposed
+#: tiles, where each is one long stride instead of many short inner loops.
+_TILE_BITS = 5
+#: Entries of one transposed tile (256 KiB of int64), so it stays in cache.
+_TILE_ENTRIES = 1 << 15
 
 
 class NormDriftError(RuntimeError):
@@ -323,28 +342,67 @@ def parity_expectations(table: np.ndarray) -> np.ndarray:
     each dense outcome vector of ``table`` into its parity averages, entry
     m for mask m, in the table's dtype; ``table`` is overwritten and
     returned.  The transform is a Hadamard layer per position, the shortest
-    stride first, so every row of a 2-D table is transformed by the same
-    steps as a 1-D call on that row.  A table that is not C-contiguous is
-    refused: its transform would land in a copy.
+    stride first (``_walsh``), so every row of a 2-D table is transformed
+    by the same steps as a 1-D call on that row.  A table that is not
+    C-contiguous is refused: its transform would land in a copy.
     """
     if not table.flags.c_contiguous:
         raise ValueError("an outcome table must be C-contiguous")
-    n_qubits = table.shape[-1].bit_length() - 1
-    for pos in range(n_qubits - 1, -1, -1):
+    return _walsh(table, table.shape[-1].bit_length() - 1, shortest_first=True)
+
+
+def _walsh(table: np.ndarray, n_qubits: int, shortest_first: bool) -> np.ndarray:
+    """An unnormalized Hadamard layer on every position of each row of
+    ``table``, a C-contiguous array of rows of 2^n_qubits entries, in place,
+    the shortest stride first or last.
+
+    The layers of stride below 2^_TILE_BITS run on transposed tiles, where
+    their pairs lie whole rows apart: each tile is the rows of _TILE_BITS
+    low bits, at most _TILE_ENTRIES entries of the table, copied in
+    transposed, and copied back once its layers are done.  Every entry
+    meets the same additions in the same order as with the plain layers,
+    which a register of at most _TILE_BITS qubits takes throughout.
+    """
+    tiled = _TILE_BITS if n_qubits > _TILE_BITS else 0
+    wide = range(n_qubits - 1 - tiled, -1, -1)  # stride 2^tiled and up, shortest first
+    if shortest_first:
+        _tile_layers(table, tiled, shortest_first)
+    for pos in wide if shortest_first else reversed(wide):
         _hadamard_layer(table, n_qubits, pos)
+    if not shortest_first:
+        _tile_layers(table, tiled, shortest_first)
     return table
+
+
+def _tile_layers(table: np.ndarray, bits: int, shortest_first: bool) -> None:
+    # the layers on the ``bits`` low bits: in a tile, the transpose of
+    # ``width`` rows of 2^bits entries, the pairs of bit i lie width * 2^i apart
+    if not bits:
+        return
+    rows = table.reshape(-1, 1 << bits)
+    order = range(bits) if shortest_first else range(bits - 1, -1, -1)
+    for start in range(0, len(rows), _TILE_ENTRIES >> bits):
+        block = rows[start : start + (_TILE_ENTRIES >> bits)]
+        tile = block.T.copy()
+        for bit in order:
+            _butterfly(tile.reshape(-1, 2, len(block) << bit))
+        block[...] = tile.T
 
 
 def _hadamard_layer(amps: np.ndarray, n_qubits: int, pos: int, scale=None) -> None:
     # Hadamard on qubit ``pos`` in place: a + b and a - b, times ``scale`` if
     # given; the blocks of 2 * stride entries never straddle a row of a table
-    v = amps.reshape(-1, 2, 1 << (n_qubits - 1 - pos))
+    _butterfly(amps.reshape(-1, 2, 1 << (n_qubits - 1 - pos)))
+    if scale is not None:
+        np.multiply(amps, scale, out=amps)
+
+
+def _butterfly(v: np.ndarray) -> None:
+    # v[:, 0] and v[:, 1] become their sum and difference, in place
     a = v[:, 0].copy()
     b = v[:, 1]
     np.add(a, b, out=v[:, 0])
     np.subtract(a, b, out=b)
-    if scale is not None:
-        np.multiply(amps, scale, out=amps)
 
 
 def rotated_settings(amps: np.ndarray, n_qubits: int, zmasks):
@@ -390,52 +448,75 @@ def expectation_pauli(state: Statevector, op_sum: WeightedPauliSum) -> float:
     sum_k p[k] (H C)[k], with C the coefficients scattered to their masks.
     C is int64 when every coefficient is an integer and their absolute sum
     is below 2^53, so that every transformed entry is exact, even in
-    float64; otherwise it is longdouble.
+    float64; otherwise it is longdouble.  One pass over the words
+    (``_score_columns``) refuses an unmeasurable word and finds each word's
+    setting, its mask and the dtype of C; the settings' sums are added in
+    the order in which each setting's first word appears.
     """
     if op_sum.n_qubits != state.n_qubits:
         raise ValueError(
             f"operator acts on {op_sum.n_qubits} qubits, state has {state.n_qubits}"
         )
-    check_measurable(op_sum)
     n = state.n_qubits
-    mx, _, mz = op_sum.masks
+    setting, masks, score_dtype = _score_columns(op_sum)
     coeffs = op_sum.coeff_array
-    magnitudes = np.abs(coeffs)
-    # each entry below 2^53 keeps the float64 sum from overflowing; a sum of
-    # such integers that rounds below 2^53 is exact
-    integral = (
-        (magnitudes < 2.0**53).all()
-        and magnitudes.sum() < 2.0**53
-        and (coeffs == np.trunc(coeffs)).all()
-    )
-    score_dtype = np.int64 if integral else np.longdouble
-    parity_masks = mx | mz
     amps = state.amplitudes
     parts = [amps.real.astype(np.longdouble)]
     if amps.imag.any():
         parts.append(amps.imag.astype(np.longdouble))
     for part in parts:
-        for pos in range(n):
-            _hadamard_layer(part, n, pos)
-    plan = setting_plan(mz, n)
+        _walsh(part, n, shortest_first=False)
     sums = []
-    for zmask, members in plan:
-        masks = parity_masks[members]
-        if zmask:
-            b = zmask.bit_length() - 1  # counted from the LSB
+    for k in range(n + 1):
+        members = np.flatnonzero(setting == k)
+        if not members.size:
+            continue
+        if k:
+            b = n - k  # the setting's Z bit, counted from the LSB
             halves = [part.reshape(-1, 2, 1 << b) for part in parts]
             probs = sum(v[:, 0] * v[:, 1] for v in halves).reshape(-1)
-            masks = ((masks >> (b + 1)) << b) | (masks & ((1 << b) - 1))
         else:
             probs = sum(part**2 for part in parts)
         scores = np.zeros(probs.size, dtype=score_dtype)
-        scores[masks] = coeffs[members]
+        scores[masks[members]] = coeffs[members]
         probs *= parity_expectations(scores)
         # unnormalized Hadamards: divide by 2 per rotated position; a
         # pairwise sum, where dot would reduce sequentially
-        sums.append(probs.sum() / (1 << (n - zmask.bit_count())))
-    # accumulate in order of first appearance, the per-word reference's order
+        sums.append((members[0], probs.sum() / probs.size))
     total = np.longdouble(op_sum.identity_weight)
-    for k in sorted(range(len(plan)), key=lambda k: plan[k][1][0]):
-        total += sums[k]
+    for _, value in sorted(sums):  # by each setting's first word
+        total += value
     return float(total)
+
+
+def _score_columns(op_sum: WeightedPauliSum):
+    """(setting, masks, dtype) of a sum's words, made in one pass over
+    blocks of WORD_BLOCK words, after refusing a word with a Y or a second
+    Z: each word's ``reading_setting``; its parity mask, with the bit of
+    its Z deleted; and int64 when every coefficient is an integer and their
+    absolute sum is below 2^53, else longdouble.
+    """
+    n = op_sum.n_qubits
+    mx, my, mz = op_sum.masks
+    coeffs = op_sum.coeff_array
+    setting = np.empty(len(coeffs), dtype=np.uint8)
+    masks = np.empty(len(coeffs), dtype=np.int64)
+    integral, magnitude = True, 0.0
+    for start in range(0, len(coeffs), WORD_BLOCK):
+        block = slice(start, start + WORD_BLOCK)
+        x, z, c = mx[block], mz[block], coeffs[block]
+        if not measurable(my[block], z).all():
+            check_measurable(op_sum)  # raises, naming the first such word
+        setting[block] = reading_setting(z, n)
+        # the bits of x above the Z bit move down one; all stay without a Z
+        below = z - 1
+        np.bitwise_or((x >> 1) & ~below, x & below, out=masks[block])
+        if integral:
+            # each entry below 2^53 keeps the float64 sum from overflowing;
+            # a sum of such integers is exact below 2^53 and, once it
+            # reaches 2^53, stays there, in any order of addition
+            magnitudes = np.abs(c)
+            integral = bool((magnitudes < 2.0**53).all() and (c == np.trunc(c)).all())
+            magnitude += magnitudes.sum() if integral else 0.0
+    dtype = np.int64 if integral and magnitude < 2.0**53 else np.longdouble
+    return setting, masks, dtype

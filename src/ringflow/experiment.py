@@ -847,19 +847,19 @@ def _listed_owner(words, masks, lists, basis_words, basis_masks) -> np.ndarray:
     return owner
 
 
-def _ring_angle(data: dict) -> float:
-    """The input's ``theta0``, a finite real; 0.0 when it has none."""
-    if "theta0" not in data:
+def _optional_real(data: dict, key: str) -> float:
+    """The input's ``key``, a finite real; 0.0 when it has none."""
+    if key not in data:
         return 0.0
-    value = data["theta0"]
-    _check_types((value,), numbers.Real, "'theta0'")
+    value = data[key]
+    _check_types((value,), numbers.Real, f"'{key}'")
     try:
-        theta0 = float(value)
+        number = float(value)
     except OverflowError:
-        raise ValueError("'theta0' is too large for a float") from None
-    if not math.isfinite(theta0):
-        raise ValueError(f"'theta0' must be finite, got {theta0!r}")
-    return theta0 if theta0 else 0.0  # -0.0 reads as 0.0
+        raise ValueError(f"'{key}' is too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"'{key}' must be finite, got {number!r}")
+    return number if number else 0.0  # -0.0 reads as 0.0
 
 
 def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
@@ -869,7 +869,9 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
     {basis_word, probabilities|counts[, terms]} entries) or
     ``expectations`` (a list of {word, value}), and optionally the ring
     angle ``theta0`` the data were taken at (0 when absent), which sets
-    ``j_exact`` and, away from 0, leaves the closed form out.  Without
+    ``j_exact`` and, away from 0, leaves the closed form out, and the
+    ``readout_flip`` probability they were read with, a real in [0, 0.5)
+    (0 when absent), which the report echoes: nothing mitigates it.  Without
     explicit ``terms`` lists, every expansion term is read from the first
     setting that covers it, in file order.  No simulation happens here: the
     output is exact arithmetic on the supplied numbers.
@@ -887,7 +889,9 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         raise ValueError(f"data is for n={n_field}, not n={n_qubits}")
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
-    theta0 = _ring_angle(data)
+    theta0 = _optional_real(data, "theta0")
+    readout_flip = _optional_real(data, "readout_flip")
+    check_flip(readout_flip)
     decomp = current_decomposition(n_qubits)
 
     if "expectations" in data:
@@ -975,4 +979,5 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         setting_records,
         backflow_coefficients(n_qubits),
         theta0=theta0,
+        readout_flip=readout_flip,
     )

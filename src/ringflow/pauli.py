@@ -12,10 +12,18 @@ Masks first: a ``WeightedPauliSum`` stores each word as three int64 masks
 read-only, and that is what the engine, the setting plan and the
 estimators read.  Word strings and the coefficient tuple are made only
 when read, for reports and printing, and then kept.
-``current_decomposition`` gathers its masks and weights from two small
-tables of half words and joins the words from the same tables only when
-they are asked for; a sum built from words takes its masks from
-``word_masks`` once.  Either way the masks pass one set of bulk checks.
+``current_decomposition`` gathers its masks from two small tables of half
+words, reads each weight from its Z mask, and joins the words from the same
+tables only when they are asked for; a sum built from words takes its masks
+from ``word_masks`` once.  Either way the masks pass one set of bulk checks.
+
+Passes over word columns run in blocks of WORD_BLOCK words, one fixed size:
+a chain of element-wise passes over one block stays in a core's cache, where
+the same chain over whole columns of 10^5 to 10^7 words streams each column
+through memory once per pass.  The expansion's gathers, the mask checks and
+``engine.expectation_pauli``'s pass over a sum's words are blocked.
+``reading_setting`` is the one rule for which Z/X setting reads a word, and
+``setting_plan`` groups the words by it.
 
 Letter ordering: the leftmost letter of a word acts on qubit S1, which is
 the most significant bit of the momentum index.
@@ -91,9 +99,20 @@ class PauliTerms(Sequence):
 # deletes every Pauli letter, so whatever str.translate leaves is invalid
 _DROP_PAULI_LETTERS = str.maketrans("", "", PAULI_LETTERS)
 
-# byte b with bit i moved to bit 2i: the bits of a mask spread to base-4 digits
-_SPREAD = np.array(
-    [sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256)], dtype=np.int64
+#: Words a pass over the word columns takes at a time: 2^15 int64 entries
+#: are 256 KiB, so a chain of passes over one block stays in a core's L2
+#: cache instead of streaming whole columns through L3.
+WORD_BLOCK = 1 << 15
+
+# (shift, keep) steps of a bit interleave: together they move bit i of a
+# value below 2^32 to bit 2i, and a step of shift s leaves a value below
+# 2^s as it is
+_SPREAD_STEPS = (
+    (16, 0x0000FFFF0000FFFF),
+    (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F),
+    (2, 0x3333333333333333),
+    (1, 0x5555555555555555),
 )
 
 
@@ -265,40 +284,76 @@ def _check_sizes(n_qubits, identity_weight, word_count, coeff_count) -> None:
 
 def _check_masks(n_qubits, masks, coeff_array, word) -> None:
     """Refuse masks beyond N bits or that share a bit, a non-finite
-    coefficient, the all-I word or a repeated word, in bulk; a refusal
-    names ``word(i)``, with the message a check of the words would give."""
+    coefficient, the all-I word or a repeated word, in bulk; a refusal names
+    ``word(i)``, with the message a check of the words would give.
+
+    One pass over blocks of WORD_BLOCK words notes the first word of each
+    fault and builds every word's base-4 letter code; then the first fault
+    in the order above is raised, whichever block its word lies in.
+    """
     mx, my, mz = masks
-    union = mx | my | mz
-    outside = np.flatnonzero(union >> n_qubits)
-    if outside.size:
-        raise ValueError(f"term {word(outside[0])} does not act on {n_qubits} qubits")
-    # masks within N bits are disjoint when their sum carries nothing
-    shared = np.flatnonzero(mx + my + mz != union)
-    if shared.size:
-        raise ValueError(f"invalid Pauli word {word(shared[0])!r}")
-    del union, shared  # freed before the letter code, the larger peak
-    bad = np.flatnonzero(~np.isfinite(coeff_array))
-    if bad.size:
-        raise ValueError(f"non-finite coefficient for {word(bad[0])}")
-    # one base-4 digit per letter, I X Y Z = 0 1 2 3 with the leftmost
-    # letter most significant, so words of one length order as their
-    # codes; a digit's low bit marks X or Z, its high bit Y or Z
-    code = np.zeros(len(mx), dtype=np.int64)
-    for high, bits in ((0, mx | mz), (1, my | mz)):
-        for shift in range(0, n_qubits, 8):
-            code += _SPREAD[(bits >> shift) & 255] << (2 * shift + high)
-    ascending = bool((code[1:] > code[:-1]).all())
-    ordered = code if ascending else np.sort(code)
-    if ordered.size and ordered[0] == 0:
+    code = np.empty(len(mx), dtype=np.int64)
+    spare = np.empty(min(len(mx), WORD_BLOCK), dtype=np.int64)
+    # the first word beyond N bits, sharing a bit, with a non-finite coefficient
+    first = [None, None, None]
+    ascending, identity = True, False
+    for start in range(0, len(mx), WORD_BLOCK):
+        block = slice(start, start + WORD_BLOCK)
+        x, y, z = mx[block], my[block], mz[block]
+        union = x | y | z
+        # masks within N bits are disjoint when their sum carries nothing
+        faults = (union >> n_qubits != 0, x + y + z != union, ~np.isfinite(coeff_array[block]))
+        for kind, fault in enumerate(faults):
+            at = int(fault.argmax())
+            if first[kind] is None and fault[at]:
+                first[kind] = start + at
+        # one base-4 digit per letter, I X Y Z = 0 1 2 3 with the leftmost
+        # letter most significant, so words of one length order as their
+        # codes; a digit's low bit marks X or Z, its high bit Y or Z
+        codes = _spread(np.bitwise_or(x, z, out=code[block]), n_qubits, spare)
+        codes |= _spread(y | z, n_qubits, spare) << 1
+        identity = identity or not codes.all()
+        ascending = (
+            ascending
+            and (codes[1:] > codes[:-1]).all()
+            and (start == 0 or codes[0] > code[start - 1])
+        )
+    outside, shared, bad = first
+    if outside is not None:
+        raise ValueError(f"term {word(outside)} does not act on {n_qubits} qubits")
+    if shared is not None:
+        raise ValueError(f"invalid Pauli word {word(shared)!r}")
+    if bad is not None:
+        raise ValueError(f"non-finite coefficient for {word(bad)}")
+    if identity:
         raise ValueError("all-identity term belongs in identity_weight")
-    if not ascending and (ordered[1:] == ordered[:-1]).any():
-        raise ValueError("duplicate Pauli words; merge like terms first")
+    if not ascending:
+        code.sort()
+        if (code[1:] == code[:-1]).any():
+            raise ValueError("duplicate Pauli words; merge like terms first")
+
+
+def _spread(bits: np.ndarray, n_qubits: int, spare: np.ndarray) -> np.ndarray:
+    """``bits``, each below 2^n_qubits, with bit i moved to bit 2i, in place."""
+    spare = spare[: len(bits)]
+    for shift, keep in _SPREAD_STEPS:
+        if shift < n_qubits:
+            np.left_shift(bits, shift, out=spare)
+            bits |= spare
+            bits &= keep
+    return bits
+
+
+def measurable(my: np.ndarray, mz: np.ndarray) -> np.ndarray:
+    """Whether a Z/X setting reads each word, by its Y and Z masks: a word
+    with a Y or a second Z is read by none."""
+    return (my | (mz & (mz - 1))) == 0
 
 
 def check_measurable(op_sum: WeightedPauliSum) -> None:
     """Refuse a word with a Y or a second Z, which no Z/X setting reads."""
     _, my, mz = op_sum.masks
-    bad = np.flatnonzero(my | (mz & (mz - 1)))
+    bad = np.flatnonzero(~measurable(my, mz))
     if bad.size:
         raise ValueError(f"term {op_sum.words[bad[0]]} not measurable with Z/X settings")
 
@@ -345,20 +400,30 @@ def word_masks(words, n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return tuple(out)
 
 
+def reading_setting(zmasks: np.ndarray, n_qubits: int) -> np.ndarray:
+    """The setting that reads each word, by its Z mask from ``word_masks``
+    (at most one bit set), as uint8: 0 for the all-X setting, which reads
+    the words without Z, and 1 + p for the setting that is Z at position p
+    and X elsewhere, which reads the words with their Z there."""
+    # Z at position p is bit N - 1 - p, and 2^b - 1 has b bits set; a word
+    # without Z has all N bits set in (0 - 1) & (2^N - 1)
+    return n_qubits - np.bitwise_count((zmasks - 1) & ((1 << n_qubits) - 1))
+
+
 def setting_plan(zmasks: np.ndarray, n_qubits: int) -> list[tuple[int, np.ndarray]]:
     """Group words into the qubit-wise settings that read them.
 
     ``zmasks`` are the words' Z masks from ``word_masks``, each with at most
-    one bit set.  A word without Z is read in the all-X setting, a word with
-    a Z at position p in the setting that is Z at p and X elsewhere.
+    one bit set; ``reading_setting`` says which setting reads each word.
     Returns (setting Z mask, indices of its words in sum order) for every
     setting that reads a word: all-X first, then Z at position 0 ... N-1.
     """
+    setting = reading_setting(zmasks, n_qubits)
     plan = []
-    for zmask in [0] + [1 << (n_qubits - 1 - pos) for pos in range(n_qubits)]:
-        members = np.flatnonzero(zmasks == zmask)
+    for k in range(n_qubits + 1):
+        members = np.flatnonzero(setting == k)
         if members.size:
-            plan.append((zmask, members))
+            plan.append((1 << (n_qubits - k) if k else 0, members))
     return plan
 
 
@@ -414,49 +479,49 @@ def current_decomposition(n_qubits: int) -> WeightedPauliSum:
     prefix table entry followed by one suffix table entry: every sorted
     word of the first N - N//2 letters is followed by the sorted words of
     the last N//2 letters (only the {I, X} ones after a prefix that holds a
-    Z).  The sum's masks and weights are gathered from the two tables (at
-    most 1 280 entries each at N = 16) with one (prefix, suffix) index pair
-    per word; its words are joined from the same pairs only when read.
-    Registers beyond MAX_QUBITS are refused before anything is built.
+    Z).  The sum's masks are gathered from the two tables (at most 1 280
+    entries each at N = 16) with one (prefix, suffix) index pair per word,
+    WORD_BLOCK words at a time, and each weight is read from its Z mask: a
+    Z at position p is the mask bit 2^(N-1-p).  The words are joined from
+    the same pairs only when read.  Registers beyond MAX_QUBITS are refused
+    before anything is built.
     """
     check_qubits(n_qubits)
     check_register(n_qubits)
     low = n_qubits // 2
     ix_weight = float((1 << n_qubits) - 1)
-    prefixes, prefix_weights, prefix_x, prefix_z = _sorted_words(
-        n_qubits - low, low, ix_weight
-    )
-    suffixes, suffix_weights, suffix_x, suffix_z = _sorted_words(low, 0, ix_weight)
+    prefixes, prefix_x, prefix_z = _sorted_words(n_qubits - low, low)
+    suffixes, suffix_x, suffix_z = _sorted_words(low, 0)
     first, second = _word_pairs(prefix_z, suffix_z)
-    in_prefix = prefix_z[first] != 0  # the word's Z, if any, is in its prefix
-    masks = (
-        prefix_x[first] | suffix_x[second],
-        np.zeros(len(first), dtype=np.int64),
-        prefix_z[first] | suffix_z[second],
-    )
-    weights = np.where(in_prefix, prefix_weights[first], suffix_weights[second])
-    del first, second, in_prefix  # freed before the checks, which peak higher
+    mx, mz = (np.empty(len(first), dtype=np.int64) for _ in range(2))
+    weights = np.empty(len(first))
+    for start in range(0, len(first), WORD_BLOCK):
+        block = slice(start, start + WORD_BLOCK)
+        pre, suf = first[block], second[block]
+        np.bitwise_or(prefix_x[pre], suffix_x[suf], out=mx[block])
+        z = np.bitwise_or(prefix_z[pre], suffix_z[suf], out=mz[block])
+        np.negative(z, out=weights[block])
+        weights[block][z == 0] = ix_weight
+    del first, second, pre, suf  # freed before the checks
+    masks = (mx, np.zeros(len(mx), dtype=np.int64), mz)
     make_words = partial(_joined_words, prefixes, suffixes, prefix_z, suffix_z)
     return WeightedPauliSum._from_masks(n_qubits, ix_weight, masks, weights, make_words)
 
 
-def _sorted_words(length: int, shift: int, ix_weight: float):
+def _sorted_words(length: int, shift: int):
     """The sorted words of ``length`` letters over {I, X} with at most one Z,
-    as columns: the words (an object array), their weights, and their X and
-    Z masks at their place in the full word, ahead of ``shift`` letters.
+    as columns: the words (an object array) and their X and Z masks at
+    their place in the full word, ahead of ``shift`` letters.
 
-    A word over {I, X} weighs ``ix_weight``; a Z followed by k letters here
-    weighs -2^(k + shift), as ``shift`` more letters follow in the full word.
     The words grow one letter at a time, with I, then X, then Z put in front
     (Z only before {I, X} words), so they stay sorted.
     """
-    words, weights, ix = [""], [ix_weight], [""]
-    for k in range(shift, shift + length):
+    words, ix = [""], [""]
+    for _ in range(length):
         words = ["I" + w for w in words] + ["X" + w for w in words] + ["Z" + w for w in ix]
-        weights = weights + weights + [-float(1 << k)] * len(ix)
         ix = ["I" + w for w in ix] + ["X" + w for w in ix]
     mx, _, mz = word_masks(words, length)
-    return np.array(words, dtype=object), np.array(weights), mx << shift, mz << shift
+    return np.array(words, dtype=object), mx << shift, mz << shift
 
 
 def _word_pairs(prefix_z: np.ndarray, suffix_z: np.ndarray):

@@ -89,3 +89,13 @@ def assert_same_text(got: str, want: str) -> None:
         f"offset {lo}: {got[start:lo + 40]!r} != {want[start:lo + 40]!r}",
         pytrace=False,
     )
+
+
+def small_word_blocks(monkeypatch, words: int) -> None:
+    """Make every pass over word columns take ``words`` words at a time: the
+    constant lives in ``pauli``, and ``engine`` holds its own name for it."""
+    import ringflow.engine
+    import ringflow.pauli
+
+    monkeypatch.setattr(ringflow.pauli, "WORD_BLOCK", words)
+    monkeypatch.setattr(ringflow.engine, "WORD_BLOCK", words)

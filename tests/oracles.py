@@ -1,8 +1,12 @@
 """Reference implementations that the fast paths in ``src/`` are tested
 against: a per-word expectation value that reads any word over IXYZ, the
 letter-by-letter cover test of a measurement setting, the per-shot
-readout-flip sampler and the dense readout-flip matrix."""
+readout-flip sampler, the dense readout-flip matrix, and the plain
+layer-by-layer Walsh transform and per-setting expectation value, which
+the engine's kernels match bit for bit."""
 import numpy as np
+
+from ringflow.pauli import check_measurable
 
 _I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
 
@@ -70,3 +74,75 @@ def readout_matrix(n_qubits: int, flip: float) -> np.ndarray:
     for _ in range(n_qubits):
         dense = np.kron(dense, one)
     return dense
+
+
+def _layer(table, n_qubits: int, pos: int) -> None:
+    # a + b and a - b across bit N - 1 - pos of every row, in place
+    v = table.reshape(-1, 2, 1 << (n_qubits - 1 - pos))
+    a = v[:, 0].copy()
+    b = v[:, 1]
+    np.add(a, b, out=v[:, 0])
+    np.subtract(a, b, out=b)
+
+
+def parity_layers(table):
+    """The unnormalized Walsh-Hadamard transform along the last axis of a
+    C-contiguous ``table``, in place: one whole-table layer per position,
+    the shortest stride first.  ``table`` is returned."""
+    n = table.shape[-1].bit_length() - 1
+    for pos in range(n - 1, -1, -1):
+        _layer(table, n, pos)
+    return table
+
+
+def expectation_per_setting(state, op_sum) -> float:
+    """<psi|op_sum|psi> for words over {I, X, Z} with at most one Z, one
+    setting at a time, with whole-vector layers: the state rotated by N
+    unnormalized longdouble layers, the longest stride first; per setting,
+    in order all-X, then Z at position 0 ... N-1, its words' masks
+    gathered, the coefficients scattered and transformed by
+    ``parity_layers`` (int64 for integers with absolute sum below 2^53,
+    else longdouble); the settings' sums added in order of their first
+    word."""
+    check_measurable(op_sum)
+    n = state.n_qubits
+    mx, _, mz = op_sum.masks
+    coeffs = op_sum.coeff_array
+    magnitudes = np.abs(coeffs)
+    integral = (
+        (magnitudes < 2.0**53).all()
+        and magnitudes.sum() < 2.0**53
+        and (coeffs == np.trunc(coeffs)).all()
+    )
+    score_dtype = np.int64 if integral else np.longdouble
+    parity_masks = mx | mz
+    amps = state.amplitudes
+    parts = [amps.real.astype(np.longdouble)]
+    if amps.imag.any():
+        parts.append(amps.imag.astype(np.longdouble))
+    for part in parts:
+        for pos in range(n):
+            _layer(part, n, pos)
+    plan = []
+    for zmask in [0] + [1 << (n - 1 - pos) for pos in range(n)]:
+        members = np.flatnonzero(mz == zmask)
+        if members.size:
+            plan.append((zmask, members))
+    sums = []
+    for zmask, members in plan:
+        masks = parity_masks[members]
+        if zmask:
+            b = zmask.bit_length() - 1
+            halves = [part.reshape(-1, 2, 1 << b) for part in parts]
+            probs = sum(v[:, 0] * v[:, 1] for v in halves).reshape(-1)
+            masks = ((masks >> (b + 1)) << b) | (masks & ((1 << b) - 1))
+        else:
+            probs = sum(part**2 for part in parts)
+        scores = np.zeros(probs.size, dtype=score_dtype)
+        scores[masks] = coeffs[members]
+        probs *= parity_layers(scores)
+        sums.append(probs.sum() / (1 << (n - zmask.bit_count())))
+    total = np.longdouble(op_sum.identity_weight)
+    for k in sorted(range(len(plan)), key=lambda k: plan[k][1][0]):
+        total += sums[k]
+    return float(total)

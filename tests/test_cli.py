@@ -235,6 +235,45 @@ class TestCurrent:
         assert out == ""
         assert "theta0" in err
 
+    def test_analyze_keeps_the_readout_flip(self, capsys, tmp_path):
+        """``analyze`` of a flip report prints the report's flip next to its
+        estimate, from the full report and from its counts alone."""
+        code, out, _ = run_cli(
+            capsys, "current", "--mode", "shots", "--n", "3", "--seed", "5",
+            "--readout-flip", "0.01",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        counts = {
+            "n": payload["n"],
+            "readout_flip": payload["readout_flip"],
+            "settings": [
+                {"basis_word": s["basis_word"], "counts": s["counts"]} for s in payload["settings"]
+            ],
+        }
+        for name, text in (("report.json", out), ("counts.json", json.dumps(counts))):
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            code, again, _ = run_cli(capsys, "analyze", "--input", str(path))
+            assert code == 0
+            again = json.loads(again)
+            for key in ("readout_flip", "j_estimate", "j_exact"):
+                assert again[key] == payload[key], (name, key)
+        assert payload["readout_flip"] == 0.01
+
+    @pytest.mark.parametrize("value", ["0.5", "-0.1", "NaN", "null", '"0.01"', "true"])
+    def test_analyze_refuses_a_bad_readout_flip(self, capsys, tmp_path, value):
+        path = tmp_path / "report.json"
+        path.write_text(
+            '{"n": 1, "readout_flip": %s, "expectations": '
+            '[{"word": "X", "value": 0.5}, {"word": "Z", "value": 0.5}]}' % value,
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 4
+        assert out == ""
+        assert "readout_flip" in err or "readout flip" in err
+
     @pytest.mark.parametrize("flip", ["0.5", "0.7", "-0.1", "nan", "inf", "-inf"])
     @pytest.mark.parametrize("plan", [(), ("--per-term",)], ids=["grouped", "per-term"])
     def test_readout_flip_outside_its_range_is_usage_error(self, capsys, flip, plan):

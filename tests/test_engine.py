@@ -45,8 +45,14 @@ from ringflow.pauli import (
     term_count,
 )
 
-from conftest import child_env, measurable_sums, random_state_vector
-from oracles import binomial_flip_sample, expectation_direct, readout_matrix
+from conftest import child_env, measurable_sums, random_state_vector, small_word_blocks
+from oracles import (
+    binomial_flip_sample,
+    expectation_direct,
+    expectation_per_setting,
+    parity_layers,
+    readout_matrix,
+)
 
 INV_SQRT5 = 1.0 / math.sqrt(5.0)
 
@@ -476,28 +482,39 @@ def test_coefficients_whose_absolute_sum_overflows_float64():
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_expectation_rotates_the_state_once(monkeypatch, n):
     """N Hadamard layers per part, whatever the number of settings; a real
-    state has one part.  The other layers are the kernel's, one per
-    position of each setting's coefficient vector."""
-    layers, tables = [], []
-    layer = ringflow.engine._hadamard_layer
+    state has one part.  A layer pairs every entry once, whether it runs
+    on the part or on the part's transposed tiles, so the rotation's
+    butterflies, those made outside the kernel, pair N * 2^N entries per
+    part.  The kernel's pair each coefficient vector's entries once per
+    position."""
+    paired, tables = [], []
+    butterfly = ringflow.engine._butterfly
     transform = ringflow.engine.parity_expectations
-    monkeypatch.setattr(
-        ringflow.engine, "_hadamard_layer", lambda *a: layers.append((a[0], a[2])) or layer(*a)
-    )
-    monkeypatch.setattr(
-        ringflow.engine, "parity_expectations", lambda t: tables.append(t) or transform(t)
-    )
+
+    def counting_butterfly(v):
+        paired.append((bool(tables) and tables[-1] is not None, v.size))
+        butterfly(v)
+
+    def counting_transform(table):
+        tables.append(table)
+        transform(table)
+        tables.append(None)  # the kernel call is over
+        return table
+
+    monkeypatch.setattr(ringflow.engine, "_butterfly", counting_butterfly)
+    monkeypatch.setattr(ringflow.engine, "parity_expectations", counting_transform)
     dec = current_decomposition(n)
     rng = np.random.default_rng(n)
     for amps, parts in ((random_state_vector(rng, n), 2), (backflow_coefficients(n).a, 1)):
-        layers.clear()
+        paired.clear()
         tables.clear()
         expectation_pauli(init_amplitudes(n, amps), dec)
-        # the two lists keep every array alive, so no two of them share an id
-        kernel = {id(table) for table in tables}
-        rotations = [pos for array, pos in layers if id(array) not in kernel]
-        assert sorted(rotations) == sorted(list(range(n)) * parts)
-        assert len(layers) - len(rotations) == sum(t.size.bit_length() - 1 for t in tables)
+        rotation = [size for in_kernel, size in paired if not in_kernel]
+        kernel = [size for in_kernel, size in paired if in_kernel]
+        assert sum(rotation) == parts * n << n
+        transformed = [table for table in tables if table is not None]
+        assert len(transformed) == n + 1
+        assert sum(kernel) == sum(t.size * (t.size.bit_length() - 1) for t in transformed)
 
 
 def test_scale_path_builds_no_pauli_strings(monkeypatch):
@@ -899,3 +916,100 @@ def test_rotated_settings_share_the_prefix(monkeypatch, n):
         layers.clear()
         list(rotated_settings(state.amplitudes, n, per_term))
         assert len(layers) == 2 * shared_layer_count(per_term, n)
+
+
+def _random_table(rng, shape, dtype):
+    if dtype is np.int64:
+        return rng.integers(-(1 << 40), 1 << 40, size=shape)
+    return rng.normal(size=shape).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.longdouble],
+                         ids=["float64", "int64", "longdouble"])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_parity_expectations_match_the_layer_oracle(n, dtype):
+    """The tiled kernel gives the whole-table layers' table bit for bit, on
+    one row and on tables of several rows (13 rows fill one tile and part
+    of the next at N = 12)."""
+    rng = np.random.default_rng(700 + n)
+    for shape in ((1 << n,), (3, 1 << n), (13, 1 << n)):
+        if n > 12 and len(shape) > 1 and shape[0] > 3:
+            continue
+        table = _random_table(rng, shape, dtype)
+        want = parity_layers(table.copy())
+        got = parity_expectations(table)
+        assert got is table
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_expectation_matches_the_per_setting_oracle(n):
+    """The expansion's expectation, on the backflowing state and on a seeded
+    complex state, is the per-setting reference's float exactly."""
+    dec = current_decomposition(n)
+    rng = np.random.default_rng(900 + n)
+    for amps in (backflow_coefficients(n).a, random_state_vector(rng, n)):
+        state = init_amplitudes(n, amps)
+        assert expectation_pauli(state, dec) == expectation_per_setting(state, dec)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_expectation_in_small_word_blocks(monkeypatch, n, block):
+    """Words read a few at a time give the same float, also for a shuffled
+    expansion, whose settings first appear in another order."""
+    dec = current_decomposition(n)
+    rng = np.random.default_rng(40 + n)
+    shuffled = rng.permutation(len(dec.words))
+    mixed = WeightedPauliSum.from_columns(
+        n, dec.identity_weight, [dec.words[i] for i in shuffled], dec.coeff_array[shuffled]
+    )
+    state = init_amplitudes(n, random_state_vector(rng, n))
+    want = [expectation_per_setting(state, op) for op in (dec, mixed)]
+    small_word_blocks(monkeypatch, block)
+    assert [expectation_pauli(state, op) for op in (dec, mixed)] == want
+
+
+@pytest.mark.parametrize(
+    "coeffs, dtype",
+    [
+        ([2.0**52, -(2.0**51), 2.0**50, -(2.0**50 - 1)], np.int64),
+        ([2.0**52, -(2.0**51), 2.0**50, -(2.0**50)], np.longdouble),
+        ([1.0] * 6 + [2.0**53 - 7], np.int64),
+        ([1.0] * 7 + [2.0**53 - 7], np.longdouble),
+    ],
+    ids=["2^53 - 1", "2^53", "ones then 2^53 - 7", "ones then 2^53 - 6"],
+)
+def test_coefficient_dtype_over_word_blocks(monkeypatch, coeffs, dtype):
+    """The int64/longdouble choice on an absolute sum of 2^53 - 1 and of
+    2^53 spread over blocks of one and two words, in every rotation of the
+    coefficients: integer partial sums below 2^53 are exact, and once one
+    reaches 2^53 no later addition brings it back below."""
+    n = 3
+    words = current_decomposition(n).words[: len(coeffs)]
+    state = init_amplitudes(n, random_state_vector(np.random.default_rng(6), n))
+    dtypes = []
+    transform = ringflow.engine.parity_expectations
+    monkeypatch.setattr(
+        ringflow.engine,
+        "parity_expectations",
+        lambda scores: dtypes.append(scores.dtype) or transform(scores),
+    )
+    for block in (1, 2):
+        small_word_blocks(monkeypatch, block)
+        for shift in range(len(coeffs)):
+            dtypes.clear()
+            turned = coeffs[shift:] + coeffs[:shift]
+            op_sum = WeightedPauliSum.from_columns(n, 0.0, words, turned)
+            assert expectation_pauli(state, op_sum) == expectation_per_setting(state, op_sum)
+            assert dtypes and set(dtypes) == {np.dtype(dtype)}
+
+
+def test_unmeasurable_word_in_a_later_block_is_refused(monkeypatch):
+    """The first word no Z/X setting reads is named, whichever block it is in."""
+    small_word_blocks(monkeypatch, 2)
+    words = ["IX", "XI", "XX", "ZX", "ZZ", "YI"]
+    op_sum = WeightedPauliSum.from_columns(2, 0.0, words, [1.0] * 6)
+    with pytest.raises(ValueError, match="term ZZ not measurable with Z/X settings"):
+        expectation_pauli(init_basis(2, 1), op_sum)

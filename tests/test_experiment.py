@@ -2,6 +2,7 @@ import json
 import math
 import numbers
 import os
+import re
 import subprocess
 import sys
 
@@ -829,6 +830,47 @@ class TestIngestMeasurements:
         again = ingest_measurements(None, data)
         assert again.theta0 == 0.0
         assert again.j_exact == run_exact(2).j_exact
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (0.5, "readout flip probability must lie in"),
+            (0.7, "readout flip probability must lie in"),
+            (-0.1, "readout flip probability must lie in"),
+            (math.nan, "'readout_flip' must be finite"),
+            (math.inf, "'readout_flip' must be finite"),
+            (10**400, "'readout_flip' is too large"),
+            (None, "'readout_flip' must be a number"),
+            ("0.01", "'readout_flip' must be a number"),
+            (True, "'readout_flip' must be a number"),
+            (False, "'readout_flip' must be a number"),
+        ],
+        ids=["0.5", "0.7", "-0.1", "nan", "inf", "10**400", "null", "string", "true", "false"],
+    )
+    def test_readout_flip_must_be_a_probability_below_one_half(self, value, message):
+        data = run_simulation(2, 100, seed=1, readout_flip=0.01).to_dict()
+        data["readout_flip"] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ingest_measurements(None, data)
+
+    @pytest.mark.parametrize("per_term", [False, True], ids=["grouped", "per-term"])
+    def test_readout_flip_is_echoed(self, per_term):
+        """The report's flip comes back with its estimate; nothing mitigates it."""
+        report = run_simulation(3, 500, seed=5, grouped=not per_term, readout_flip=0.01)
+        again = ingest_measurements(None, report.to_dict())
+        assert again.readout_flip == 0.01
+        assert again.j_estimate == report.j_estimate
+
+    @pytest.mark.parametrize("value", ["absent", 0, -0.0, 0.0])
+    def test_missing_or_zero_readout_flip_reads_as_zero(self, value):
+        data = run_exact(2).to_dict()
+        if value == "absent":
+            del data["readout_flip"]
+        else:
+            data["readout_flip"] = value
+        again = ingest_measurements(None, data)
+        assert again.readout_flip == 0.0 and math.copysign(1.0, again.readout_flip) == 1.0
+        assert again.to_dict() == ingest_measurements(None, run_exact(2).to_dict()).to_dict()
 
     def test_published_one_qubit_probabilities(self, data_dir):
         data = json.loads((data_dir / "backflow_n1_probabilities.json").read_text())

@@ -26,12 +26,13 @@ from ringflow.pauli import (
     current_decomposition,
     dense_current_matrix,
     index_masks,
+    reading_setting,
     realize_dense,
     term_count,
     word_masks,
 )
 
-from conftest import child_env
+from conftest import child_env, small_word_blocks
 
 I2 = np.eye(2, dtype=np.int64)
 X2 = np.array([[0, 1], [1, 0]], dtype=np.int64)
@@ -635,3 +636,115 @@ def test_mask_checks_match_word_checks(n, data):
         )
         assert got == want
         assert got.words == want.words
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_decomposition_in_small_word_blocks(monkeypatch, n, block):
+    """Gathered and checked a few words at a time, the expansion is the sum
+    built from its own words, and the one built in whole blocks."""
+    whole = current_decomposition(n)
+    small_word_blocks(monkeypatch, block)
+    dec = current_decomposition(n)
+    assert dec == whole
+    assert dec == WeightedPauliSum.from_columns(n, dec.identity_weight, dec.words, dec.coeffs)
+
+
+# the faults of _check_masks in the order it refuses them, each put on word i
+# of a list of masks: its message names the word
+_FAULTS = ("outside", "shared", "non-finite", "identity", "duplicate")
+
+
+def _with_fault(masks, coeffs, kind, i, n):
+    if kind == "outside":
+        masks[0][i] |= 1 << n
+    elif kind == "shared":
+        masks[0][i] |= 1
+        masks[2][i] |= 1
+    elif kind == "non-finite":
+        coeffs[i] = math.nan
+    elif kind == "identity":
+        for mask in masks:
+            mask[i] = 0
+    else:  # word i repeats word i + 1
+        for mask in masks:
+            mask[i] = mask[i + 1]
+
+
+def _fault_message(kind, word, n):
+    return {
+        "outside": f"term {word} does not act on {n} qubits",
+        "shared": f"invalid Pauli word {word!r}",
+        "non-finite": f"non-finite coefficient for {word}",
+        "identity": "all-identity term belongs in identity_weight",
+        "duplicate": "duplicate Pauli words; merge like terms first",
+    }[kind]
+
+
+@pytest.mark.parametrize("later", range(len(_FAULTS)))
+@pytest.mark.parametrize("earlier", range(len(_FAULTS)))
+def test_refusal_order_holds_across_word_blocks(monkeypatch, earlier, later):
+    """Blocks of two words; one fault in block 0 and one in block 2.  The
+    refusal is the one the whole-column checks gave: the first kind in
+    ``_FAULTS`` order, naming its first word, whichever block it is in."""
+    n = 3
+    words = current_decomposition(n).words[:8]
+    small_word_blocks(monkeypatch, 2)
+    masks = [column.copy() for column in word_masks(words, n)]
+    coeffs = np.arange(1.0, 9.0)
+    _with_fault(masks, coeffs, _FAULTS[earlier], 0, n)
+    _with_fault(masks, coeffs, _FAULTS[later], 4, n)
+    first = min(earlier, later)
+    word = words[0 if first == earlier else 4]
+    with pytest.raises(ValueError) as refused:
+        WeightedPauliSum._from_masks(n, 0.0, tuple(masks), coeffs, lambda: iter(words))
+    assert str(refused.value) == _fault_message(_FAULTS[first], word, n)
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        ["ZX", "XI", "XI", "IX"],  # unsorted, the pair across blocks 0 and 1
+        ["IX", "XI", "XI", "ZX"],  # sorted, the same pair
+        ["XI", "IX", "IZ", "XI"],  # unsorted, blocks 0 and 1, not adjacent
+    ],
+)
+def test_duplicate_across_a_block_boundary_is_refused(monkeypatch, words):
+    small_word_blocks(monkeypatch, 2)
+    with pytest.raises(ValueError, match="duplicate Pauli words"):
+        WeightedPauliSum.from_columns(2, 0.0, words, [1.0] * len(words))
+
+
+@pytest.mark.parametrize("at", [2, 4, 5])
+def test_identity_word_in_a_later_block_is_refused(monkeypatch, at):
+    words = ["IX", "XI", "XX", "ZX", "XZ"]
+    words.insert(at, "II")
+    small_word_blocks(monkeypatch, 2)
+    with pytest.raises(ValueError, match="all-identity term belongs in identity_weight"):
+        WeightedPauliSum.from_columns(2, 0.0, words, [1.0] * len(words))
+
+
+def test_reading_setting_follows_the_z_letter():
+    """0 for a word without Z, 1 + p for a Z at position p, at every N up
+    to the widest sum."""
+    for n in (1, 2, 5, 16, 31):
+        words = ["X" * n] + ["I" * p + "Z" + "X" * (n - 1 - p) for p in range(n)]
+        _, _, mz = word_masks(words, n)
+        setting = reading_setting(mz, n)
+        assert setting.dtype == np.uint8
+        assert setting.tolist() == [word.find("Z") + 1 for word in words]
+
+
+@pytest.mark.parametrize("block", [2, 4])
+def test_refusal_names_the_first_faulty_word_of_a_block(monkeypatch, block):
+    """Two words of one kind of fault in one block: the first is named, not
+    the one that is furthest out, and a negative mask is beyond N bits too."""
+    words = ["IX", "XI", "XX", "ZX"]
+    small_word_blocks(monkeypatch, block)
+    for first, second in ((1 << 2, 1 << 5), (-1, 1 << 3), (1 << 4, -8)):
+        masks = [column.copy() for column in word_masks(words, 2)]
+        masks[0][2], masks[0][3] = first, second
+        with pytest.raises(ValueError, match="^term XX does not act on 2 qubits$"):
+            WeightedPauliSum._from_masks(
+                2, 0.0, tuple(masks), np.ones(4), lambda: iter(words)
+            )
