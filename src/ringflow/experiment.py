@@ -69,6 +69,7 @@ from .pauli import (
     check_register,
     current_decomposition,
     setting_plan,
+    spell_masks,
     word_masks,
 )
 
@@ -200,8 +201,8 @@ class Outcomes(Mapping):
     """Read-only map from bitstring to outcome value, held as two columns:
     ``index``, the basis indices (int64, ascending), and ``data``, float64
     probabilities or counts as a tuple of Python ints (which may exceed
-    int64).  Keys (leftmost letter the most significant bit) are made in
-    bulk, only when the map is read."""
+    int64).  Keys (leftmost letter the most significant bit) are spelled a
+    block at a time, only when the map is read."""
 
     n_qubits: int
     index: np.ndarray
@@ -211,11 +212,7 @@ class Outcomes(Mapping):
         return len(self.index)
 
     def __iter__(self):
-        width = self.n_qubits
-        bits = (self.index[:, None] >> np.arange(width - 1, -1, -1)) & 1
-        # one UCS-4 code point per letter, read as one string per row
-        letters = (bits + ord("0")).astype(np.uint32)
-        return iter(letters.view(f"U{width}").ravel().tolist())
+        return spell_masks((self.index,), self.n_qubits, "1", "0")
 
     def __getitem__(self, key):
         if isinstance(key, str) and len(key) == self.n_qubits and set(key) <= {"0", "1"}:
@@ -347,10 +344,16 @@ def exact_current(coeffs, theta0: float = 0.0) -> float:
     b = c.astype(np.clongdouble)
     m = np.arange(c.size, dtype=np.longdouble)
     if theta0 != 0.0:
-        b = b * np.exp(1j * np.clongdouble(theta0) * m)
+        b = b * _ring_phases(theta0, c.size)
     s0 = b.sum()
     s1 = (m * b).sum()
     return float((np.conj(s0) * s1).real / (2.0 * np.longdouble(math.pi)))
+
+
+def _ring_phases(theta0: float, size: int) -> np.ndarray:
+    """e^(i m theta0) for m = 0 ... size - 1, in extended precision, where
+    m theta0 stays finite for every finite theta0."""
+    return np.exp(1j * np.clongdouble(theta0) * np.arange(size, dtype=np.longdouble))
 
 
 def closed_form_current(n_qubits: int) -> float:
@@ -384,7 +387,7 @@ def _prepared_state(n_qubits: int, coeffs: BackflowCoefficients, theta0: float =
         state = init_amplitudes(n_qubits, coeffs.a)
         prep = {"method": "amplitude-load"}
     if theta0 != 0.0:
-        phases = np.exp(1j * theta0 * np.arange(1 << n_qubits))
+        phases = _ring_phases(theta0, 1 << n_qubits).astype(np.complex128)
         state = Statevector(n_qubits, state.amplitudes * phases)
     return state, prep
 

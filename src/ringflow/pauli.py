@@ -12,16 +12,18 @@ Masks first: a ``WeightedPauliSum`` stores each word as three int64 masks
 read-only, and that is what the engine, the setting plan and the
 estimators read.  Word strings and the coefficient tuple are made only
 when read, for reports and printing, and then kept.
-``current_decomposition`` gathers its masks from two small tables of half
-words, reads each weight from its Z mask, and joins the words from the same
-tables only when they are asked for; a sum built from words takes its masks
-from ``word_masks`` once.  Either way the masks pass one set of bulk checks.
+``current_decomposition`` fills its masks in place, one letter at a time,
+reads each weight from its Z mask, and spells its words (``spell_masks``,
+which also spells outcome bitstrings) only when they are asked for; a sum
+built from words takes its masks from ``word_masks`` once.  Either way the
+masks pass one set of bulk checks.
 
 Passes over word columns run in blocks of WORD_BLOCK words, one fixed size:
 a chain of element-wise passes over one block stays in a core's cache, where
 the same chain over whole columns of 10^5 to 10^7 words streams each column
-through memory once per pass.  The expansion's gathers, the mask checks and
-``engine.expectation_pauli``'s pass over a sum's words are blocked.
+through memory once per pass.  The mask checks and
+``engine.expectation_pauli``'s pass over a sum's words are blocked, and
+``spell_masks`` spells WORD_BLOCK letters at a time.
 ``reading_setting`` is the one rule for which Z/X setting reads a word, and
 ``setting_plan`` groups the words by it.
 
@@ -101,7 +103,8 @@ _DROP_PAULI_LETTERS = str.maketrans("", "", PAULI_LETTERS)
 
 #: Words a pass over the word columns takes at a time: 2^15 int64 entries
 #: are 256 KiB, so a chain of passes over one block stays in a core's L2
-#: cache instead of streaming whole columns through L3.
+#: cache instead of streaming whole columns through L3.  ``spell_masks``
+#: takes this many letters at a time, 128 KiB of UCS-4 code points.
 WORD_BLOCK = 1 << 15
 
 # (shift, keep) steps of a bit interleave: together they move bit i of a
@@ -400,6 +403,24 @@ def word_masks(words, n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return tuple(out)
 
 
+def spell_masks(masks, n_qubits: int, letters: str, blank: str):
+    """The words that ``masks`` spell, the inverse of ``word_masks``: letter
+    p of word i is ``letters[k]`` where bit N - 1 - p of ``masks[k][i]`` is
+    set, else ``blank``, which comes before every letter in code order.
+    Made WORD_BLOCK letters at a time, as the words are read."""
+    steps = [np.uint32(ord(letter) - ord(blank)) for letter in letters]
+    rows = max(1, WORD_BLOCK // n_qubits)
+    for start in range(0, len(masks[0]), rows):
+        block = slice(start, start + rows)
+        # one UCS-4 code point per letter, read as one string per row
+        text = np.full((len(masks[0][block]), n_qubits), ord(blank), dtype=np.uint32)
+        for mask, step in zip(masks, steps):
+            # big-endian bytes unpack most significant bit first
+            octets = mask[block].astype(">i8").view(np.uint8).reshape(-1, 8)
+            text += np.unpackbits(octets, axis=1)[:, 64 - n_qubits :] * step
+        yield from text.view(f"U{n_qubits}").ravel().tolist()
+
+
 def reading_setting(zmasks: np.ndarray, n_qubits: int) -> np.ndarray:
     """The setting that reads each word, by its Z mask from ``word_masks``
     (at most one bit set), as uint8: 0 for the all-X setting, which reads
@@ -475,71 +496,35 @@ def current_decomposition(n_qubits: int) -> WeightedPauliSum:
     position p and {I, X} elsewhere carries coefficient -2^(N-1-p).  No
     two of these words coincide and no weight is zero.
 
-    The words come out sorted lexicographically by construction, each one
-    prefix table entry followed by one suffix table entry: every sorted
-    word of the first N - N//2 letters is followed by the sorted words of
-    the last N//2 letters (only the {I, X} ones after a prefix that holds a
-    Z).  The sum's masks are gathered from the two tables (at most 1 280
-    entries each at N = 16) with one (prefix, suffix) index pair per word,
-    WORD_BLOCK words at a time, and each weight is read from its Z mask: a
-    Z at position p is the mask bit 2^(N-1-p).  The words are joined from
-    the same pairs only when read.  Registers beyond MAX_QUBITS are refused
-    before anything is built.
+    The words come out sorted lexicographically by construction: the sorted
+    words of L letters are those of L - 1 letters after I, the same after X,
+    then the {I, X} words of L - 1 letters after Z, whose X masks count up
+    from 0.  So the masks are filled in place, one pass per letter over one
+    pair of arrays of ``term_count(N) + 1`` entries that starts with the
+    all-I word, and each weight is read from its Z mask: a Z at position p
+    is the mask bit 2^(N-1-p).  The words are spelled from the masks only
+    when read.  Registers beyond MAX_QUBITS are refused before anything is
+    built.
     """
     check_qubits(n_qubits)
     check_register(n_qubits)
-    low = n_qubits // 2
     ix_weight = float((1 << n_qubits) - 1)
-    prefixes, prefix_x, prefix_z = _sorted_words(n_qubits - low, low)
-    suffixes, suffix_x, suffix_z = _sorted_words(low, 0)
-    first, second = _word_pairs(prefix_z, suffix_z)
-    mx, mz = (np.empty(len(first), dtype=np.int64) for _ in range(2))
-    weights = np.empty(len(first))
-    for start in range(0, len(first), WORD_BLOCK):
-        block = slice(start, start + WORD_BLOCK)
-        pre, suf = first[block], second[block]
-        np.bitwise_or(prefix_x[pre], suffix_x[suf], out=mx[block])
-        z = np.bitwise_or(prefix_z[pre], suffix_z[suf], out=mz[block])
-        np.negative(z, out=weights[block])
-        weights[block][z == 0] = ix_weight
-    del first, second, pre, suf  # freed before the checks
+    mx, mz = (np.zeros(term_count(n_qubits) + 1, dtype=np.int64) for _ in range(2))
+    filled = 1  # the all-I word of no letters
+    for length in range(n_qubits):
+        # the new letter goes in front, so its bit is above the others
+        bit = 1 << length
+        np.bitwise_or(mx[:filled], bit, out=mx[filled : 2 * filled])
+        mz[filled : 2 * filled] = mz[:filled]
+        mx[2 * filled : 2 * filled + bit] = np.arange(bit)
+        mz[2 * filled : 2 * filled + bit] = bit
+        filled = 2 * filled + bit
+    mx, mz = mx[1:], mz[1:]  # the all-I word is the identity weight
+    weights = np.negative(mz, dtype=np.float64)
+    weights[mz == 0] = ix_weight
     masks = (mx, np.zeros(len(mx), dtype=np.int64), mz)
-    make_words = partial(_joined_words, prefixes, suffixes, prefix_z, suffix_z)
+    make_words = partial(spell_masks, (mx, mz), n_qubits, "XZ", "I")
     return WeightedPauliSum._from_masks(n_qubits, ix_weight, masks, weights, make_words)
-
-
-def _sorted_words(length: int, shift: int):
-    """The sorted words of ``length`` letters over {I, X} with at most one Z,
-    as columns: the words (an object array) and their X and Z masks at
-    their place in the full word, ahead of ``shift`` letters.
-
-    The words grow one letter at a time, with I, then X, then Z put in front
-    (Z only before {I, X} words), so they stay sorted.
-    """
-    words, ix = [""], [""]
-    for _ in range(length):
-        words = ["I" + w for w in words] + ["X" + w for w in words] + ["Z" + w for w in ix]
-        ix = ["I" + w for w in ix] + ["X" + w for w in ix]
-    mx, _, mz = word_masks(words, length)
-    return np.array(words, dtype=object), mx << shift, mz << shift
-
-
-def _word_pairs(prefix_z: np.ndarray, suffix_z: np.ndarray):
-    """(prefix index, suffix index) of every expansion word but the all-I
-    one, in sorted order: each prefix is followed by every suffix, or only
-    by the {I, X} suffixes (Z mask 0) when it holds a Z."""
-    every = np.arange(len(suffix_z))
-    ix = np.flatnonzero(suffix_z == 0)
-    blocks = [ix if z else every for z in prefix_z.tolist()]
-    first = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
-    return first[1:], np.concatenate(blocks)[1:]
-
-
-def _joined_words(prefixes, suffixes, prefix_z, suffix_z):
-    """The expansion's words, each its prefix and suffix table entries
-    joined, for the pairs of ``_word_pairs``."""
-    first, second = _word_pairs(prefix_z, suffix_z)
-    return map(str.__add__, prefixes[first].tolist(), suffixes[second].tolist())
 
 
 def realize_dense(op_sum: WeightedPauliSum) -> np.ndarray:

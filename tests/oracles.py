@@ -1,14 +1,35 @@
 """Reference implementations that the fast paths in ``src/`` are tested
-against: a per-word expectation value that reads any word over IXYZ, the
+against: the current operator's word expansion enumerated from every word
+over {I, X, Z}, a per-word expectation value that reads any word over IXYZ, the
 letter-by-letter cover test of a measurement setting, the per-shot
 readout-flip sampler, the dense readout-flip matrix, and the plain
 layer-by-layer Walsh transform and per-setting expectation value, which
 the engine's kernels match bit for bit."""
+from itertools import product
+
 import numpy as np
 
 from ringflow.pauli import check_measurable
 
 _I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
+
+
+def expansion_words(n_qubits: int):
+    """The current operator's words and coefficients, in sorted order: every
+    word over {I, X, Z} with at most one Z except all-I, a word without Z
+    weighted 2^N - 1 and one with its Z at position p weighted -2^(N-1-p)."""
+    words = sorted(
+        "".join(letters)
+        for letters in product("IXZ", repeat=n_qubits)
+        if letters.count("Z") <= 1 and letters.count("I") < n_qubits
+    )
+    coeffs = [
+        -float(1 << (n_qubits - 1 - word.index("Z")))
+        if "Z" in word
+        else float((1 << n_qubits) - 1)
+        for word in words
+    ]
+    return words, coeffs
 
 
 def expectation_direct(state, op_sum, imag_tol: float = 1e-10) -> float:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -735,6 +736,19 @@ class TestRunExact:
             report = run_exact(n, theta0=theta0)
             assert report.j_exact == exact_current(a, theta0)
             assert abs(report.j_estimate - report.j_exact) < 1e-12
+
+    @pytest.mark.parametrize("theta0", [0.7, 1e6, 1e300, 1e308])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_prepared_state_and_j_exact_share_one_phase(self, n, theta0):
+        """The state takes the phases ``exact_current`` uses, made in
+        extended precision, where m * theta0 is finite for every m below
+        2^N: at 1e300 a float64 phase read J as 0.0537 against 0.0780, and
+        at 1e308 it overflowed to NaN."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_exact(n, theta0=theta0)
+        assert report.j_exact == exact_current(backflow_coefficients(n).a, theta0)
+        assert abs(report.j_estimate - report.j_exact) <= 1e-12 * abs(report.j_exact)
 
     @pytest.mark.parametrize(
         "grouped, sizes", [(True, range(1, 9)), (False, range(1, 7))],

@@ -28,11 +28,13 @@ from ringflow.pauli import (
     index_masks,
     reading_setting,
     realize_dense,
+    spell_masks,
     term_count,
     word_masks,
 )
 
 from conftest import child_env, small_word_blocks
+from oracles import expansion_words
 
 I2 = np.eye(2, dtype=np.int64)
 X2 = np.array([[0, 1], [1, 0]], dtype=np.int64)
@@ -329,9 +331,9 @@ def test_decomposition_equals_merged_sorted_construction(n):
 
 
 def level_by_level_expansion(n_qubits: int):
-    """The expansion's words and weights as ``current_decomposition`` built
-    them before it joined halves: one letter put in front per round, for N
-    rounds.  It stays here as the reference for words, weights and order.
+    """The expansion's words and weights built as strings: one letter put in
+    front per round, for N rounds.  It stays here as the reference for
+    words, weights and order.
     """
     words, weights, ix = [""], [float((1 << n_qubits) - 1)], [""]
     for k in range(n_qubits):
@@ -366,21 +368,69 @@ print(len(op_sum.coeff_array), re.search(r"VmHWM:\\s+(\\d+) kB", status).group(1
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
-def test_eighteen_qubit_decomposition_peak_memory():
-    """``current_decomposition(18)`` (2 621 439 words: 80 MiB of masks and
-    weights) peaks at no more than 240 MiB, read by the child itself.  The
-    word pair indices go before the checks run, and the checks' temporaries
-    before the letter code is built; with all of them alive at once the
-    peak was 273 MiB."""
+def _decomposition_peak_kb(n: int) -> int:
+    """The peak resident set in kB of a fresh process that builds
+    ``current_decomposition(n)``, read by the child itself."""
     done = subprocess.run(
-        [sys.executable, "-c", _DECOMPOSITION_PEAK_SCRIPT, "18"],
+        [sys.executable, "-c", _DECOMPOSITION_PEAK_SCRIPT, str(n)],
         env=child_env(), capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     words, peak_kb = map(int, done.stdout.split())
-    assert words == term_count(18)
+    assert words == term_count(n)
+    return peak_kb
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_eighteen_qubit_decomposition_peak_memory():
+    """``current_decomposition(18)`` (2 621 439 words: 80 MiB of masks and
+    weights) peaks at no more than 240 MiB.  The checks' temporaries go
+    before the letter code is built; with all of them alive at once the
+    peak was 273 MiB."""
+    peak_kb = _decomposition_peak_kb(18)
     assert peak_kb <= 240 * 1024, f"peak {peak_kb / 1024:.0f} MiB"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_twenty_qubit_decomposition_peak_memory():
+    """``current_decomposition(20)`` (11 534 335 words: 264 MiB of X and Z
+    masks and weights) peaks at no more than 430 MiB.  Filled in place it
+    peaks at 383 MiB, the rest being the checks' 88 MiB letter code; with
+    full-length (prefix, suffix) index pairs to gather from, 471 MiB."""
+    peak_kb = _decomposition_peak_kb(20)
+    assert peak_kb <= 430 * 1024, f"peak {peak_kb / 1024:.0f} MiB"
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["whole", "small-blocks"])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_decomposition_equals_enumerated_expansion(monkeypatch, n, block):
+    """Masks, weights and words are those of the words over {I, X, Z}
+    enumerated with ``itertools.product`` and sorted; with WORD_BLOCK = 7
+    the words are spelled a few letters' worth at a time, over many blocks,
+    by ``words`` and ``iter_words`` alike."""
+    if block:
+        small_word_blocks(monkeypatch, block)
+    words, coeffs = expansion_words(n)
+    dec = current_decomposition(n)
+    assert list(dec.iter_words()) == words
+    assert dec.words == tuple(words)
+    assert dec.coeff_array.tolist() == coeffs
+    assert dec.identity_weight == float((1 << n) - 1)
+    want = np.array([index_masks(word) for word in words], dtype=np.int64)
+    for got, column in zip(dec.masks, want.T):
+        assert np.array_equal(got, column)
+
+
+@pytest.mark.parametrize("block", [None, 5], ids=["whole", "small-blocks"])
+def test_spelled_bitstrings_are_binary_numerals(monkeypatch, block):
+    """``spell_masks`` of the basis indices with letters 1 over 0 gives each
+    index's N-digit binary numeral, in whole blocks and in blocks of five."""
+    if block:
+        small_word_blocks(monkeypatch, block)
+    for n in range(1, 13):
+        index = np.arange(1 << n, dtype=np.int64)
+        want = [format(i, f"0{n}b") for i in range(1 << n)]
+        assert list(spell_masks((index,), n, "1", "0")) == want
 
 
 class TestRegisterCap:
@@ -550,17 +600,17 @@ class TestMasksFirst:
 
 
 def counting_joins(monkeypatch) -> list:
-    """Record each call of the expansion's word builder."""
+    """Record each call of the expansion's word builder, ``spell_masks``."""
     import ringflow.pauli
 
     calls = []
-    join = ringflow.pauli._joined_words
+    spell = ringflow.pauli.spell_masks
 
     def counting(*args):
         calls.append(args)
-        return join(*args)
+        return spell(*args)
 
-    monkeypatch.setattr(ringflow.pauli, "_joined_words", counting)
+    monkeypatch.setattr(ringflow.pauli, "spell_masks", counting)
     return calls
 
 
@@ -641,7 +691,7 @@ def test_mask_checks_match_word_checks(n, data):
 @pytest.mark.parametrize("block", [1, 3, 64])
 @pytest.mark.parametrize("n", range(1, 11))
 def test_decomposition_in_small_word_blocks(monkeypatch, n, block):
-    """Gathered and checked a few words at a time, the expansion is the sum
+    """Checked and spelled a few words at a time, the expansion is the sum
     built from its own words, and the one built in whole blocks."""
     whole = current_decomposition(n)
     small_word_blocks(monkeypatch, block)
