@@ -25,10 +25,11 @@ same C code that ``json.dumps`` uses.
 
 The two bulky parts of a report are written from the report's own
 columns, which ``ExperimentReport.to_dict(columns=True)`` leaves in
-place: ``_render`` writes a ``TermRecords`` as the term list and an
-``Outcomes`` as ``"key": value`` rows in ascending key order.  So is the
-term list of ``decompose``: ``_render`` writes a ``WeightedPauliSum`` as
-the ``terms`` of its ``to_dict``, from its word and coefficient columns.
+place: ``_render`` writes a ``TermRecords`` as the term list, from
+slices of its columns, and an ``Outcomes`` as ``"key": value`` rows in
+ascending key order.  So is the term list of ``decompose``: ``_render``
+writes a ``WeightedPauliSum`` as the ``terms`` of its ``to_dict``, from
+its word and coefficient columns.
 Every row follows one template, whose fixed parts are interleaved with
 the column texts in an object grid and joined, so no row string is
 made; the word quotes and a column that is one text for every row (the
@@ -86,6 +87,7 @@ from .pauli import (
     WeightedPauliSum,
     current_decomposition,
     dense_current_matrix,
+    spell_masks,
 )
 
 EXIT_OK = 0
@@ -318,10 +320,11 @@ class _Tables:
         heads, made = self.heads[shape]
         new = index[~made[index]]
         if new.size:
-            # the keys are bitstrings: nothing in them needs escaping; a
-            # map's keys are made from its index alone, so no data is given
+            # the keys are bitstrings, spelled as ``Outcomes`` spells them:
+            # nothing in them needs escaping
             lead = ",\n" + _INDENT * (depth + 1) + '"'
-            heads[new] = _texts(f'{lead}{key}": ' for key in Outcomes(n_qubits, new, ()))
+            keys = spell_masks((new,), n_qubits, "1", "0")
+            heads[new] = _texts(f'{lead}{key}": ' for key in keys)
             made[new] = True
         return heads[index]
 
@@ -378,11 +381,10 @@ def _object_parts(keys, depth: int) -> list:
 def _terms_blocks(records: TermRecords, depth: int, tables: _Tables):
     """The term list from the term columns, each checked here in full; its
     text is made a block at a time as it is read."""
-    order = records.order
     std = records.std_error
     for column in (records.coeffs, records.expectation, std):
         if column is not None:
-            _refuse_non_finite(column[order], tables.encoder(depth))
+            _refuse_non_finite(column, tables.encoder(depth))
     # setting -1 picks the appended "null"
     names = _texts([*map(encode_basestring_ascii, records.bases), "null"])
     coeff, expectation, setting, std_error, word, end = _object_parts(
@@ -390,18 +392,18 @@ def _terms_blocks(records: TermRecords, depth: int, tables: _Tables):
     )
 
     def row_pieces(start, stop):
-        rows = order[start:stop]
+        rows = slice(start, stop)
         # the words are expansion words over IXYZ: they need no escaping
         return [
             coeff, tables.float_texts(records.coeffs[rows]),
             expectation, tables.float_texts(records.expectation[rows]),
             setting, names[records.setting_index[rows]],
             std_error, "null" if std is None else tables.float_texts(std[rows]),
-            word + '"', _texts(map(records.words.__getitem__, rows.tolist())),
+            word + '"', _texts(records.words[rows]),
             '"' + end,
         ]
 
-    return _row_blocks("[", row_pieces, len(order), "]", depth)
+    return _row_blocks("[", row_pieces, len(records), "]", depth)
 
 
 def _sum_terms_blocks(op_sum: WeightedPauliSum, depth: int, tables: _Tables):

@@ -19,18 +19,19 @@ read the expansion's masks and coefficient array, and its words only for
 the report.
 
 A simulation reads everything that N and the grouping fix from the
-register's layout (``_Layout``): the expansion, its parity masks, the
-setting plan (``pauli.setting_plan``, or one setting per word) with its
-basis words and word tuples, the prepared state, the exact current and,
+register's layout (``_Layout``): the expansion's columns and parity
+masks in record order (setting by setting), the setting plan
+(``pauli.setting_plan``, or one setting per word) with its basis words
+and word tuples, the prepared state, the exact current and,
 when the plan's whole table fits one block, the exact outcome rows: the
 state rotated into every setting with ``engine.rotated_settings`` and its
 parts squared into a settings x 2^N table, norm-checked once.  The layout
 at theta0 = 0 is built once and kept for N up to ``LAYOUT_CACHE_QUBITS``.
 
 All estimators assemble J as (identity_weight + sum coeff * <V>) / 4pi
-from their own term columns (``TermRecords``), and every report
-round-trips: feeding ``report.to_dict()`` back into
-``ingest_measurements`` reproduces the same estimate.
+from their own term columns (``TermRecords``), kept in the order they
+are written, and every report round-trips: feeding ``report.to_dict()``
+back into ``ingest_measurements`` reproduces the same estimate.
 """
 from __future__ import annotations
 
@@ -131,58 +132,53 @@ def _term_dict(word, coeff, setting, expectation, std_error) -> dict:
 class TermRecords(Sequence):
     """Read-only sequence of ``TermRecord``s over a report's term columns.
 
-    The columns run in expansion order: ``words`` (the expansion's own
-    tuple, not copied), ``coeffs``, ``setting_index`` (each term's index
-    into ``bases``, the setting basis words, or -1 for a value supplied
-    without a setting), and the float64 arrays ``expectation`` and
-    ``std_error`` (None when no term has one).  ``order`` lists the terms
-    in record order, which for a simulation is setting by setting.  As
-    with ``PauliTerms``, nothing is built up front: a ``TermRecord`` is
-    made only for the item read, and code that needs every term reads the
-    columns.
+    The columns run in record order, which for a simulation is setting by
+    setting: ``words`` (a tuple of the words), ``coeffs``,
+    ``setting_index`` (each term's index into ``bases``, the setting basis
+    words, or -1 for a value supplied without a setting), and the float64
+    arrays ``expectation`` and ``std_error`` (None when no term has one).
+    As with ``PauliTerms``, nothing is built up front: a ``TermRecord`` is
+    made only for the item read, a slice gives a tuple of them, and code
+    that needs every term reads the columns.
     """
 
-    __slots__ = (
-        "words", "coeffs", "setting_index", "bases", "expectation", "std_error", "order"
-    )
+    __slots__ = ("words", "coeffs", "setting_index", "bases", "expectation", "std_error")
 
-    def __init__(
-        self, words, coeffs, setting_index, bases, expectation, std_error=None, order=None
-    ):
+    def __init__(self, words, coeffs, setting_index, bases, expectation, std_error=None):
         self.words = words
         self.coeffs = np.asarray(coeffs, dtype=np.float64)
         self.setting_index = np.asarray(setting_index, dtype=np.int64)
         self.bases = tuple(bases)
         self.expectation = expectation
         self.std_error = std_error
-        self.order = np.arange(len(words)) if order is None else order
 
     def __len__(self):
-        return len(self.order)
+        return len(self.words)
 
     def __getitem__(self, index):
-        i = self.order[index]
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
         return TermRecord(
-            self.words[i],
-            self.coeffs[i].item(),
-            (*self.bases, None)[self.setting_index[i]],
-            self.expectation[i].item(),
-            None if self.std_error is None else self.std_error[i].item(),
+            self.words[index],
+            self.coeffs[index].item(),
+            (*self.bases, None)[self.setting_index[index]],
+            self.expectation[index].item(),
+            None if self.std_error is None else self.std_error[index].item(),
         )
 
     def columns(self, start: int = 0, stop: int | None = None) -> tuple:
-        """The five ``TermRecord`` fields as iterables of Python values, in
-        record order, of the records from ``start`` up to ``stop``."""
-        order = self.order[start:stop]
+        """The five ``TermRecord`` fields as iterables of Python values, of
+        the records from ``start`` up to ``stop``."""
+        rows = slice(start, stop)
         # (*bases, None)[-1] is None, so setting -1 reads as "no setting"
         names = (*self.bases, None)
         std = self.std_error
         return (
-            map(self.words.__getitem__, order.tolist()),
-            self.coeffs[order].tolist(),
-            map(names.__getitem__, self.setting_index[order].tolist()),
-            self.expectation[order].tolist(),
-            repeat(None) if std is None else std[order].tolist(),
+            self.words[rows],
+            self.coeffs[rows].tolist(),
+            map(names.__getitem__, self.setting_index[rows].tolist()),
+            self.expectation[rows].tolist(),
+            repeat(None) if std is None else std[rows].tolist(),
         )
 
     def __iter__(self):
@@ -443,10 +439,10 @@ class _Layout:
     """What a simulation of one register needs that depends on N and the
     grouping alone, shared read-only by every report made from it.
 
-    The expansion's columns (``words`` is its own tuple, ``coeffs`` float64),
-    each word's parity mask, and per setting, in plan order: its Z mask,
-    basis word and words.  ``term_setting`` is each word's setting index and
-    ``order`` the words in record order, setting by setting.  ``family`` is
+    The expansion's columns in record order, setting by setting (``words``,
+    ``coeffs`` float64, each word's parity mask and ``term_setting``, its
+    setting's index), and per setting, in plan order: its Z mask, basis
+    word and words, a slice of ``words``.  ``family`` is
     the backflowing family, ``amplitudes`` its prepared state at the ring
     angle, ``prep`` how it was prepared (copied into each report) and
     ``j_exact`` its exact current there.  ``outcomes`` is the plan's
@@ -464,7 +460,6 @@ class _Layout:
     bases: tuple[str, ...]
     setting_terms: tuple[tuple[str, ...], ...]
     term_setting: np.ndarray
-    order: np.ndarray
     family: BackflowCoefficients
     amplitudes: np.ndarray
     prep: dict
@@ -519,20 +514,20 @@ def _build_layout(n_qubits: int, grouped: bool, theta0: float = 0.0) -> _Layout:
     decomp = current_decomposition(n_qubits)
     coeffs = backflow_coefficients(n_qubits)
     state, prep = _prepared_state(n_qubits, coeffs, theta0)
-    words = decomp.words  # for the records of each report
     # the expansion has no Y, so a word's parity mask is its X and Z letters
     mx, _, mz = decomp.masks
     if grouped:
         plan = setting_plan(mz, n_qubits)
-        term_setting = np.empty(len(words), dtype=np.int64)
-        for k, (_, members) in enumerate(plan):
-            term_setting[members] = k
-        order = np.concatenate([members for _, members in plan])
     else:
         # one setting per word: X at its X letters, Z everywhere else
         full = (1 << n_qubits) - 1
-        term_setting = order = np.arange(len(words))
-        plan = list(zip((full ^ mx).tolist(), order[:, None]))
+        plan = list(zip((full ^ mx).tolist(), np.arange(len(mx))[:, None]))
+    # the records run setting by setting: the expansion's columns in that order
+    order = np.concatenate([members for _, members in plan])
+    mx, mz = mx[order], mz[order]
+    words = tuple(spell_masks((mx, mz), n_qubits, "XZ", "I"))
+    sizes = [len(members) for _, members in plan]
+    ends = np.cumsum(sizes).tolist()
     zmasks = tuple(zmask for zmask, _ in plan)
     outcomes = None
     if len(zmasks) << n_qubits <= _BLOCK_ENTRIES:
@@ -540,7 +535,7 @@ def _build_layout(n_qubits: int, grouped: bool, theta0: float = 0.0) -> _Layout:
         outcomes = _read_only(_outcome_rows(state.amplitudes, n_qubits, zmasks, table))
     return _Layout(
         words=words,
-        coeffs=decomp.coeff_array,
+        coeffs=_read_only(decomp.coeff_array[order]),
         identity_weight=decomp.identity_weight,
         parity_masks=_read_only(mx | mz),
         zmasks=zmasks,
@@ -548,11 +543,8 @@ def _build_layout(n_qubits: int, grouped: bool, theta0: float = 0.0) -> _Layout:
             MeasurementSetting.from_z_mask(zmask, n_qubits).basis_word
             for zmask in zmasks
         ),
-        setting_terms=tuple(
-            tuple(map(words.__getitem__, members.tolist())) for _, members in plan
-        ),
-        term_setting=_read_only(term_setting),
-        order=_read_only(order),
+        setting_terms=tuple(map(words.__getitem__, map(slice, [0, *ends], ends))),
+        term_setting=_read_only(np.repeat(np.arange(len(plan)), sizes)),
         family=coeffs,
         amplitudes=_read_only(state.amplitudes),
         prep=prep,
@@ -615,7 +607,8 @@ def run_simulation(
     block with ``engine.readout_channel`` (the channel ``sample`` applies,
     element-wise, so each row gets the floats it would get alone), draws
     each row's shots with one multinomial and builds the setting records;
-    each block is then transformed in place.
+    each block is then transformed in place.  The term columns are the
+    layout's, setting by setting, as the setting records list their terms.
     """
     sampling = shots_per_setting is not None
     if sampling:
@@ -679,7 +672,6 @@ def run_simulation(
         layout.bases,
         expectation,
         std_error,
-        layout.order,
     )
     return _finish_report(
         "shots" if sampling else "exact",

@@ -80,7 +80,7 @@ class PauliTerms(Sequence):
 
     Nothing is built up front: ``len`` is O(1) and makes no word, and a
     ``PauliString`` is made only for the item asked for, from the sum's
-    ``words`` and ``coeffs``.
+    ``words`` and ``coeffs``; a slice gives a tuple of them.
     """
 
     __slots__ = ("_sum",)
@@ -92,6 +92,8 @@ class PauliTerms(Sequence):
         return len(self._sum.coeff_array)
 
     def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(PauliString, self._sum.words[index], self._sum.coeffs[index]))
         return PauliString(self._sum.words[index], self._sum.coeffs[index])
 
     def __iter__(self):

@@ -793,7 +793,6 @@ def column_reports(draw):
         bases,
         np.array(draw(floats), dtype=np.float64),
         None if std is None else np.array(std, dtype=np.float64),
-        np.array(draw(st.permutations(range(size))), dtype=np.int64),
     )
     settings = tuple(
         SettingRecord(
@@ -908,7 +907,6 @@ def rows_report(size: int, with_std: bool):
         ("XXZ", "ZXX"),
         floats[::-1].copy(),
         floats.copy() if with_std else None,
-        np.arange(size)[::-1].copy(),
     )
     index = np.arange(size, dtype=np.int64)
     setting = SettingRecord(
@@ -1014,18 +1012,18 @@ class TestStreamedBlocks:
         repeat it; the next render makes its own."""
         monkeypatch.setattr(ringflow.cli, "_BLOCK_ROWS", block)
         floats, keys = [], []
-        reprs, keys_of = ringflow.cli._float_reprs, Outcomes.__iter__
+        reprs, spell = ringflow.cli._float_reprs, ringflow.cli.spell_masks
 
         def float_spy(bits):
             floats.extend(bits.tolist())
             return reprs(bits)
 
-        def key_spy(outcomes):
-            keys.extend(outcomes.index.tolist())
-            return keys_of(outcomes)
+        def key_spy(masks, *args):
+            keys.extend(masks[0].tolist())
+            return spell(masks, *args)
 
         monkeypatch.setattr(ringflow.cli, "_float_reprs", float_spy)
-        monkeypatch.setattr(Outcomes, "__iter__", key_spy)
+        monkeypatch.setattr(ringflow.cli, "spell_masks", key_spy)
         for picks in ([0.5, -0.0, 1e300, 5e-324, 0.0, -1.25], [0.5, 0.25, -0.0]):
             report = shared_values_report(np.array(picks))
             want = json_dumps_oracle(report.to_dict())
@@ -1083,7 +1081,7 @@ class TestStreamedBlocks:
             report = dataclasses.replace(report, setting_records=(setting,))
         else:
             values = getattr(report.term_records, column).copy()
-            values[report.term_records.order[-1]] = bad  # the last row written
+            values[-1] = bad  # the last row written
             report = _with_term_column(report, column, values)
         monkeypatch.setattr(ringflow.cli, "run_simulation", lambda *a, **k: report)
         argv = ("current", "--mode", "shots", "--n", "3", "--seed", "1")
@@ -1249,6 +1247,12 @@ _PINNED = [
      "54a2e9158e91c5eca93d01570a4015b1a058f5093639201d1f188c89f8c25cd6"),
     (("current", "--mode", "shots", "--n", "3", "--seed", "4", "--theta0", "0.5"),
      "f9f870925b2d74ac333c11352fe1d56c79ecd29892469de19e5f16d55fd76850"),
+    # as written with the term columns in expansion order: 1 279 settings of
+    # 256 outcomes fill more than one block, and the layout keeps no rows
+    (("current", "--mode", "exact", "--n", "8", "--per-term"),
+     "c6a5d43585d18017a302a25485f41c78d9fc03230bb56b576e624914df607284"),
+    (("current", "--mode", "exact", "--n", "8", "--per-term", "--format", "csv"),
+     "d8d3bb83edf908df9094751b18c38e4ae057abd0ba4e426ebd483460537794be"),
 ]
 _PER_TERM_ARGV = ("current", "--n", "6", "--mode", "shots", "--per-term", "--seed", "11")
 _PER_TERM_SHA = "d98cdf6c59336708a8d1e2b342d8729375d4b11204f903ce305535b98b1892b5"

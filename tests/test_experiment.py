@@ -6,10 +6,11 @@ import re
 import subprocess
 import sys
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import ringflow.experiment
@@ -349,8 +350,8 @@ def run_simulation_per_gate(n_qubits, shots_per_setting, seed, grouped, readout_
         full = (1 << n_qubits) - 1
         plan = list(zip((full ^ mx).tolist(), np.arange(len(words))[:, None]))
     sampling = shots_per_setting is not None
-    expectation = np.empty(len(words))
-    term_setting = np.empty(len(words), dtype=np.int64)
+    # the term columns in record order: setting by setting, in plan order
+    record_words, record_coeffs, term_setting, expectation = [], [], [], []
     setting_records = []
     for k, (zmask, members) in enumerate(plan):
         setting = MeasurementSetting.from_z_mask(zmask, n_qubits)
@@ -367,8 +368,12 @@ def run_simulation_per_gate(n_qubits, shots_per_setting, seed, grouped, readout_
         else:
             entropy = None
             outcomes = z_probabilities(rotated)
-        expectation[members] = parity_expectations(outcomes.copy())[parity_masks[members]]
-        term_setting[members] = k
+        terms = tuple(map(words.__getitem__, members.tolist()))
+        record_words += terms
+        record_coeffs += [term_coeffs[i] for i in members.tolist()]
+        term_setting += [k] * len(members)
+        parities = parity_expectations(outcomes.copy())[parity_masks[members]]
+        expectation += parities.tolist()
         nonzero = np.flatnonzero(outcomes)
         setting_records.append(
             SettingRecord(
@@ -378,22 +383,22 @@ def run_simulation_per_gate(n_qubits, shots_per_setting, seed, grouped, readout_
                 if sampling
                 else None,
                 entropy,
-                tuple(map(words.__getitem__, members.tolist())),
+                terms,
             )
         )
+    expectation = np.array(expectation)
     if sampling:
         variance = np.maximum(0.0, 1.0 - expectation * expectation) / shots_per_setting
         std_error = np.sqrt(variance)
     else:
         std_error = None
     term_records = TermRecords(
-        words,
-        term_coeffs,
+        tuple(record_words),
+        record_coeffs,
         term_setting,
         [s.basis_word for s in setting_records],
         expectation,
         std_error,
-        np.concatenate([members for _, members in plan]),
     )
     return _finish_report(
         "shots" if sampling else "exact",
@@ -579,7 +584,7 @@ class TestLayout:
         )
         assert json.loads(child.stdout) == here
 
-    @pytest.mark.parametrize("column", ["setting_index", "order", "coeffs"])
+    @pytest.mark.parametrize("column", ["setting_index", "coeffs"])
     def test_shared_columns_are_read_only(self, column):
         report = run_simulation(3, 100, seed=1)
         with pytest.raises(ValueError, match="read-only"):
@@ -705,6 +710,46 @@ def test_term_records_match_parity_oracle(n, grouped, shots):
             ],
         }
         assert_records_match_parity_oracle(ingest_measurements(None, counts_only))
+
+
+@pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "per-term"])
+@pytest.mark.parametrize("shots", [None, 500], ids=["exact", "shots"])
+@pytest.mark.parametrize("theta0", [0.0, 0.7])
+def test_term_records_run_setting_by_setting(grouped, shots, theta0):
+    """A run report's term columns are in record order: the setting index
+    never decreases, and the words are the settings' terms one after
+    another, in the term list as in the columns."""
+    for n in range(1, 7):
+        report = run_simulation(n, shots, seed=n, grouped=grouped, theta0=theta0)
+        records = report.term_records
+        assert (np.diff(records.setting_index) >= 0).all()
+        terms = tuple(chain.from_iterable(s.terms for s in report.setting_records))
+        assert records.words == terms
+        assert tuple(term["word"] for term in report.to_dict()["terms"]) == terms
+
+
+_BOUNDS = st.none() | st.integers(-14, 14)
+
+
+@given(_BOUNDS, _BOUNDS, st.none() | st.integers(-4, 4).filter(bool))
+@example(0, 2, None)
+@example(None, None, -1)
+@example(-2, 1, -3)
+@example(3, 1, None)
+def test_term_records_take_slices(start, stop, step):
+    """A slice of the records is the tuple of those records, with and
+    without errors and settings."""
+    supplied = {
+        "n": 2,
+        "expectations": [
+            {"word": r.word, "value": r.expectation} for r in run_exact(2).term_records
+        ],
+    }
+    for report in (
+        run_exact(2), run_simulation(2, 100, seed=1), ingest_measurements(None, supplied)
+    ):
+        records = report.term_records
+        assert records[start:stop:step] == tuple(records)[start:stop:step]
 
 
 class TestRunExact:

@@ -170,6 +170,24 @@ class TestCurrentDecomposition:
             assert word.count("Z") <= 1
 
 
+_BOUNDS = st.none() | st.integers(-24, 24)
+
+
+@given(_BOUNDS, _BOUNDS, st.none() | st.integers(-5, 5).filter(bool))
+@example(1, 3, None)
+@example(None, None, -1)
+@example(-2, 1, -3)
+@example(3, 1, None)
+def test_terms_take_slices(start, stop, step):
+    """A slice of a sum's terms is the tuple of those ``PauliString``s."""
+    for op in (
+        current_decomposition(3),
+        WeightedPauliSum.from_columns(2, 0.5, ["XY", "ZI", "IZ"], [1.0, -2.0, 0.25]),
+    ):
+        terms = op.terms
+        assert terms[start:stop:step] == tuple(terms)[start:stop:step]
+
+
 class TestTermCount:
     @pytest.mark.parametrize("n, expected", [(1, 2), (2, 7), (4, 47)])
     def test_known_counts(self, n, expected):
