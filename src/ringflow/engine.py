@@ -24,16 +24,16 @@ whole rows apart (``_walsh``); every entry meets the same additions in the
 same order, so the tiles change no bit of any table.
 ``expectation_pauli`` reads sums over {I,X,Z} with at most one Z per word
 (a Y or a second Z is refused) in extended precision, which keeps the
-heavily weighted cancellations accurate at large N.  One blocked pass over
-the sum's words (``_score_columns``) finds each word's setting by
-``pauli.reading_setting``, its mask and the coefficients' dtype.  It
-rotates the state once, N Hadamard layers per part, tiled like the
+heavily weighted cancellations accurate at large N.  Two blocked passes
+over the sum's words (``_score_table``) scatter its coefficients into one
+table, a segment for each setting the sum reads and none for the others.
+It rotates the state once, N Hadamard layers per part, tiled like the
 kernel's, and reads every setting from that: the all-X setting's outcomes
 are the rotated state's squares, and a Z setting's outcome differences a
 product of its two halves across the Z bit.  There the kernel transforms
-each setting's coefficients, scattered straight to their masks, not its
-outcomes, and the outcomes are summed against that transform: exactly, in
-int64, for integer coefficients such as the current operator's.
+each setting's segment, not its outcomes, and the outcomes are summed
+against that transform, exactly, in int64, for integer coefficients such
+as the current operator's; the settings' sums are added by first word.
 ``experiment`` calls the kernel in float64, once per bounded block of
 outcome rows.  ``sample`` returns an int64
 count per basis index, not bitstrings; a readout flip is one element-wise
@@ -51,7 +51,6 @@ from .pauli import (
     WeightedPauliSum,
     check_measurable,
     measurable,
-    reading_setting,
 )
 
 #: Norm drift beyond this after a kernel indicates an engine bug.
@@ -448,69 +447,67 @@ def expectation_pauli(state: Statevector, op_sum: WeightedPauliSum) -> float:
     sum_k p[k] (H C)[k], with C the coefficients scattered to their masks.
     C is int64 when every coefficient is an integer and their absolute sum
     is below 2^53, so that every transformed entry is exact, even in
-    float64; otherwise it is longdouble.  One pass over the words
-    (``_score_columns``) refuses an unmeasurable word and finds each word's
-    setting, its mask and the dtype of C; the settings' sums are added in
-    the order in which each setting's first word appears.
+    float64; otherwise it is longdouble.  Each C is a segment of one table,
+    filled in two passes over the words (``_score_table``), and transformed
+    on its own; a setting that reads no word has none.  The settings' sums
+    are added in the order in which each setting's first word appears.
     """
     if op_sum.n_qubits != state.n_qubits:
         raise ValueError(
             f"operator acts on {op_sum.n_qubits} qubits, state has {state.n_qubits}"
         )
-    n = state.n_qubits
-    setting, masks, score_dtype = _score_columns(op_sum)
-    coeffs = op_sum.coeff_array
-    amps = state.amplitudes
-    parts = [amps.real.astype(np.longdouble)]
-    if amps.imag.any():
-        parts.append(amps.imag.astype(np.longdouble))
+    segments = _score_table(op_sum)
+    parts = [state.amplitudes.real.astype(np.longdouble)]
+    if state.amplitudes.imag.any():
+        parts.append(state.amplitudes.imag.astype(np.longdouble))
     for part in parts:
-        _walsh(part, n, shortest_first=False)
-    sums = []
-    for k in range(n + 1):
-        members = np.flatnonzero(setting == k)
-        if not members.size:
-            continue
-        if k:
-            b = n - k  # the setting's Z bit, counted from the LSB
-            halves = [part.reshape(-1, 2, 1 << b) for part in parts]
-            probs = sum(v[:, 0] * v[:, 1] for v in halves).reshape(-1)
+        _walsh(part, state.n_qubits, shortest_first=False)
+    total = np.longdouble(op_sum.identity_weight)
+    for zmask, scores in segments:
+        if zmask:
+            b = zmask.bit_length() - 1  # the setting's Z bit, counted from the LSB
+            factors = [(v[:, 0], v[:, 1]) for v in (p.reshape(-1, 2, 1 << b) for p in parts)]
         else:
-            probs = sum(part**2 for part in parts)
-        scores = np.zeros(probs.size, dtype=score_dtype)
-        scores[masks[members]] = coeffs[members]
+            factors = [(part, part) for part in parts]
+        probs = np.multiply(*factors[0])
+        for u, v in factors[1:]:
+            probs += u * v
+        probs = probs.reshape(-1)
+        if scores.dtype == np.float64:
+            scores = scores.astype(np.longdouble)
         probs *= parity_expectations(scores)
         # unnormalized Hadamards: divide by 2 per rotated position; a
         # pairwise sum, where dot would reduce sequentially
-        sums.append((members[0], probs.sum() / probs.size))
-    total = np.longdouble(op_sum.identity_weight)
-    for _, value in sorted(sums):  # by each setting's first word
-        total += value
+        total += probs.sum() / probs.size
     return float(total)
 
 
-def _score_columns(op_sum: WeightedPauliSum):
-    """(setting, masks, dtype) of a sum's words, made in one pass over
-    blocks of WORD_BLOCK words, after refusing a word with a Y or a second
-    Z: each word's ``reading_setting``; its parity mask, with the bit of
-    its Z deleted; and int64 when every coefficient is an integer and their
-    absolute sum is below 2^53, else longdouble.
+def _score_table(op_sum: WeightedPauliSum) -> list[tuple[int, np.ndarray]]:
+    """(Z mask, C) for each setting that reads a word, 0 for all-X, by first
+    word: C, 2^(N-1) entries for a Z setting and 2^N for all-X, holds the
+    setting's coefficients at their masks with the Z bit deleted, and is a
+    segment of one zeroed table, the Z settings' by ascending bit first.
+
+    Two passes over blocks of WORD_BLOCK words.  The first refuses a word
+    with a Y or a second Z, finds each setting's first word from a block's
+    union of Z masks, and picks the table's dtype: int64 for integers whose
+    absolute sum is below 2^53, else float64, widened to longdouble by the
+    caller a segment at a time.  The second scatters the coefficients.
     """
     n = op_sum.n_qubits
     mx, my, mz = op_sum.masks
     coeffs = op_sum.coeff_array
-    setting = np.empty(len(coeffs), dtype=np.uint8)
-    masks = np.empty(len(coeffs), dtype=np.int64)
+    first = {}  # the Z mask of each setting read: its first word
     integral, magnitude = True, 0.0
     for start in range(0, len(coeffs), WORD_BLOCK):
         block = slice(start, start + WORD_BLOCK)
-        x, z, c = mx[block], mz[block], coeffs[block]
+        z, c = mz[block], coeffs[block]
         if not measurable(my[block], z).all():
             check_measurable(op_sum)  # raises, naming the first such word
-        setting[block] = reading_setting(z, n)
-        # the bits of x above the Z bit move down one; all stay without a Z
-        below = z - 1
-        np.bitwise_or((x >> 1) & ~below, x & below, out=masks[block])
+        read = int(np.bitwise_or.reduce(z))  # every Z bit the block reads
+        for zmask in (0, *(1 << b for b in range(n))):
+            if zmask not in first and (read & zmask if zmask else not z.all()):
+                first[zmask] = start + int((z == zmask).argmax())
         if integral:
             # each entry below 2^53 keeps the float64 sum from overflowing;
             # a sum of such integers is exact below 2^53 and, once it
@@ -518,5 +515,27 @@ def _score_columns(op_sum: WeightedPauliSum):
             magnitudes = np.abs(c)
             integral = bool((magnitudes < 2.0**53).all() and (c == np.trunc(c)).all())
             magnitude += magnitudes.sum() if integral else 0.0
-    dtype = np.int64 if integral and magnitude < 2.0**53 else np.longdouble
-    return setting, masks, dtype
+    zbits = sum(first)  # the Z bits of the settings read
+    # a segment starts after those of the Z bits below its own; the all-X
+    # setting's, whose mask less one has every bit, after all of them
+    offsets = {zmask: (zbits & (zmask - 1)).bit_count() << (n - 1) for zmask in first}
+    size = zbits.bit_count() + 2 * (0 in first) << (n - 1)
+    table = np.zeros(size, dtype=np.int64 if integral and magnitude < 2.0**53 else np.float64)
+    index = np.empty(min(len(coeffs), WORD_BLOCK), dtype=np.int64)
+    spare = np.empty_like(index)
+    for start in range(0, len(coeffs), WORD_BLOCK):
+        block = slice(start, start + WORD_BLOCK)
+        x = mx[block]
+        at, below = index[: len(x)], np.subtract(mz[block], 1, out=spare[: len(x)])
+        # x plus its bits below the Z bit, and twice the offset, halved: the
+        # bits above the Z bit move down one, and all stay without a Z
+        np.bitwise_and(x, below, out=at)
+        at += x
+        below &= zbits
+        at += np.left_shift(np.bitwise_count(below), n, out=below, dtype=np.int64)
+        at >>= 1
+        table[at] = coeffs[block]
+    return [
+        (zmask, table[offsets[zmask] :][: 1 << (n - 1 if zmask else n)])
+        for zmask in sorted(first, key=first.get)
+    ]

@@ -22,10 +22,10 @@ Passes over word columns run in blocks of WORD_BLOCK words, one fixed size:
 a chain of element-wise passes over one block stays in a core's cache, where
 the same chain over whole columns of 10^5 to 10^7 words streams each column
 through memory once per pass.  The mask checks and
-``engine.expectation_pauli``'s pass over a sum's words are blocked, and
-``spell_masks`` spells WORD_BLOCK letters at a time.
-``reading_setting`` is the one rule for which Z/X setting reads a word, and
-``setting_plan`` groups the words by it.
+``engine.expectation_pauli``'s two passes over a sum's words are blocked,
+and ``spell_masks`` spells WORD_BLOCK letters at a time.
+``reading_setting`` names the Z/X setting that reads a word by its Z mask,
+and ``setting_plan`` groups the words by it.
 
 Letter ordering: the leftmost letter of a word acts on qubit S1, which is
 the most significant bit of the momentum index.
@@ -293,15 +293,16 @@ def _check_masks(n_qubits, masks, coeff_array, word) -> None:
     ``word(i)``, with the message a check of the words would give.
 
     One pass over blocks of WORD_BLOCK words notes the first word of each
-    fault and builds every word's base-4 letter code; then the first fault
-    in the order above is raised, whichever block its word lies in.
+    fault and whether the base-4 letter codes ascend, one block of codes at
+    a time; then the first fault in the order above is raised, whichever
+    block its word lies in.  Codes that do not ascend are remade and sorted.
     """
     mx, my, mz = masks
-    code = np.empty(len(mx), dtype=np.int64)
-    spare = np.empty(min(len(mx), WORD_BLOCK), dtype=np.int64)
+    codes = np.empty(min(len(mx), WORD_BLOCK), dtype=np.int64)
+    spare = np.empty_like(codes)
     # the first word beyond N bits, sharing a bit, with a non-finite coefficient
     first = [None, None, None]
-    ascending, identity = True, False
+    ascending, identity, last = True, False, -1
     for start in range(0, len(mx), WORD_BLOCK):
         block = slice(start, start + WORD_BLOCK)
         x, y, z = mx[block], my[block], mz[block]
@@ -312,17 +313,10 @@ def _check_masks(n_qubits, masks, coeff_array, word) -> None:
             at = int(fault.argmax())
             if first[kind] is None and fault[at]:
                 first[kind] = start + at
-        # one base-4 digit per letter, I X Y Z = 0 1 2 3 with the leftmost
-        # letter most significant, so words of one length order as their
-        # codes; a digit's low bit marks X or Z, its high bit Y or Z
-        codes = _spread(np.bitwise_or(x, z, out=code[block]), n_qubits, spare)
-        codes |= _spread(y | z, n_qubits, spare) << 1
-        identity = identity or not codes.all()
-        ascending = (
-            ascending
-            and (codes[1:] > codes[:-1]).all()
-            and (start == 0 or codes[0] > code[start - 1])
-        )
+        code = _letter_code(x, y, z, n_qubits, codes[: len(x)], spare)
+        identity = identity or not code.all()
+        ascending = ascending and code[0] > last and (code[1:] > code[:-1]).all()
+        last = code[-1]
     outside, shared, bad = first
     if outside is not None:
         raise ValueError(f"term {word(outside)} does not act on {n_qubits} qubits")
@@ -333,9 +327,21 @@ def _check_masks(n_qubits, masks, coeff_array, word) -> None:
     if identity:
         raise ValueError("all-identity term belongs in identity_weight")
     if not ascending:
+        code = np.empty(len(mx), dtype=np.int64)
+        for start in range(0, len(mx), WORD_BLOCK):
+            block = slice(start, start + WORD_BLOCK)
+            _letter_code(mx[block], my[block], mz[block], n_qubits, code[block], spare)
         code.sort()
         if (code[1:] == code[:-1]).any():
             raise ValueError("duplicate Pauli words; merge like terms first")
+
+
+def _letter_code(x, y, z, n_qubits, out, spare) -> np.ndarray:
+    # one base-4 digit per letter, I X Y Z = 0 1 2 3 with the leftmost
+    # letter most significant, so words of one length order as their
+    # codes; a digit's low bit marks X or Z, its high bit Y or Z
+    codes = _spread(np.bitwise_or(x, z, out=out), n_qubits, spare)
+    return np.bitwise_or(codes, _spread(y | z, n_qubits, spare) << 1, out=codes)
 
 
 def _spread(bits: np.ndarray, n_qubits: int, spare: np.ndarray) -> np.ndarray:
