@@ -1,0 +1,59 @@
+#!/usr/bin/env bash
+# CLI smoke test, run from the repository root with `bash -eo pipefail`.
+#
+# Every command of README's CLI block must exit 0, a seeded shots run must
+# repeat byte for byte, with and without a readout flip, and analyze must
+# reproduce the j_estimate, j_exact and readout_flip of a grouped, a
+# per-term, a readout-flip and a nonzero-angle report from the full report
+# and from its counts alone (with the angle and the flip); the 16-qubit
+# expansion streams its words in every format, and the 20-qubit one
+# (MAX_QUBITS, whose letter codes take two spreads each) has every line;
+# exact and shots reports, grouped and per-term (one exact table of several
+# blocks), re-dump through the stdlib json module to their own text; and at
+# the ring angle 1e300 the exact estimate reads the exact current.
+set -eo pipefail
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+sed -n '/^## CLI/,/^```$/p' README.md | grep '^ringflow ' | sed 's/ *#.*//' > "$tmp/cli-commands.txt"
+test -s "$tmp/cli-commands.txt"
+while read -r command; do
+  echo "+ $command"
+  $command < /dev/null > /dev/null
+done < "$tmp/cli-commands.txt"
+for format in json csv table; do
+  ringflow decompose --n 16 --format "$format" > /dev/null
+done
+# a header, the identity row and term_count(20) = 11 534 335 words
+ringflow decompose --n 20 --format csv > "$tmp/terms-20.csv"
+test "$(wc -l < "$tmp/terms-20.csv")" -eq 11534337
+test "$(tail -n 1 "$tmp/terms-20.csv")" = "ZXXXXXXXXXXXXXXXXXXX,-524288"
+rm "$tmp/terms-20.csv"
+ringflow current --n 3 --theta0 1e300 > "$tmp/theta0-huge.json"
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); print(r["j_estimate"], r["j_exact"]); sys.exit(abs(r["j_estimate"] - r["j_exact"]) > 1e-12 * abs(r["j_exact"]))' "$tmp/theta0-huge.json"
+ringflow current --mode shots --n 6 --seed 5 > "$tmp/shots-a.json"
+ringflow current --mode shots --n 6 --seed 5 > "$tmp/shots-b.json"
+cmp "$tmp/shots-a.json" "$tmp/shots-b.json"
+ringflow current --mode shots --n 6 --seed 5 --readout-flip 0.01 > "$tmp/flip.json"
+ringflow current --mode shots --n 6 --seed 5 --readout-flip 0.01 > "$tmp/flip-b.json"
+cmp "$tmp/flip.json" "$tmp/flip-b.json"
+ringflow current --mode shots --n 4 --per-term --seed 5 > "$tmp/per-term.json"
+ringflow current --mode shots --n 4 --seed 5 --theta0 0.5 > "$tmp/theta0.json"
+# the per-term settings repeat basis words, so its counts file keeps the
+# terms lists: without them each word is read from the first setting that
+# covers it, which is another estimate
+keep='import json, sys; r = json.load(open(sys.argv[1])); json.dump({"n": r["n"], "theta0": r["theta0"], "readout_flip": r["readout_flip"], "settings": [{key: s[key] for key in sys.argv[3:]} for s in r["settings"]]}, open(sys.argv[2], "w"))'
+python -c "$keep" "$tmp/shots-a.json" "$tmp/shots-a-counts.json" basis_word counts
+python -c "$keep" "$tmp/per-term.json" "$tmp/per-term-counts.json" basis_word counts terms
+python -c "$keep" "$tmp/theta0.json" "$tmp/theta0-counts.json" basis_word counts
+python -c "$keep" "$tmp/flip.json" "$tmp/flip-counts.json" basis_word counts
+for report in shots-a per-term theta0 flip; do
+  for input in "$report.json" "$report-counts.json"; do
+    ringflow analyze --input "$tmp/$input" > "$tmp/analyzed.json"
+    python -c 'import json, sys; want, got = ([r[key] for key in ("j_estimate", "j_exact", "readout_flip")] for r in map(json.load, map(open, sys.argv[1:]))); print(want, got); sys.exit(want != got)' "$tmp/$report.json" "$tmp/analyzed.json"
+  done
+done
+for argv in "--mode exact --n 12" "--mode shots --n 8 --seed 3" "--mode shots --n 6 --per-term --seed 11" "--mode exact --n 8 --per-term"; do
+  ringflow current $argv > "$tmp/report.json"
+  python -c 'import json, sys; text = open(sys.argv[1]).read(); sys.exit(json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" != text)' "$tmp/report.json"
+done

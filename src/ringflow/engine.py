@@ -32,8 +32,9 @@ kernel's, and reads every setting from that: the all-X setting's outcomes
 are the rotated state's squares, and a Z setting's outcome differences a
 product of its two halves across the Z bit.  There the kernel transforms
 each setting's segment, not its outcomes, and the outcomes are summed
-against that transform, exactly, in int64, for integer coefficients such
-as the current operator's; the settings' sums are added by first word.
+against that transform, exactly for integer coefficients such as the
+current operator's: in int32 where a segment's absolute sum is below 2^31,
+else in int64.  The settings' sums are added by first word.
 ``experiment`` calls the kernel in float64, once per bounded block of
 outcome rows.  ``sample`` returns an int64
 count per basis index, not bitstrings; a readout flip is one element-wise
@@ -73,6 +74,20 @@ _TILE_ENTRIES = 1 << 15
 
 class NormDriftError(RuntimeError):
     """Statevector norm drifted past NORM_TOL: a kernel bug, not user error."""
+
+
+class _ArrayRecord:
+    """Equal by type and fields, arrays by ``np.array_equal``; hashed by qubit count."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self.__slots__)
+
+    def __hash__(self):
+        return hash(self.n_qubits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,8 +136,8 @@ def cry(control: int, target: int, angle: float) -> Gate:
     return Gate("CRY", target, control=control, angle=angle)
 
 
-@dataclass(frozen=True, slots=True)
-class Statevector:
+@dataclass(frozen=True, slots=True, eq=False)
+class Statevector(_ArrayRecord):
     """2^N complex amplitudes, unit norm, basis index read S1-first."""
 
     n_qubits: int
@@ -255,8 +270,8 @@ def z_probabilities(state: Statevector) -> np.ndarray:
     return amps.real**2 + amps.imag**2
 
 
-@dataclass(frozen=True, slots=True)
-class Distribution:
+@dataclass(frozen=True, slots=True, eq=False)
+class Distribution(_ArrayRecord):
     """Z-basis outcome probabilities of an N-qubit register by basis index,
     for ``sample`` to draw from where no ``Statevector`` is at hand."""
 
@@ -447,7 +462,9 @@ def expectation_pauli(state: Statevector, op_sum: WeightedPauliSum) -> float:
     sum_k p[k] (H C)[k], with C the coefficients scattered to their masks.
     C is int64 when every coefficient is an integer and their absolute sum
     is below 2^53, so that every transformed entry is exact, even in
-    float64; otherwise it is longdouble.  Each C is a segment of one table,
+    float64; otherwise it is longdouble.  An integer C whose own absolute
+    sum is below 2^31 is transformed in int32: each transformed entry is a
+    signed sum of some of its entries.  Each C is a segment of one table,
     filled in two passes over the words (``_score_table``), and transformed
     on its own; a setting that reads no word has none.  The settings' sums
     are added in the order in which each setting's first word appears.
@@ -463,6 +480,9 @@ def expectation_pauli(state: Statevector, op_sum: WeightedPauliSum) -> float:
     for part in parts:
         _walsh(part, state.n_qubits, shortest_first=False)
     total = np.longdouble(op_sum.identity_weight)
+    # an integer C's absolute values, 2^(N-1) at a time, and its int32 copy
+    integral = any(scores.dtype == np.int64 for _, scores in segments)
+    spare = np.empty(1 << state.n_qubits - 1 if integral else 0, np.int64)
     for zmask, scores in segments:
         if zmask:
             b = zmask.bit_length() - 1  # the setting's Z bit, counted from the LSB
@@ -475,6 +495,9 @@ def expectation_pauli(state: Statevector, op_sum: WeightedPauliSum) -> float:
         probs = probs.reshape(-1)
         if scores.dtype == np.float64:
             scores = scores.astype(np.longdouble)
+        elif sum(np.abs(row, out=spare).sum() for row in scores.reshape(-1, spare.size)) < 1 << 31:
+            spare.view(np.int32)[: len(scores)] = scores
+            scores = spare.view(np.int32)[: len(scores)]
         probs *= parity_expectations(scores)
         # unnormalized Hadamards: divide by 2 per rotated position; a
         # pairwise sum, where dot would reduce sequentially
@@ -491,8 +514,9 @@ def _score_table(op_sum: WeightedPauliSum) -> list[tuple[int, np.ndarray]]:
     Two passes over blocks of WORD_BLOCK words.  The first refuses a word
     with a Y or a second Z, finds each setting's first word from a block's
     union of Z masks, and picks the table's dtype: int64 for integers whose
-    absolute sum is below 2^53, else float64, widened to longdouble by the
-    caller a segment at a time.  The second scatters the coefficients.
+    absolute sum is below 2^53, else float64; the caller narrows an int64
+    segment to int32 or widens a float64 one to longdouble.  The second
+    scatters the coefficients, cast to the table's dtype once per block.
     """
     n = op_sum.n_qubits
     mx, my, mz = op_sum.masks
@@ -534,7 +558,7 @@ def _score_table(op_sum: WeightedPauliSum) -> list[tuple[int, np.ndarray]]:
         below &= zbits
         at += np.left_shift(np.bitwise_count(below), n, out=below, dtype=np.int64)
         at >>= 1
-        table[at] = coeffs[block]
+        table[at] = coeffs[block].astype(table.dtype, copy=False)
     return [
         (zmask, table[offsets[zmask] :][: 1 << (n - 1 if zmask else n)])
         for zmask in sorted(first, key=first.get)

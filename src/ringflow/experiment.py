@@ -54,6 +54,7 @@ from .engine import (
     Distribution,
     NormDriftError,
     Statevector,
+    _ArrayRecord,
     apply_circuit,
     check_flip,
     check_shots,
@@ -89,8 +90,8 @@ DEFAULT_SHOTS = 8000
 _RNG_NAME = "numpy-default_rng-PCG64"
 
 
-@dataclass(frozen=True, slots=True)
-class BackflowCoefficients:
+@dataclass(frozen=True, slots=True, eq=False)
+class BackflowCoefficients(_ArrayRecord):
     """Real momentum coefficients a_m of the built-in backflowing family."""
 
     n_qubits: int
@@ -434,7 +435,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class _Layout:
     """What a simulation of one register needs that depends on N and the
     grouping alone, shared read-only by every report made from it.

@@ -339,16 +339,26 @@ def _check_masks(n_qubits, masks, coeff_array, word) -> None:
 def _letter_code(x, y, z, n_qubits, out, spare) -> np.ndarray:
     # one base-4 digit per letter, I X Y Z = 0 1 2 3 with the leftmost
     # letter most significant, so words of one length order as their
-    # codes; a digit's low bit marks X or Z, its high bit Y or Z
-    codes = _spread(np.bitwise_or(x, z, out=out), n_qubits, spare)
-    return np.bitwise_or(codes, _spread(y | z, n_qubits, spare) << 1, out=codes)
+    # codes; a digit's low bit marks X or Z, its high bit Y or Z.  Up to 16
+    # letters, one spread S of the Y-or-Z bits shifted above the N X-or-Z
+    # bits puts them at 2N + 2i, which S >> (2N - 1) moves to 2i + 1
+    codes = np.bitwise_or(x, z, out=out)
+    if 2 * n_qubits > 32:
+        codes = _spread(codes, n_qubits, spare)
+        return np.bitwise_or(codes, _spread(y | z, n_qubits, spare) << 1, out=codes)
+    high = np.bitwise_or(y, z, out=spare[: len(codes)])
+    codes |= np.left_shift(high, n_qubits, out=high)
+    codes = _spread(codes, 2 * n_qubits, spare)
+    np.right_shift(codes, 2 * n_qubits - 1, out=high)
+    codes &= (1 << 2 * n_qubits) - 1
+    return np.bitwise_or(codes, high, out=codes)
 
 
-def _spread(bits: np.ndarray, n_qubits: int, spare: np.ndarray) -> np.ndarray:
-    """``bits``, each below 2^n_qubits, with bit i moved to bit 2i, in place."""
+def _spread(bits: np.ndarray, width: int, spare: np.ndarray) -> np.ndarray:
+    """``bits``, each below 2^width, with bit i moved to bit 2i, in place."""
     spare = spare[: len(bits)]
     for shift, keep in _SPREAD_STEPS:
-        if shift < n_qubits:
+        if shift < width:
             np.left_shift(bits, shift, out=spare)
             bits |= spare
             bits &= keep

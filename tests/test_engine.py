@@ -36,7 +36,7 @@ from ringflow.engine import (
     z_probabilities,
 )
 from ringflow.engine import _INV_SQRT2
-from ringflow.experiment import backflow_coefficients, run_simulation
+from ringflow.experiment import BackflowCoefficients, backflow_coefficients, run_simulation
 from ringflow.pauli import (
     PauliString,
     WeightedPauliSum,
@@ -433,23 +433,8 @@ _ALL_WORDS_3 = current_decomposition(3).words  # every 3-letter word over IX wit
 _IX_WORDS_4 = [w for w in current_decomposition(4).words if "Z" not in w]
 
 
-@pytest.mark.parametrize(
-    "words, coeffs, dtype",
-    [
-        (_ALL_WORDS_3, [(-1) ** i * (i + 1) for i in range(19)], np.int64),
-        (_ALL_WORDS_3[:3], [2.0**51, -(2.0**52), 2.0**51 - 1], np.int64),
-        (_ALL_WORDS_3[:2], [2.0**52, -(2.0**52)], np.longdouble),
-        (_ALL_WORDS_3, [(-1) ** i * 2.0**60 for i in range(19)], np.longdouble),
-        (_IX_WORDS_4, [2.0**60] * 15, np.longdouble),
-        (_ALL_WORDS_3[:4], [0.5, 1.0, -2.0, 3.0], np.longdouble),
-    ],
-    ids=["small integers", "sum below 2^53", "sum 2^53", "+-2^60", "15 x 2^60", "fraction"],
-)
-def test_coefficient_transform_dtype_follows_the_coefficients(monkeypatch, words, coeffs, dtype):
-    """Integer coefficients whose absolute sum is below 2^53 are transformed
-    in int64; past that bound, or with a fraction, in longdouble, where
-    15 x 2^60, whose all-X transform at mask 0 would wrap in int64, is read
-    as well."""
+def _spy_dtypes(monkeypatch) -> list:
+    """The dtypes ``expectation_pauli`` transforms its segments in, in order."""
     dtypes = []
     transform = ringflow.engine.parity_expectations
     monkeypatch.setattr(
@@ -457,11 +442,48 @@ def test_coefficient_transform_dtype_follows_the_coefficients(monkeypatch, words
         "parity_expectations",
         lambda scores: dtypes.append(scores.dtype) or transform(scores),
     )
+    return dtypes
+
+
+def _segment_dtypes(op_sum) -> list:
+    """The width rule, by exact integer sums, per setting in first-word
+    order: longdouble unless every coefficient is an integer and their
+    absolute sum is below 2^53; else int32 where the setting's own absolute
+    sum is below 2^31, and int64 otherwise."""
+    if not all(c.is_integer() for c in op_sum.coeffs):
+        return [np.dtype(np.longdouble)] * len({w.find("Z") for w in op_sum.words})
+    sums = {}
+    for word, c in zip(op_sum.words, op_sum.coeffs):
+        sums[word.find("Z")] = sums.get(word.find("Z"), 0) + abs(int(c))
+    if sum(sums.values()) >= 2**53:
+        return [np.dtype(np.longdouble)] * len(sums)
+    return [np.dtype(np.int32 if total < 2**31 else np.int64) for total in sums.values()]
+
+
+@pytest.mark.parametrize(
+    "words, coeffs, dtypes",
+    [
+        (_ALL_WORDS_3, [(-1) ** i * (i + 1) for i in range(19)], [np.int32] * 4),
+        (_ALL_WORDS_3[:3], [2.0**51, -(2.0**52), 2.0**51 - 1], [np.int64] * 2),
+        (_ALL_WORDS_3[:2], [2.0**52, -(2.0**52)], [np.longdouble] * 2),
+        (_ALL_WORDS_3, [(-1) ** i * 2.0**60 for i in range(19)], [np.longdouble] * 4),
+        (_IX_WORDS_4, [2.0**60] * 15, [np.longdouble]),
+        (_ALL_WORDS_3[:4], [0.5, 1.0, -2.0, 3.0], [np.longdouble] * 2),
+    ],
+    ids=["small integers", "sum below 2^53", "sum 2^53", "+-2^60", "15 x 2^60", "fraction"],
+)
+def test_coefficient_transform_dtype_follows_the_coefficients(monkeypatch, words, coeffs, dtypes):
+    """Integer coefficients whose absolute sum is below 2^53 are transformed
+    exactly, a setting at a time: in int32 where the setting's own absolute
+    sum is below 2^31, else in int64.  Past 2^53, or with a fraction, every
+    setting is read in longdouble, where 15 x 2^60, whose all-X transform
+    at mask 0 would wrap in int64, is read as well."""
+    seen = _spy_dtypes(monkeypatch)
     n = len(words[0])
     op_sum = WeightedPauliSum.from_columns(n, 1.0, words, coeffs)
     state = init_amplitudes(n, random_state_vector(np.random.default_rng(4), n))
     value = expectation_pauli(state, op_sum)
-    assert dtypes and set(dtypes) == {np.dtype(dtype)}
+    assert seen == list(map(np.dtype, dtypes)) == _segment_dtypes(op_sum)
     expected = dense_expectation(state, op_sum)
     assert abs(value - expected) <= 1e-12 * abs(expected)
 
@@ -566,6 +588,27 @@ def test_digits_do_not_depend_on_blas_threads():
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].split()[0] == "-32767.25000572292"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n, i: init_basis(n, i),
+        lambda n, i: Distribution(n, np.eye(1 << n)[i]),
+        lambda n, i: BackflowCoefficients(n, np.roll(backflow_coefficients(n).a, i)),
+    ],
+    ids=["Statevector", "Distribution", "BackflowCoefficients"],
+)
+def test_array_records_compare_by_value(make):
+    """Equal qubit counts and equal arrays make equal records, with equal
+    hashes; other arrays, other counts and other types are unequal."""
+    one, same, other, wider = make(2, 0), make(2, 0), make(2, 1), make(3, 0)
+    assert one is not same and one == same and not one != same
+    assert hash(one) == hash(same)
+    assert one != other and one != wider
+    assert one != 1 and one != object() and one != one.n_qubits
+    assert same in [other, one] and one not in [other, wider]
+    assert {one, same, other} == {one, other}
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -983,28 +1026,47 @@ def test_expectation_in_small_word_blocks(monkeypatch, n, block):
     ids=["2^53 - 1", "2^53", "ones then 2^53 - 7", "ones then 2^53 - 6"],
 )
 def test_coefficient_dtype_over_word_blocks(monkeypatch, coeffs, dtype):
-    """The int64/longdouble choice on an absolute sum of 2^53 - 1 and of
+    """The exact/longdouble choice on an absolute sum of 2^53 - 1 and of
     2^53 spread over blocks of one and two words, in every rotation of the
     coefficients: integer partial sums below 2^53 are exact, and once one
-    reaches 2^53 no later addition brings it back below."""
+    reaches 2^53 no later addition brings it back below.  Below 2^53 each
+    setting is read in int64, or in int32 where its own absolute sum is
+    below 2^31, as the settings of the ones are."""
     n = 3
     words = current_decomposition(n).words[: len(coeffs)]
     state = init_amplitudes(n, random_state_vector(np.random.default_rng(6), n))
-    dtypes = []
-    transform = ringflow.engine.parity_expectations
-    monkeypatch.setattr(
-        ringflow.engine,
-        "parity_expectations",
-        lambda scores: dtypes.append(scores.dtype) or transform(scores),
-    )
+    seen = _spy_dtypes(monkeypatch)
     for block in (1, 2):
         small_word_blocks(monkeypatch, block)
         for shift in range(len(coeffs)):
-            dtypes.clear()
+            seen.clear()
             turned = coeffs[shift:] + coeffs[:shift]
             op_sum = WeightedPauliSum.from_columns(n, 0.0, words, turned)
             assert expectation_pauli(state, op_sum) == expectation_per_setting(state, op_sum)
-            assert dtypes and set(dtypes) == {np.dtype(dtype)}
+            assert seen == _segment_dtypes(op_sum)
+            assert set(seen) - {np.dtype(np.int32)} == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_int32_boundary_of_a_setting_absolute_sum(monkeypatch, block):
+    """A setting whose coefficients' absolute sum is 2^31 - 1 is read in
+    int32 and one whose sum is 2^31 in int64; with all coefficients
+    positive, the transform at mask 0 is that sum, which int32 would wrap.
+    On a real and on a complex state both references float exactly."""
+    n = 3
+    words = ["ZII", "IZI", "ZIX", "IZX", "ZXI", "XZI"]
+    coeffs = [2.0**30, 2.0**30, 2.0**29, 2.0**29, 2.0**29 - 1, 2.0**29]
+    op_sum = WeightedPauliSum.from_columns(n, 0.5, words, coeffs)
+    seen = _spy_dtypes(monkeypatch)
+    small_word_blocks(monkeypatch, block)
+    rng = np.random.default_rng(31 + block)
+    for amps in (random_state_vector(rng, n), backflow_coefficients(n).a):
+        seen.clear()
+        state = init_amplitudes(n, amps)
+        value = expectation_pauli(state, op_sum)
+        assert seen == [np.dtype(np.int32), np.dtype(np.int64)]
+        assert value == expectation_per_setting(state, op_sum)
+        assert value == grouped_per_word(state, op_sum)
 
 
 def _traced_peak(call):
@@ -1084,11 +1146,13 @@ def test_a_sparse_sum_holds_only_the_settings_it_reads(monkeypatch, block, words
 def test_sixteen_qubit_expectation_peak_memory():
     """With the sum and the state built, reading the 16-qubit expansion
     traces at most 8.0 MB: 4.7 MB of int64 coefficients in one table of
-    the 17 settings, and the rotated state.  It measured 7.35 MB; with a
+    the 17 settings, the rotated state, and a buffer of 2^15 int64 entries
+    (0.26 MB) that takes an integer setting's absolute values and its
+    int32 copy.  It measured 7.61 MB, 7.35 MB before that buffer; with a
     setting column, a mask column and a zeroed vector per setting,
     9.57 MB.  Fractional coefficients are kept in a float64 table and
-    widened one setting at a time: 8.92 MB, against 10.16 MB with a
-    longdouble vector per setting."""
+    widened one setting at a time, with no buffer: 8.92 MB, against
+    10.16 MB with a longdouble vector per setting."""
     dec = current_decomposition(16)
     fractional = WeightedPauliSum._from_masks(
         16, 0.5, dec.masks, dec.coeff_array * 0.5 + 0.25, dec.iter_words
@@ -1099,6 +1163,18 @@ def test_sixteen_qubit_expectation_peak_memory():
     assert peak <= 8.0e6, f"peak {peak / 1e6:.2f} MB"
     _, peak = _traced_peak(lambda: expectation_pauli(state, fractional))
     assert peak <= 9.6e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_sixteen_qubit_z_settings_read_in_int32(monkeypatch):
+    """Each of the 16-qubit expansion's Z settings has an absolute sum below
+    2^31 and is read in int32; the all-X setting's is not, and is read in
+    int64.  The float is the pinned one."""
+    dec = current_decomposition(16)
+    seen = _spy_dtypes(monkeypatch)
+    state = init_amplitudes(16, backflow_coefficients(16).a)
+    assert expectation_pauli(state, dec) == -32767.25000572292
+    assert sorted(map(str, seen)) == ["int32"] * 16 + ["int64"]
+    assert seen == _segment_dtypes(dec)
 
 
 def test_unmeasurable_word_in_a_later_block_is_refused(monkeypatch):

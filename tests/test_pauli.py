@@ -32,6 +32,7 @@ from ringflow.pauli import (
     term_count,
     word_masks,
 )
+from ringflow.pauli import _letter_code
 
 from conftest import child_env, small_word_blocks
 from oracles import expansion_words
@@ -805,6 +806,49 @@ def test_identity_word_in_a_later_block_is_refused(monkeypatch, at):
     small_word_blocks(monkeypatch, 2)
     with pytest.raises(ValueError, match="all-identity term belongs in identity_weight"):
         WeightedPauliSum.from_columns(2, 0.0, words, [1.0] * len(words))
+
+
+@pytest.mark.parametrize("n", range(1, 32))
+def test_letter_code_is_the_base_four_numeral(n):
+    """One digit per letter, I X Y Z = 0 1 2 3, the leftmost most
+    significant: through one spread up to 16 letters and two beyond, on
+    random words with the all-Y and all-Z words, whose digits reach the top."""
+    rows = np.random.default_rng(n).integers(0, 4, size=(64, n))
+    rows = np.vstack([rows, np.full((2, n), 2), np.full((1, n), 3)])
+    words = ["".join("IXYZ"[letter] for letter in row) for row in rows]
+    x, y, z = word_masks(words, n)
+    got = _letter_code(x, y, z, n, np.empty(len(words), np.int64), np.empty(len(words), np.int64))
+    want = [sum(int(letter) << 2 * (n - 1 - i) for i, letter in enumerate(row)) for row in rows]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("n", [16, 17])
+def test_refusals_on_both_letter_code_paths(monkeypatch, n, block):
+    """At 16 letters a word's code is made by one spread and at 17 by two;
+    under small word blocks both refuse alike.  A fault in the first block
+    and one in a late block give the first kind in ``_FAULTS`` order; a
+    shuffled sum with its first word repeated last is a duplicate, and
+    without the repeat it is accepted."""
+    small_word_blocks(monkeypatch, block)
+    rng = np.random.default_rng(n + block)
+    words = sorted({"".join(rng.choice(list("IXYZ"), n)) for _ in range(12)} - {"I" * n})
+    for earlier, later in product(_FAULTS, repeat=2):
+        masks = [column.copy() for column in word_masks(words, n)]
+        coeffs = np.ones(len(words))
+        _with_fault(masks, coeffs, earlier, 0, n)
+        _with_fault(masks, coeffs, later, len(words) - 2, n)
+        first = min(_FAULTS.index(earlier), _FAULTS.index(later))
+        word = words[0 if _FAULTS[first] == earlier else len(words) - 2]
+        with pytest.raises(ValueError) as refused:
+            WeightedPauliSum._from_masks(n, 0.0, tuple(masks), coeffs, lambda: iter(words))
+        assert str(refused.value) == _fault_message(_FAULTS[first], word, n)
+    shuffled = list(rng.permutation(words))
+    assert shuffled != words
+    with pytest.raises(ValueError) as refused:
+        WeightedPauliSum.from_columns(n, 0.0, [*shuffled, shuffled[0]], [1.0] * (len(words) + 1))
+    assert str(refused.value) == "duplicate Pauli words; merge like terms first"
+    assert WeightedPauliSum.from_columns(n, 0.0, shuffled, [1.0] * len(words)).words == tuple(shuffled)
 
 
 def test_reading_setting_follows_the_z_letter():
