@@ -7,7 +7,8 @@
 # per-term, a readout-flip and a nonzero-angle report from the full report
 # and from its counts alone (with the angle and the flip); the 16-qubit
 # expansion streams its words in every format, and the 20-qubit one
-# (MAX_QUBITS, whose letter codes take two spreads each) has every line;
+# (MAX_QUBITS, whose letter codes take int64 lanes) has every line and
+# the bytes of a sha256 pin;
 # exact and shots reports, grouped and per-term (one exact table of several
 # blocks), re-dump through the stdlib json module to their own text; and at
 # the ring angle 1e300 the exact estimate reads the exact current.
@@ -28,6 +29,8 @@ done
 ringflow decompose --n 20 --format csv > "$tmp/terms-20.csv"
 test "$(wc -l < "$tmp/terms-20.csv")" -eq 11534337
 test "$(tail -n 1 "$tmp/terms-20.csv")" = "ZXXXXXXXXXXXXXXXXXXX,-524288"
+# and every word and weight, byte for byte
+test "$(sha256sum < "$tmp/terms-20.csv" | cut -d ' ' -f 1)" = db124d2cbb930b90191b6c896cc5b3187a78550681373ad0c1cd15d12ac8bffd
 rm "$tmp/terms-20.csv"
 ringflow current --n 3 --theta0 1e300 > "$tmp/theta0-huge.json"
 python -c 'import json, sys; r = json.load(open(sys.argv[1])); print(r["j_estimate"], r["j_exact"]); sys.exit(abs(r["j_estimate"] - r["j_exact"]) > 1e-12 * abs(r["j_exact"]))' "$tmp/theta0-huge.json"

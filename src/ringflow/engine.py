@@ -144,15 +144,20 @@ class Statevector(_ArrayRecord):
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (1 << self.n_qubits,):
-            raise ValueError(
-                f"expected {1 << self.n_qubits} amplitudes, got shape {amps.shape}"
-            )
+        amps = _register_array(self.amplitudes, self.n_qubits, np.complex128, "amplitudes")
         nrm = l2_norm(amps)
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes not normalized (norm {nrm!r})")
         object.__setattr__(self, "amplitudes", amps)
+
+
+def _register_array(values, n_qubits: int, dtype, what: str) -> np.ndarray:
+    """``values`` as a contiguous array of ``dtype``, refused unless it holds
+    one entry per basis index of N qubits."""
+    array = np.ascontiguousarray(values, dtype=dtype)
+    if array.shape != (1 << n_qubits,):
+        raise ValueError(f"expected {1 << n_qubits} {what}, got shape {array.shape}")
+    return array
 
 
 def init_basis(n_qubits: int, index: int) -> Statevector:
@@ -178,9 +183,7 @@ def init_amplitudes(n_qubits: int, amps) -> Statevector:
     """
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
-    arr = np.asarray(amps, dtype=np.complex128)
-    if arr.shape != (1 << n_qubits,):
-        raise ValueError(f"expected {1 << n_qubits} amplitudes, got shape {arr.shape}")
+    arr = _register_array(amps, n_qubits, np.complex128, "amplitudes")
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite amplitude")
     _, e = math.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))
@@ -273,10 +276,32 @@ def z_probabilities(state: Statevector) -> np.ndarray:
 @dataclass(frozen=True, slots=True, eq=False)
 class Distribution(_ArrayRecord):
     """Z-basis outcome probabilities of an N-qubit register by basis index,
-    for ``sample`` to draw from where no ``Statevector`` is at hand."""
+    for ``sample`` to draw from where no ``Statevector`` is at hand: 2^N
+    finite, non-negative float64 entries with a positive, finite sum, which
+    ``sample`` scales to 1."""
 
     n_qubits: int
     probabilities: np.ndarray
+
+    def __post_init__(self):
+        probs = _register_array(self.probabilities, self.n_qubits, np.float64, "probabilities")
+        if not np.isfinite(probs).all():
+            raise ValueError("non-finite probability")
+        if (probs < 0.0).any():
+            raise ValueError("negative probability")
+        with np.errstate(over="ignore"):
+            total = float(probs.sum())
+        if not 0.0 < total < math.inf:
+            raise ValueError(f"probabilities must have a positive, finite sum, got {total!r}")
+        object.__setattr__(self, "probabilities", probs)
+
+    @classmethod
+    def _unchecked(cls, n_qubits: int, probabilities: np.ndarray) -> "Distribution":
+        """Norm-checked float64 probabilities, taken without a second check."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n_qubits", n_qubits)
+        object.__setattr__(out, "probabilities", probabilities)
+        return out
 
 
 def check_shots(shots, what: str) -> None:
@@ -318,14 +343,13 @@ def sample(
     """
     check_shots(shots, "shots")
     check_flip(readout_flip)
-    rng = np.random.default_rng(seed)
     if isinstance(state, Distribution):
         probs = state.probabilities
     else:
         probs = z_probabilities(state)
     if readout_flip > 0.0:
         probs = readout_channel(np.array(probs, dtype=np.float64), readout_flip)
-    return rng.multinomial(shots, probs / probs.sum())
+    return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
 
 
 def readout_channel(table: np.ndarray, flip: float) -> np.ndarray:

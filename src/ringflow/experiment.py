@@ -442,15 +442,15 @@ class _Layout:
 
     The expansion's columns in record order, setting by setting (``words``,
     ``coeffs`` float64, each word's parity mask and ``term_setting``, its
-    setting's index), and per setting, in plan order: its Z mask, basis
-    word and words, a slice of ``words``.  ``family`` is
-    the backflowing family, ``amplitudes`` its prepared state at the ring
-    angle, ``prep`` how it was prepared (copied into each report) and
-    ``j_exact`` its exact current there.  ``outcomes`` is the plan's
-    settings x 2^N float64 table of exact outcome probabilities
-    (``_outcome_rows``), one row per setting in plan order, when it fits one
-    block of _BLOCK_ENTRIES entries; a larger plan has None, and each run
-    makes its rows block by block.
+    setting's index, both intp as they index the outcome table), and per
+    setting, in plan order: its Z mask, basis word and words, a slice of
+    ``words``.  ``family`` is the backflowing family, ``amplitudes`` its
+    prepared state at the ring angle, ``prep`` how it was prepared (copied
+    into each report) and ``j_exact`` its exact current there.  ``outcomes``
+    is the plan's settings x 2^N float64 table of exact outcome
+    probabilities (``_outcome_rows``), one row per setting in plan order,
+    when it fits one block of _BLOCK_ENTRIES entries; a larger plan has
+    None, and each run makes its rows block by block.
     """
 
     words: tuple[str, ...]
@@ -538,7 +538,7 @@ def _build_layout(n_qubits: int, grouped: bool, theta0: float = 0.0) -> _Layout:
         words=words,
         coeffs=_read_only(decomp.coeff_array[order]),
         identity_weight=decomp.identity_weight,
-        parity_masks=_read_only(mx | mz),
+        parity_masks=_read_only(np.bitwise_or(mx, mz, dtype=np.intp)),
         zmasks=zmasks,
         bases=tuple(
             MeasurementSetting.from_z_mask(zmask, n_qubits).basis_word
@@ -603,13 +603,15 @@ def run_simulation(
     the register's layout, built on the first run and kept for N up to
     LAYOUT_CACHE_QUBITS at theta0 = 0.  The run fills its outcome table with
     ``_expectations``, a block of at most _BLOCK_ENTRIES entries at a time:
-    it copies each block's rows from the layout, or makes them as the
-    layout does, with ``_outcome_rows``, puts a readout flip on the whole
-    block with ``engine.readout_channel`` (the channel ``sample`` applies,
+    it copies each block's rows from the layout, or makes them as the layout
+    does, with ``_outcome_rows``, puts a readout flip on the whole block
+    with ``engine.readout_channel`` (the channel ``sample`` applies,
     element-wise, so each row gets the floats it would get alone), draws
-    each row's shots with one multinomial and builds the setting records;
-    each block is then transformed in place.  The term columns are the
-    layout's, setting by setting, as the setting records list their terms.
+    each row's shots with one multinomial (``sample``, from a
+    ``Distribution`` not checked again: the rows are norm-checked) and
+    builds the setting records; each block is then transformed in place.
+    The term columns are the layout's, setting by setting, as the setting
+    records list their terms.
     """
     sampling = shots_per_setting is not None
     if sampling:
@@ -637,7 +639,7 @@ def run_simulation(
             if sampling:
                 entropy = [seed, k]
                 counts = sample(
-                    Distribution(n_qubits, outcomes),
+                    Distribution._unchecked(n_qubits, outcomes),
                     shots_per_setting,
                     seed=np.random.SeedSequence(entropy),
                 )
@@ -952,7 +954,7 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
                 probs = parsed[k][1]
                 row[probs.index] = probs.data
 
-        parity_masks = masks[0] | masks[1] | masks[2]
+        parity_masks = np.bitwise_or(masks[0] | masks[1], masks[2], dtype=np.intp)
         expectation = _expectations(n_qubits, parity_masks, owner, len(parsed), fill)
         setting_records = []
         for i, (setting, probs, counts, _) in enumerate(parsed):

@@ -7,16 +7,16 @@ carrying a single Z with a power-of-two weight.  All coefficients are
 integers, so the dense tensor-product realization can be compared against
 the entry formula with exact integer equality.
 
-Masks first: a ``WeightedPauliSum`` stores each word as three int64 masks
-(its X, Y and Z positions) and its coefficients as one float64 array, both
-read-only, and that is what the engine, the setting plan and the
+Masks first: a ``WeightedPauliSum`` stores each word as three int32 masks
+(its X, Y and Z positions, at most 31) and its coefficients as one float64
+array, all read-only, and that is what the engine, the setting plan and the
 estimators read.  Word strings and the coefficient tuple are made only
 when read, for reports and printing, and then kept.
 ``current_decomposition`` fills its masks in place, one letter at a time,
 reads each weight from its Z mask, and spells its words (``spell_masks``,
 which also spells outcome bitstrings) only when they are asked for; a sum
-built from words takes its masks from ``word_masks`` once.  Either way the
-masks pass one set of bulk checks.
+built from words takes int64 masks from ``word_masks`` once.  Either way
+the masks pass one set of bulk checks, and then are narrowed to int32.
 
 Passes over word columns run in blocks of WORD_BLOCK words, one fixed size:
 a chain of element-wise passes over one block stays in a core's cache, where
@@ -125,7 +125,7 @@ _SPREAD_STEPS = (
 class WeightedPauliSum:
     """identity_weight * I + sum of weighted Pauli words on n_qubits qubits.
 
-    Masks first: the words are stored as ``masks``, three read-only int64
+    Masks first: the words are stored as ``masks``, three read-only int32
     arrays with each word's X, Y and Z positions (as ``word_masks`` gives
     them), and the coefficients as ``coeff_array``, a read-only float64
     array.  The engine, the setting plan and the estimators read only
@@ -144,9 +144,10 @@ class WeightedPauliSum:
     ``n_qubits`` letters over IXYZ and every coefficient finite, the same
     checks ``PauliString`` makes one word at a time.  Words are checked
     only for what masks cannot hold, their lengths and letters; the rest is
-    checked on the masks (``_check_masks``), for at most 31 qubits.  Two
-    sums are equal when they have the same qubit count and identity weight
-    and the same words with the same coefficients in the same order.
+    checked on the masks (``_check_masks``), for at most 31 qubits, before
+    they are narrowed to int32.  Two sums are equal when they have the same
+    qubit count and identity weight and the same words with the same
+    coefficients in the same order.
     """
 
     n_qubits: int
@@ -180,8 +181,8 @@ class WeightedPauliSum:
     def _from_masks(
         cls, n_qubits: int, identity_weight: float, masks, coeff_array, make_words
     ) -> "WeightedPauliSum":
-        """A sum from its int64 masks and float64 coefficient array, which it
-        takes over; ``make_words()`` yields the words when they are first read."""
+        """A sum from its int32 or int64 masks and float64 coefficient array,
+        which it takes over; ``make_words()`` yields the words when read."""
         _check_sizes(n_qubits, identity_weight, len(masks[0]), len(coeff_array))
         _check_masks(n_qubits, masks, coeff_array, lambda i: tuple(make_words())[i])
         out = object.__new__(cls)
@@ -204,11 +205,13 @@ class WeightedPauliSum:
         self._set(n_qubits, identity_weight, masks, coeff_array, words)
 
     def _set(self, n_qubits, identity_weight, masks, coeff_array, words):
+        # only checked masks come here: one beyond 31 bits would wrap
+        masks = tuple(mask.astype(np.int32, copy=False) for mask in masks)
         for array in (*masks, coeff_array):
             array.flags.writeable = False
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "identity_weight", identity_weight)
-        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "coeff_array", coeff_array)
         object.__setattr__(self, "_words", words)
         object.__setattr__(self, "_coeffs", None)
@@ -272,7 +275,7 @@ class WeightedPauliSum:
         }
 
 
-#: Most qubits a sum holds: the int64 base-4 code of ``_check_masks``' words
+#: Most qubits a sum holds: the bits of a non-negative int32 mask
 _SUM_QUBIT_CAP = 31
 
 
@@ -298,7 +301,8 @@ def _check_masks(n_qubits, masks, coeff_array, word) -> None:
     block its word lies in.  Codes that do not ascend are remade and sorted.
     """
     mx, my, mz = masks
-    codes = np.empty(min(len(mx), WORD_BLOCK), dtype=np.int64)
+    lane = np.uint32 if n_qubits <= 16 else np.int64  # holds 2N bits
+    codes = np.empty(min(len(mx), WORD_BLOCK), dtype=lane)
     spare = np.empty_like(codes)
     # the first word beyond N bits, sharing a bit, with a non-finite coefficient
     first = [None, None, None]
@@ -315,8 +319,8 @@ def _check_masks(n_qubits, masks, coeff_array, word) -> None:
                 first[kind] = start + at
         code = _letter_code(x, y, z, n_qubits, codes[: len(x)], spare)
         identity = identity or not code.all()
-        ascending = ascending and code[0] > last and (code[1:] > code[:-1]).all()
-        last = code[-1]
+        ascending = ascending and int(code[0]) > last and (code[1:] > code[:-1]).all()
+        last = int(code[-1])
     outside, shared, bad = first
     if outside is not None:
         raise ValueError(f"term {word(outside)} does not act on {n_qubits} qubits")
@@ -327,7 +331,7 @@ def _check_masks(n_qubits, masks, coeff_array, word) -> None:
     if identity:
         raise ValueError("all-identity term belongs in identity_weight")
     if not ascending:
-        code = np.empty(len(mx), dtype=np.int64)
+        code = np.empty(len(mx), dtype=lane)
         for start in range(0, len(mx), WORD_BLOCK):
             block = slice(start, start + WORD_BLOCK)
             _letter_code(mx[block], my[block], mz[block], n_qubits, code[block], spare)
@@ -339,29 +343,23 @@ def _check_masks(n_qubits, masks, coeff_array, word) -> None:
 def _letter_code(x, y, z, n_qubits, out, spare) -> np.ndarray:
     # one base-4 digit per letter, I X Y Z = 0 1 2 3 with the leftmost
     # letter most significant, so words of one length order as their
-    # codes; a digit's low bit marks X or Z, its high bit Y or Z.  Up to 16
-    # letters, one spread S of the Y-or-Z bits shifted above the N X-or-Z
-    # bits puts them at 2N + 2i, which S >> (2N - 1) moves to 2i + 1
-    codes = np.bitwise_or(x, z, out=out)
-    if 2 * n_qubits > 32:
-        codes = _spread(codes, n_qubits, spare)
-        return np.bitwise_or(codes, _spread(y | z, n_qubits, spare) << 1, out=codes)
-    high = np.bitwise_or(y, z, out=spare[: len(codes)])
-    codes |= np.left_shift(high, n_qubits, out=high)
-    codes = _spread(codes, 2 * n_qubits, spare)
-    np.right_shift(codes, 2 * n_qubits - 1, out=high)
-    codes &= (1 << 2 * n_qubits) - 1
-    return np.bitwise_or(codes, high, out=codes)
+    # codes: spread(X | Z) | spread(Y | Z) << 1, in the lanes of ``out``
+    # and ``spare``, uint32 up to 16 letters and int64 beyond.  Y | Z is
+    # spread in a new array of that type: an int32 one would overflow
+    codes = _spread(np.bitwise_or(x, z, out=out, casting="unsafe"), n_qubits, spare)
+    high = _spread(np.bitwise_or(y, z, dtype=out.dtype, casting="unsafe"), n_qubits, spare)
+    return np.bitwise_or(codes, np.left_shift(high, 1, out=high), out=codes)
 
 
 def _spread(bits: np.ndarray, width: int, spare: np.ndarray) -> np.ndarray:
     """``bits``, each below 2^width, with bit i moved to bit 2i, in place."""
     spare = spare[: len(bits)]
+    held = np.iinfo(bits.dtype).max  # the bits of ``keep`` that the lane holds
     for shift, keep in _SPREAD_STEPS:
         if shift < width:
             np.left_shift(bits, shift, out=spare)
             bits |= spare
-            bits &= keep
+            bits &= keep & held
     return bits
 
 
@@ -518,29 +516,29 @@ def current_decomposition(n_qubits: int) -> WeightedPauliSum:
     words of L letters are those of L - 1 letters after I, the same after X,
     then the {I, X} words of L - 1 letters after Z, whose X masks count up
     from 0.  So the masks are filled in place, one pass per letter over one
-    pair of arrays of ``term_count(N) + 1`` entries that starts with the
-    all-I word, and each weight is read from its Z mask: a Z at position p
-    is the mask bit 2^(N-1-p).  The words are spelled from the masks only
+    pair of int32 arrays of ``term_count(N) + 1`` entries that starts with
+    the all-I word, and each weight is read from its Z mask: a Z at
+    position p is the mask bit 2^(N-1-p).  The words are spelled from the masks only
     when read.  Registers beyond MAX_QUBITS are refused before anything is
     built.
     """
     check_qubits(n_qubits)
     check_register(n_qubits)
     ix_weight = float((1 << n_qubits) - 1)
-    mx, mz = (np.zeros(term_count(n_qubits) + 1, dtype=np.int64) for _ in range(2))
+    mx, mz = (np.zeros(term_count(n_qubits) + 1, dtype=np.int32) for _ in range(2))
     filled = 1  # the all-I word of no letters
     for length in range(n_qubits):
         # the new letter goes in front, so its bit is above the others
         bit = 1 << length
         np.bitwise_or(mx[:filled], bit, out=mx[filled : 2 * filled])
         mz[filled : 2 * filled] = mz[:filled]
-        mx[2 * filled : 2 * filled + bit] = np.arange(bit)
+        mx[2 * filled : 2 * filled + bit] = np.arange(bit, dtype=np.int32)
         mz[2 * filled : 2 * filled + bit] = bit
         filled = 2 * filled + bit
     mx, mz = mx[1:], mz[1:]  # the all-I word is the identity weight
     weights = np.negative(mz, dtype=np.float64)
     weights[mz == 0] = ix_weight
-    masks = (mx, np.zeros(len(mx), dtype=np.int64), mz)
+    masks = (mx, np.zeros(len(mx), dtype=np.int32), mz)
     make_words = partial(spell_masks, (mx, mz), n_qubits, "XZ", "I")
     return WeightedPauliSum._from_masks(n_qubits, ix_weight, masks, weights, make_words)
 

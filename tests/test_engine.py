@@ -765,6 +765,45 @@ class TestProbabilitiesAndSampling:
             got = sample(Distribution(2, z_probabilities(psi2)), 5000, seed=8, readout_flip=flip)
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([0.5, 0.5], r"expected 8 probabilities, got shape \(2,\)"),
+            (np.full((2, 4), 0.125), r"expected 8 probabilities, got shape \(2, 4\)"),
+            ([0.5, math.nan, 0, 0, 0, 0, 0, 0.5], "non-finite probability"),
+            ([0.5, math.inf, 0, 0, 0, 0, 0, 0.5], "non-finite probability"),
+            ([0.75, -0.25, 0, 0, 0, 0, 0, 0.5], "negative probability"),
+            ([0.0] * 8, "positive, finite sum, got 0.0"),
+            ([1e308] * 8, "positive, finite sum, got inf"),
+        ],
+        ids=["short", "two-rows", "nan", "inf", "negative", "zero-sum", "sum-overflows"],
+    )
+    def test_distribution_refuses_what_cannot_be_drawn(self, probs, message):
+        """A 3-qubit ``Distribution`` needs 8 finite, non-negative entries
+        with a positive, finite sum; two entries once drew two counts."""
+        with pytest.raises(ValueError, match=message):
+            Distribution(3, np.array(probs))
+
+    def test_simulation_draws_without_a_second_check(self, monkeypatch):
+        """``run_simulation``'s outcome rows are norm-checked once, so it
+        draws from them without ``Distribution``'s checks, whose cost shows
+        in a sweep of small registers."""
+        def refuse(self):
+            raise AssertionError("outcome rows checked again")
+
+        monkeypatch.setattr(Distribution, "__post_init__", refuse)
+        for flip in (0.0, 0.01):
+            assert run_simulation(3, 100, seed=1, readout_flip=flip).mode == "shots"
+
+    def test_distribution_keeps_unnormalized_weights(self):
+        """Weights with a positive sum are kept as float64 and drawn
+        scaled to 1, as before."""
+        dist = Distribution(1, [1, 3])
+        assert dist.probabilities.dtype == np.float64
+        np.testing.assert_array_equal(
+            sample(dist, 1000, seed=4), sample(Distribution(1, [0.25, 0.75]), 1000, seed=4)
+        )
+
     def test_huge_shot_count_refused(self):
         """Counts are drawn as int64: more shots than that is a ValueError
         that names the value, not an OverflowError from the generator."""

@@ -374,8 +374,72 @@ def test_decomposition_equals_level_by_level_build(n):
     assert dec.coeffs == tuple(weights[1:])
     assert all(type(c) is float for c in dec.coeffs)
     for got, want in zip(dec.masks, word_masks(dec.words, n)):
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         assert np.array_equal(got, want)
+
+
+_SUM_WORDS = ["XYZ", "ZIX", "IIY"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: WeightedPauliSum(3, 0.5, (PauliString(w, 1.0) for w in _SUM_WORDS)),
+        lambda: WeightedPauliSum.from_columns(3, 0.5, _SUM_WORDS, [1.0, 2.0, 3.0]),
+        lambda: WeightedPauliSum._from_masks(
+            3, 0.5, word_masks(_SUM_WORDS, 3), np.ones(3), lambda: iter(_SUM_WORDS)
+        ),
+        lambda: WeightedPauliSum._from_masks(
+            3, 0.5, tuple(m.astype(np.int32) for m in word_masks(_SUM_WORDS, 3)), np.ones(3),
+            lambda: iter(_SUM_WORDS),
+        ),
+        lambda: WeightedPauliSum.from_columns(3, 0.5, _SUM_WORDS, [1.0, 2.0, 3.0])._take(
+            np.array([2, 0])
+        ),
+        lambda: current_decomposition(6)._take(np.array([40, 0, 17])),
+        lambda: current_decomposition(6),
+    ],
+    ids=["terms", "from_columns", "from-int64-masks", "from-int32-masks", "take",
+         "take-decomposition", "decomposition"],
+)
+def test_every_constructor_stores_read_only_int32_masks(make):
+    """A sum holds at most 31 qubits, so each constructor stores its masks
+    as int32 columns, read-only, equal to the int64 ``word_masks`` of its
+    words."""
+    op = make()
+    for got, want in zip(op.masks, word_masks(op.words, op.n_qubits)):
+        assert got.dtype == np.int32
+        assert not got.flags.writeable
+        assert np.array_equal(got, want)
+
+
+def test_leftmost_of_31_letters_round_trips():
+    """At 31 qubits the leftmost letter is bit 30, the top bit of a
+    non-negative int32: words to masks to words again, and through
+    ``_from_masks`` and ``_take``."""
+    words = ["X" + "I" * 30, "Z" + "Y" * 30, "Y" + "Z" * 30, "I" * 30 + "X"]
+    op = WeightedPauliSum.from_columns(31, 0.0, words, [1.0, 2.0, 3.0, 4.0])
+    assert [m[:3].tolist() for m in op.masks] == [
+        [1 << 30, 0, 0], [0, (1 << 30) - 1, 1 << 30], [0, 1 << 30, (1 << 30) - 1]
+    ]
+    assert list(spell_masks(op.masks, 31, "XYZ", "I")) == words
+    again = WeightedPauliSum._from_masks(31, 0.0, op.masks, op.coeff_array, lambda: iter(words))
+    assert again == op and again.words == tuple(words)
+    assert op._take(np.array([3, 0])).words == (words[3], words[0])
+
+
+@pytest.mark.parametrize("column", range(3))
+@pytest.mark.parametrize("bit", [31, 32])
+def test_int64_masks_beyond_31_bits_are_refused_not_wrapped(bit, column):
+    """int64 masks with a bit at or beyond N = 31 are refused with the
+    message of a word too long, before they are narrowed: bit 32 would wrap
+    to nothing in int32 and bit 31 to the sign."""
+    words = ["X" + "I" * 30, "I" * 30 + "Z"]
+    masks = [m.copy() for m in word_masks(words, 31)]
+    masks[column][1] |= 1 << bit
+    with pytest.raises(ValueError) as refused:
+        WeightedPauliSum._from_masks(31, 0.0, tuple(masks), np.ones(2), lambda: iter(words))
+    assert str(refused.value) == f"term {words[1]} does not act on 31 qubits"
 
 
 _DECOMPOSITION_PEAK_SCRIPT = """
@@ -402,22 +466,23 @@ def _decomposition_peak_kb(n: int) -> int:
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_eighteen_qubit_decomposition_peak_memory():
-    """``current_decomposition(18)`` (2 621 439 words: 80 MiB of masks and
-    weights) peaks at no more than 240 MiB.  The checks' temporaries go
-    before the letter code is built; with all of them alive at once the
-    peak was 273 MiB."""
+    """``current_decomposition(18)`` (2 621 439 words: 40 MiB of int32 X
+    and Z masks and float64 weights) peaks at no more than 85 MiB, and at
+    72 MiB on a 2-vCPU Xeon host; with int64 masks it peaked at 92 MiB, and
+    with all the checks' temporaries alive at once at 273 MiB."""
     peak_kb = _decomposition_peak_kb(18)
-    assert peak_kb <= 240 * 1024, f"peak {peak_kb / 1024:.0f} MiB"
+    assert peak_kb <= 85 * 1024, f"peak {peak_kb / 1024:.0f} MiB"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_twenty_qubit_decomposition_peak_memory():
-    """``current_decomposition(20)`` (11 534 335 words: 264 MiB of X and Z
-    masks and weights) peaks at no more than 330 MiB.  Its words ascend, so
-    the checks keep one block of letter codes and the peak is 305 MiB;
-    with the whole 88 MiB column of codes kept, 383 MiB."""
+    """``current_decomposition(20)`` (11 534 335 words: 176 MiB of int32 X
+    and Z masks and float64 weights) peaks at no more than 250 MiB.  Its
+    words ascend, so the checks keep one block of letter codes and the peak
+    is 216 MiB; with int64 masks it was 305 MiB, and with the whole 88 MiB
+    column of codes kept as well, 383 MiB."""
     peak_kb = _decomposition_peak_kb(20)
-    assert peak_kb <= 330 * 1024, f"peak {peak_kb / 1024:.0f} MiB"
+    assert peak_kb <= 250 * 1024, f"peak {peak_kb / 1024:.0f} MiB"
 
 
 @pytest.mark.parametrize("block", [None, 7], ids=["whole", "small-blocks"])
@@ -726,7 +791,8 @@ _FAULTS = ("outside", "shared", "non-finite", "identity", "duplicate")
 
 def _with_fault(masks, coeffs, kind, i, n):
     if kind == "outside":
-        masks[0][i] |= 1 << n
+        # at N = 31, bit 31 of an int32 column is its sign
+        masks[0][i] |= np.int64(1 << n).astype(masks[0].dtype)
     elif kind == "shared":
         masks[0][i] |= 1
         masks[2][i] |= 1
@@ -811,8 +877,9 @@ def test_identity_word_in_a_later_block_is_refused(monkeypatch, at):
 @pytest.mark.parametrize("n", range(1, 32))
 def test_letter_code_is_the_base_four_numeral(n):
     """One digit per letter, I X Y Z = 0 1 2 3, the leftmost most
-    significant: through one spread up to 16 letters and two beyond, on
-    random words with the all-Y and all-Z words, whose digits reach the top."""
+    significant, on random words with the all-Y and all-Z words, whose
+    digits reach the top: in int64 lanes from int64 masks, and from int32
+    masks in the lane ``_check_masks`` gives N letters, uint32 up to 16."""
     rows = np.random.default_rng(n).integers(0, 4, size=(64, n))
     rows = np.vstack([rows, np.full((2, n), 2), np.full((1, n), 3)])
     words = ["".join("IXYZ"[letter] for letter in row) for row in rows]
@@ -820,21 +887,22 @@ def test_letter_code_is_the_base_four_numeral(n):
     got = _letter_code(x, y, z, n, np.empty(len(words), np.int64), np.empty(len(words), np.int64))
     want = [sum(int(letter) << 2 * (n - 1 - i) for i, letter in enumerate(row)) for row in rows]
     assert got.tolist() == want
+    lane = np.uint32 if n <= 16 else np.int64
+    narrow = (m.astype(np.int32) for m in (x, y, z))
+    got = _letter_code(*narrow, n, np.empty(len(words), lane), np.empty(len(words), lane))
+    assert got.dtype == lane and got.tolist() == want
 
 
-@pytest.mark.parametrize("block", [1, 3, 7])
-@pytest.mark.parametrize("n", [16, 17])
-def test_refusals_on_both_letter_code_paths(monkeypatch, n, block):
-    """At 16 letters a word's code is made by one spread and at 17 by two;
-    under small word blocks both refuse alike.  A fault in the first block
-    and one in a late block give the first kind in ``_FAULTS`` order; a
-    shuffled sum with its first word repeated last is a duplicate, and
-    without the repeat it is accepted."""
-    small_word_blocks(monkeypatch, block)
+def _refusals_and_repeats(n, block, dtype):
+    """Every pair of faults on the first word and a late one, in columns of
+    ``dtype``, gives the first kind in ``_FAULTS`` order; a shuffled sum
+    with its first word repeated last is a duplicate, and without the
+    repeat it is accepted, from words and from masks alike."""
     rng = np.random.default_rng(n + block)
-    words = sorted({"".join(rng.choice(list("IXYZ"), n)) for _ in range(12)} - {"I" * n})
+    words = {"".join(rng.choice(list("IXYZ"), n)) for _ in range(12)}
+    words = sorted(words | {"Y" * n, "Z" * n} - {"I" * n})
     for earlier, later in product(_FAULTS, repeat=2):
-        masks = [column.copy() for column in word_masks(words, n)]
+        masks = [column.astype(dtype) for column in word_masks(words, n)]
         coeffs = np.ones(len(words))
         _with_fault(masks, coeffs, earlier, 0, n)
         _with_fault(masks, coeffs, later, len(words) - 2, n)
@@ -845,10 +913,40 @@ def test_refusals_on_both_letter_code_paths(monkeypatch, n, block):
         assert str(refused.value) == _fault_message(_FAULTS[first], word, n)
     shuffled = list(rng.permutation(words))
     assert shuffled != words
-    with pytest.raises(ValueError) as refused:
-        WeightedPauliSum.from_columns(n, 0.0, [*shuffled, shuffled[0]], [1.0] * (len(words) + 1))
-    assert str(refused.value) == "duplicate Pauli words; merge like terms first"
-    assert WeightedPauliSum.from_columns(n, 0.0, shuffled, [1.0] * len(words)).words == tuple(shuffled)
+    for terms in (shuffled, [*shuffled, shuffled[0]]):
+        masks = tuple(column.astype(dtype) for column in word_masks(terms, n))
+        for make in (
+            lambda: WeightedPauliSum.from_columns(n, 0.0, terms, [1.0] * len(terms)),
+            lambda: WeightedPauliSum._from_masks(
+                n, 0.0, masks, np.ones(len(terms)), lambda: iter(terms)
+            ),
+        ):
+            if terms is shuffled:
+                assert make().words == tuple(shuffled)
+            else:
+                with pytest.raises(ValueError) as refused:
+                    make()
+                assert str(refused.value) == "duplicate Pauli words; merge like terms first"
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("n", [16, 17])
+def test_refusals_on_both_letter_code_paths(monkeypatch, n, block):
+    """Up to 16 letters a word's code is made in uint32 lanes and at 17 in
+    int64 ones; under small word blocks both refuse alike, from int64
+    columns as ``word_masks`` gives them."""
+    small_word_blocks(monkeypatch, block)
+    _refusals_and_repeats(n, block, np.int64)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("n", [16, 17, 24, 31])
+def test_refusals_on_both_letter_code_lanes_from_int32_columns(monkeypatch, n, block):
+    """The same refusals and repeats from int32 columns, as a sum stores
+    its masks, in both lanes and up to the widest sum, where an outside
+    bit is the sign of an int32."""
+    small_word_blocks(monkeypatch, block)
+    _refusals_and_repeats(n, block, np.int32)
 
 
 def test_reading_setting_follows_the_z_letter():
