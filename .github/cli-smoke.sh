@@ -6,9 +6,9 @@
 # reproduce the j_estimate, j_exact and readout_flip of a grouped, a
 # per-term, a readout-flip and a nonzero-angle report from the full report
 # and from its counts alone (with the angle and the flip); the 16-qubit
-# expansion streams its words in every format, and the 20-qubit one
-# (MAX_QUBITS, whose letter codes take int64 lanes) has every line and
-# the bytes of a sha256 pin;
+# expansion has the bytes of a sha256 pin in every format, and the 20-qubit
+# one (MAX_QUBITS, whose letter codes take int64 lanes) has every line, its
+# seven-digit weight 2^20 - 1 written in full and the bytes of a pin;
 # exact and shots reports, grouped and per-term (one exact table of several
 # blocks), re-dump through the stdlib json module to their own text; and at
 # the ring angle 1e300 the exact estimate reads the exact current.
@@ -22,15 +22,20 @@ while read -r command; do
   echo "+ $command"
   $command < /dev/null > /dev/null
 done < "$tmp/cli-commands.txt"
-for format in json csv table; do
-  ringflow decompose --n 16 --format "$format" > /dev/null
+# sha256 of each 16-qubit expansion, in json, csv and table
+for pin in json:7126521241dca9e3ab9562d65a1e1e6519fd6c01d37189df1722ea6f834e9464 \
+    csv:c970149c99a4dff14c603ba9475416d645137a3bd7f466de6b449d9c1568fd82 \
+    table:5fcec4dffb893744421c2ccc2e1a193e1dbf547f3ef5b61ac4c7cf93ae19b15e; do
+  test "$(ringflow decompose --n 16 --format "${pin%%:*}" | sha256sum | cut -d ' ' -f 1)" = "${pin#*:}"
 done
 # a header, the identity row and term_count(20) = 11 534 335 words
 ringflow decompose --n 20 --format csv > "$tmp/terms-20.csv"
 test "$(wc -l < "$tmp/terms-20.csv")" -eq 11534337
 test "$(tail -n 1 "$tmp/terms-20.csv")" = "ZXXXXXXXXXXXXXXXXXXX,-524288"
+# the identity weighs 2^20 - 1, which six significant digits round
+test "$(sed -n 2p "$tmp/terms-20.csv")" = "IIIIIIIIIIIIIIIIIIII,1048575.0"
 # and every word and weight, byte for byte
-test "$(sha256sum < "$tmp/terms-20.csv" | cut -d ' ' -f 1)" = db124d2cbb930b90191b6c896cc5b3187a78550681373ad0c1cd15d12ac8bffd
+test "$(sha256sum < "$tmp/terms-20.csv" | cut -d ' ' -f 1)" = 9dc17422d01fe2f82356ad9dc53bd47e810ac3c3ed130c22c224a06d3de0ca1e
 rm "$tmp/terms-20.csv"
 ringflow current --n 3 --theta0 1e300 > "$tmp/theta0-huge.json"
 python -c 'import json, sys; r = json.load(open(sys.argv[1])); print(r["j_estimate"], r["j_exact"]); sys.exit(abs(r["j_estimate"] - r["j_exact"]) > 1e-12 * abs(r["j_exact"]))' "$tmp/theta0-huge.json"

@@ -23,41 +23,32 @@ one call, its item separator carrying the newline and indent.  Scalars,
 key order, escapes and the refusal of NaN and infinity thus come from the
 same C code that ``json.dumps`` uses.
 
-The two bulky parts of a report are written from the report's own
-columns, which ``ExperimentReport.to_dict(columns=True)`` leaves in
-place: ``_render`` writes a ``TermRecords`` as the term list, from
-slices of its columns, and an ``Outcomes`` as ``"key": value`` rows in
-ascending key order.  So is the term list of ``decompose``: ``_render``
-writes a ``WeightedPauliSum`` as the ``terms`` of its ``to_dict``, from
-its word and coefficient columns.
-Every row follows one template, whose fixed parts are interleaved with
-the column texts in an object grid and joined, so no row string is
-made; the word quotes and a column that is one text for every row (the
-``std_error`` nulls of an exact report) join the fixed parts.  Term words
-are expansion words over IXYZ and keys are bitstrings, so neither is
-escaped.  The texts come from tables that one render fills as it needs
-them and every block of that render shares (``_Tables``): float text is
-``float.__repr__``, which is what the C encoder writes, made once per
-distinct bit pattern in the render (``np.unique`` over a block's int64
-view, so -0.0 and 0.0 stay apart), and an outcome row's key head, newline
-and indent included, once per basis index and map shape.  The tables hold
-one text per distinct float of the report and at most 2^N heads per shape
-(93 k floats and 65 536 heads, about 13 MB, for the 16-qubit exact
-report); nothing is built at import, and they go with the render's chunks.
+Every bulky part of the output is written by one row writer,
+``_row_blocks``, from columns: a report's term list and outcome maps
+(``TermRecords`` and ``Outcomes``, which ``to_dict(columns=True)`` leaves
+in place), the term list of ``decompose`` (a ``WeightedPauliSum``) and
+the term lines of csv and table.  A block of rows is an object grid of
+pieces, each one text for every row or one text per row, joined once, so
+no row string is made; words over IXYZ and bitstring keys need no
+escapes.  The texts come from tables that every block of one render
+shares (``_Tables``): a float's text once per bit pattern and format, so
+-0.0 and 0.0 stay apart, and an outcome key head once per basis index and
+map shape (93 k floats and 65 536 heads, about 13 MB, for the 16-qubit
+exact JSON report).  JSON's float text is ``float.__repr__``, as the C
+encoder writes it; a csv or table weight is ``g`` text if that reads
+back as the same float, else ``repr`` (2^20 - 1 has seven digits).
 
 Writing goes in two passes.  The first encodes every flat container and
-checks every column with ``np.isfinite``, so a report holding NaN or
-infinity is refused before anything is written.  The second writes the
-pieces in order, the term list and outcome maps ``_BLOCK_ROWS`` rows at a
-time, so at most one block's text exists at once.  csv and table text
-is written ``_BLOCK_ROWS`` words or terms at a time too, each line
-formatted from that block's columns, which are read only when it is
-written.
+checks every JSON column with ``np.isfinite``, so a report holding NaN
+or infinity is refused before anything is written.  The second writes
+the pieces in order and the rows ``_BLOCK_ROWS`` at a time, so at most
+one block's text exists at once.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -248,11 +239,8 @@ def _unwritable(path: str, exc: OSError) -> int:
 
 
 _INDENT = "  "
-#: Rows of a term list or an outcome map made into text and written at a
-#: time, and the most plain pieces written in one chunk
+#: Rows made into text and written at a time, and the most plain pieces in one chunk
 _BLOCK_ROWS = 1 << 13
-# by exact type: a payload holds plain containers and the report's columns
-_CONTAINERS = frozenset((dict, list, tuple, TermRecords, Outcomes, WeightedPauliSum))
 
 
 def _texts(strings) -> np.ndarray:
@@ -260,59 +248,62 @@ def _texts(strings) -> np.ndarray:
     return np.fromiter(strings, dtype=object)
 
 
-def _float_reprs(bits: np.ndarray) -> map:
-    """``float.__repr__`` of each float64 given as its int64 bit pattern."""
-    return map(float.__repr__, bits.view(np.float64).tolist())
+def _format_floats(bits: np.ndarray, spec) -> list:
+    """The text of each float64, given as its int64 bit pattern, by ``spec``:
+    a callable or a format string.  A ``g`` text that reads back as another
+    float gives way to the format without ``g``: ``repr``, signed and padded."""
+    values = bits.view(np.float64).tolist()
+    if callable(spec):
+        return list(map(spec, values))
+    texts = list(map(spec.format, values))
+    if spec.endswith("g}"):  # six digits: a value they round is written in full
+        full = (spec[:-2] + "}").format
+        texts = [t if float(t) == v else full(v) for t, v in zip(texts, values)]
+    return texts
+
+
+@functools.cache
+def _encoder(depth: int):
+    """C-backed ``encode`` for flat containers at ``depth``: its item
+    separator carries the newline and the indent of depth + 1."""
+    return json.JSONEncoder(
+        sort_keys=True,
+        allow_nan=False,
+        check_circular=False,
+        separators=(",\n" + _INDENT * (depth + 1), ": "),
+    ).encode
 
 
 class _Tables:
     """The texts that every block of one render shares, each made when first
     needed and dropped with the render's chunks.
 
-    ``encoders[depth]`` encodes flat containers at ``depth``; ``floats``
-    maps an int64 bit pattern to its float text, so -0.0 and 0.0 stay
-    apart; ``heads[(n_qubits, depth)]`` is the key head
-    ``,\\n<indent>"<bits>": `` of each basis index, 2^n_qubits long, with a
-    flag per index that tells whether it has been made.
+    ``floats[spec]`` maps an int64 bit pattern to its text by ``spec``, so
+    -0.0 and 0.0 stay apart; ``heads[(n_qubits, depth)]`` is the key head
+    ``,\\n<indent>"<bits>": `` of each basis index, 2^n_qubits long, with
+    a flag per index that tells whether it has been made.
     """
 
-    __slots__ = ("encoders", "floats", "heads")
+    __slots__ = ("floats", "heads")
 
     def __init__(self):
-        self.encoders: list = []
         self.floats: dict = {}
         self.heads: dict = {}
 
-    def encoder(self, depth: int):
-        """C-backed ``encode`` for flat containers at ``depth``: its item
-        separator carries the newline and the indent of depth + 1."""
-        # recursion reaches each depth from the one above
-        if depth == len(self.encoders):
-            self.encoders.append(
-                json.JSONEncoder(
-                    sort_keys=True,
-                    allow_nan=False,
-                    check_circular=False,
-                    separators=(",\n" + _INDENT * (depth + 1), ": "),
-                ).encode
-            )
-        return self.encoders[depth]
-
-    def float_texts(self, values: np.ndarray) -> np.ndarray:
-        """The text of each finite value, as an object array; only bit
-        patterns that no earlier block of the render had are made."""
+    def float_texts(self, values: np.ndarray, spec=float.__repr__) -> np.ndarray:
+        """The text of each value by ``spec`` (JSON's by default), as an object
+        array; only bit patterns new to the render's ``spec`` are made."""
         bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
         keys = bits.tolist()
-        table = self.floats
+        table = self.floats.setdefault(spec, {})
         new = [key for key in keys if key not in table]
         if new:
-            table.update(zip(new, _float_reprs(np.array(new, dtype=np.int64))))
+            table.update(zip(new, _format_floats(np.array(new, dtype=np.int64), spec)))
         return _texts(map(table.__getitem__, keys))[inverse]
 
     def key_heads(self, n_qubits: int, index: np.ndarray, depth: int) -> np.ndarray:
         """The key head of each basis index of a map at ``depth``, as an
-        object array; only heads that no earlier map of this shape had are
-        made."""
+        object array; only heads new to the render's map shape are made."""
         shape = (n_qubits, depth)
         if shape not in self.heads:
             size = 1 << n_qubits
@@ -329,27 +320,18 @@ class _Tables:
         return heads[index]
 
 
-def _refuse_non_finite(values: np.ndarray, encode) -> None:
-    """Raise ``encode``'s own error for the first NaN or infinity in ``values``."""
+def _refuse_non_finite(values: np.ndarray) -> None:
+    """Raise the JSON encoder's own error for the first NaN or infinity in ``values``."""
     bad = ~np.isfinite(values)
     if bad.any():
-        encode(values[bad][0].item())
+        _encoder(0)(values[bad][0].item())
 
 
-def _row_blocks(open_: str, row_pieces, rows: int, close: str, depth: int):
-    """Yield a container with one row per line, as json.dumps lays it out,
-    ``_BLOCK_ROWS`` rows at a time.
-
-    ``row_pieces(start, stop)`` gives the pieces of rows start to stop - 1,
-    in order: each one text for every row or an object array of one text
-    per row.  A row starts with the "," that follows the row before it,
-    which the first row swaps for ``open_``.  A block's pieces, runs of
-    shared texts joined into one, are interleaved in an object grid that
-    is joined once, so no row string is made.
-    """
-    if not rows:
-        yield open_ + close
-        return
+def _row_blocks(row_pieces, rows: int):
+    """Yield the text of ``rows`` rows, ``_BLOCK_ROWS`` rows at a time, from
+    ``row_pieces(start, stop)``: the pieces of those rows, each one text for
+    every row or an object array of one text per row.  A block's pieces are
+    interleaved in an object grid that is joined once."""
     for start in range(0, rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, rows)
         columns: list = []
@@ -361,21 +343,35 @@ def _row_blocks(open_: str, row_pieces, rows: int, close: str, depth: int):
         grid = np.empty((stop - start, len(columns)), dtype=object)
         for k, column in enumerate(columns):
             grid[:, k] = column
-        if not start:
-            grid[0, 0] = open_ + grid[0, 0][1:]
         yield "".join(grid.ravel().tolist())
+
+
+def _json_rows(open_: str, row_pieces, rows: int, close: str, depth: int):
+    """Yield a container with one row per line, as json.dumps lays it out:
+    each row starts with a ",", which the first row swaps for ``open_``."""
+    if not rows:
+        yield open_ + close
+        return
+    blocks = _row_blocks(row_pieces, rows)
+    yield open_ + next(blocks)[1:]
+    yield from blocks
     yield "\n" + _INDENT * depth + close
 
 
-def _object_parts(keys, depth: int) -> list:
-    """The fixed parts of a list item that is an object with ``keys`` (in
-    sorted order, none needing escapes): the text before each value, then
-    the text after the last."""
+def _object_list(fields, rows: int, depth: int):
+    """Yield a list of objects, one per row, as json.dumps lays it out.
+    ``fields(start, stop)`` gives the keys of rows start to stop - 1 in
+    sorted order, none needing escapes, each with its value's pieces."""
     inner = ",\n" + _INDENT * (depth + 2)
-    parts = [f'{inner}"{key}": ' for key in keys]
-    parts[0] = ",\n" + _INDENT * (depth + 1) + "{" + parts[0][1:]
-    parts.append("\n" + _INDENT * (depth + 1) + "}")
-    return parts
+    lead = ",\n" + _INDENT * (depth + 1) + "{" + inner[1:]
+
+    def row_pieces(start, stop):
+        pieces: list = []
+        for key, value in fields(start, stop):
+            pieces += (f'{inner if pieces else lead}"{key}": ', *value)
+        return [*pieces, "\n" + _INDENT * (depth + 1) + "}"]
+
+    return _json_rows("[", row_pieces, rows, "]", depth)
 
 
 def _terms_blocks(records: TermRecords, depth: int, tables: _Tables):
@@ -384,43 +380,35 @@ def _terms_blocks(records: TermRecords, depth: int, tables: _Tables):
     std = records.std_error
     for column in (records.coeffs, records.expectation, std):
         if column is not None:
-            _refuse_non_finite(column, tables.encoder(depth))
+            _refuse_non_finite(column)
     # setting -1 picks the appended "null"
     names = _texts([*map(encode_basestring_ascii, records.bases), "null"])
-    coeff, expectation, setting, std_error, word, end = _object_parts(
-        ("coeff", "expectation", "setting", "std_error", "word"), depth
-    )
 
-    def row_pieces(start, stop):
+    def fields(start, stop):
         rows = slice(start, stop)
-        # the words are expansion words over IXYZ: they need no escaping
         return [
-            coeff, tables.float_texts(records.coeffs[rows]),
-            expectation, tables.float_texts(records.expectation[rows]),
-            setting, names[records.setting_index[rows]],
-            std_error, "null" if std is None else tables.float_texts(std[rows]),
-            word + '"', _texts(records.words[rows]),
-            '"' + end,
+            ("coeff", [tables.float_texts(records.coeffs[rows])]),
+            ("expectation", [tables.float_texts(records.expectation[rows])]),
+            ("setting", [names[records.setting_index[rows]]]),
+            ("std_error", ["null" if std is None else tables.float_texts(std[rows])]),
+            ("word", ['"', _texts(records.words[rows]), '"']),
         ]
 
-    return _row_blocks("[", row_pieces, len(records), "]", depth)
+    return _object_list(fields, len(records), depth)
 
 
 def _sum_terms_blocks(op_sum: WeightedPauliSum, depth: int, tables: _Tables):
     """A sum's term list, as ``WeightedPauliSum.to_dict`` holds it, from its
-    coefficient and word columns (a sum's coefficients are finite, its
-    words over IXYZ); its text is made a block at a time as it is read."""
+    finite coefficients and its words, made a block at a time as read."""
     words, coeffs = op_sum.iter_words(), op_sum.coeff_array
-    coeff, word, end = _object_parts(("coeff", "word"), depth)
 
-    def row_pieces(start, stop):  # asked for the blocks in order
+    def fields(start, stop):  # asked for the blocks in order
         return [
-            coeff, tables.float_texts(coeffs[start:stop]),
-            word + '"', _texts(islice(words, stop - start)),
-            '"' + end,
+            ("coeff", [tables.float_texts(coeffs[start:stop])]),
+            ("word", ['"', _texts(islice(words, stop - start)), '"']),
         ]
 
-    return _row_blocks("[", row_pieces, len(coeffs), "]", depth)
+    return _object_list(fields, len(coeffs), depth)
 
 
 def _outcomes_blocks(outcomes: Outcomes, depth: int, tables: _Tables):
@@ -430,7 +418,7 @@ def _outcomes_blocks(outcomes: Outcomes, depth: int, tables: _Tables):
     n_qubits, index, data = outcomes.n_qubits, outcomes.index, outcomes.data
     counts = isinstance(data, tuple)
     if not counts:
-        _refuse_non_finite(data, tables.encoder(depth))
+        _refuse_non_finite(data)
 
     def row_pieces(start, stop):
         heads = tables.key_heads(n_qubits, index[start:stop], depth)
@@ -438,20 +426,21 @@ def _outcomes_blocks(outcomes: Outcomes, depth: int, tables: _Tables):
             return [heads, _texts(map(int.__repr__, data[start:stop]))]
         return [heads, tables.float_texts(data[start:stop])]
 
-    return _row_blocks("{", row_pieces, len(index), "}", depth)
+    return _json_rows("{", row_pieces, len(index), "}", depth)
+
+
+# by exact type: the writers of column containers, and every container a payload holds
+_WRITERS = {
+    TermRecords: _terms_blocks, Outcomes: _outcomes_blocks, WeightedPauliSum: _sum_terms_blocks
+}
+_CONTAINERS = frozenset((dict, list, tuple, *_WRITERS))
 
 
 def _render(value, depth: int, out: list, tables: _Tables) -> None:
-    if type(value) is TermRecords:
-        out.append(_terms_blocks(value, depth, tables))
+    if type(value) in _WRITERS:
+        out.append(_WRITERS[type(value)](value, depth, tables))
         return
-    if type(value) is Outcomes:
-        out.append(_outcomes_blocks(value, depth, tables))
-        return
-    if type(value) is WeightedPauliSum:
-        out.append(_sum_terms_blocks(value, depth, tables))
-        return
-    encode = tables.encoder(depth)
+    encode = _encoder(depth)
     if isinstance(value, dict):
         children = value.values()
     elif isinstance(value, (list, tuple)):
@@ -466,21 +455,18 @@ def _render(value, depth: int, out: list, tables: _Tables) -> None:
         else:
             out.append(text)
         return
-    newline = "\n" + _INDENT * (depth + 1)
     if isinstance(value, dict):
-        out.append("{")
-        for i, (key, child) in enumerate(sorted(value.items())):
-            # '"key": ' cut from the encoding of {key: null}, so that the key
-            # is converted and escaped as json does it
-            out.append(("," if i else "") + newline + encode({key: None})[1:-5])
-            _render(child, depth + 1, out, tables)
-        out.append("\n" + _INDENT * depth + "}")
+        # '"key": ' cut from the encoding of {key: null}, so that the key
+        # is converted and escaped as json does it
+        items = [(encode({key: None})[1:-5], child) for key, child in sorted(value.items())]
+        brackets = "{}"
     else:
-        out.append("[")
-        for i, child in enumerate(value):
-            out.append(("," if i else "") + newline)
-            _render(child, depth + 1, out, tables)
-        out.append("\n" + _INDENT * depth + "]")
+        items, brackets = [("", child) for child in value], "[]"
+    out.append(brackets[0])
+    for i, (key, child) in enumerate(items):
+        out.append(("," if i else "") + "\n" + _INDENT * (depth + 1) + key)
+        _render(child, depth + 1, out, tables)
+    out.append("\n" + _INDENT * depth + brackets[1])
 
 
 def _json_chunks(payload):
@@ -497,14 +483,13 @@ def _json_chunks(payload):
 
 
 def _chunks(pieces: list):
-    # plain pieces joined _BLOCK_ROWS at a time, row blocks as they come
+    # plain pieces joined by the row writer as rows of one piece, row blocks as they come
     for plain, group in groupby(pieces, lambda piece: type(piece) is str):
-        if not plain:
+        if plain:
+            texts = _texts(group)
+            yield from _row_blocks(lambda start, stop: [texts[start:stop]], len(texts))
+        else:
             yield from chain.from_iterable(group)
-            continue
-        group = list(group)
-        for start in range(0, len(group), _BLOCK_ROWS):
-            yield "".join(group[start : start + _BLOCK_ROWS])
 
 
 def _sum_chunks(op_sum: WeightedPauliSum, fmt: str, dense):
@@ -514,32 +499,41 @@ def _sum_chunks(op_sum: WeightedPauliSum, fmt: str, dense):
         if dense is not None:
             payload["dense"] = dense.tolist()
         return _json_chunks(payload)
-    identity = f"{op_sum.identity_weight:g}"
+    tables = _Tables()
+    words, coeffs = op_sum.iter_words(), op_sum.coeff_array
+    identity = tables.float_texts(np.array([op_sum.identity_weight]), "{:g}")[0]
     if fmt == "csv":  # a header, then one line per word
-        first, line = f"word,coeff\n{'I' * op_sum.n_qubits},{identity}", "\n{},{:g}"
+        first, spec = f"word,coeff\n{'I' * op_sum.n_qubits},{identity}", "{:g}"
     else:  # one line of words, then the rows of any dense matrix
-        first, line = identity, " {1:+g}*{0}"
-    lines = map(line.format, op_sum.iter_words(), op_sum.coeff_array)
-    # the lines joined _BLOCK_ROWS at a time, as they are read
-    blocks = iter(lambda: "".join(islice(lines, _BLOCK_ROWS)), "")
+        first, spec = identity, "{:+g}"
+
+    def row_pieces(start, stop):  # asked for the blocks in order
+        block_words = _texts(islice(words, stop - start))
+        weights = tables.float_texts(coeffs[start:stop], spec)
+        if fmt == "csv":
+            return ["\n", block_words, ",", weights]
+        return [" ", weights, "*", block_words]
+
     rows = () if dense is None else dense.tolist()
     last = "\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
-    return chain((first,), blocks, (last,))
+    return chain((first,), _row_blocks(row_pieces, len(coeffs)), (last,))
 
 
 _SUMMARY = ("j_estimate", "j_std_error", "j_exact", "j_closed_form", "relative_error")
 
 
 def _report_chunks(report: ExperimentReport, fmt: str):
-    """The report's text in ``fmt``; csv and table text is made from the
+    """The report's text in ``fmt``; csv and table lines are made from the
     term columns, read and written ``_BLOCK_ROWS`` terms at a time."""
     if fmt == "json":
         return _json_chunks(report.to_dict(columns=True))
-    records = report.term_records
+    records, tables = report.term_records, _Tables()
     summary = [(name, getattr(report, name)) for name in _SUMMARY]
     if fmt == "csv":
         first = "record,word,coeff,setting,expectation,std_error\n"
-        line, no_setting, std_text = "term,{},{:g},{},{!r},{}\n".format, "", repr
+        lead, pad, sep, no_std = "term,", "", ",", ""
+        coeff_spec, expectation_spec, std_spec = "{:g}", float.__repr__, float.__repr__
+        names = _texts([*records.bases, ""])
         last = "".join(
             f"summary,{name},,,{'' if value is None else repr(value)},\n"
             for name, value in summary
@@ -558,21 +552,27 @@ def _report_chunks(report: ExperimentReport, fmt: str):
                 f"{'expectation':>12}  {'std_error':>10}"
             )
         first += "\n"
-        line = f"{{:<{width}}}  {{:>+6g}}  {{:<{width}}}  {{:>12.8f}}  {{:>10}}\n".format
-        no_setting, std_text = "-", "{:10.6f}".format
+        # every word is n_qubits letters long, so one text pads them all
+        lead, pad, sep, no_std = "", " " * (width - report.n_qubits), "  ", " " * 10
+        coeff_spec, expectation_spec, std_spec = "{:>+6g}", "{:>12.8f}", "{:10.6f}"
+        names = _texts(f"{name:<{width}}" for name in (*records.bases, "-"))
         last = "".join(
             f"{name:<15} = {value:.9g}\n" for name, value in summary if value is not None
         )
+    std = records.std_error
 
-    def block(start):  # the lines of one block, from that block's columns
-        words, coeffs, settings, expectations, stds = records.columns(
-            start, start + _BLOCK_ROWS
-        )
-        settings = (no_setting if setting is None else setting for setting in settings)
-        stds = ("" if std is None else std_text(std) for std in stds)
-        return "".join(map(line, words, coeffs, settings, expectations, stds))
+    def row_pieces(start, stop):  # one block's pieces, from its columns
+        rows = slice(start, stop)
+        # setting -1 picks the appended name of "no setting"
+        return [
+            lead, _texts(records.words[rows]), pad + sep,
+            tables.float_texts(records.coeffs[rows], coeff_spec), sep,
+            names[records.setting_index[rows]], sep,
+            tables.float_texts(records.expectation[rows], expectation_spec), sep,
+            no_std if std is None else tables.float_texts(std[rows], std_spec), "\n",
+        ]
 
-    return chain((first,), map(block, range(0, len(records), _BLOCK_ROWS)), (last,))
+    return chain((first,), _row_blocks(row_pieces, len(records)), (last,))
 
 
 def _range_rows(lo: int, hi: int) -> list[dict]:

@@ -167,19 +167,17 @@ class TermRecords(Sequence):
             None if self.std_error is None else self.std_error[index].item(),
         )
 
-    def columns(self, start: int = 0, stop: int | None = None) -> tuple:
-        """The five ``TermRecord`` fields as iterables of Python values, of
-        the records from ``start`` up to ``stop``."""
-        rows = slice(start, stop)
+    def columns(self) -> tuple:
+        """The five ``TermRecord`` fields as iterables of Python values."""
         # (*bases, None)[-1] is None, so setting -1 reads as "no setting"
         names = (*self.bases, None)
         std = self.std_error
         return (
-            self.words[rows],
-            self.coeffs[rows].tolist(),
-            map(names.__getitem__, self.setting_index[rows].tolist()),
-            self.expectation[rows].tolist(),
-            repeat(None) if std is None else std[rows].tolist(),
+            self.words,
+            self.coeffs.tolist(),
+            map(names.__getitem__, self.setting_index.tolist()),
+            self.expectation.tolist(),
+            repeat(None) if std is None else std.tolist(),
         )
 
     def __iter__(self):

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from ringflow.pauli import (
     dense_current_matrix,
 )
 
-from conftest import PEAK_SCRIPT, assert_same_text, child_env
+from conftest import DATA_DIR, PEAK_SCRIPT, assert_same_text, child_env
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -36,6 +37,16 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 def report_json(report) -> str:
     """The JSON text the CLI writes for ``report``."""
     return "".join(_report_chunks(report, "json"))
+
+
+def weight_text(value: float, sign: str = "", width: int = 0) -> str:
+    """A weight as csv and table write it: six significant digits when they
+    read back as ``value``, else ``repr``; signed and right-aligned as
+    asked."""
+    text = f"{value:g}" if float(f"{value:g}") == value else repr(value)
+    if sign and not text.startswith("-"):
+        text = "+" + text
+    return text.rjust(width)
 
 
 def run_cli(capsys, *argv):
@@ -112,12 +123,12 @@ class TestDecompose:
         monkeypatch.setattr(ringflow.cli, "_BLOCK_ROWS", block)
         dec = current_decomposition(n)
         if fmt == "csv":
-            lines = ["word,coeff", f"{'I' * n},{dec.identity_weight:g}"]
-            lines += [f"{w},{c:g}" for w, c in zip(dec.words, dec.coeffs)]
+            lines = ["word,coeff", f"{'I' * n},{weight_text(dec.identity_weight)}"]
+            lines += [f"{w},{weight_text(c)}" for w, c in zip(dec.words, dec.coeffs)]
             want = "\n".join(lines) + "\n"
         else:
-            parts = [f"{dec.identity_weight:g}"]
-            parts += [f"{c:+g}*{w}" for w, c in zip(dec.words, dec.coeffs)]
+            parts = [weight_text(dec.identity_weight)]
+            parts += [f"{weight_text(c, '+')}*{w}" for w, c in zip(dec.words, dec.coeffs)]
             want = " ".join(parts) + "\n"
         written = []
         monkeypatch.setattr(ringflow.cli, "_emit", lambda chunks, path: written.extend(chunks))
@@ -128,6 +139,32 @@ class TestDecompose:
         assert [chunk.count("," if fmt == "csv" else "*") for chunk in written[1:-1]] == [
             min(block, len(dec.words) - start) for start in range(0, len(dec.words), block)
         ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_seven_digit_weights_are_written_in_full(self, fmt):
+        """At N = 20 the identity and every {I, X} word weigh 2^20 - 1, whose
+        six-digit ``g`` text 1.04858e+06 is 25 off: csv and table write it
+        as 1048575.0, and every weight of the first block reads back as its
+        coefficient."""
+        dec = current_decomposition(20)
+        chunks = ringflow.cli._sum_chunks(dec, fmt, None)
+        text = next(chunks) + next(chunks)
+        block = min(ringflow.cli._BLOCK_ROWS, len(dec.coeff_array))
+        words = list(islice(dec.iter_words(), block))
+        if fmt == "csv":
+            lines = text.split("\n")
+            assert lines[1] == "IIIIIIIIIIIIIIIIIIII,1048575.0"
+            pairs = [line.split(",") for line in lines[1:]]
+            weights, written = [w for _, w in pairs], [word for word, _ in pairs]
+        else:
+            first, *rest = text.split(" ")
+            assert first == "1048575.0"
+            assert rest[0] == "+1048575.0*IIIIIIIIIIIIIIIIIIIX"
+            pairs = [term.split("*") for term in rest]
+            weights = [first, *(w for w, _ in pairs)]
+            written = ["I" * 20, *(word for _, word in pairs)]
+        assert written == ["I" * 20, *words]
+        assert list(map(float, weights)) == [dec.identity_weight, *dec.coeff_array[:block]]
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_table_with_dense_rows(self, capsys, n):
@@ -944,6 +981,18 @@ def shared_values_report(picks: np.ndarray):
     )
 
 
+def long_weights_report():
+    """``rows_report(7, with_std=True)`` with weights whose six-digit ``g``
+    text reads back as another float."""
+    report = rows_report(7, with_std=True)
+    old = report.term_records
+    coeffs = [1048575.0, -1234567.0, 0.1 + 0.2, 3.0, -0.0, 123456.0, -3e-7 * 1.0000001]
+    records = TermRecords(
+        old.words, coeffs, old.setting_index, old.bases, old.expectation, old.std_error
+    )
+    return dataclasses.replace(report, term_records=records)
+
+
 def text_report_oracle(report, fmt: str) -> str:
     """The csv or table text of ``report``, built whole from one
     ``TermRecord`` per term."""
@@ -953,7 +1002,7 @@ def text_report_oracle(report, fmt: str) -> str:
         for r in report.term_records:
             std = "" if r.std_error is None else repr(r.std_error)
             setting = "" if r.setting is None else r.setting
-            lines.append(f"term,{r.word},{r.coeff:g},{setting},{r.expectation!r},{std}")
+            lines.append(f"term,{r.word},{weight_text(r.coeff)},{setting},{r.expectation!r},{std}")
         for name in summary:
             value = getattr(report, name)
             lines.append(f"summary,{name},,,{'' if value is None else repr(value)},")
@@ -975,7 +1024,7 @@ def text_report_oracle(report, fmt: str) -> str:
             std = "" if r.std_error is None else f"{r.std_error:10.6f}"
             setting = "-" if r.setting is None else r.setting
             lines.append(
-                f"{r.word:<{width}}  {r.coeff:>+6g}  {setting:<{width}}  "
+                f"{r.word:<{width}}  {weight_text(r.coeff, '+', 6)}  {setting:<{width}}  "
                 f"{r.expectation:>12.8f}  {std:>10}"
             )
     for name in summary:
@@ -1007,33 +1056,47 @@ class TestStreamedBlocks:
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_texts_are_made_once_per_render(self, monkeypatch, block):
-        """Each distinct float bit pattern becomes text once per render, and
-        each key once per map shape, however many columns, maps and blocks
-        repeat it; the next render makes its own."""
+        """In every format, each distinct float bit pattern becomes text once
+        per format spec and render, and each JSON key once per map shape,
+        however many columns, maps and blocks repeat it; the next render
+        makes its own."""
         monkeypatch.setattr(ringflow.cli, "_BLOCK_ROWS", block)
-        floats, keys = [], []
-        reprs, spell = ringflow.cli._float_reprs, ringflow.cli.spell_masks
+        floats, keys = {}, []
+        texts, spell = ringflow.cli._format_floats, ringflow.cli.spell_masks
 
-        def float_spy(bits):
-            floats.extend(bits.tolist())
-            return reprs(bits)
+        def float_spy(bits, spec):
+            floats.setdefault(spec, []).extend(bits.tolist())
+            return texts(bits, spec)
 
         def key_spy(masks, *args):
             keys.extend(masks[0].tolist())
             return spell(masks, *args)
 
-        monkeypatch.setattr(ringflow.cli, "_float_reprs", float_spy)
+        monkeypatch.setattr(ringflow.cli, "_format_floats", float_spy)
         monkeypatch.setattr(ringflow.cli, "spell_masks", key_spy)
+        specs = {
+            "json": [float.__repr__],
+            "csv": ["{:g}", float.__repr__],
+            "table": ["{:>+6g}", "{:>12.8f}", "{:10.6f}"],
+        }
         for picks in ([0.5, -0.0, 1e300, 5e-324, 0.0, -1.25], [0.5, 0.25, -0.0]):
             report = shared_values_report(np.array(picks))
-            want = json_dumps_oracle(report.to_dict())
-            floats.clear()
-            keys.clear()
-            chunks = list(_report_chunks(report, "json"))
-            assert "".join(chunks) == want
-            assert max(chunk.count('"word": ') for chunk in chunks) <= block
-            assert sorted(floats) == np.unique(np.array(picks).view(np.int64)).tolist()
-            assert sorted(keys) == list(range(7))
+            distinct = np.unique(np.array(picks).view(np.int64)).tolist()
+            for fmt, spec_list in specs.items():
+                want = (
+                    json_dumps_oracle(report.to_dict())
+                    if fmt == "json"
+                    else text_report_oracle(report, fmt)
+                )
+                floats.clear()
+                keys.clear()
+                chunks = list(_report_chunks(report, fmt))
+                assert "".join(chunks) == want
+                if fmt == "json":
+                    assert max(chunk.count('"word": ') for chunk in chunks) <= block
+                assert list(floats) == spec_list
+                assert all(sorted(made) == distinct for made in floats.values())
+                assert sorted(keys) == (list(range(7)) if fmt == "json" else [])
 
     @pytest.mark.parametrize("fmt", ["csv", "table"])
     @pytest.mark.parametrize(
@@ -1044,8 +1107,9 @@ class TestStreamedBlocks:
             lambda: ringflow.experiment.run_simulation(3, 300, seed=2, readout_flip=0.1),
             lambda: ringflow.experiment.run_exact(3, theta0=0.4),
             lambda: rows_report(0, with_std=False),
+            long_weights_report,
         ],
-        ids=["std", "no-std", "shots", "theta0", "empty-table"],
+        ids=["std", "no-std", "shots", "theta0", "empty-table", "long-weights"],
     )
     @pytest.mark.parametrize("block", [1, 2, 3, 1 << 13])
     def test_text_formats_stream_in_blocks(self, monkeypatch, block, make, fmt):
@@ -1253,6 +1317,28 @@ _PINNED = [
      "c6a5d43585d18017a302a25485f41c78d9fc03230bb56b576e624914df607284"),
     (("current", "--mode", "exact", "--n", "8", "--per-term", "--format", "csv"),
      "d8d3bb83edf908df9094751b18c38e4ae057abd0ba4e426ebd483460537794be"),
+    # as written before csv and table lines went through the JSON writer's
+    # row joins: words of fewer than four letters, dense rows, an analysis
+    # with no setting or no std_error, a per-term table and a flip table
+    (("decompose", "--n", "1", "--format", "table"),
+     "511128b21bacda0f7d3aa5f585baadd4c7300904d87d935c85fb8da65e61c315"),
+    (("decompose", "--n", "3", "--format", "table"),
+     "cdb08c9f02a43e6ae57aea3c8c7c23f92faf896765b8a597acf75962bdfd44cb"),
+    (("decompose", "--n", "3", "--dense", "--format", "table"),
+     "12e81214e96496ee241dca3498b1266cc95e99cd7c25649335304c3524837a14"),
+    (("analyze", "--input", "data/backflow_n1_probabilities.json", "--format", "csv"),
+     "31be9f7ed8bde091f55e66f98bb9e0dd14f2abd0ef9b59652d2813c58ec6813c"),
+    (("analyze", "--input", "data/backflow_n1_probabilities.json", "--format", "table"),
+     "f2e1ce30059e4a0edd43797da5b9a9fce2df86c3d2fb66da2e7a75f6e422ce28"),
+    (("analyze", "--input", "data/backflow_n2_expectations.json", "--format", "csv"),
+     "a59d565c1a77413d79d9ec06d5b7c0447834c1fe711bfcc2eefbf5ac3d787c8f"),
+    (("analyze", "--input", "data/backflow_n2_expectations.json", "--format", "table"),
+     "cd9a00362907047ce7d4c61ece9b5262b95cdc334590b150b25f78f4da0d2a7d"),
+    (("current", "--mode", "exact", "--n", "8", "--per-term", "--format", "table"),
+     "212c5a27fec439a07d481056dda6c6626027c376464a23cdd736a30fb0e32eb9"),
+    (("current", "--mode", "shots", "--n", "3", "--seed", "4", "--theta0", "0.5",
+      "--readout-flip", "0.01", "--format", "table"),
+     "2cc0dfeff1623ff136644cc109e3426cf531537f8dc8cbadabb890a7a19db9e6"),
 ]
 _PER_TERM_ARGV = ("current", "--n", "6", "--mode", "shots", "--per-term", "--seed", "11")
 _PER_TERM_SHA = "d98cdf6c59336708a8d1e2b342d8729375d4b11204f903ce305535b98b1892b5"
@@ -1268,6 +1354,8 @@ class TestPinnedOutputs:
     def _built_in_defaults(self, monkeypatch):
         for name in ("RINGFLOW_SHOTS", "RINGFLOW_SEED", "RINGFLOW_FORMAT"):
             monkeypatch.delenv(name, raising=False)
+        # the pinned analyses read data/ from the repository root
+        monkeypatch.chdir(DATA_DIR.parent)
 
     @pytest.mark.parametrize("argv, digest", _PINNED, ids=[" ".join(a) for a, _ in _PINNED])
     def test_output_unchanged(self, capsys, argv, digest):
