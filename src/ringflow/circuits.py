@@ -1,13 +1,16 @@
 """Circuit synthesis and measurement planning.
 
 State preparation uses Y-rotations whose angles are solved analytically
-from the target amplitudes.  Rotation convention throughout: RY(t) acts as
+from the real coefficients it is handed (``experiment.BackflowCoefficients``
+of one or two qubits).  Rotation convention throughout: RY(t) acts as
 [[cos t/2, -sin t/2], [sin t/2, cos t/2]], and a controlled rotation
 applies RY(angle) to its target when the control reads 1.  With that
 convention the two-qubit preparation needs the controlled angle with the
 opposite sign of its conventional printed value; the sign is fixed here by
 requiring exact fidelity with the target state, and the preparation
-asserts that fidelity after synthesis.
+asserts that fidelity after synthesis.  One qubit reaches any real pair;
+the two-qubit circuit reaches only states whose |10> amplitude is 0, and
+any other target fails the fidelity check.
 
 Measurement settings choose Z- or X-basis per qubit (X-basis meaning a
 Hadamard before the Z measurement).  A word is measurable under a setting
@@ -77,42 +80,44 @@ def controlled_ry_gates(control: int, target: int, angle: float) -> tuple[Gate, 
     )
 
 
-def backflow_prep_angles(n_qubits: int) -> dict[str, float]:
-    """Rotation angles that prepare the backflowing state, solved analytically.
+def backflow_prep_angles(coeffs) -> dict[str, float]:
+    """Rotation angles that prepare ``coeffs`` (its ``n_qubits`` and real
+    amplitudes ``a``), solved analytically.
 
     For one qubit: {"alpha"}.  For two: {"alpha0", "alpha1"}, where alpha1
     is the controlled-rotation angle under this module's sign convention
-    (its magnitude equals the conventional value).
+    (its magnitude equals the conventional value).  The two-qubit angles
+    ignore the |10> amplitude, which the circuit cannot reach.
     """
-    from .experiment import backflow_coefficients
-
-    two_pi = 2.0 * math.pi
-    a = backflow_coefficients(n_qubits).a
+    n_qubits, a = coeffs.n_qubits, coeffs.a
     if n_qubits == 1:
-        alpha = (2.0 * math.atan2(a[1], a[0])) % (2.0 * two_pi)
+        alpha = (2.0 * math.atan2(a[1], a[0])) % (4.0 * math.pi)
         return {"alpha": alpha}
     if n_qubits == 2:
         # After RY(alpha0) on S1 and CNOT(S1 -> S2) the state is
         # cos(alpha0/2)|00> + sin(alpha0/2)|11>; the controlled rotation on S1
         # then fans |11> into the |01>/|11> pair.  Negative-sine branch for
         # alpha0 keeps the solved angles at their conventional magnitudes.
+        # alpha1 is 2 atan2(-a1 / s0, a3 / s0) with the negative s0
+        # cancelled, which also holds at s0 = 0 (the state |00>).
         s0 = -math.hypot(a[1], a[3])
-        alpha0 = (2.0 * math.atan2(s0, a[0])) % (2.0 * two_pi)
-        alpha1 = 2.0 * math.atan2(-a[1] / s0, a[3] / s0)
+        alpha0 = (2.0 * math.atan2(s0, a[0])) % (4.0 * math.pi)
+        alpha1 = 2.0 * math.atan2(a[1], -a[3])
         return {"alpha0": alpha0, "alpha1": alpha1}
     raise ValueError("rotation synthesis covers 1 or 2 qubits only")
 
 
-def prepare_backflow_circuit(n_qubits: int) -> Circuit:
-    """Gate sequence taking |0...0> to the backflowing state (1 or 2 qubits).
+def prepare_backflow_circuit(coeffs) -> Circuit:
+    """Gate sequence taking |0...0> to ``coeffs`` (1 or 2 qubits).
 
     Larger registers load amplitudes directly instead of synthesizing gates.
     The two-qubit controlled rotation is emitted pre-expanded into
-    RY(+-alpha1/2) and two CNOTs.
+    RY(+-alpha1/2) and two CNOTs.  A target the circuit does not reach to
+    fidelity 1 - 1e-10 (at two qubits, one with a nonzero |10> amplitude)
+    is refused with RuntimeError.
     """
-    from .experiment import backflow_coefficients
-
-    angles = backflow_prep_angles(n_qubits)
+    n_qubits = coeffs.n_qubits
+    angles = backflow_prep_angles(coeffs)
     if n_qubits == 1:
         circ = Circuit(1, (ry(0, angles["alpha"]),))
     else:
@@ -124,11 +129,10 @@ def prepare_backflow_circuit(n_qubits: int) -> Circuit:
                 *controlled_ry_gates(control=1, target=0, angle=angles["alpha1"]),
             ),
         )
-    target = backflow_coefficients(n_qubits).a
     prepared = apply_circuit(init_basis(n_qubits, 0), circ).amplitudes
-    fidelity = abs(np.vdot(target.astype(np.complex128), prepared)) ** 2
-    if fidelity < 1.0 - 1e-10:
-        raise RuntimeError(f"synthesized state fidelity {fidelity!r} below target")
+    fidelity = abs(np.vdot(coeffs.a.astype(np.complex128), prepared)) ** 2
+    if not fidelity >= 1.0 - 1e-10:  # a NaN fidelity fails too
+        raise RuntimeError(f"synthesized state fidelity {float(fidelity)!r} below target")
     return circ
 
 

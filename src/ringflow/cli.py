@@ -250,16 +250,20 @@ def _texts(strings) -> np.ndarray:
 
 def _format_floats(bits: np.ndarray, spec) -> list:
     """The text of each float64, given as its int64 bit pattern, by ``spec``:
-    a callable or a format string.  A ``g`` text that reads back as another
-    float gives way to the format without ``g``: ``repr``, signed and padded."""
+    a callable, a ``g`` format (by ``_g_text``) or another format string."""
     values = bits.view(np.float64).tolist()
     if callable(spec):
         return list(map(spec, values))
-    texts = list(map(spec.format, values))
-    if spec.endswith("g}"):  # six digits: a value they round is written in full
-        full = (spec[:-2] + "}").format
-        texts = [t if float(t) == v else full(v) for t, v in zip(texts, values)]
-    return texts
+    if spec.endswith("g}"):
+        return [_g_text(value, spec) for value in values]
+    return list(map(spec.format, values))
+
+
+def _g_text(value: float, spec: str = "{:g}") -> str:
+    """``value`` by ``spec``, a ``g`` format of six digits, or in full where
+    that text reads back as another float: ``repr``, signed and padded."""
+    text = spec.format(value)
+    return text if float(text) == value else (spec[:-2] + "}").format(value)
 
 
 @functools.cache
@@ -539,11 +543,11 @@ def _report_chunks(report: ExperimentReport, fmt: str):
             for name, value in summary
         )
     else:
-        first = f"n={report.n_qubits} mode={report.mode} theta0={report.theta0:g}"
+        first = f"n={report.n_qubits} mode={report.mode} theta0={_g_text(report.theta0)}"
         if report.mode == "shots":
             first += (
                 f" shots/setting={report.shots_per_setting} seed={report.seed}"
-                f" grouped={report.grouped} readout_flip={report.readout_flip:g}"
+                f" grouped={report.grouped} readout_flip={_g_text(report.readout_flip)}"
             )
         width = max(4, report.n_qubits)
         if records:

@@ -243,18 +243,9 @@ def l2_norm(values: np.ndarray) -> float:
     return math.sqrt(np.square(flat).sum())
 
 
-def _check_drift(amps: np.ndarray) -> None:
-    nrm = l2_norm(amps)
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise NormDriftError(f"norm drifted to {nrm!r}")
-
-
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     """Apply one gate, returning a new state; the input is untouched."""
-    amps = state.amplitudes.copy()
-    _apply_inplace(amps, gate, state.n_qubits)
-    _check_drift(amps)
-    return Statevector(state.n_qubits, amps)
+    return apply_circuit(state, (gate,))
 
 
 def apply_circuit(state: Statevector, gates) -> Statevector:
@@ -263,7 +254,9 @@ def apply_circuit(state: Statevector, gates) -> Statevector:
     amps = state.amplitudes.copy()
     for gate in gates:
         _apply_inplace(amps, gate, state.n_qubits)
-    _check_drift(amps)
+    nrm = l2_norm(amps)
+    if abs(nrm - 1.0) > NORM_TOL:
+        raise NormDriftError(f"norm drifted to {nrm!r}")
     return Statevector(state.n_qubits, amps)
 
 

@@ -55,6 +55,7 @@ from .engine import (
     NormDriftError,
     Statevector,
     _ArrayRecord,
+    _register_array,
     apply_circuit,
     check_flip,
     check_shots,
@@ -98,10 +99,8 @@ class BackflowCoefficients(_ArrayRecord):
     a: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.a, dtype=np.float64)
-        if arr.shape != (1 << self.n_qubits,):
-            raise ValueError("coefficient count must be 2^N")
-        object.__setattr__(self, "a", arr)
+        a = _register_array(self.a, self.n_qubits, np.float64, "coefficients")
+        object.__setattr__(self, "a", a)
 
 
 @dataclass(frozen=True, slots=True)
@@ -366,15 +365,17 @@ def relative_error(j_obs: float, j_theory: float) -> float:
     return abs(j_obs - j_theory) / abs(j_theory)
 
 
-def _prepared_state(n_qubits: int, coeffs: BackflowCoefficients, theta0: float = 0.0):
-    """The prepared state and how it was prepared; a nonzero theta0
+def _prepared_state(coeffs: BackflowCoefficients, theta0: float = 0.0):
+    """The state of ``coeffs`` and how it was prepared, by rotations for one
+    or two qubits and by loading amplitudes otherwise; a nonzero theta0
     multiplies amplitude m by e^(i m theta0)."""
+    n_qubits = coeffs.n_qubits
     if n_qubits <= 2:
-        circ = prepare_backflow_circuit(n_qubits)
+        circ = prepare_backflow_circuit(coeffs)
         state = apply_circuit(init_basis(n_qubits, 0), circ)
         prep = {
             "method": "rotation-synthesis",
-            "angles": backflow_prep_angles(n_qubits),
+            "angles": backflow_prep_angles(coeffs),
             "rotation_rule": "RY(t)=[[cos t/2,-sin t/2],[sin t/2,cos t/2]]; "
             "controlled form applies RY(angle) to the target when the control is 1",
         }
@@ -388,12 +389,12 @@ def _prepared_state(n_qubits: int, coeffs: BackflowCoefficients, theta0: float =
 
 
 def _finish_report(
-    mode, identity_weight, term_records, setting_records, family, j_exact=None,
+    mode, identity_weight, term_records, setting_records, n_qubits, j_exact,
     theta0=0.0, **fields
 ) -> ExperimentReport:
-    """The report on ``family``'s state at ring angle ``theta0``; ``fields`` are
-    those that differ from the ``ExperimentReport`` defaults.  ``j_exact`` is
-    the state's exact current, evaluated here when not given."""
+    """The report of an ``n_qubits`` register at ring angle ``theta0``, whose
+    state has the exact current ``j_exact`` there; ``fields`` are those that
+    differ from the ``ExperimentReport`` defaults."""
     coeffs = term_records.coeffs
     weighted = identity_weight + math.fsum(
         (coeffs * term_records.expectation).tolist()
@@ -406,15 +407,13 @@ def _finish_report(
         j_std = math.sqrt(math.fsum(squares)) / FOUR_PI
     else:
         j_std = None
-    if j_exact is None:
-        j_exact = exact_current(family.a, theta0)
     j_closed = error = None
     if theta0 == 0.0:  # the closed form is J at theta0 = 0 only
-        j_closed = closed_form_current(family.n_qubits)
+        j_closed = closed_form_current(n_qubits)
         error = relative_error(j_estimate, j_closed)
     return ExperimentReport(
         **fields,
-        n_qubits=family.n_qubits,
+        n_qubits=n_qubits,
         mode=mode,
         theta0=theta0,
         identity_weight=identity_weight,
@@ -442,10 +441,10 @@ class _Layout:
     ``coeffs`` float64, each word's parity mask and ``term_setting``, its
     setting's index, both intp as they index the outcome table), and per
     setting, in plan order: its Z mask, basis word and words, a slice of
-    ``words``.  ``family`` is the backflowing family, ``amplitudes`` its
-    prepared state at the ring angle, ``prep`` how it was prepared (copied
-    into each report) and ``j_exact`` its exact current there.  ``outcomes``
-    is the plan's settings x 2^N float64 table of exact outcome
+    ``words``.  ``amplitudes`` is the state of the family's coefficients,
+    built once per layout, at the ring angle, ``prep`` how it was prepared
+    (copied into each report) and ``j_exact`` its exact current there.
+    ``outcomes`` is the plan's settings x 2^N float64 table of exact outcome
     probabilities (``_outcome_rows``), one row per setting in plan order,
     when it fits one block of _BLOCK_ENTRIES entries; a larger plan has
     None, and each run makes its rows block by block.
@@ -459,7 +458,6 @@ class _Layout:
     bases: tuple[str, ...]
     setting_terms: tuple[tuple[str, ...], ...]
     term_setting: np.ndarray
-    family: BackflowCoefficients
     amplitudes: np.ndarray
     prep: dict
     j_exact: float
@@ -512,7 +510,7 @@ def _outcome_rows(
 def _build_layout(n_qubits: int, grouped: bool, theta0: float = 0.0) -> _Layout:
     decomp = current_decomposition(n_qubits)
     coeffs = backflow_coefficients(n_qubits)
-    state, prep = _prepared_state(n_qubits, coeffs, theta0)
+    state, prep = _prepared_state(coeffs, theta0)
     # the expansion has no Y, so a word's parity mask is its X and Z letters
     mx, _, mz = decomp.masks
     if grouped:
@@ -544,7 +542,6 @@ def _build_layout(n_qubits: int, grouped: bool, theta0: float = 0.0) -> _Layout:
         ),
         setting_terms=tuple(map(words.__getitem__, map(slice, [0, *ends], ends))),
         term_setting=_read_only(np.repeat(np.arange(len(plan)), sizes)),
-        family=coeffs,
         amplitudes=_read_only(state.amplitudes),
         prep=prep,
         j_exact=exact_current(coeffs.a, theta0),
@@ -679,7 +676,7 @@ def run_simulation(
         layout.identity_weight,
         term_records,
         setting_records,
-        layout.family,
+        n_qubits,
         layout.j_exact,
         shots_per_setting=shots_per_setting,
         seed=seed if sampling else None,
@@ -973,7 +970,8 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         decomp.identity_weight,
         term_records,
         setting_records,
-        backflow_coefficients(n_qubits),
+        n_qubits,
+        exact_current(backflow_coefficients(n_qubits).a, theta0),
         theta0=theta0,
         readout_flip=readout_flip,
     )

@@ -104,12 +104,12 @@ def test_criterion_2_closed_form():
 
 @criterion(3, "state preparation", budget_s=1.0)
 def test_criterion_3_state_preparation():
-    one = apply_circuit(init_basis(1, 0), prepare_backflow_circuit(1))
+    one = apply_circuit(init_basis(1, 0), prepare_backflow_circuit(backflow_coefficients(1)))
     np.testing.assert_allclose(
         one.amplitudes.real, [-0.894427, 0.447214], atol=1e-6
     )
     np.testing.assert_allclose(one.amplitudes.imag, 0.0, atol=1e-12)
-    two = apply_circuit(init_basis(2, 0), prepare_backflow_circuit(2))
+    two = apply_circuit(init_basis(2, 0), prepare_backflow_circuit(backflow_coefficients(2)))
     np.testing.assert_allclose(
         z_probabilities(two), [2 / 3, 1 / 6, 0, 1 / 6], atol=1e-10
     )

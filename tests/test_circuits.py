@@ -23,11 +23,12 @@ from ringflow.engine import (
     init_basis,
     z_probabilities,
 )
-from ringflow.experiment import backflow_coefficients
+from ringflow.experiment import BackflowCoefficients, backflow_coefficients
 from ringflow.pauli import (
     PauliString,
     WeightedPauliSum,
     current_decomposition,
+    dense_current_matrix,
     setting_plan,
     word_masks,
 )
@@ -38,51 +39,86 @@ from oracles import covers
 
 class TestPrepareBackflowCircuit:
     def test_one_qubit_is_single_rotation(self):
-        circ = prepare_backflow_circuit(1)
+        circ = prepare_backflow_circuit(backflow_coefficients(1))
         assert len(circ.gates) == 1
         assert circ.gates[0].kind == "RY"
         assert abs(circ.gates[0].angle - 5.35589) < 2e-4
 
     def test_one_qubit_prepares_target(self):
-        state = apply_circuit(init_basis(1, 0), prepare_backflow_circuit(1))
+        circ = prepare_backflow_circuit(backflow_coefficients(1))
+        state = apply_circuit(init_basis(1, 0), circ)
         np.testing.assert_allclose(
             state.amplitudes.real, [-2, 1] / np.sqrt(5.0), atol=1e-10
         )
         np.testing.assert_allclose(state.amplitudes.imag, 0.0, atol=1e-14)
 
     def test_two_qubit_angles_match_printed_values(self):
-        angles = backflow_prep_angles(2)
+        angles = backflow_prep_angles(backflow_coefficients(2))
         assert abs(angles["alpha0"] - 7.51414) < 2e-4
         # sign of the controlled angle is fixed by fidelity, magnitude is quoted
         assert abs(abs(angles["alpha1"]) - 4.7124) < 2e-4
 
     def test_two_qubit_gate_sequence(self):
         """RY on S1, CNOT(S1->S2), then the expanded controlled rotation."""
-        circ = prepare_backflow_circuit(2)
+        circ = prepare_backflow_circuit(backflow_coefficients(2))
         kinds = [g.kind for g in circ.gates]
         assert kinds == ["RY", "CNOT", "RY", "CNOT", "RY", "CNOT"]
         assert circ.gates[1].control == 0 and circ.gates[1].target == 1
         assert circ.gates[3].control == 1 and circ.gates[3].target == 0
-        half = backflow_prep_angles(2)["alpha1"] / 2.0
+        half = backflow_prep_angles(backflow_coefficients(2))["alpha1"] / 2.0
         assert circ.gates[2].angle == pytest.approx(half)
         assert circ.gates[4].angle == pytest.approx(-half)
 
     def test_two_qubit_prepares_target_probabilities(self):
-        state = apply_circuit(init_basis(2, 0), prepare_backflow_circuit(2))
+        circ = prepare_backflow_circuit(backflow_coefficients(2))
+        state = apply_circuit(init_basis(2, 0), circ)
         np.testing.assert_allclose(
             z_probabilities(state), [2 / 3, 1 / 6, 0, 1 / 6], atol=1e-10
         )
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_fidelity_with_coefficients(self, n):
-        target = backflow_coefficients(n).a
-        state = apply_circuit(init_basis(n, 0), prepare_backflow_circuit(n))
+        coeffs = backflow_coefficients(n)
+        target = coeffs.a
+        state = apply_circuit(init_basis(n, 0), prepare_backflow_circuit(coeffs))
         fidelity = abs(np.vdot(target, state.amplitudes)) ** 2
         assert fidelity > 1 - 1e-10
 
     def test_larger_registers_unsupported(self):
         with pytest.raises(ValueError):
-            prepare_backflow_circuit(3)
+            prepare_backflow_circuit(backflow_coefficients(3))
+
+    @pytest.mark.parametrize(
+        "a", [[0.6, 0.8], [-0.8, -0.6], [0.6, 0.0, 0.0, 0.8], [1.0, 0.0, 0.0, 0.0],
+              [0.0, -0.6, 0.0, 0.8]],
+        ids=["pair", "negative-pair", "zero-10", "basis-00", "zero-00-10"],
+    )
+    def test_prepares_the_coefficients_it_is_handed(self, a):
+        """Any real pair on one qubit, and any two-qubit vector with a zero
+        |10> amplitude, |00> among them, is prepared as given."""
+        coeffs = BackflowCoefficients(len(a).bit_length() - 1, a)
+        state = apply_circuit(init_basis(coeffs.n_qubits, 0), prepare_backflow_circuit(coeffs))
+        np.testing.assert_allclose(state.amplitudes, a, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "a", [[0.5, 0.5, 0.5, 0.5], [0.0, 0.0, 1.0, 0.0], [math.nan, 1.0]],
+        ids=["uniform", "basis-10", "nan"],
+    )
+    def test_unreachable_target_is_refused(self, a):
+        """The two-qubit circuit reaches no state with a nonzero |10>
+        amplitude, and a NaN target has no fidelity: both are refused."""
+        coeffs = BackflowCoefficients(len(a).bit_length() - 1, a)
+        with pytest.raises(RuntimeError, match="fidelity"):
+            prepare_backflow_circuit(coeffs)
+
+    def test_least_current_two_qubit_state_is_refused(self):
+        """The two-qubit state of least current, the lowest eigenvector of
+        the current operator, has a nonzero |10> amplitude: the circuit
+        reaches it to fidelity 0.997 only."""
+        a = np.linalg.eigh(dense_current_matrix(2))[1][:, 0]
+        assert abs(a[2]) > 0.05
+        with pytest.raises(RuntimeError, match=r"0\.99699"):
+            prepare_backflow_circuit(BackflowCoefficients(2, a))
 
     def test_expanded_controlled_rotation_equals_gate(self):
         rng = np.random.default_rng(9)

@@ -373,6 +373,29 @@ class TestCurrent:
         assert code == 0
         assert "j_closed_form" in out
 
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (("--n", "2", "--theta0", "0.1234567"), "n=2 mode=exact theta0=0.1234567"),
+            (("--n", "2", "--theta0", "0.5"), "n=2 mode=exact theta0=0.5"),
+            (("--mode", "shots", "--n", "2", "--shots", "100", "--seed", "1",
+              "--readout-flip", "0.0123456789"),
+             "n=2 mode=shots theta0=0 shots/setting=100 seed=1 grouped=True"
+             " readout_flip=0.0123456789"),
+            (("--mode", "shots", "--n", "2", "--shots", "100", "--seed", "1",
+              "--readout-flip", "0.01"),
+             "n=2 mode=shots theta0=0 shots/setting=100 seed=1 grouped=True"
+             " readout_flip=0.01"),
+        ],
+        ids=["theta0-seven-digits", "theta0-0.5", "flip-ten-digits", "flip-0.01"],
+    )
+    def test_table_header_keeps_the_run_parameters(self, capsys, argv, header):
+        """The angle and the flip are written as the weights are: six digits
+        where they read back as the value, else in full."""
+        code, out, _ = run_cli(capsys, "current", *argv, "--format", "table")
+        assert code == 0
+        assert out.split("\n", 1)[0] == header
+
 
 class TestAnalyze:
     def test_published_one_qubit_file(self, capsys, data_dir):
@@ -470,9 +493,11 @@ class TestAnalyze:
                 {"basis_word": "X", "probabilities": {"0": 1.0}, "terms": "X"},
                 {"basis_word": "Z", "probabilities": {"0": 1.0}, "terms": ["Z"]},
             ]}, "settings[0] terms must be a list"),
+            ({"n": 1, "settings": []}, "settings list is empty"),
         ],
         ids=["settings-object", "entry-list", "probabilities-list", "counts-list",
-             "n-fraction", "n-true", "n-string", "value-true", "terms-string"],
+             "n-fraction", "n-true", "n-string", "value-true", "terms-string",
+             "settings-empty"],
     )
     def test_wrong_shapes_are_data_errors(self, capsys, tmp_path, data, named):
         bad = tmp_path / "bad.json"
@@ -599,6 +624,7 @@ class TestRegisterCap:
             ("current", "--n", "26", "--theta0", "0.5"),
             ("decompose", "--n", "26"),
             ("current", "--n", str(MAX_QUBITS + 1)),
+            ("current", "--range", f"{MAX_QUBITS}..{MAX_QUBITS + 1}"),
         ],
     )
     def test_commands_refuse_fast(self, capsys, argv):
@@ -745,6 +771,29 @@ class TestUsageAndOutputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "RINGFLOW_SEED must be a non-negative integer, got -3" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("current", "--mode", "exact", "--n", "2", "--readout-flip", "0.1"),
+             "--readout-flip requires --mode shots"),
+            (("current", "--range", "1..3", "--mode", "shots"),
+             "--range supports exact mode at theta0=0 only"),
+            (("current", "--range", "1..3", "--theta0", "0.5"),
+             "--range supports exact mode at theta0=0 only"),
+            (("current", "--n", "0"), "--n must be a positive integer"),
+            (("analyze", "--n", "0", "--input", "data/backflow_n1_probabilities.json"),
+             "--n must be a positive integer"),
+        ],
+        ids=["exact-flip", "range-shots", "range-theta0", "current-n0", "analyze-n0"],
+    )
+    def test_refused_flags_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_huge_shots_flag_is_usage_error(self, capsys):
         # the sampler draws int64 counts; more shots overflowed with a traceback
@@ -1339,6 +1388,21 @@ _PINNED = [
     (("current", "--mode", "shots", "--n", "3", "--seed", "4", "--theta0", "0.5",
       "--readout-flip", "0.01", "--format", "table"),
      "2cc0dfeff1623ff136644cc109e3426cf531537f8dc8cbadabb890a7a19db9e6"),
+    # as written while the one- and two-qubit circuits derived the family
+    # themselves, and the J-vs-N table lines of --range
+    (("current", "--n", "1"),
+     "9a75c375ab42fd477b8c4094422ea32397ae9c8657d277f995c6891437a4bb18"),
+    (("current", "--n", "2"),
+     "93e3323f015b92b391f843a75679711f6fc3377c587452836f6e78728180664c"),
+    (("current", "--n", "2", "--theta0", "0.7"),
+     "be5873f4e31dd682cdfa34f23a84be34b1e39fcd9c229baaed89616bd3e25783"),
+    (("current", "--mode", "shots", "--n", "2", "--seed", "7"),
+     "42e1cd224cd781828491b73fb2fbc1f095bca86272b3464ba536d37e4bed6c67"),
+    (("current", "--mode", "shots", "--n", "2", "--per-term", "--readout-flip", "0.01",
+      "--seed", "7"),
+     "aa7226309fc34d3d01133ee6bfbe1c0897f65d115708f4db6f307ced951aafba"),
+    (("current", "--range", "1..20", "--format", "table"),
+     "57b64cdc6d74b4da4cfbbf912785cb5bd06529e6882b6de33c00b668a85ef347"),
 ]
 _PER_TERM_ARGV = ("current", "--n", "6", "--mode", "shots", "--per-term", "--seed", "11")
 _PER_TERM_SHA = "d98cdf6c59336708a8d1e2b342d8729375d4b11204f903ce305535b98b1892b5"

@@ -108,6 +108,10 @@ class TestInit:
         with pytest.raises(ValueError):
             init_amplitudes(1, [0.0, 0.0])
 
+    def test_amplitudes_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite amplitude"):
+            init_amplitudes(1, [math.nan, 1.0])
+
     @pytest.mark.parametrize(
         "amps", [[1e200, 1e200], [1.7e308, -1.7e308j], [1.5e308, 1.5e308, 0.0, -1.5e308]]
     )
@@ -165,6 +169,25 @@ class TestGates:
     def test_bad_target_index(self):
         with pytest.raises(ValueError):
             apply_gate(init_basis(1, 0), h(1))
+
+    def test_control_outside_the_register(self):
+        with pytest.raises(ValueError, match="control 1 out of range"):
+            apply_gate(init_basis(1, 0), cnot(1, 0))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("T", 0), "unknown gate kind 'T'"),
+            (("CNOT", 1), "CNOT control qubit mis-specified"),
+            (("H", -1), "negative qubit index"),
+            (("CNOT", 0, -1), "negative qubit index"),
+        ],
+        ids=["unknown-kind", "cnot-without-control", "negative-target",
+             "negative-control"],
+    )
+    def test_gate_refusals(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            Gate(*args)
 
     def test_gate_validation(self):
         with pytest.raises(ValueError):

@@ -89,7 +89,7 @@ class TestBackflowCoefficients:
         np.testing.assert_allclose(steps, steps[0], atol=1e-15)
 
     def test_type_validates_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"expected 4 coefficients, got shape \(2,\)"):
             BackflowCoefficients(2, np.array([1.0, 0.0]))
 
     def test_refused_above_register_cap(self):
@@ -340,7 +340,7 @@ def run_simulation_per_gate(n_qubits, shots_per_setting, seed, grouped, readout_
     applied gate by gate with ``apply_circuit``: the reference."""
     decomp = current_decomposition(n_qubits)
     coeffs = backflow_coefficients(n_qubits)
-    state, prep = _prepared_state(n_qubits, coeffs)
+    state, prep = _prepared_state(coeffs)
     words, term_coeffs = decomp.words, decomp.coeffs
     mx, _, mz = word_masks(words, n_qubits)
     parity_masks = mx | mz
@@ -405,7 +405,8 @@ def run_simulation_per_gate(n_qubits, shots_per_setting, seed, grouped, readout_
         decomp.identity_weight,
         term_records,
         setting_records,
-        coeffs,
+        n_qubits,
+        exact_current(coeffs.a),
         shots_per_setting=shots_per_setting,
         seed=seed if sampling else None,
         grouped=grouped,
@@ -596,8 +597,39 @@ class TestLayout:
         first.prep["angles"]["alpha0"] = 0.0
         first.prep["method"] = "changed"
         second = run_simulation(2, 100, seed=1)
-        assert second.prep["angles"] == backflow_prep_angles(2)
+        assert second.prep["angles"] == backflow_prep_angles(backflow_coefficients(2))
         assert second.prep["method"] == "rotation-synthesis"
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_coefficient_object_per_layout(self, monkeypatch, n):
+        """A layout builds the family's coefficients once and prepares that
+        object: the circuits derive no copy of their own, and the layout
+        keeps none."""
+        calls = []
+        family = ringflow.experiment.backflow_coefficients
+        monkeypatch.setattr(
+            ringflow.experiment,
+            "backflow_coefficients",
+            lambda n: calls.append(n) or family(n),
+        )
+        layout = ringflow.experiment._build_layout(n, True)
+        assert calls == [n]
+        assert not hasattr(layout, "family")
+
+    @pytest.mark.parametrize(
+        "n, a",
+        [(1, [0.6, 0.8]), (2, [0.6, 0.0, 0.0, 0.8]), (3, np.roll(backflow_coefficients(3).a, 1))],
+        ids=["rotation-1", "rotation-2", "amplitude-load"],
+    )
+    def test_prepared_state_is_its_argument(self, n, a):
+        state, _ = _prepared_state(BackflowCoefficients(n, a))
+        np.testing.assert_allclose(state.amplitudes, a, rtol=0, atol=1e-12)
+
+    def test_prepared_state_refuses_a_target_the_circuit_cannot_reach(self):
+        """A two-qubit vector with a nonzero |10> amplitude is refused, not
+        replaced by the family."""
+        with pytest.raises(RuntimeError, match="fidelity"):
+            _prepared_state(BackflowCoefficients(2, [0.5, 0.5, 0.5, 0.5]))
 
     def test_built_once_per_register_up_to_the_cache_size(self, monkeypatch):
         calls = []
