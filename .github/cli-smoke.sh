@@ -8,7 +8,7 @@
 # per-term, a readout-flip and a nonzero-angle report from the full report
 # and from its counts alone (with the angle and the flip); the 16-qubit
 # expansion has the bytes of a sha256 pin in every format, and the 20-qubit
-# one (MAX_QUBITS, whose letter codes take int64 lanes) has every line, its
+# one (MAX_QUBITS, the largest expansion built) has every line, its
 # seven-digit weight 2^20 - 1 written in full and the bytes of a pin;
 # exact and shots reports, grouped and per-term (one exact table of several
 # blocks), re-dump through the stdlib json module to their own text; and at

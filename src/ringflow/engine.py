@@ -106,6 +106,8 @@ class Gate:
             raise ValueError(f"{self.kind} control qubit mis-specified")
         if (self.angle is not None) != (self.kind in _PARAMETRIC):
             raise ValueError(f"{self.kind} angle mis-specified")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"{self.kind} angle must be finite, got {self.angle!r}")
         if self.control == self.target:
             raise ValueError("control and target must differ")
         if self.target < 0 or (self.control is not None and self.control < 0):
@@ -146,7 +148,7 @@ class Statevector(_ArrayRecord):
     def __post_init__(self):
         amps = _register_array(self.amplitudes, self.n_qubits, np.complex128, "amplitudes")
         nrm = l2_norm(amps)
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:
             raise ValueError(f"amplitudes not normalized (norm {nrm!r})")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -255,7 +257,7 @@ def apply_circuit(state: Statevector, gates) -> Statevector:
     for gate in gates:
         _apply_inplace(amps, gate, state.n_qubits)
     nrm = l2_norm(amps)
-    if abs(nrm - 1.0) > NORM_TOL:
+    if not abs(nrm - 1.0) <= NORM_TOL:
         raise NormDriftError(f"norm drifted to {nrm!r}")
     return Statevector(state.n_qubits, amps)
 

@@ -93,13 +93,16 @@ _RNG_NAME = "numpy-default_rng-PCG64"
 
 @dataclass(frozen=True, slots=True, eq=False)
 class BackflowCoefficients(_ArrayRecord):
-    """Real momentum coefficients a_m of the built-in backflowing family."""
+    """Real momentum coefficients a_m, one per basis index, of unit norm
+    (off 1 by at most 1e-9, as ``exact_current`` reads them): the built-in
+    backflowing family's, or a state of one's own."""
 
     n_qubits: int
     a: np.ndarray
 
     def __post_init__(self):
         a = _register_array(self.a, self.n_qubits, np.float64, "coefficients")
+        _check_normalized(a)
         object.__setattr__(self, "a", a)
 
 
@@ -321,6 +324,13 @@ def backflow_coefficients(n_qubits: int) -> BackflowCoefficients:
     return BackflowCoefficients(n_qubits, a)
 
 
+def _check_normalized(coeffs: np.ndarray) -> None:
+    """Refuse coefficients whose norm is off 1 by more than 1e-9, or NaN."""
+    nrm = l2_norm(coeffs)
+    if not abs(nrm - 1.0) <= 1e-9:
+        raise ValueError(f"coefficients not normalized (norm {nrm!r})")
+
+
 def exact_current(coeffs, theta0: float = 0.0) -> float:
     """Probability current at ring angle theta0 for momentum coefficients.
 
@@ -331,9 +341,7 @@ def exact_current(coeffs, theta0: float = 0.0) -> float:
     c = np.asarray(getattr(coeffs, "a", coeffs), dtype=np.complex128)
     if c.ndim != 1 or c.size < 2 or c.size & (c.size - 1):
         raise ValueError("coefficient array length must be 2^N with N >= 1")
-    nrm = l2_norm(c)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"coefficients not normalized (norm {nrm!r})")
+    _check_normalized(c)
     # extended precision: the sums cancel heavily for large registers
     b = c.astype(np.clongdouble)
     m = np.arange(c.size, dtype=np.longdouble)

@@ -14,16 +14,17 @@ estimators read.  Word strings and the coefficient tuple are made only
 when read, for reports and printing, and then kept.
 ``current_decomposition`` fills its masks in place, one letter at a time,
 reads each weight from its Z mask, and spells its words (``spell_masks``,
-which also spells outcome bitstrings) only when they are asked for; a sum
-built from words takes int64 masks from ``word_masks`` once.  Either way
-the masks pass one set of bulk checks, and then are narrowed to int32.
+which also spells outcome bitstrings) only when they are asked for; its
+words are valid by construction, so nothing checks them again.  A sum
+built from words is checked where the words come in, and takes its masks
+from ``word_masks`` once.
 
 Passes over word columns run in blocks of WORD_BLOCK words, one fixed size:
 a chain of element-wise passes over one block stays in a core's cache, where
 the same chain over whole columns of 10^5 to 10^7 words streams each column
-through memory once per pass.  The mask checks and
-``engine.expectation_pauli``'s two passes over a sum's words are blocked,
-and ``spell_masks`` spells WORD_BLOCK letters at a time.
+through memory once per pass.  ``engine.expectation_pauli``'s two passes
+over a sum's words are blocked, and ``spell_masks`` spells WORD_BLOCK
+letters at a time.
 ``reading_setting`` names the Z/X setting that reads a word by its Z mask,
 and ``setting_plan`` groups the words by it.
 
@@ -109,17 +110,6 @@ _DROP_PAULI_LETTERS = str.maketrans("", "", PAULI_LETTERS)
 #: takes this many letters at a time, 128 KiB of UCS-4 code points.
 WORD_BLOCK = 1 << 15
 
-# (shift, keep) steps of a bit interleave: together they move bit i of a
-# value below 2^32 to bit 2i, and a step of shift s leaves a value below
-# 2^s as it is
-_SPREAD_STEPS = (
-    (16, 0x0000FFFF0000FFFF),
-    (8, 0x00FF00FF00FF00FF),
-    (4, 0x0F0F0F0F0F0F0F0F),
-    (2, 0x3333333333333333),
-    (1, 0x5555555555555555),
-)
-
 
 @dataclass(frozen=True, slots=True, init=False, eq=False)
 class WeightedPauliSum:
@@ -142,12 +132,13 @@ class WeightedPauliSum:
     Terms are kept merged: no duplicate words, and the all-identity word
     lives exclusively in ``identity_weight``.  Every word must be
     ``n_qubits`` letters over IXYZ and every coefficient finite, the same
-    checks ``PauliString`` makes one word at a time.  Words are checked
-    only for what masks cannot hold, their lengths and letters; the rest is
-    checked on the masks (``_check_masks``), for at most 31 qubits, before
-    they are narrowed to int32.  Two sums are equal when they have the same
-    qubit count and identity weight and the same words with the same
-    coefficients in the same order.
+    checks ``PauliString`` makes one word at a time; a sum holds at most 31
+    qubits, the bits of a non-negative int32 mask.  These are checked on
+    the words and coefficients a sum is built from.  The expansion and the
+    subsets ``_take`` makes are valid by construction and are not checked
+    again.  Two sums are equal when they have the same qubit count and
+    identity weight and the same words with the same coefficients in the
+    same order.
     """
 
     n_qubits: int
@@ -177,35 +168,29 @@ class WeightedPauliSum:
         out._set_columns(n_qubits, identity_weight, tuple(words), tuple(coeffs))
         return out
 
-    @classmethod
-    def _from_masks(
-        cls, n_qubits: int, identity_weight: float, masks, coeff_array, make_words
-    ) -> "WeightedPauliSum":
-        """A sum from its int32 or int64 masks and float64 coefficient array,
-        which it takes over; ``make_words()`` yields the words when read."""
-        _check_sizes(n_qubits, identity_weight, len(masks[0]), len(coeff_array))
-        _check_masks(n_qubits, masks, coeff_array, lambda i: tuple(make_words())[i])
-        out = object.__new__(cls)
-        out._set(n_qubits, identity_weight, masks, coeff_array, make_words)
-        return out
-
     def _set_columns(self, n_qubits, identity_weight, words, coeffs) -> None:
         _check_sizes(n_qubits, identity_weight, len(words), len(coeffs))
-        # what masks cannot hold: each word's length and letters, checked in
-        # bulk, in C over a whole column, which matters at 10^6 words
+        # each word's length and letters, checked in bulk, in C over a whole
+        # column, which matters at 10^6 words
         if set(map(len, words)) - {n_qubits}:
             bad = next(w for w in words if len(w) != n_qubits)
             raise ValueError(f"term {bad} does not act on {n_qubits} qubits")
         if "".join(words).translate(_DROP_PAULI_LETTERS):
             bad = next(w for w in words if w.translate(_DROP_PAULI_LETTERS))
             raise ValueError(f"invalid Pauli word {bad!r}")
-        masks = word_masks(words, n_qubits)
         coeff_array = np.array(coeffs, dtype=np.float64)
-        _check_masks(n_qubits, masks, coeff_array, words.__getitem__)
-        self._set(n_qubits, identity_weight, masks, coeff_array, words)
+        finite = np.isfinite(coeff_array)
+        if not finite.all():
+            raise ValueError(f"non-finite coefficient for {words[finite.argmin()]}")
+        distinct = set(words)
+        if "I" * n_qubits in distinct:
+            raise ValueError("all-identity term belongs in identity_weight")
+        if len(distinct) != len(words):
+            raise ValueError("duplicate Pauli words; merge like terms first")
+        self._set(n_qubits, identity_weight, word_masks(words, n_qubits), coeff_array, words)
 
     def _set(self, n_qubits, identity_weight, masks, coeff_array, words):
-        # only checked masks come here: one beyond 31 bits would wrap
+        # only valid masks come here: one beyond 31 bits would wrap
         masks = tuple(mask.astype(np.int32, copy=False) for mask in masks)
         for array in (*masks, coeff_array):
             array.flags.writeable = False
@@ -288,79 +273,6 @@ def _check_sizes(n_qubits, identity_weight, word_count, coeff_count) -> None:
         raise ValueError("non-finite identity weight")
     if word_count != coeff_count:
         raise ValueError(f"{word_count} words but {coeff_count} coefficients")
-
-
-def _check_masks(n_qubits, masks, coeff_array, word) -> None:
-    """Refuse masks beyond N bits or that share a bit, a non-finite
-    coefficient, the all-I word or a repeated word, in bulk; a refusal names
-    ``word(i)``, with the message a check of the words would give.
-
-    One pass over blocks of WORD_BLOCK words notes the first word of each
-    fault and whether the base-4 letter codes ascend, one block of codes at
-    a time; then the first fault in the order above is raised, whichever
-    block its word lies in.  Codes that do not ascend are remade and sorted.
-    """
-    mx, my, mz = masks
-    lane = np.uint32 if n_qubits <= 16 else np.int64  # holds 2N bits
-    codes = np.empty(min(len(mx), WORD_BLOCK), dtype=lane)
-    spare = np.empty_like(codes)
-    # the first word beyond N bits, sharing a bit, with a non-finite coefficient
-    first = [None, None, None]
-    ascending, identity, last = True, False, -1
-    for start in range(0, len(mx), WORD_BLOCK):
-        block = slice(start, start + WORD_BLOCK)
-        x, y, z = mx[block], my[block], mz[block]
-        union = x | y | z
-        # masks within N bits are disjoint when their sum carries nothing
-        faults = (union >> n_qubits != 0, x + y + z != union, ~np.isfinite(coeff_array[block]))
-        for kind, fault in enumerate(faults):
-            at = int(fault.argmax())
-            if first[kind] is None and fault[at]:
-                first[kind] = start + at
-        code = _letter_code(x, y, z, n_qubits, codes[: len(x)], spare)
-        identity = identity or not code.all()
-        ascending = ascending and int(code[0]) > last and (code[1:] > code[:-1]).all()
-        last = int(code[-1])
-    outside, shared, bad = first
-    if outside is not None:
-        raise ValueError(f"term {word(outside)} does not act on {n_qubits} qubits")
-    if shared is not None:
-        raise ValueError(f"invalid Pauli word {word(shared)!r}")
-    if bad is not None:
-        raise ValueError(f"non-finite coefficient for {word(bad)}")
-    if identity:
-        raise ValueError("all-identity term belongs in identity_weight")
-    if not ascending:
-        code = np.empty(len(mx), dtype=lane)
-        for start in range(0, len(mx), WORD_BLOCK):
-            block = slice(start, start + WORD_BLOCK)
-            _letter_code(mx[block], my[block], mz[block], n_qubits, code[block], spare)
-        code.sort()
-        if (code[1:] == code[:-1]).any():
-            raise ValueError("duplicate Pauli words; merge like terms first")
-
-
-def _letter_code(x, y, z, n_qubits, out, spare) -> np.ndarray:
-    # one base-4 digit per letter, I X Y Z = 0 1 2 3 with the leftmost
-    # letter most significant, so words of one length order as their
-    # codes: spread(X | Z) | spread(Y | Z) << 1, in the lanes of ``out``
-    # and ``spare``, uint32 up to 16 letters and int64 beyond.  Y | Z is
-    # spread in a new array of that type: an int32 one would overflow
-    codes = _spread(np.bitwise_or(x, z, out=out, casting="unsafe"), n_qubits, spare)
-    high = _spread(np.bitwise_or(y, z, dtype=out.dtype, casting="unsafe"), n_qubits, spare)
-    return np.bitwise_or(codes, np.left_shift(high, 1, out=high), out=codes)
-
-
-def _spread(bits: np.ndarray, width: int, spare: np.ndarray) -> np.ndarray:
-    """``bits``, each below 2^width, with bit i moved to bit 2i, in place."""
-    spare = spare[: len(bits)]
-    held = np.iinfo(bits.dtype).max  # the bits of ``keep`` that the lane holds
-    for shift, keep in _SPREAD_STEPS:
-        if shift < width:
-            np.left_shift(bits, shift, out=spare)
-            bits |= spare
-            bits &= keep & held
-    return bits
 
 
 def measurable(my: np.ndarray, mz: np.ndarray) -> np.ndarray:
@@ -518,9 +430,11 @@ def current_decomposition(n_qubits: int) -> WeightedPauliSum:
     from 0.  So the masks are filled in place, one pass per letter over one
     pair of int32 arrays of ``term_count(N) + 1`` entries that starts with
     the all-I word, and each weight is read from its Z mask: a Z at
-    position p is the mask bit 2^(N-1-p).  The words are spelled from the masks only
-    when read.  Registers beyond MAX_QUBITS are refused before anything is
-    built.
+    position p is the mask bit 2^(N-1-p).  The words are spelled from the
+    masks only when read.  Words that strictly ascend repeat none, and the
+    all-I word is the identity weight, so the sum is stored as built,
+    without a check.  Registers beyond MAX_QUBITS are refused before
+    anything is built.
     """
     check_qubits(n_qubits)
     check_register(n_qubits)
@@ -540,7 +454,9 @@ def current_decomposition(n_qubits: int) -> WeightedPauliSum:
     weights[mz == 0] = ix_weight
     masks = (mx, np.zeros(len(mx), dtype=np.int32), mz)
     make_words = partial(spell_masks, (mx, mz), n_qubits, "XZ", "I")
-    return WeightedPauliSum._from_masks(n_qubits, ix_weight, masks, weights, make_words)
+    out = object.__new__(WeightedPauliSum)
+    out._set(n_qubits, ix_weight, masks, weights, make_words)
+    return out
 
 
 def realize_dense(op_sum: WeightedPauliSum) -> np.ndarray:

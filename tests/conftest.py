@@ -9,6 +9,7 @@ from ringflow.pauli import WeightedPauliSum
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+TESTS_DIR = Path(__file__).resolve().parent
 
 
 def child_env(**overrides) -> dict:

@@ -1,6 +1,7 @@
 """Reference implementations that the fast paths in ``src/`` are tested
 against: the current operator's word expansion enumerated from every word
-over {I, X, Z}, a per-word expectation value that reads any word over IXYZ, the
+over {I, X, Z}, the expansion's invariants read from its masks by base-4
+letter codes, a per-word expectation value that reads any word over IXYZ, the
 letter-by-letter cover test of a measurement setting, the per-shot
 readout-flip sampler, the dense readout-flip matrix, and the plain
 layer-by-layer Walsh transform and per-setting expectation value, which
@@ -9,7 +10,7 @@ from itertools import product
 
 import numpy as np
 
-from ringflow.pauli import check_measurable
+from ringflow.pauli import check_measurable, current_decomposition, term_count
 
 _I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
 
@@ -30,6 +31,44 @@ def expansion_words(n_qubits: int):
         for word in words
     ]
     return words, coeffs
+
+
+def letter_codes(masks, n_qubits: int) -> np.ndarray:
+    """Each word's base-4 numeral from its (X, Y, Z) masks, as int64: one
+    digit per letter, I X Y Z = 0 1 2 3, the leftmost letter most
+    significant, so words of one length order as their codes.  Up to 31
+    letters, whose codes stay below 4^31 = 2^62."""
+    x, y, z = (np.asarray(mask, dtype=np.int64) for mask in masks)
+    codes = np.zeros(len(x), dtype=np.int64)
+    for bit in range(n_qubits - 1, -1, -1):
+        codes = 4 * codes + (x >> bit & 1) + 2 * (y >> bit & 1) + 3 * (z >> bit & 1)
+    return codes
+
+
+def check_expansion_invariants(n_qubits: int, block: int = 1 << 16) -> None:
+    """Assert what makes ``current_decomposition(n_qubits)`` a valid sum
+    without a check: ``term_count`` words, no Y, X and Z masks within N bits
+    and disjoint, at most one Z, the weight 2^N - 1 without Z and minus the
+    Z mask with it, and words that strictly ascend in I < X < Z order from
+    above the all-I word, across block boundaries too.  The masks are read
+    ``block`` words at a time, so the check adds little to the sum's own
+    memory."""
+    dec = current_decomposition(n_qubits)
+    mx, my, mz = dec.masks
+    assert len(mx) == len(dec.coeff_array) == term_count(n_qubits)
+    assert not my.any()
+    top = (1 << n_qubits) - 1
+    last = 0  # the all-I word's code
+    for start in range(0, len(mx), block):
+        x, z = mx[start : start + block], mz[start : start + block]
+        assert ((x & ~top) == 0).all() and ((z & ~top) == 0).all()
+        assert not (x & z).any()
+        assert not (z & (z - 1)).any()
+        want = np.where(z == 0, float(top), -z.astype(np.float64))
+        assert np.array_equal(dec.coeff_array[start : start + block], want)
+        codes = letter_codes((x, np.zeros_like(x), z), n_qubits)
+        assert codes[0] > last and (codes[1:] > codes[:-1]).all()
+        last = codes[-1]
 
 
 def expectation_direct(state, op_sum, imag_tol: float = 1e-10) -> float:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -101,12 +99,11 @@ class TestPrepareBackflowCircuit:
         np.testing.assert_allclose(state.amplitudes, a, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "a", [[0.5, 0.5, 0.5, 0.5], [0.0, 0.0, 1.0, 0.0], [math.nan, 1.0]],
-        ids=["uniform", "basis-10", "nan"],
+        "a", [[0.5, 0.5, 0.5, 0.5], [0.0, 0.0, 1.0, 0.0]], ids=["uniform", "basis-10"]
     )
     def test_unreachable_target_is_refused(self, a):
         """The two-qubit circuit reaches no state with a nonzero |10>
-        amplitude, and a NaN target has no fidelity: both are refused."""
+        amplitude: such a target is refused."""
         coeffs = BackflowCoefficients(len(a).bit_length() - 1, a)
         with pytest.raises(RuntimeError, match="fidelity"):
             prepare_backflow_circuit(coeffs)

@@ -146,6 +146,11 @@ class TestInit:
         with pytest.raises(ValueError, match="normalized"):
             Statevector(1, np.array([1.0, 1.0]))
 
+    def test_statevector_refuses_a_nan_norm(self):
+        """A NaN amplitude gives a NaN norm, which no tolerance accepts."""
+        with pytest.raises(ValueError, match=r"not normalized \(norm nan\)"):
+            Statevector(1, [math.nan, 0.0])
+
 
 class TestGates:
     def test_hadamard_on_zero(self):
@@ -181,13 +186,25 @@ class TestGates:
             (("CNOT", 1), "CNOT control qubit mis-specified"),
             (("H", -1), "negative qubit index"),
             (("CNOT", 0, -1), "negative qubit index"),
+            (("RY", 0, None, math.nan), "RY angle must be finite, got nan"),
+            (("CRY", 0, 1, -math.inf), "CRY angle must be finite, got -inf"),
         ],
         ids=["unknown-kind", "cnot-without-control", "negative-target",
-             "negative-control"],
+             "negative-control", "nan-angle", "infinite-angle"],
     )
     def test_gate_refusals(self, args, message):
         with pytest.raises(ValueError, match=message):
             Gate(*args)
+
+    def test_nan_from_a_kernel_is_norm_drift(self, monkeypatch):
+        """A kernel that writes NaN leaves a NaN norm, which fails the drift
+        check instead of passing as within tolerance."""
+        def nan_rotation(pair, angle):
+            pair[:] = math.nan
+
+        monkeypatch.setattr(ringflow.engine, "_rotate_pair", nan_rotation)
+        with pytest.raises(NormDriftError, match="norm drifted to nan"):
+            apply_circuit(init_basis(1, 0), [ry(0, 0.5)])
 
     def test_gate_validation(self):
         with pytest.raises(ValueError):
@@ -1216,9 +1233,7 @@ def test_sixteen_qubit_expectation_peak_memory():
     widened one setting at a time, with no buffer: 8.92 MB, against
     10.16 MB with a longdouble vector per setting."""
     dec = current_decomposition(16)
-    fractional = WeightedPauliSum._from_masks(
-        16, 0.5, dec.masks, dec.coeff_array * 0.5 + 0.25, dec.iter_words
-    )
+    fractional = WeightedPauliSum.from_columns(16, 0.5, dec.words, dec.coeff_array * 0.5 + 0.25)
     state = init_amplitudes(16, backflow_coefficients(16).a)
     value, peak = _traced_peak(lambda: expectation_pauli(state, dec))
     assert value == -32767.25000572292

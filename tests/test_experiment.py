@@ -92,6 +92,23 @@ class TestBackflowCoefficients:
         with pytest.raises(ValueError, match=r"expected 4 coefficients, got shape \(2,\)"):
             BackflowCoefficients(2, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "a",
+        [[1.2, 1.6], [0.3, 0.4], [0.5, 0.5, 0.5, 0.6], [1.0] * 8, [math.nan, 1.0],
+         [0.0, 0.0, 0.0, 0.0]],
+        ids=["long-pair", "short-pair", "two-qubits", "three-qubits", "nan", "zero"],
+    )
+    def test_type_refuses_a_norm_off_one(self, a):
+        """The norm is checked where the coefficients are made, by
+        ``exact_current``'s rule, with one answer at every N: no later step
+        renormalizes them or refuses them for a low fidelity instead."""
+        with pytest.raises(ValueError, match="coefficients not normalized"):
+            BackflowCoefficients(len(a).bit_length() - 1, a)
+
+    def test_type_keeps_a_norm_within_1e_9(self):
+        a = np.array([0.6, 0.8]) * (1 + 5e-10)
+        assert np.array_equal(BackflowCoefficients(1, a).a, a)
+
     def test_refused_above_register_cap(self):
         with pytest.raises(RegisterTooLargeError, match="cap"):
             backflow_coefficients(MAX_QUBITS + 1)
@@ -128,6 +145,10 @@ class TestExactCurrent:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             exact_current(np.array([1.0, 1.0]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"not normalized \(norm nan\)"):
+            exact_current([math.nan, 0.0])
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):

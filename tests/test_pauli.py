@@ -32,10 +32,9 @@ from ringflow.pauli import (
     term_count,
     word_masks,
 )
-from ringflow.pauli import _letter_code
 
-from conftest import child_env, small_word_blocks
-from oracles import expansion_words
+from conftest import TESTS_DIR, child_env, small_word_blocks
+from oracles import check_expansion_invariants, expansion_words, letter_codes
 
 I2 = np.eye(2, dtype=np.int64)
 X2 = np.array([[0, 1], [1, 0]], dtype=np.int64)
@@ -306,7 +305,7 @@ def test_word_masks_every_letter_at_every_position(n):
 def test_masks_hold_at_most_63_qubits():
     """A wider word would lose its leftmost letters from its masks, which
     are a sum's only stored form of its words.  A sum holds fewer still:
-    the letter code of its checks fills an int64 at 31 letters."""
+    31, the bits of a non-negative int32 mask."""
     assert word_masks(["X" + "I" * 62], 63)[0].tolist() == [1 << 62]
     for n in (64, 70):
         with pytest.raises(ValueError, match="at most 63 qubits"):
@@ -316,18 +315,16 @@ def test_masks_hold_at_most_63_qubits():
 
 
 def test_sums_hold_at_most_31_qubits():
-    """Every constructor refuses a 32-qubit sum with the same message; at
-    31 qubits the letter code still orders words and finds repeats."""
+    """Both constructors refuse a 32-qubit sum with the same message; at 31
+    qubits words are kept in their order and a repeat is found."""
     top = ["Z" + "I" * 30, "Y" * 31, "Z" * 31]
     assert WeightedPauliSum.from_columns(31, 0.0, top, [1.0, 2.0, 3.0]).words == tuple(top)
     with pytest.raises(ValueError, match="duplicate"):
         WeightedPauliSum.from_columns(31, 0.0, [top[2], top[0], top[2]], [1.0] * 3)
-    masks = tuple(np.array([m], dtype=np.int64) for m in index_masks("X" * 32))
     for make in (
         lambda: WeightedPauliSum.from_columns(32, 0.0, ["X" * 32], [1.0]),
         lambda: WeightedPauliSum(32, 0.0, (PauliString("X" * 32, 1.0),)),
         lambda: WeightedPauliSum(32, 0.0, ()),
-        lambda: WeightedPauliSum._from_masks(32, 0.0, masks, np.ones(1), lambda: ["X" * 32]),
     ):
         with pytest.raises(ValueError) as refused:
             make()
@@ -386,21 +383,13 @@ _SUM_WORDS = ["XYZ", "ZIX", "IIY"]
     [
         lambda: WeightedPauliSum(3, 0.5, (PauliString(w, 1.0) for w in _SUM_WORDS)),
         lambda: WeightedPauliSum.from_columns(3, 0.5, _SUM_WORDS, [1.0, 2.0, 3.0]),
-        lambda: WeightedPauliSum._from_masks(
-            3, 0.5, word_masks(_SUM_WORDS, 3), np.ones(3), lambda: iter(_SUM_WORDS)
-        ),
-        lambda: WeightedPauliSum._from_masks(
-            3, 0.5, tuple(m.astype(np.int32) for m in word_masks(_SUM_WORDS, 3)), np.ones(3),
-            lambda: iter(_SUM_WORDS),
-        ),
         lambda: WeightedPauliSum.from_columns(3, 0.5, _SUM_WORDS, [1.0, 2.0, 3.0])._take(
             np.array([2, 0])
         ),
         lambda: current_decomposition(6)._take(np.array([40, 0, 17])),
         lambda: current_decomposition(6),
     ],
-    ids=["terms", "from_columns", "from-int64-masks", "from-int32-masks", "take",
-         "take-decomposition", "decomposition"],
+    ids=["terms", "from_columns", "take", "take-decomposition", "decomposition"],
 )
 def test_every_constructor_stores_read_only_int32_masks(make):
     """A sum holds at most 31 qubits, so each constructor stores its masks
@@ -416,29 +405,28 @@ def test_every_constructor_stores_read_only_int32_masks(make):
 def test_leftmost_of_31_letters_round_trips():
     """At 31 qubits the leftmost letter is bit 30, the top bit of a
     non-negative int32: words to masks to words again, and through
-    ``_from_masks`` and ``_take``."""
+    ``from_columns`` and ``_take``."""
     words = ["X" + "I" * 30, "Z" + "Y" * 30, "Y" + "Z" * 30, "I" * 30 + "X"]
     op = WeightedPauliSum.from_columns(31, 0.0, words, [1.0, 2.0, 3.0, 4.0])
     assert [m[:3].tolist() for m in op.masks] == [
         [1 << 30, 0, 0], [0, (1 << 30) - 1, 1 << 30], [0, 1 << 30, (1 << 30) - 1]
     ]
-    assert list(spell_masks(op.masks, 31, "XYZ", "I")) == words
-    again = WeightedPauliSum._from_masks(31, 0.0, op.masks, op.coeff_array, lambda: iter(words))
-    assert again == op and again.words == tuple(words)
+    spelled = list(spell_masks(op.masks, 31, "XYZ", "I"))
+    assert spelled == words
+    assert WeightedPauliSum.from_columns(31, 0.0, spelled, op.coeffs) == op
     assert op._take(np.array([3, 0])).words == (words[3], words[0])
 
 
 @pytest.mark.parametrize("column", range(3))
 @pytest.mark.parametrize("bit", [31, 32])
 def test_int64_masks_beyond_31_bits_are_refused_not_wrapped(bit, column):
-    """int64 masks with a bit at or beyond N = 31 are refused with the
-    message of a word too long, before they are narrowed: bit 32 would wrap
-    to nothing in int32 and bit 31 to the sign."""
-    words = ["X" + "I" * 30, "I" * 30 + "Z"]
-    masks = [m.copy() for m in word_masks(words, 31)]
-    masks[column][1] |= 1 << bit
+    """A 31-qubit sum refuses a word whose leftmost X, Y or Z would be bit
+    31 or 32 of its int64 masks (a word of 32 or 33 letters), with the
+    message of a word too long, before any mask is narrowed to int32: bit
+    32 would wrap to nothing and bit 31 to the sign."""
+    words = ["X" + "I" * 30, "XYZ"[column] + "I" * bit]
     with pytest.raises(ValueError) as refused:
-        WeightedPauliSum._from_masks(31, 0.0, tuple(masks), np.ones(2), lambda: iter(words))
+        WeightedPauliSum.from_columns(31, 0.0, words, [1.0, 1.0])
     assert str(refused.value) == f"term {words[1]} does not act on 31 qubits"
 
 
@@ -468,8 +456,9 @@ def _decomposition_peak_kb(n: int) -> int:
 def test_eighteen_qubit_decomposition_peak_memory():
     """``current_decomposition(18)`` (2 621 439 words: 40 MiB of int32 X
     and Z masks and float64 weights) peaks at no more than 85 MiB, and at
-    72 MiB on a 2-vCPU Xeon host; with int64 masks it peaked at 92 MiB, and
-    with all the checks' temporaries alive at once at 273 MiB."""
+    72 MiB on a 2-vCPU Xeon host, the same as when the sum's masks were
+    checked in blocks after the build; with int64 masks it peaked at
+    92 MiB."""
     peak_kb = _decomposition_peak_kb(18)
     assert peak_kb <= 85 * 1024, f"peak {peak_kb / 1024:.0f} MiB"
 
@@ -477,12 +466,35 @@ def test_eighteen_qubit_decomposition_peak_memory():
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_twenty_qubit_decomposition_peak_memory():
     """``current_decomposition(20)`` (11 534 335 words: 176 MiB of int32 X
-    and Z masks and float64 weights) peaks at no more than 250 MiB.  Its
-    words ascend, so the checks keep one block of letter codes and the peak
-    is 216 MiB; with int64 masks it was 305 MiB, and with the whole 88 MiB
-    column of codes kept as well, 383 MiB."""
+    and Z masks and float64 weights) peaks at no more than 250 MiB, and at
+    217 MiB on a 2-vCPU Xeon host: the build's own arrays set the peak,
+    which checking the masks in blocks after the build did not raise.  With
+    int64 masks it was 305 MiB."""
     peak_kb = _decomposition_peak_kb(20)
     assert peak_kb <= 250 * 1024, f"peak {peak_kb / 1024:.0f} MiB"
+
+
+_INVARIANTS_SCRIPT = """
+import sys
+from oracles import check_expansion_invariants
+check_expansion_invariants(int(sys.argv[1]))
+"""
+
+
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+def test_expansion_is_valid_by_construction(n):
+    """``current_decomposition`` stores its sum without a check, so what a
+    check would hold is held here, over its whole domain
+    (``check_expansion_invariants``).  From N = 18 on (2 621 439 words and
+    more) a fresh process runs it, so the test process stays small."""
+    if n < 18:
+        check_expansion_invariants(n)
+        return
+    done = subprocess.run(
+        [sys.executable, "-c", _INVARIANTS_SCRIPT, str(n)],
+        env=child_env(PYTHONPATH=str(TESTS_DIR)), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("block", [None, 7], ids=["whole", "small-blocks"])
@@ -715,9 +727,9 @@ _REFUSALS = [
 def test_refusals_name_the_same_fault_through_every_constructor(
     n, weight, words, coeffs, message
 ):
-    """``from_columns``, the ``PauliString`` constructor (whose terms check
-    their own letters and coefficients) and the masks of a sum built as
-    ``current_decomposition`` builds one all refuse with the same message."""
+    """``from_columns`` and the ``PauliString`` constructor (whose terms
+    check their own letters and coefficients) refuse with the same
+    message."""
     with pytest.raises(ValueError) as refused:
         WeightedPauliSum.from_columns(n, weight, words, coeffs)
     assert str(refused.value) == message
@@ -725,58 +737,13 @@ def test_refusals_name_the_same_fault_through_every_constructor(
         with pytest.raises(ValueError) as refused:
             WeightedPauliSum(n, weight, [PauliString(w, c) for w, c in zip(words, coeffs)])
         assert str(refused.value) == message
-    # the masks of each word; "Q" reads as X and Z at once
-    masks = [index_masks(w.replace("Q", "X")) for w in words]
-    masks = [(x, y, z | x * ("Q" in w)) for w, (x, y, z) in zip(words, masks)]
-    columns = tuple(np.array(column, dtype=np.int64).reshape(-1) for column in zip(*masks))
-    with pytest.raises(ValueError) as refused:
-        WeightedPauliSum._from_masks(
-            n, weight, columns, np.array(coeffs, dtype=np.float64), lambda: iter(words)
-        )
-    assert str(refused.value) == message
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    n=st.integers(1, 12),
-    data=st.data(),
-)
-@example(n=2, data=None)
-def test_mask_checks_match_word_checks(n, data):
-    """On words of n letters over IXYZ (sorted, shuffled, with repeats or the
-    all-I word), the bulk mask checks refuse exactly what the word checks
-    refuse, with the same message."""
-    if data is None:
-        words, coeffs = ["IX", "IZ", "XI"], [1.0, -1.0, 1.0]
-    else:
-        words = data.draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), max_size=8))
-        if data.draw(st.booleans()):
-            words = sorted(words)
-        coeffs = data.draw(
-            st.lists(st.floats(-4, 4) | st.just(math.nan), min_size=len(words),
-                     max_size=len(words))
-        )
-    try:
-        want = WeightedPauliSum.from_columns(n, 0.5, words, coeffs)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as refused:
-            WeightedPauliSum._from_masks(
-                n, 0.5, word_masks(words, n), np.array(coeffs), lambda: iter(words)
-            )
-        assert str(refused.value) == str(exc)
-    else:
-        got = WeightedPauliSum._from_masks(
-            n, 0.5, word_masks(words, n), np.array(coeffs), lambda: iter(words)
-        )
-        assert got == want
-        assert got.words == want.words
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])
 @pytest.mark.parametrize("n", range(1, 11))
 def test_decomposition_in_small_word_blocks(monkeypatch, n, block):
-    """Checked and spelled a few words at a time, the expansion is the sum
-    built from its own words, and the one built in whole blocks."""
+    """Spelled a few words at a time, the expansion is the sum built from
+    its own words, and the one built in whole blocks."""
     whole = current_decomposition(n)
     small_word_blocks(monkeypatch, block)
     dec = current_decomposition(n)
@@ -784,32 +751,28 @@ def test_decomposition_in_small_word_blocks(monkeypatch, n, block):
     assert dec == WeightedPauliSum.from_columns(n, dec.identity_weight, dec.words, dec.coeffs)
 
 
-# the faults of _check_masks in the order it refuses them, each put on word i
-# of a list of masks: its message names the word
-_FAULTS = ("outside", "shared", "non-finite", "identity", "duplicate")
+# the faults a word list can carry in the order a sum refuses them, each put
+# on word i of a list: its message names the word
+_FAULTS = ("length", "letter", "non-finite", "identity", "duplicate")
 
 
-def _with_fault(masks, coeffs, kind, i, n):
-    if kind == "outside":
-        # at N = 31, bit 31 of an int32 column is its sign
-        masks[0][i] |= np.int64(1 << n).astype(masks[0].dtype)
-    elif kind == "shared":
-        masks[0][i] |= 1
-        masks[2][i] |= 1
+def _with_fault(words, coeffs, kind, i, n):
+    if kind == "length":
+        words[i] += "X"
+    elif kind == "letter":
+        words[i] = "Q" + words[i][1:]
     elif kind == "non-finite":
         coeffs[i] = math.nan
     elif kind == "identity":
-        for mask in masks:
-            mask[i] = 0
+        words[i] = "I" * n
     else:  # word i repeats word i + 1
-        for mask in masks:
-            mask[i] = mask[i + 1]
+        words[i] = words[i + 1]
 
 
 def _fault_message(kind, word, n):
     return {
-        "outside": f"term {word} does not act on {n} qubits",
-        "shared": f"invalid Pauli word {word!r}",
+        "length": f"term {word} does not act on {n} qubits",
+        "letter": f"invalid Pauli word {word!r}",
         "non-finite": f"non-finite coefficient for {word}",
         "identity": "all-identity term belongs in identity_weight",
         "duplicate": "duplicate Pauli words; merge like terms first",
@@ -818,44 +781,39 @@ def _fault_message(kind, word, n):
 
 @pytest.mark.parametrize("later", range(len(_FAULTS)))
 @pytest.mark.parametrize("earlier", range(len(_FAULTS)))
-def test_refusal_order_holds_across_word_blocks(monkeypatch, earlier, later):
-    """Blocks of two words; one fault in block 0 and one in block 2.  The
-    refusal is the one the whole-column checks gave: the first kind in
-    ``_FAULTS`` order, naming its first word, whichever block it is in."""
+def test_refusal_order_holds_across_word_blocks(earlier, later):
+    """One fault on word 0 and one on word 4 of eight words: the refusal is
+    the first kind in ``_FAULTS`` order and names its word, whichever of the
+    two words carries it; two faults of one kind name the first word."""
     n = 3
-    words = current_decomposition(n).words[:8]
-    small_word_blocks(monkeypatch, 2)
-    masks = [column.copy() for column in word_masks(words, n)]
-    coeffs = np.arange(1.0, 9.0)
-    _with_fault(masks, coeffs, _FAULTS[earlier], 0, n)
-    _with_fault(masks, coeffs, _FAULTS[later], 4, n)
+    words = list(current_decomposition(n).words[:8])
+    coeffs = list(np.arange(1.0, 9.0))
+    _with_fault(words, coeffs, _FAULTS[earlier], 0, n)
+    _with_fault(words, coeffs, _FAULTS[later], 4, n)
     first = min(earlier, later)
     word = words[0 if first == earlier else 4]
     with pytest.raises(ValueError) as refused:
-        WeightedPauliSum._from_masks(n, 0.0, tuple(masks), coeffs, lambda: iter(words))
+        WeightedPauliSum.from_columns(n, 0.0, words, coeffs)
     assert str(refused.value) == _fault_message(_FAULTS[first], word, n)
 
 
 @pytest.mark.parametrize(
     "words",
     [
-        ["ZX", "XI", "XI", "IX"],  # unsorted, the pair across blocks 0 and 1
+        ["ZX", "XI", "XI", "IX"],  # unsorted, the pair adjacent
         ["IX", "XI", "XI", "ZX"],  # sorted, the same pair
-        ["XI", "IX", "IZ", "XI"],  # unsorted, blocks 0 and 1, not adjacent
+        ["XI", "IX", "IZ", "XI"],  # unsorted, first and last
     ],
 )
-def test_duplicate_across_a_block_boundary_is_refused(monkeypatch, words):
-    small_word_blocks(monkeypatch, 2)
+def test_duplicate_across_a_block_boundary_is_refused(words):
     with pytest.raises(ValueError, match="duplicate Pauli words"):
         WeightedPauliSum.from_columns(2, 0.0, words, [1.0] * len(words))
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
-def test_duplicate_among_unsorted_words_in_the_first_and_last_block(monkeypatch, block):
-    """Words that do not ascend have their letter codes made again, block
-    by block, and sorted: a repeat of the first word as the last is found,
-    and the same words without it pass."""
-    small_word_blocks(monkeypatch, block)
+def test_duplicate_among_unsorted_words_in_the_first_and_last_block(block):
+    """Shuffled words, seeded by ``block``: a repeat of the first word as
+    the last is found, and the same words without it pass in their order."""
     words = list(np.random.default_rng(block).permutation(current_decomposition(3).words))
     assert words != sorted(words)
     with pytest.raises(ValueError) as refused:
@@ -866,87 +824,72 @@ def test_duplicate_among_unsorted_words_in_the_first_and_last_block(monkeypatch,
 
 
 @pytest.mark.parametrize("at", [2, 4, 5])
-def test_identity_word_in_a_later_block_is_refused(monkeypatch, at):
+def test_identity_word_in_a_later_block_is_refused(at):
     words = ["IX", "XI", "XX", "ZX", "XZ"]
     words.insert(at, "II")
-    small_word_blocks(monkeypatch, 2)
     with pytest.raises(ValueError, match="all-identity term belongs in identity_weight"):
         WeightedPauliSum.from_columns(2, 0.0, words, [1.0] * len(words))
 
 
 @pytest.mark.parametrize("n", range(1, 32))
 def test_letter_code_is_the_base_four_numeral(n):
-    """One digit per letter, I X Y Z = 0 1 2 3, the leftmost most
-    significant, on random words with the all-Y and all-Z words, whose
-    digits reach the top: in int64 lanes from int64 masks, and from int32
-    masks in the lane ``_check_masks`` gives N letters, uint32 up to 16."""
+    """The code ``check_expansion_invariants`` orders words by: one digit
+    per letter, I X Y Z = 0 1 2 3, the leftmost most significant, on random
+    words with the all-Y and all-Z words, whose digits reach the top, from
+    int64 masks as ``word_masks`` gives them and from int32 ones as a sum
+    stores them."""
     rows = np.random.default_rng(n).integers(0, 4, size=(64, n))
     rows = np.vstack([rows, np.full((2, n), 2), np.full((1, n), 3)])
     words = ["".join("IXYZ"[letter] for letter in row) for row in rows]
-    x, y, z = word_masks(words, n)
-    got = _letter_code(x, y, z, n, np.empty(len(words), np.int64), np.empty(len(words), np.int64))
+    masks = word_masks(words, n)
     want = [sum(int(letter) << 2 * (n - 1 - i) for i, letter in enumerate(row)) for row in rows]
-    assert got.tolist() == want
-    lane = np.uint32 if n <= 16 else np.int64
-    narrow = (m.astype(np.int32) for m in (x, y, z))
-    got = _letter_code(*narrow, n, np.empty(len(words), lane), np.empty(len(words), lane))
-    assert got.dtype == lane and got.tolist() == want
+    assert letter_codes(masks, n).tolist() == want
+    assert letter_codes([m.astype(np.int32) for m in masks], n).tolist() == want
 
 
-def _refusals_and_repeats(n, block, dtype):
-    """Every pair of faults on the first word and a late one, in columns of
-    ``dtype``, gives the first kind in ``_FAULTS`` order; a shuffled sum
-    with its first word repeated last is a duplicate, and without the
-    repeat it is accepted, from words and from masks alike."""
-    rng = np.random.default_rng(n + block)
+def _refusals_and_repeats(n, seed):
+    """On words of n letters drawn with ``seed``, every pair of faults on the
+    first word and a late one gives the first kind in ``_FAULTS`` order; a
+    shuffled sum with its first word repeated last is a duplicate, and
+    without the repeat it is kept in its order and returned."""
+    rng = np.random.default_rng(seed)
     words = {"".join(rng.choice(list("IXYZ"), n)) for _ in range(12)}
     words = sorted(words | {"Y" * n, "Z" * n} - {"I" * n})
     for earlier, later in product(_FAULTS, repeat=2):
-        masks = [column.astype(dtype) for column in word_masks(words, n)]
-        coeffs = np.ones(len(words))
-        _with_fault(masks, coeffs, earlier, 0, n)
-        _with_fault(masks, coeffs, later, len(words) - 2, n)
+        faulty, coeffs = list(words), [1.0] * len(words)
+        _with_fault(faulty, coeffs, earlier, 0, n)
+        _with_fault(faulty, coeffs, later, len(words) - 2, n)
         first = min(_FAULTS.index(earlier), _FAULTS.index(later))
-        word = words[0 if _FAULTS[first] == earlier else len(words) - 2]
+        word = faulty[0 if _FAULTS[first] == earlier else len(words) - 2]
         with pytest.raises(ValueError) as refused:
-            WeightedPauliSum._from_masks(n, 0.0, tuple(masks), coeffs, lambda: iter(words))
+            WeightedPauliSum.from_columns(n, 0.0, faulty, coeffs)
         assert str(refused.value) == _fault_message(_FAULTS[first], word, n)
     shuffled = list(rng.permutation(words))
     assert shuffled != words
-    for terms in (shuffled, [*shuffled, shuffled[0]]):
-        masks = tuple(column.astype(dtype) for column in word_masks(terms, n))
-        for make in (
-            lambda: WeightedPauliSum.from_columns(n, 0.0, terms, [1.0] * len(terms)),
-            lambda: WeightedPauliSum._from_masks(
-                n, 0.0, masks, np.ones(len(terms)), lambda: iter(terms)
-            ),
-        ):
-            if terms is shuffled:
-                assert make().words == tuple(shuffled)
-            else:
-                with pytest.raises(ValueError) as refused:
-                    make()
-                assert str(refused.value) == "duplicate Pauli words; merge like terms first"
+    with pytest.raises(ValueError) as refused:
+        WeightedPauliSum.from_columns(n, 0.0, [*shuffled, shuffled[0]], [1.0] * (len(words) + 1))
+    assert str(refused.value) == "duplicate Pauli words; merge like terms first"
+    op_sum = WeightedPauliSum.from_columns(n, 0.0, shuffled, [1.0] * len(words))
+    assert op_sum.words == tuple(shuffled)
+    return op_sum
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
 @pytest.mark.parametrize("n", [16, 17])
-def test_refusals_on_both_letter_code_paths(monkeypatch, n, block):
-    """Up to 16 letters a word's code is made in uint32 lanes and at 17 in
-    int64 ones; under small word blocks both refuse alike, from int64
-    columns as ``word_masks`` gives them."""
-    small_word_blocks(monkeypatch, block)
-    _refusals_and_repeats(n, block, np.int64)
+def test_refusals_on_both_letter_code_paths(n, block):
+    """The refusals and repeats on words drawn with seed n + block."""
+    _refusals_and_repeats(n, n + block)
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
 @pytest.mark.parametrize("n", [16, 17, 24, 31])
-def test_refusals_on_both_letter_code_lanes_from_int32_columns(monkeypatch, n, block):
-    """The same refusals and repeats from int32 columns, as a sum stores
-    its masks, in both lanes and up to the widest sum, where an outside
-    bit is the sign of an int32."""
-    small_word_blocks(monkeypatch, block)
-    _refusals_and_repeats(n, block, np.int32)
+def test_refusals_on_both_letter_code_lanes_from_int32_columns(n, block):
+    """The same refusals and repeats up to the widest sum, whose leftmost
+    letter is bit 30 of an int32 mask; the accepted sum stores its words'
+    masks as int32 columns."""
+    op_sum = _refusals_and_repeats(n, n + block)
+    for got, want in zip(op_sum.masks, word_masks(op_sum.words, n)):
+        assert got.dtype == np.int32 and np.array_equal(got, want)
 
 
 def test_reading_setting_follows_the_z_letter():
@@ -958,18 +901,3 @@ def test_reading_setting_follows_the_z_letter():
         setting = reading_setting(mz, n)
         assert setting.dtype == np.uint8
         assert setting.tolist() == [word.find("Z") + 1 for word in words]
-
-
-@pytest.mark.parametrize("block", [2, 4])
-def test_refusal_names_the_first_faulty_word_of_a_block(monkeypatch, block):
-    """Two words of one kind of fault in one block: the first is named, not
-    the one that is furthest out, and a negative mask is beyond N bits too."""
-    words = ["IX", "XI", "XX", "ZX"]
-    small_word_blocks(monkeypatch, block)
-    for first, second in ((1 << 2, 1 << 5), (-1, 1 << 3), (1 << 4, -8)):
-        masks = [column.copy() for column in word_masks(words, 2)]
-        masks[0][2], masks[0][3] = first, second
-        with pytest.raises(ValueError, match="^term XX does not act on 2 qubits$"):
-            WeightedPauliSum._from_masks(
-                2, 0.0, tuple(masks), np.ones(4), lambda: iter(words)
-            )
