@@ -65,6 +65,21 @@ for report in shots-a per-term theta0 flip; do
     python -c 'import json, sys; want, got = ([r[key] for key in ("j_estimate", "j_exact", "readout_flip")] for r in map(json.load, map(open, sys.argv[1:]))); print(want, got); sys.exit(want != got)' "$tmp/$report.json" "$tmp/analyzed.json"
   done
 done
+# sha256 of the analysis of the grouped and the per-term report
+test "$(ringflow analyze --input "$tmp/shots-a.json" | sha256sum | cut -d ' ' -f 1)" = d945c50f0e12a511ea259fc6f2186ff1ffc6e945de42df3f590c8be334fd4122
+test "$(ringflow analyze --input "$tmp/per-term.json" | sha256sum | cut -d ' ' -f 1)" = fe78a4c855b0c1aeb95a04d23fbd0e25bd8cb26590c4b24bef2ec4cbf88e07e4
+# a report cut short, and one with a byte damaged in its top-level term list
+# (which analyze does not read but still checks), exit 4 with json's error
+head -c 2000 "$tmp/shots-a.json" > "$tmp/cut.json"
+python -c 'import sys; t = open(sys.argv[1]).read(); i = t.rindex("\"word\":") + 6; open(sys.argv[2], "w").write(t[:i] + ";" + t[i + 1:])' "$tmp/shots-a.json" "$tmp/damaged.json"
+for pin in "cut:Unterminated string starting at: line 103 column 9 (char 1999)" \
+    "damaged:Expecting ':' delimiter: line 2308 column 13 (char 51630)"; do
+  code=0
+  ringflow analyze --input "$tmp/${pin%%:*}.json" > "$tmp/analyzed.json" 2> "$tmp/error.txt" || code=$?
+  test "$code" -eq 4
+  test ! -s "$tmp/analyzed.json"
+  test "$(cat "$tmp/error.txt")" = "ringflow: cannot read $tmp/${pin%%:*}.json: ${pin#*:}"
+done
 for argv in "--mode exact --n 12" "--mode shots --n 8 --seed 3" "--mode shots --n 6 --per-term --seed 11" "--mode exact --n 8 --per-term"; do
   ringflow current $argv > "$tmp/report.json"
   python -c 'import json, sys; text = open(sys.argv[1]).read(); sys.exit(json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" != text)' "$tmp/report.json"

@@ -14,6 +14,12 @@ unreadable or malformed input data.
 Environment variables RINGFLOW_SHOTS, RINGFLOW_SEED and RINGFLOW_FORMAT
 override the built-in defaults.
 
+``analyze`` reads its input with ``experiment.read_measurements``, which
+decodes only the top-level values that ingest reads and checks every other
+one (a report's term list, most of its bytes) as JSON without building it.
+Text that ``json.loads`` refuses, nesting past the recursion limit
+included, exits 4 with ``json.loads``' own message, line and column.
+
 JSON reports have the layout of ``json.dumps(report, indent=2,
 sort_keys=True)`` plus a newline.  With ``indent`` set, ``json.dumps``
 encodes in pure Python, one generator step per value; ``_render``
@@ -69,6 +75,7 @@ from .experiment import (
     closed_form_current,
     exact_current,
     ingest_measurements,
+    read_measurements,
     run_exact,
     run_simulation,
 )
@@ -691,7 +698,7 @@ def _cmd_analyze(args, parser) -> int:
         parser.error("--n must be a positive integer")
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = read_measurements(handle.read())
         report = ingest_measurements(args.n, data)
         # rendering needs only the report: free the parsed input first, which
         # keeps it out of the peak memory of writing a large report
@@ -699,7 +706,7 @@ def _cmd_analyze(args, parser) -> int:
     except RegisterTooLargeError as exc:
         print(f"ringflow: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         print(f"ringflow: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, KeyError, TypeError, OverflowError) as exc:

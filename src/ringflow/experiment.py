@@ -35,6 +35,7 @@ back into ``ingest_measurements`` reproduces the same estimate.
 """
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from collections.abc import Mapping, Sequence
@@ -863,6 +864,65 @@ def _optional_real(data: dict, key: str) -> float:
     return number if number else 0.0  # -0.0 reads as 0.0
 
 
+#: The top-level keys of measured data that ``ingest_measurements`` reads,
+#: and so the only ones that ``read_measurements`` decodes.
+INPUT_KEYS = frozenset({"n", "settings", "expectations", "theta0", "readout_flip"})
+
+_space = json.decoder.WHITESPACE.match
+_decode = json.JSONDecoder().raw_decode
+# the C scanner of ``json.loads``, with its grammar and strictness, but each
+# object and float becomes its length, so nothing of a checked value is kept
+_check = json.JSONDecoder(object_hook=len, parse_float=len).raw_decode
+
+
+def read_measurements(text: str) -> dict:
+    """Measured data from JSON ``text``, as ``ingest_measurements`` reads it.
+
+    The walk goes through the top-level object key by key.  The values of
+    ``INPUT_KEYS`` are decoded as ``json.loads`` decodes them; every other
+    value is checked by the same scanner and dropped, so a report's term
+    list, most of its bytes, is never built.  Text that the walk cannot
+    read (a top level that is no object, a byte-order mark, a syntax error,
+    nesting deeper than the recursion limit) goes to ``json.loads``
+    itself, so the result or the error, with its type, message, line and
+    column, is the one that ``json.loads`` gives.
+    """
+    try:
+        return _read_object(text)
+    except (ValueError, RecursionError):
+        return json.loads(text)
+
+
+def _read_object(text: str) -> dict:
+    """The top-level object's ``INPUT_KEYS`` entries, the last of a repeated
+    key winning; ValueError where the text leaves ``json.loads``' grammar."""
+    data = {}
+    at = _space(text, 0).end()
+    if text[at:at + 1] != "{":
+        raise ValueError("no object at the top level")
+    at = _space(text, at + 1).end()
+    if text[at:at + 1] != "}":
+        while True:
+            if text[at:at + 1] != '"':
+                raise ValueError("no key")
+            key, at = json.decoder.scanstring(text, at + 1)
+            at = _space(text, at).end()
+            if text[at:at + 1] != ":":
+                raise ValueError("no ':' after a key")
+            at = _space(text, at + 1).end()
+            if key in INPUT_KEYS:
+                data[key], at = _decode(text, at)
+            else:
+                at = _check(text, at)[1]
+            at = _space(text, at).end()
+            if text[at:at + 1] != ",":
+                break
+            at = _space(text, at + 1).end()
+    if text[at:at + 1] != "}" or _space(text, at + 1).end() != len(text):
+        raise ValueError("no '}' closing the object, or data after it")
+    return data
+
+
 def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
     """Recombine externally measured data into a current estimate.
 
@@ -875,7 +935,9 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
     (0 when absent), which the report echoes: nothing mitigates it.  Without
     explicit ``terms`` lists, every expansion term is read from the first
     setting that covers it, in file order.  No simulation happens here: the
-    output is exact arithmetic on the supplied numbers.
+    output is exact arithmetic on the supplied numbers.  No top-level key
+    outside ``INPUT_KEYS`` is read, so ``read_measurements`` leaves the
+    others out.
     """
     if not isinstance(data, dict):
         raise ValueError("measured data must be a mapping")

@@ -50,7 +50,7 @@ from ringflow.pauli import (
     realize_dense,
 )
 
-from conftest import DATA_DIR, child_env, random_state_vector
+from conftest import DATA_DIR, PEAK_SCRIPT, child_env, random_state_vector
 
 FOUR_PI = 4.0 * math.pi
 
@@ -206,27 +206,22 @@ def test_criterion_7_scale():
     assert abs(j - closed_form_current(n)) < 1e-9
 
 
-_PEAK_SCRIPT = """
-import re, sys
-from ringflow.cli import main
-argv = ["current", "--mode", "exact", "--n", "16", "--format", sys.argv[2]]
-code = main([*argv, "--output", sys.argv[1]])
-status = open("/proc/self/status").read()
-print(code, re.search(r"VmHWM:\\s+(\\d+) kB", status).group(1))
-"""
 # sha256 of the 16-qubit exact report in each format (json md5 4037f447...)
 _SIXTEEN_QUBIT_SHA = {
     "json": "8430512578df4e35f1821acf6b186f3ffc4bd81029ae1424777ce3eaf89de3c1",
     "csv": "df400e5ddc7573aef8c6d2d1af2c7bd475252b1c8a67188856e38c681d77e636",
     "table": "2d78a59c9845391f3c68e9d6aecb1e2634d963a9bdef27bed85d5afd1785fbe9",
 }
+# sha256 of analyze's JSON report of the 16-qubit exact JSON report
+_SIXTEEN_QUBIT_ANALYSIS_SHA = "6c01a775f60a8fb0cbba7a75accde1468eb495e3e5a9d2e4718603bdf0234c42"
 
 
-def _sixteen_qubit_report(target, fmt: str):
-    """The child's peak resident set in kB and the sha256 of the report it
-    wrote to ``target`` in ``fmt``."""
+def _sixteen_qubit_report(target, fmt: str, argv=("current", "--mode", "exact", "--n", "16")):
+    """The child's peak resident set in kB and the sha256 of the report
+    that the CLI run on ``argv`` wrote to ``target`` in ``fmt``."""
+    argv = [*argv, "--format", fmt, "--output", str(target)]
     done = subprocess.run(
-        [sys.executable, "-c", _PEAK_SCRIPT, str(target), fmt],
+        [sys.executable, "-c", PEAK_SCRIPT, json.dumps(argv)],
         env=child_env(),
         capture_output=True,
         text=True,
@@ -242,15 +237,25 @@ def _sixteen_qubit_report(target, fmt: str):
     return peak_kb, digest.hexdigest()
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
-def test_sixteen_qubit_report_peak_memory(tmp_path):
+@pytest.fixture(scope="module")
+def sixteen_qubit_json(tmp_path_factory):
+    """The 16-qubit exact JSON report's path, with its writer's peak in kB
+    and its sha256."""
+    target = tmp_path_factory.mktemp("sixteen") / "report.json"
+    return (target, *_sixteen_qubit_report(target, "json"))
+
+
+_NEEDS_PROC = pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+
+
+@_NEEDS_PROC
+def test_sixteen_qubit_report_peak_memory(tmp_path, sixteen_qubit_json):
     """``current --mode exact --n 16`` writes its 170 MB report, byte for
     byte as pinned, with a peak resident set of at most 300 MB, read by the
     child itself: a parent's ``ru_maxrss`` for the child counts the
     parent's own pages at spawn.  The csv and table reports, written from
     the same term columns, peak no higher than the JSON report."""
-    target = tmp_path / "report.json"
-    peak_kb, digest = _sixteen_qubit_report(target, "json")
+    target, peak_kb, digest = sixteen_qubit_json
     assert target.stat().st_size > 150e6
     assert peak_kb <= 300 * 1024, f"peak {peak_kb / 1024:.0f} MB"
     assert digest == _SIXTEEN_QUBIT_SHA["json"]
@@ -258,6 +263,18 @@ def test_sixteen_qubit_report_peak_memory(tmp_path):
         text_kb, digest = _sixteen_qubit_report(tmp_path / f"report.{fmt}", fmt)
         assert text_kb <= peak_kb, f"{fmt} peak {text_kb} kB, json {peak_kb} kB"
         assert digest == _SIXTEEN_QUBIT_SHA[fmt]
+
+
+@_NEEDS_PROC
+def test_sixteen_qubit_analysis_peak_memory(tmp_path, sixteen_qubit_json):
+    """``analyze`` of the 16-qubit exact report builds only the keys that
+    ingest reads, not the 589 823 rows of its term list, so the child peaks
+    at no more than 400 MiB (555 MiB while the whole file was decoded),
+    and its report is byte for byte as pinned."""
+    argv = ("analyze", "--input", str(sixteen_qubit_json[0]))
+    peak_kb, digest = _sixteen_qubit_report(tmp_path / "analysis.json", "json", argv)
+    assert peak_kb <= 400 * 1024, f"peak {peak_kb / 1024:.0f} MiB"
+    assert digest == _SIXTEEN_QUBIT_ANALYSIS_SHA
 
 
 def test_measurement_pipeline_identity():

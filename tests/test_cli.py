@@ -508,6 +508,20 @@ class TestAnalyze:
         assert err.startswith("ringflow: malformed measured data: ")
         assert named in err
 
+    @pytest.mark.parametrize("key", ["x", "settings"], ids=["unread-key", "settings"])
+    def test_deep_nesting_is_data_error(self, capsys, tmp_path, key):
+        """Nesting past the recursion limit, in a value analyze drops or in
+        one it reads, is unreadable input, not a traceback."""
+        deep = tmp_path / "deep.json"
+        deep.write_text(f'{{"n": 1, "{key}": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(deep))
+        assert code == 4
+        assert out == ""
+        assert err == (
+            f"ringflow: cannot read {deep}: maximum recursion depth exceeded while "
+            "decoding a JSON array from a unicode string\n"
+        )
+
     def test_wrong_qubit_count_is_data_error(self, capsys, data_dir):
         code, _, _ = run_cli(
             capsys,

@@ -30,6 +30,7 @@ from ringflow.engine import (
     z_probabilities,
 )
 from ringflow.experiment import (
+    INPUT_KEYS,
     _check_types,
     _finish_report,
     _first_cover,
@@ -44,6 +45,7 @@ from ringflow.experiment import (
     closed_form_current,
     exact_current,
     ingest_measurements,
+    read_measurements,
     relative_error,
     run_exact,
     run_simulation,
@@ -1098,6 +1100,142 @@ class TestIngestMeasurements:
             ingest_measurements(None, {"n": 1})
         with pytest.raises(ValueError):
             ingest_measurements(None, [1, 2, 3])
+
+
+def small_report_text() -> str:
+    """A one-qubit shots report that also lists expectations, so the text
+    holds every key of ``INPUT_KEYS`` among keys that ingest never reads."""
+    data = run_simulation(1, 50, seed=3, readout_flip=0.01, theta0=0.5).to_dict()
+    data["expectations"] = [
+        {"word": t["word"], "value": t["expectation"]} for t in data["terms"]
+    ]
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+def assert_reads_as_loads(text: str) -> None:
+    """``read_measurements`` gives ``json.loads``' object restricted to
+    ``INPUT_KEYS`` (any other value unchanged), or raises its exception
+    type with its message."""
+    try:
+        want = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            read_measurements(text)
+        assert raised.type is type(exc)
+        assert str(raised.value) == str(exc)
+        return
+    if isinstance(want, dict):
+        want = {key: value for key, value in want.items() if key in INPUT_KEYS}
+    # repr tells 1 from 1.0 and matches NaN with NaN
+    assert repr(read_measurements(text)) == repr(want)
+
+
+class RecordingMapping(dict):
+    """A dict that records every key looked up in it, and refuses to be
+    walked, which would read keys unnamed."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def _walked(self, *args):
+        raise AssertionError("the mapping was walked")
+
+    __iter__ = keys = values = items = copy = _walked
+
+
+_JSON_CHARACTERS = st.sampled_from(list('{}[]",:.-+0123456789eEaflnrstuyINi\\/ \t\r\n'))
+
+
+class TestReadMeasurements:
+    def test_every_prefix_reads_as_json_loads(self):
+        text = small_report_text()
+        for end in range(len(text) + 1):
+            assert_reads_as_loads(text[:end])
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_one_character_changes_read_as_json_loads(self, data):
+        text = small_report_text()
+        at = data.draw(st.integers(0, len(text)))
+        character = data.draw(_JSON_CHARACTERS | st.characters())
+        if at < len(text) and data.draw(st.booleans()):
+            text = text[:at] + character + text[at + 1:]
+        else:
+            text = text[:at] + character + text[at:]
+        assert_reads_as_loads(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 1, "n": 2}',
+            '{"x": 1, "n": 3, "x": {"a": [2.5]}}',
+            "{}",
+            " { } ",
+            "[1, 2]",
+            '"n"',
+            "3",
+            '\ufeff{"n": 1}',
+            '{\r\n\t"n"\t:\r\n 2 ,\t"x" : [ ]\r\n}\r\n',
+            '{"n": 1} x',
+            '{"n": 1}{}',
+            '{"n": 1,}',
+            '{"n" 1}',
+            '{"n": 1 "x": 2}',
+            '{"n": 1, "x": [NaN, Infinity, -Infinity]}',
+            '{"n": 1, "x": 1' + "0" * 4999 + "}",
+            '{"n": 1, "terms": [{"word": "X\\q", "coeff": 1.0}]}',
+            '{"n": 1, "x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            '{"settings": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        ],
+        ids=["duplicate-kept", "duplicate-dropped", "empty", "empty-spaced", "list",
+             "string", "number", "bom", "crlf-tab", "trailing-text", "trailing-object",
+             "trailing-comma", "no-colon", "no-comma", "non-finite-dropped",
+             "5000-digits-dropped", "bad-escape-in-terms", "deep-dropped",
+             "deep-settings"],
+    )
+    def test_named_cases_read_as_json_loads(self, text):
+        assert_reads_as_loads(text)
+
+    @pytest.mark.parametrize(
+        "source", ["n1-file", "n2-file", "shots", "per-term", "counts", "expectations"]
+    )
+    def test_ingest_reads_no_key_outside_input_keys(self, data_dir, source):
+        if source.endswith("-file"):
+            name = {"n1": "backflow_n1_probabilities", "n2": "backflow_n2_expectations"}
+            data = json.loads((data_dir / f"{name[source[:2]]}.json").read_text())
+        else:
+            report = run_simulation(
+                3, 200, seed=2, grouped=source != "per-term", readout_flip=0.01, theta0=0.3
+            ).to_dict()
+            data = {
+                "shots": report,
+                "per-term": report,
+                "counts": {"n": 3, "settings": [
+                    {"basis_word": s["basis_word"], "counts": s["counts"]}
+                    for s in report["settings"]
+                ]},
+                "expectations": {"n": 3, "expectations": [
+                    {"word": t["word"], "value": t["expectation"]} for t in report["terms"]
+                ]},
+            }[source]
+        recording = RecordingMapping(data)
+        report = ingest_measurements(None, recording)
+        assert recording.read <= INPUT_KEYS, recording.read - INPUT_KEYS
+        again = ingest_measurements(None, read_measurements(json.dumps(data)))
+        assert again.to_dict() == report.to_dict()
 
 
 def covers_loop_owner(words, basis_words):
