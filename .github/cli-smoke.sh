@@ -3,7 +3,10 @@
 #
 # Every command of README's CLI block must exit 0, the exact and a seeded
 # shots two-qubit report (whose state the rotation circuit prepares) have
-# the bytes of a sha256 pin, a seeded shots run must repeat byte for byte, with and without a readout flip, and analyze must
+# the bytes of a sha256 pin, the shots one by both launch paths (the
+# installed command and python -m ringflow), a report streamed into a pipe
+# that head closes on stdout and stderr together exits 2, a seeded shots
+# run must repeat byte for byte, with and without a readout flip, and analyze must
 # reproduce the j_estimate, j_exact and readout_flip of a grouped, a
 # per-term, a readout-flip and a nonzero-angle report from the full report
 # and from its counts alone (with the angle and the flip); the 16-qubit
@@ -26,6 +29,13 @@ done < "$tmp/cli-commands.txt"
 # sha256 of the two-qubit exact and seeded shots reports
 test "$(ringflow current --n 2 | sha256sum | cut -d ' ' -f 1)" = 93e3323f015b92b391f843a75679711f6fc3377c587452836f6e78728180664c
 test "$(ringflow current --n 2 --mode shots --seed 7 | sha256sum | cut -d ' ' -f 1)" = 42e1cd224cd781828491b73fb2fbc1f095bca86272b3464ba536d37e4bed6c67
+# the same bytes from the other launch path, python -m ringflow
+test "$(python -m ringflow current --n 2 --mode shots --seed 7 | sha256sum | cut -d ' ' -f 1)" = 42e1cd224cd781828491b73fb2fbc1f095bca86272b3464ba536d37e4bed6c67
+# stdout and stderr on one pipe that head closes exit 2; under pipefail the
+# pipeline fails, and its first status is ringflow's
+codes=(0)
+ringflow current --n 12 2>&1 | head -1 > /dev/null || codes=("${PIPESTATUS[@]}")
+test "${codes[0]}" -eq 2
 # sha256 of each 16-qubit expansion, in json, csv and table
 for pin in json:7126521241dca9e3ab9562d65a1e1e6519fd6c01d37189df1722ea6f834e9464 \
     csv:c970149c99a4dff14c603ba9475416d645137a3bd7f466de6b449d9c1568fd82 \

@@ -14,6 +14,19 @@ unreadable or malformed input data.
 Environment variables RINGFLOW_SHOTS, RINGFLOW_SEED and RINGFLOW_FORMAT
 override the built-in defaults.
 
+Every launch (the ``ringflow`` console script, ``python -m ringflow`` and
+``python -m ringflow.cli``) enters at ``run``, which calls ``gc.freeze()``
+and exits with ``main()``'s code.  By then the package and numpy are
+imported, and the freeze moves their 22 k objects into the permanent
+generation, which neither the run's collections nor those of interpreter
+shutdown traverse.  That cuts a launch's exit from about 21 ms to 6 ms
+(``os._exit`` takes 2 ms); flushes, ``atexit`` handlers and warnings still
+run.  ``main(argv)`` is the in-process API and never freezes.
+
+csv reports write each run parameter of the table header as a
+``param,<name>,,,<value>,`` line before the ``summary`` lines, named and
+written as in the JSON report.
+
 ``analyze`` reads its input with ``experiment.read_measurements``, which
 decodes only the top-level values that ingest reads and checks every other
 one (a report's term list, most of its bytes) as JSON without building it.
@@ -55,6 +68,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import math
 import os
@@ -217,12 +231,7 @@ def _emit(chunks, path: str | None) -> int:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
         except OSError as exc:
-            # Python flushes stdout again at exit: point it at devnull, as
-            # the signal module's docs advise for a closed pipe, so that no
-            # second error follows
-            with contextlib.suppress(OSError, ValueError):
-                fileno = sys.stdout.fileno()
-                os.dup2(os.open(os.devnull, os.O_WRONLY), fileno)
+            _to_devnull(sys.stdout)
             return _unwritable("<stdout>", exc)
         return EXIT_OK
     try:
@@ -241,8 +250,21 @@ def _emit(chunks, path: str | None) -> int:
 
 
 def _unwritable(path: str, exc: OSError) -> int:
-    print(f"ringflow: cannot write {path}: {exc}", file=sys.stderr)
+    try:
+        print(f"ringflow: cannot write {path}: {exc}", file=sys.stderr)
+    except OSError:
+        # stderr is the closed pipe that stdout was (``2>&1 | head``): the
+        # diagnostic is lost, and the exit code alone tells
+        _to_devnull(sys.stderr)
     return EXIT_USAGE
+
+
+def _to_devnull(stream) -> None:
+    """Point a failed standard stream at devnull, as the signal module's docs
+    advise for a closed pipe: Python flushes stdout and stderr again at
+    exit, and a second failure there would make the exit code 120."""
+    with contextlib.suppress(OSError, ValueError):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 _INDENT = "  "
@@ -531,6 +553,7 @@ def _sum_chunks(op_sum: WeightedPauliSum, fmt: str, dense):
 
 
 _SUMMARY = ("j_estimate", "j_std_error", "j_exact", "j_closed_form", "relative_error")
+_TABLE_NAMES = {"shots_per_setting": "shots/setting"}
 
 
 def _report_chunks(report: ExperimentReport, fmt: str):
@@ -540,22 +563,30 @@ def _report_chunks(report: ExperimentReport, fmt: str):
         return _json_chunks(report.to_dict(columns=True))
     records, tables = report.term_records, _Tables()
     summary = [(name, getattr(report, name)) for name in _SUMMARY]
+    # the run parameters, by their JSON names
+    params = [("n", report.n_qubits), ("mode", report.mode), ("theta0", report.theta0)]
+    if report.mode == "shots":
+        params += [
+            ("shots_per_setting", report.shots_per_setting), ("seed", report.seed),
+            ("grouped", report.grouped), ("readout_flip", report.readout_flip),
+        ]
     if fmt == "csv":
         first = "record,word,coeff,setting,expectation,std_error\n"
         lead, pad, sep, no_std = "term,", "", ",", ""
         coeff_spec, expectation_spec, std_spec = "{:g}", float.__repr__, float.__repr__
         names = _texts([*records.bases, ""])
-        last = "".join(
+        last = "".join(f"param,{name},,,{_encoder(0)(value)},\n" for name, value in params)
+        last += "".join(
             f"summary,{name},,,{'' if value is None else repr(value)},\n"
             for name, value in summary
         )
     else:
-        first = f"n={report.n_qubits} mode={report.mode} theta0={_g_text(report.theta0)}"
-        if report.mode == "shots":
-            first += (
-                f" shots/setting={report.shots_per_setting} seed={report.seed}"
-                f" grouped={report.grouped} readout_flip={_g_text(report.readout_flip)}"
-            )
+        # a header line of name=value, the angle and the flip as weights are written
+        first = " ".join(
+            f"{_TABLE_NAMES.get(name, name)}="
+            f"{_g_text(value) if isinstance(value, float) else value}"
+            for name, value in params
+        )
         width = max(4, report.n_qubits)
         if records:
             first += (
@@ -734,5 +765,12 @@ def main(argv=None) -> int:
         return EXIT_COMPUTE
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry of every launch path: freeze the start-up heap, then
+    exit with ``main()``'s code.  ``main`` itself never freezes."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -206,10 +206,11 @@ def test_criterion_7_scale():
     assert abs(j - closed_form_current(n)) < 1e-9
 
 
-# sha256 of the 16-qubit exact report in each format (json md5 4037f447...)
+# sha256 of the 16-qubit exact report in each format (json md5 4037f447...;
+# the csv with its three param lines)
 _SIXTEEN_QUBIT_SHA = {
     "json": "8430512578df4e35f1821acf6b186f3ffc4bd81029ae1424777ce3eaf89de3c1",
-    "csv": "df400e5ddc7573aef8c6d2d1af2c7bd475252b1c8a67188856e38c681d77e636",
+    "csv": "318825468c0fc606f1d09d2ef7218fd812a5d341f56db172d2228c84c6ce8d34",
     "table": "2d78a59c9845391f3c68e9d6aecb1e2634d963a9bdef27bed85d5afd1785fbe9",
 }
 # sha256 of analyze's JSON report of the 16-qubit exact JSON report

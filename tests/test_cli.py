@@ -1,6 +1,8 @@
 import contextlib
 import copy
+import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -47,6 +49,13 @@ def weight_text(value: float, sign: str = "", width: int = 0) -> str:
     if sign and not text.startswith("-"):
         text = "+" + text
     return text.rjust(width)
+
+
+#: The run parameters of a csv report, as the table header orders them: the
+#: first three for every report, all seven for a shots report
+_CSV_PARAMS = (
+    "n", "mode", "theta0", "shots_per_setting", "seed", "grouped", "readout_flip"
+)
 
 
 def run_cli(capsys, *argv):
@@ -395,6 +404,34 @@ class TestCurrent:
         code, out, _ = run_cli(capsys, "current", *argv, "--format", "table")
         assert code == 0
         assert out.split("\n", 1)[0] == header
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (("current", "--n", "2", "--theta0", "0.1234567"), _CSV_PARAMS[:3]),
+            (("current", "--mode", "shots", "--n", "3", "--shots", "100", "--seed", "1",
+              "--per-term", "--readout-flip", "0.0123456789", "--theta0", "-0.5"),
+             _CSV_PARAMS),
+            (("analyze", "--input", str(DATA_DIR / "backflow_n2_expectations.json")),
+             _CSV_PARAMS[:3]),
+        ],
+        ids=["exact", "shots", "analyze"],
+    )
+    def test_csv_names_the_run_parameters(self, capsys, argv, names):
+        """Each run parameter of the table header is one csv ``param`` line,
+        just before the summary lines, with the JSON report's name and text."""
+        code, report, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        data = json.loads(report)
+        params = [f"param,{name},,,{json.dumps(data[name])}," for name in names]
+        lines = out.splitlines()
+        start = lines.index("summary,j_estimate,,,{!r},".format(data["j_estimate"]))
+        assert lines[start - len(params):start] == params
+        assert [line for line in lines if line.startswith("param,")] == params
+        # JSON's quotes on the mode are csv's quotes too
+        assert next(csv.reader([params[1]])) == ["param", "mode", "", "", data["mode"], ""]
 
 
 class TestAnalyze:
@@ -1066,6 +1103,9 @@ def text_report_oracle(report, fmt: str) -> str:
             std = "" if r.std_error is None else repr(r.std_error)
             setting = "" if r.setting is None else r.setting
             lines.append(f"term,{r.word},{weight_text(r.coeff)},{setting},{r.expectation!r},{std}")
+        params = {key: value for key, value in report.to_dict().items() if key in _CSV_PARAMS}
+        for name in _CSV_PARAMS[: 7 if report.mode == "shots" else 3]:
+            lines.append(f"param,{name},,,{json.dumps(params[name])},")
         for name in summary:
             value = getattr(report, name)
             lines.append(f"summary,{name},,,{'' if value is None else repr(value)},")
@@ -1241,6 +1281,21 @@ class TestStdoutFailures:
         assert proc.returncode == 2
         assert proc.stderr == "ringflow: cannot write <stdout>: [Errno 32] Broken pipe\n"
 
+    @pytest.mark.parametrize("n", ["1", "12"])
+    def test_closed_pipe_shared_with_stderr(self, n):
+        """``2>&1 | head``: stdout and stderr are one closed pipe, so the
+        diagnostic is lost, and the exit code alone says the write failed."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ringflow", "current", "--mode", "exact", "--n", n],
+                stdout=write_end, stderr=write_end, env=child_env(), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("n", ["1", "12"])
     def test_full_device(self, n):
@@ -1254,6 +1309,35 @@ class TestStdoutFailures:
         assert proc.stderr == (
             "ringflow: cannot write <stdout>: [Errno 28] No space left on device\n"
         )
+
+
+#: A child Python's script: the process entry with a stub ``main`` that
+#: prints how many objects are frozen and returns exit code 3
+ENTRY_SCRIPT = """
+import gc
+import ringflow.cli
+ringflow.cli.main = lambda: print(gc.get_freeze_count()) or 3
+ringflow.cli.run()
+"""
+
+
+class TestProcessEntry:
+    """``run`` freezes the start-up heap before ``main`` runs, and exits with
+    ``main``'s code; ``main``, the in-process API, never freezes."""
+
+    def test_entry_freezes_the_start_up_heap(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", ENTRY_SCRIPT],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert int(proc.stdout) > 10_000
+
+    def test_main_does_not_freeze(self, capsys):
+        frozen = gc.get_freeze_count()
+        code, _, _ = run_cli(capsys, "current", "--n", "2")
+        assert code == 0
+        assert gc.get_freeze_count() == frozen
 
 
 _ODD_VALUES = st.sampled_from(
@@ -1346,7 +1430,8 @@ class TestAnalyzeFuzz:
 
 
 # sha256 of each output as the program wrote it before the expansion was
-# stored as masks; every byte must stay as it was
+# stored as masks; every byte must stay as it was.  The csv reports of
+# current and analyze are pinned with their param lines, which came later
 _PINNED = [
     (("decompose", "--n", "10"),
      "2fe935e74bc3e09758cb305ea4d04bb4c211f4013e831652821cba206344bc61"),
@@ -1362,11 +1447,11 @@ _PINNED = [
     (("current", "--mode", "exact", "--n", "12"),
      "6232c525ffb8600c5cc0a246073cc7d1435bdf3194f59470d3b19a3cbb943281"),
     (("current", "--mode", "exact", "--n", "10", "--format", "csv"),
-     "e0d32ba28eee6560c9a9ccebada0cd3039c04dd1433f81b9616d3d3046d350ed"),
+     "16aebd443286afee99392303a400f0c083c9e0c8e5e1f5f3c09bfc91aea57fe8"),
     (("current", "--mode", "exact", "--n", "10", "--format", "table"),
      "b5e447243c04dcab0509afbea3d5190f753e01cf7d888a5bcd386467cb74e7f1"),
     (("current", "--mode", "shots", "--n", "8", "--seed", "3", "--format", "csv"),
-     "8bedb52ea5dc71dbecee3832373a3e75fe750b2f28deeee713404ed6afac1784"),
+     "6f7527a015ead8c80e56779151c3db7ff3fee2d8ab21f9711a910355179cafd6"),
     (("current", "--mode", "shots", "--n", "8", "--seed", "3", "--format", "table"),
      "f0d887336f465587a552cc8e2ab1cb37423bd81477f2b04d58de4f8cefda60d7"),
     # as first written with the ring angle a phase on the prepared state
@@ -1379,7 +1464,7 @@ _PINNED = [
     (("current", "--mode", "exact", "--n", "8", "--per-term"),
      "c6a5d43585d18017a302a25485f41c78d9fc03230bb56b576e624914df607284"),
     (("current", "--mode", "exact", "--n", "8", "--per-term", "--format", "csv"),
-     "d8d3bb83edf908df9094751b18c38e4ae057abd0ba4e426ebd483460537794be"),
+     "2f83ce5f83931c0675648df86b8bbede308ecaa54485749fead4850c344b1fac"),
     # as written before csv and table lines went through the JSON writer's
     # row joins: words of fewer than four letters, dense rows, an analysis
     # with no setting or no std_error, a per-term table and a flip table
@@ -1390,11 +1475,11 @@ _PINNED = [
     (("decompose", "--n", "3", "--dense", "--format", "table"),
      "12e81214e96496ee241dca3498b1266cc95e99cd7c25649335304c3524837a14"),
     (("analyze", "--input", "data/backflow_n1_probabilities.json", "--format", "csv"),
-     "31be9f7ed8bde091f55e66f98bb9e0dd14f2abd0ef9b59652d2813c58ec6813c"),
+     "fe840e02fce766d55a137e34a0dc9e8657c0efa0acf1b3a7ff5564a23956b70a"),
     (("analyze", "--input", "data/backflow_n1_probabilities.json", "--format", "table"),
      "f2e1ce30059e4a0edd43797da5b9a9fce2df86c3d2fb66da2e7a75f6e422ce28"),
     (("analyze", "--input", "data/backflow_n2_expectations.json", "--format", "csv"),
-     "a59d565c1a77413d79d9ec06d5b7c0447834c1fe711bfcc2eefbf5ac3d787c8f"),
+     "7c10c1eba8231d00a6f16e0541dc0340818e11488a5eb1140ef801103ddcaf47"),
     (("analyze", "--input", "data/backflow_n2_expectations.json", "--format", "table"),
      "cd9a00362907047ce7d4c61ece9b5262b95cdc334590b150b25f78f4da0d2a7d"),
     (("current", "--mode", "exact", "--n", "8", "--per-term", "--format", "table"),
