@@ -14,8 +14,10 @@
 # one (MAX_QUBITS, the largest expansion built) has every line, its
 # seven-digit weight 2^20 - 1 written in full and the bytes of a pin;
 # exact and shots reports, grouped and per-term (one exact table of several
-# blocks), re-dump through the stdlib json module to their own text; and at
-# the ring angle 1e300 the exact estimate reads the exact current.
+# blocks), re-dump through the stdlib json module to their own text; at
+# the ring angle 1e300 the exact estimate reads the exact current; and the
+# eight-qubit per-term exact report (1 279 settings) and its analysis have
+# the bytes of a sha256 pin.
 set -eo pipefail
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -94,3 +96,8 @@ for argv in "--mode exact --n 12" "--mode shots --n 8 --seed 3" "--mode shots --
   ringflow current $argv > "$tmp/report.json"
   python -c 'import json, sys; text = open(sys.argv[1]).read(); sys.exit(json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" != text)' "$tmp/report.json"
 done
+# sha256 of the per-term eight-qubit exact report, one setting per word, and
+# of its analysis, which groups every setting's words
+ringflow current --mode exact --n 8 --per-term > "$tmp/per-term-8.json"
+test "$(sha256sum < "$tmp/per-term-8.json" | cut -d ' ' -f 1)" = c6a5d43585d18017a302a25485f41c78d9fc03230bb56b576e624914df607284
+test "$(ringflow analyze --input "$tmp/per-term-8.json" | sha256sum | cut -d ' ' -f 1)" = 124624f79a6df786d68e7385ad011b8dd6d8a9714ae2df14313122929594e4ac

@@ -17,8 +17,10 @@ Hadamard before the Z measurement).  A word is measurable under a setting
 when its X letters sit at X-basis positions and its Z letters at Z-basis
 positions; grouping assigns all Z-free words to the all-X setting and the
 words with a Z at position p to the setting that is Z at p and X elsewhere.
-``pauli.setting_plan`` makes that plan for ``group_terms``, the engine and
-``experiment.run_simulation`` alike.
+``pauli.setting_plan`` makes that plan for ``group_terms`` and
+``experiment.run_simulation`` alike; the engine's grouped expectation finds
+its settings on its own, as it reads the words.  A setting's basis word is
+spelled from its Z mask by ``pauli.spell_masks``.
 """
 from __future__ import annotations
 
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Gate, apply_circuit, cnot, h, init_basis, ry
-from .pauli import PauliString, PauliTerms, WeightedPauliSum, check_measurable, setting_plan
+from .pauli import PauliString, PauliTerms, WeightedPauliSum, check_measurable
+from .pauli import setting_groups, setting_plan, spell_masks
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,8 +62,11 @@ class MeasurementSetting:
 
     @classmethod
     def from_z_mask(cls, zmask: int, n_qubits: int) -> "MeasurementSetting":
-        """Z where ``zmask`` has a bit (leftmost letter = MSB), X elsewhere."""
-        return cls(format(zmask, f"0{n_qubits}b").replace("0", "X").replace("1", "Z"))
+        """Z where ``zmask`` has a bit (leftmost letter = MSB), X elsewhere;
+        a mask outside the register's N bits is refused."""
+        if not 0 <= zmask < 1 << n_qubits:
+            raise ValueError(f"Z mask {zmask} outside {n_qubits} qubits")
+        return cls(*spell_masks((np.array([zmask]),), n_qubits, "Z", "X"))
 
 
 def measurement_circuit(setting: MeasurementSetting) -> Circuit:
@@ -146,11 +152,10 @@ def group_terms(op_sum: WeightedPauliSum) -> dict[MeasurementSetting, PauliTerms
     setting's terms keep their order in ``op_sum``.
     """
     check_measurable(op_sum)
-    n = op_sum.n_qubits
-    return {
-        MeasurementSetting.from_z_mask(zmask, n): op_sum._take(members).terms
-        for zmask, members in setting_plan(op_sum.masks[2], n)
-    }
+    zmasks, setting = setting_plan(op_sum.masks[2], op_sum.n_qubits)
+    order, slices = setting_groups(setting, len(zmasks))
+    bases = map(MeasurementSetting, spell_masks((zmasks,), op_sum.n_qubits, "Z", "X"))
+    return dict(zip(bases, (op_sum._take(order[members]).terms for members in slices)))
 
 
 def parity_sign(term: PauliString, outcome: str) -> int:

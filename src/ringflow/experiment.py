@@ -20,8 +20,8 @@ the report.
 
 A simulation reads everything that N and the grouping fix from the
 register's layout (``_Layout``): the expansion's columns and parity
-masks in record order (setting by setting), the setting plan
-(``pauli.setting_plan``, or one setting per word) with its basis words
+masks in record order (setting by setting), the setting plan's Z masks
+(``pauli.setting_plan``, or one setting per word) with their basis words
 and word tuples, the prepared state, the exact current and,
 when the plan's whole table fits one block, the exact outcome rows: the
 state rotated into every setting with ``engine.rotated_settings`` and its
@@ -72,6 +72,7 @@ from .pauli import (
     check_qubits,
     check_register,
     current_decomposition,
+    setting_groups,
     setting_plan,
     spell_masks,
     word_masks,
@@ -116,11 +117,6 @@ class TermRecord:
     setting: str | None
     expectation: float
     std_error: float | None
-
-    def to_dict(self) -> dict:
-        return _term_dict(
-            self.word, self.coeff, self.setting, self.expectation, self.std_error
-        )
 
 
 def _term_dict(word, coeff, setting, expectation, std_error) -> dict:
@@ -337,8 +333,10 @@ def exact_current(coeffs, theta0: float = 0.0) -> float:
 
     Evaluates (1/2pi) Re[ conj(S0) S1 ] with S0 = sum c_m e^(i m theta0)
     and S1 = sum m c_m e^(i m theta0); at theta0 = 0 this is the familiar
-    (1/4pi) sum over conj(c_m) (m + n) c_n.
+    (1/4pi) sum over conj(c_m) (m + n) c_n.  theta0 is a finite real and
+    no ``bool``, as ``analyze`` reads it.
     """
+    theta0 = _finite_real(theta0, "theta0")
     c = np.asarray(getattr(coeffs, "a", coeffs), dtype=np.complex128)
     if c.ndim != 1 or c.size < 2 or c.size & (c.size - 1):
         raise ValueError("coefficient array length must be 2^N with N >= 1")
@@ -446,13 +444,19 @@ class _Layout:
     """What a simulation of one register needs that depends on N and the
     grouping alone, shared read-only by every report made from it.
 
-    The expansion's columns in record order, setting by setting (``words``,
-    ``coeffs`` float64, each word's parity mask and ``term_setting``, its
-    setting's index, both intp as they index the outcome table), and per
-    setting, in plan order: its Z mask, basis word and words, a slice of
-    ``words``.  ``amplitudes`` is the state of the family's coefficients,
-    built once per layout, at the ring angle, ``prep`` how it was prepared
-    (copied into each report) and ``j_exact`` its exact current there.
+    The plan is two columns, the settings' Z masks and each word's setting
+    index, the same for both plans: ``pauli.setting_plan``'s, or per term
+    each word's Z mask 2^N - 1 ^ X mask and the setting index k of word k.
+    One stable sort of the setting column (``pauli.setting_groups``) puts
+    the expansion's columns in record order, setting by setting
+    (``words``, ``coeffs`` float64, each word's parity mask and
+    ``term_setting``, its setting's index, both intp as they index the
+    outcome table), and per setting, in plan order, there is its Z mask,
+    its basis word (one ``spell_masks`` call spells them all) and its
+    words, a slice of ``words``.  ``amplitudes`` is the state of the
+    family's coefficients, built once per layout, at the ring angle,
+    ``prep`` how it was prepared (copied into each report) and ``j_exact``
+    its exact current there.
     ``outcomes`` is the plan's settings x 2^N float64 table of exact outcome
     probabilities (``_outcome_rows``), one row per setting in plan order,
     when it fits one block of _BLOCK_ENTRIES entries; a larger plan has
@@ -523,34 +527,27 @@ def _build_layout(n_qubits: int, grouped: bool, theta0: float = 0.0) -> _Layout:
     # the expansion has no Y, so a word's parity mask is its X and Z letters
     mx, _, mz = decomp.masks
     if grouped:
-        plan = setting_plan(mz, n_qubits)
+        zmasks, setting = setting_plan(mz, n_qubits)
     else:
         # one setting per word: X at its X letters, Z everywhere else
-        full = (1 << n_qubits) - 1
-        plan = list(zip((full ^ mx).tolist(), np.arange(len(mx))[:, None]))
+        zmasks, setting = (1 << n_qubits) - 1 ^ mx, np.arange(len(mx))
     # the records run setting by setting: the expansion's columns in that order
-    order = np.concatenate([members for _, members in plan])
+    order, slices = setting_groups(setting, len(zmasks))
     mx, mz = mx[order], mz[order]
     words = tuple(spell_masks((mx, mz), n_qubits, "XZ", "I"))
-    sizes = [len(members) for _, members in plan]
-    ends = np.cumsum(sizes).tolist()
-    zmasks = tuple(zmask for zmask, _ in plan)
     outcomes = None
     if len(zmasks) << n_qubits <= _BLOCK_ENTRIES:
-        table = np.empty((len(zmasks), 1 << n_qubits))
-        outcomes = _read_only(_outcome_rows(state.amplitudes, n_qubits, zmasks, table))
+        outcomes = np.empty((len(zmasks), 1 << n_qubits))
+        _read_only(_outcome_rows(state.amplitudes, n_qubits, zmasks.tolist(), outcomes))
     return _Layout(
         words=words,
         coeffs=_read_only(decomp.coeff_array[order]),
         identity_weight=decomp.identity_weight,
         parity_masks=_read_only(np.bitwise_or(mx, mz, dtype=np.intp)),
-        zmasks=zmasks,
-        bases=tuple(
-            MeasurementSetting.from_z_mask(zmask, n_qubits).basis_word
-            for zmask in zmasks
-        ),
-        setting_terms=tuple(map(words.__getitem__, map(slice, [0, *ends], ends))),
-        term_setting=_read_only(np.repeat(np.arange(len(plan)), sizes)),
+        zmasks=tuple(zmasks.tolist()),
+        bases=tuple(spell_masks((zmasks,), n_qubits, "Z", "X")),
+        setting_terms=tuple(map(words.__getitem__, slices)),
+        term_setting=_read_only(setting[order]),
         amplitudes=_read_only(state.amplitudes),
         prep=prep,
         j_exact=exact_current(coeffs.a, theta0),
@@ -599,7 +596,9 @@ def run_simulation(
     generator, seeded from [seed, setting_index]; ``shots_per_setting=None``
     replaces the samples with the exact outcome probabilities (the
     infinite-shot limit, reported as mode "exact"), which takes no readout
-    flip.
+    flip.  ``seed`` is None or a non-negative ``int``, ``grouped`` a
+    ``bool`` and theta0 a finite real, none of them a ``bool`` where a
+    number is asked for; anything else is refused with ValueError.
 
     Everything fixed by N, ``grouped`` and theta0 (the expansion, parity
     masks, setting plan, prepared state, exact current and, when the plan's
@@ -625,7 +624,13 @@ def run_simulation(
         raise ValueError("a readout flip needs sampling; exact mode has no shots")
     check_qubits(n_qubits)
     check_register(n_qubits)
-    theta0 = float(theta0) if theta0 else 0.0  # -0.0 reads as 0.0
+    if not isinstance(grouped, bool):
+        raise ValueError(f"grouped must be a bool, got {grouped!r}")
+    if seed is not None and (
+        isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
+    ):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    theta0 = _finite_real(theta0, "theta0")
     layout = _layout(n_qubits, grouped, theta0)
     if sampling and seed is None:
         seed = int(np.random.SeedSequence().entropy) % (1 << 32)
@@ -849,19 +854,21 @@ def _listed_owner(words, masks, lists, basis_words, basis_masks) -> np.ndarray:
     return owner
 
 
-def _optional_real(data: dict, key: str) -> float:
-    """The input's ``key``, a finite real; 0.0 when it has none."""
-    if key not in data:
-        return 0.0
-    value = data[key]
-    _check_types((value,), numbers.Real, f"'{key}'")
+def _finite_real(value, what: str) -> float:
+    """``value``, a real that is no ``bool``, as a finite float."""
+    _check_types((value,), numbers.Real, what)
     try:
         number = float(value)
     except OverflowError:
-        raise ValueError(f"'{key}' is too large for a float") from None
+        raise ValueError(f"{what} is too large for a float") from None
     if not math.isfinite(number):
-        raise ValueError(f"'{key}' must be finite, got {number!r}")
+        raise ValueError(f"{what} must be finite, got {number!r}")
     return number if number else 0.0  # -0.0 reads as 0.0
+
+
+def _optional_real(data: dict, key: str) -> float:
+    """The input's ``key``, a finite real; 0.0 when it has none."""
+    return _finite_real(data[key], f"'{key}'") if key in data else 0.0
 
 
 #: The top-level keys of measured data that ``ingest_measurements`` reads,
@@ -934,7 +941,9 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
     ``readout_flip`` probability they were read with, a real in [0, 0.5)
     (0 when absent), which the report echoes: nothing mitigates it.  Without
     explicit ``terms`` lists, every expansion term is read from the first
-    setting that covers it, in file order.  No simulation happens here: the
+    setting that covers it, in file order.  Each setting record lists the
+    words read from it, in expansion order, all grouped by one stable sort
+    (``pauli.setting_groups``).  No simulation happens here: the
     output is exact arithmetic on the supplied numbers.  No top-level key
     outside ``INPUT_KEYS`` is read, so ``read_measurements`` leaves the
     others out.
@@ -1021,11 +1030,10 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
 
         parity_masks = np.bitwise_or(masks[0] | masks[1], masks[2], dtype=np.intp)
         expectation = _expectations(n_qubits, parity_masks, owner, len(parsed), fill)
+        order, slices = setting_groups(owner, len(parsed))
         setting_records = []
-        for i, (setting, probs, counts, _) in enumerate(parsed):
-            # each setting's words, in expansion order
-            members = np.flatnonzero(owner == i)
-            words = tuple(map(decomp.words.__getitem__, members.tolist()))
+        for (setting, probs, counts, _), members in zip(parsed, slices):
+            words = tuple(map(decomp.words.__getitem__, order[members].tolist()))
             setting_records.append(
                 SettingRecord(setting.basis_word, probs, counts, None, words)
             )

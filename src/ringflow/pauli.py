@@ -25,8 +25,11 @@ the same chain over whole columns of 10^5 to 10^7 words streams each column
 through memory once per pass.  ``engine.expectation_pauli``'s two passes
 over a sum's words are blocked, and ``spell_masks`` spells WORD_BLOCK
 letters at a time.
-``reading_setting`` names the Z/X setting that reads a word by its Z mask,
-and ``setting_plan`` groups the words by it.
+``reading_setting`` names the Z/X setting that reads a word by its Z mask.
+A setting plan is two columns: the settings' Z masks and each word's index
+into them.  ``setting_plan`` makes the grouped plan, and ``setting_groups``
+turns any plan's second column into each setting's words, by one stable
+sort.
 
 Letter ordering: the leftmost letter of a word acts on qubit S1, which is
 the most significant bit of the momentum index.
@@ -71,9 +74,6 @@ class PauliString:
             raise ValueError(f"invalid Pauli word {self.word!r}")
         if not math.isfinite(self.coeff):
             raise ValueError(f"non-finite coefficient for {self.word}")
-
-    def __str__(self):
-        return f"{self.coeff:+}*{self.word}"
 
 
 class PauliTerms(Sequence):
@@ -359,21 +359,27 @@ def reading_setting(zmasks: np.ndarray, n_qubits: int) -> np.ndarray:
     return n_qubits - np.bitwise_count((zmasks - 1) & ((1 << n_qubits) - 1))
 
 
-def setting_plan(zmasks: np.ndarray, n_qubits: int) -> list[tuple[int, np.ndarray]]:
-    """Group words into the qubit-wise settings that read them.
+def setting_plan(zmasks: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The qubit-wise settings that read the words, as two columns.
 
     ``zmasks`` are the words' Z masks from ``word_masks``, each with at most
-    one bit set; ``reading_setting`` says which setting reads each word.
-    Returns (setting Z mask, indices of its words in sum order) for every
-    setting that reads a word: all-X first, then Z at position 0 ... N-1.
+    one bit set.  Returns the int64 Z masks of the settings that read a word,
+    all-X first, then Z at position 0 ... N-1, and each word's index into
+    them (intp): how many of them come before its ``reading_setting``.
     """
     setting = reading_setting(zmasks, n_qubits)
-    plan = []
-    for k in range(n_qubits + 1):
-        members = np.flatnonzero(setting == k)
-        if members.size:
-            plan.append((1 << (n_qubits - k) if k else 0, members))
-    return plan
+    read = np.bincount(setting, minlength=n_qubits + 1) > 0
+    # setting 1 + p has the bit of position p, N - 1 - p; setting 0 has none
+    masks = np.left_shift(1, np.arange(n_qubits, -1, -1)) & (1 << n_qubits) - 1
+    return masks[read], (np.cumsum(read) - 1)[setting]
+
+
+def setting_groups(setting: np.ndarray, settings: int) -> tuple[np.ndarray, list[slice]]:
+    """The word indices setting by setting, in word order within each (one
+    stable sort, by radix for 16-bit keys), and a slice of them per setting."""
+    ends = np.cumsum(np.bincount(setting, minlength=settings)).tolist()
+    keys = setting.astype(np.min_scalar_type(settings))
+    return np.argsort(keys, kind="stable"), list(map(slice, [0, *ends[:-1]], ends))
 
 
 class RegisterTooLargeError(ValueError):

@@ -137,6 +137,14 @@ class TestMeasurementCircuit:
     def test_all_z_is_empty(self):
         assert measurement_circuit(MeasurementSetting("ZZZ")).gates == ()
 
+    @pytest.mark.parametrize("zmask", [-1, 4, 1 << 40])
+    def test_from_z_mask_refuses_bits_outside_the_register(self, zmask):
+        """No bit is dropped and no letter added: -1 read as all Z and 4 as
+        a three-letter word on two qubits."""
+        assert MeasurementSetting.from_z_mask(0b10, 2).basis_word == "ZX"
+        with pytest.raises(ValueError, match=f"Z mask {zmask} outside 2 qubits"):
+            MeasurementSetting.from_z_mask(zmask, 2)
+
 
 class TestGrouping:
     def test_one_qubit_two_settings(self):
@@ -217,7 +225,13 @@ def unique_grouping(zmasks):
 def assert_plan_matches_references(op_sum):
     n = op_sum.n_qubits
     _, _, mz = word_masks(op_sum.words, n)
-    plan = [(zmask, members.tolist()) for zmask, members in setting_plan(mz, n)]
+    zmasks, setting = setting_plan(mz, n)
+    assert zmasks.dtype == np.int64 and setting.dtype == np.intp
+    assert len(setting) == len(mz) and set(setting.tolist()) == set(range(len(zmasks)))
+    plan = [
+        (zmask, np.flatnonzero(setting == k).tolist())
+        for k, zmask in enumerate(zmasks.tolist())
+    ]
     old = group_terms_per_word(op_sum)
     # same settings in the same order, each with the same words in sum order
     assert [MeasurementSetting.from_z_mask(z, n).basis_word for z, _ in plan] == list(old)

@@ -531,10 +531,16 @@ class TestAnalyze:
                 {"basis_word": "Z", "probabilities": {"0": 1.0}, "terms": ["Z"]},
             ]}, "settings[0] terms must be a list"),
             ({"n": 1, "settings": []}, "settings list is empty"),
+            ({"n": 0, "settings": [{"basis_word": "X", "probabilities": {"0": 1.0}}]},
+             "need at least one qubit"),
+            ({"n": 1, "settings": [
+                {"basis_word": "X", "probabilities": {"0": 1.0}, "terms": ["X"]},
+                {"basis_word": "Z", "probabilities": {"0": 1.0}},
+            ]}, "either every setting lists its terms or none does"),
         ],
         ids=["settings-object", "entry-list", "probabilities-list", "counts-list",
              "n-fraction", "n-true", "n-string", "value-true", "terms-string",
-             "settings-empty"],
+             "settings-empty", "n-zero", "terms-in-some"],
     )
     def test_wrong_shapes_are_data_errors(self, capsys, tmp_path, data, named):
         bad = tmp_path / "bad.json"

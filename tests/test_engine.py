@@ -90,6 +90,14 @@ class TestInit:
         with pytest.raises(ValueError):
             init_basis(2, -1)
 
+    @pytest.mark.parametrize(
+        "make", [lambda: init_basis(0, 0), lambda: init_amplitudes(0, [1.0])],
+        ids=["basis", "amplitudes"],
+    )
+    def test_zero_qubits_refused(self, make):
+        with pytest.raises(ValueError, match="need at least one qubit"):
+            make()
+
     def test_amplitudes_backflow_states(self, psi1, psi2):
         np.testing.assert_allclose(
             psi1.amplitudes, [-0.894427, 0.447214], atol=1e-6

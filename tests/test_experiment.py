@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import numbers
@@ -111,6 +112,14 @@ class TestBackflowCoefficients:
         a = np.array([0.6, 0.8]) * (1 + 5e-10)
         assert np.array_equal(BackflowCoefficients(1, a).a, a)
 
+    @pytest.mark.parametrize(
+        "make", [backflow_coefficients, closed_form_current],
+        ids=["coefficients", "closed-form"],
+    )
+    def test_zero_qubits_refused(self, make):
+        with pytest.raises(ValueError, match="need at least one qubit"):
+            make(0)
+
     def test_refused_above_register_cap(self):
         with pytest.raises(RegisterTooLargeError, match="cap"):
             backflow_coefficients(MAX_QUBITS + 1)
@@ -164,6 +173,24 @@ class TestExactCurrent:
             v = random_state_vector(rng, n)
             expected = float(np.real(np.conj(v) @ dense @ v)) / FOUR_PI
             assert abs(exact_current(v) - expected) < 1e-12
+
+    @pytest.mark.parametrize(
+        "theta0, message",
+        [
+            (math.nan, "must be finite, got nan"),
+            (math.inf, "must be finite, got inf"),
+            (-math.inf, "must be finite, got -inf"),
+            (10**400, "is too large for a float"),
+            (True, "must be a number, got bool"),
+            ("0.5", "must be a number, got str"),
+        ],
+        ids=["nan", "inf", "-inf", "10**400", "True", "'0.5'"],
+    )
+    def test_refuses_an_angle_analyze_refuses(self, theta0, message):
+        """The ring angle is read by ``analyze``'s rule: a NaN angle gave a
+        NaN current, an infinite one a norm warning, and True or "0.5" ran."""
+        with pytest.raises(ValueError, match=f"theta0 {message}"):
+            exact_current(backflow_coefficients(2), theta0)
 
     def test_theta0_periodicity(self):
         rng = np.random.default_rng(8)
@@ -278,6 +305,27 @@ class TestRunSimulation:
         again = run_simulation(1, 100, seed=report.seed)
         assert again.to_dict() == report.to_dict()
 
+    def test_reports_compare_by_value(self):
+        """Two runs of one seed are equal reports, field by field, the term
+        columns by ``TermRecords``' own equality; a term's value, or the
+        seed, tells two reports apart."""
+        one, two = (run_simulation(3, 100, seed=4) for _ in range(2))
+        assert one.term_records is not two.term_records
+        assert one == two
+        assert one != run_simulation(3, 100, seed=5)
+        terms = one.term_records
+        expectation = terms.expectation.copy()
+        expectation[-1] = -expectation[-1] or 1.0
+        changed = TermRecords(
+            terms.words, terms.coeffs, terms.setting_index, terms.bases,
+            expectation, terms.std_error,
+        )
+        assert one != dataclasses.replace(one, term_records=changed)
+        assert one == dataclasses.replace(one, term_records=TermRecords(
+            terms.words, terms.coeffs, terms.setting_index, terms.bases,
+            terms.expectation.copy(), terms.std_error,
+        ))
+
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             run_simulation(1, 0)
@@ -288,6 +336,44 @@ class TestRunSimulation:
         setting but divided by 100.5, and True printed as the shot count."""
         with pytest.raises(ValueError, match=f"must be an integer, got {shots!r}"):
             run_simulation(3, shots, seed=1)
+
+    @pytest.mark.parametrize("shots", [None, 10], ids=["exact", "shots"])
+    @pytest.mark.parametrize(
+        "theta0, message",
+        [
+            (math.nan, "must be finite, got nan"),
+            (math.inf, "must be finite, got inf"),
+            (-math.inf, "must be finite, got -inf"),
+            (True, "must be a number, got bool"),
+            ("0.5", "must be a number, got str"),
+        ],
+        ids=["nan", "inf", "-inf", "True", "'0.5'"],
+    )
+    def test_refuses_an_angle_analyze_refuses(self, shots, theta0, message):
+        """theta0=True ran at the angle 1.0, "0.5" at 0.5, and an infinite
+        angle failed on a NaN norm after a RuntimeWarning."""
+        with pytest.raises(ValueError, match=f"theta0 {message}"):
+            run_simulation(2, shots, seed=1, theta0=theta0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"seed": True}, "seed must be a non-negative integer, got True"),
+            ({"seed": 1.0}, "seed must be a non-negative integer, got 1.0"),
+            ({"seed": "1"}, "seed must be a non-negative integer, got '1'"),
+            ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+            ({"grouped": "no"}, "grouped must be a bool, got 'no'"),
+            ({"grouped": 0}, "grouped must be a bool, got 0"),
+            ({"grouped": None}, "grouped must be a bool, got None"),
+        ],
+        ids=["seed-True", "seed-float", "seed-str", "seed-negative", "grouped-str",
+             "grouped-int", "grouped-None"],
+    )
+    def test_refuses_a_seed_or_grouping_it_would_misreport(self, kwargs, message):
+        """seed=True drew with seed 1 and grouped="no" ran grouped, but the
+        report wrote both as given."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_simulation(2, 10, **kwargs)
 
     def test_exact_mode_refuses_a_readout_flip(self):
         """Exact probabilities take no flip channel; the report would record
@@ -368,7 +454,8 @@ def run_simulation_per_gate(n_qubits, shots_per_setting, seed, grouped, readout_
     mx, _, mz = word_masks(words, n_qubits)
     parity_masks = mx | mz
     if grouped:
-        plan = setting_plan(mz, n_qubits)
+        zmasks, setting = setting_plan(mz, n_qubits)
+        plan = [(z, np.flatnonzero(setting == k)) for k, z in enumerate(zmasks.tolist())]
     else:
         full = (1 << n_qubits) - 1
         plan = list(zip((full ^ mx).tolist(), np.arange(len(words))[:, None]))

@@ -28,6 +28,7 @@ from ringflow.pauli import (
     index_masks,
     reading_setting,
     realize_dense,
+    setting_groups,
     spell_masks,
     term_count,
     word_masks,
@@ -890,6 +891,28 @@ def test_refusals_on_both_letter_code_lanes_from_int32_columns(n, block):
     op_sum = _refusals_and_repeats(n, n + block)
     for got, want in zip(op_sum.masks, word_masks(op_sum.words, n)):
         assert got.dtype == np.int32 and np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda count: st.tuples(
+        st.just(count),
+        st.lists(st.integers(0, count - 1), max_size=40) if count else st.just([]),
+    )
+))
+@example((3, [2, 0, 2, 2]))
+@example((0, []))
+def test_setting_groups_match_a_scan_per_setting(case):
+    """Setting k's members are ``flatnonzero(setting == k)``, in word order,
+    an empty slice where it reads no word; ``order`` lists every word once."""
+    settings_count, column = case
+    setting = np.array(column, dtype=np.intp)
+    order, slices = setting_groups(setting, settings_count)
+    assert len(slices) == settings_count
+    assert [order[s].tolist() for s in slices] == [
+        np.flatnonzero(setting == k).tolist() for k in range(settings_count)
+    ]
+    assert sorted(order.tolist()) == list(range(len(column)))
 
 
 def test_reading_setting_follows_the_z_letter():
