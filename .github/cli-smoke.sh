@@ -17,7 +17,10 @@
 # blocks), re-dump through the stdlib json module to their own text; at
 # the ring angle 1e300 the exact estimate reads the exact current; and the
 # eight-qubit per-term exact report (1 279 settings) and its analysis have
-# the bytes of a sha256 pin.
+# the bytes of a sha256 pin.  One refusal per exit code (current --n 0
+# exits 2, current --range 19..21 exits 3 and analyze of an expectations
+# file that covers no word exits 4) writes nothing to stdout, one
+# "ringflow:" diagnostic line to stderr and no traceback.
 set -eo pipefail
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -38,6 +41,16 @@ test "$(python -m ringflow current --n 2 --mode shots --seed 7 | sha256sum | cut
 codes=(0)
 ringflow current --n 12 2>&1 | head -1 > /dev/null || codes=("${PIPESTATUS[@]}")
 test "${codes[0]}" -eq 2
+# one refusal per exit code: flags 2, computation 3, input data 4
+printf '{"n": 3, "expectations": []}' > "$tmp/uncovered.json"
+for refusal in "2:current --n 0" "3:current --range 19..21" "4:analyze --input $tmp/uncovered.json"; do
+  code=0
+  ringflow ${refusal#*:} > "$tmp/refused.txt" 2> "$tmp/error.txt" || code=$?
+  test "$code" -eq "${refusal%%:*}"
+  test ! -s "$tmp/refused.txt"
+  test "$(grep -c '^ringflow: ' "$tmp/error.txt")" -eq 1
+  test "$(grep -c Traceback "$tmp/error.txt")" -eq 0
+done
 # sha256 of each 16-qubit expansion, in json, csv and table
 for pin in json:7126521241dca9e3ab9562d65a1e1e6519fd6c01d37189df1722ea6f834e9464 \
     csv:c970149c99a4dff14c603ba9475416d645137a3bd7f466de6b449d9c1568fd82 \

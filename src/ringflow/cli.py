@@ -8,9 +8,12 @@ output; diagnostics go to standard error, so output can be piped.
 
 Exit codes: 2 for bad flags, malformed RINGFLOW_* values, or an
 ``--output`` FILE or standard output that cannot be written (a closed pipe
-included), 3 for computation failures (including registers above
-``MAX_QUBITS`` and a report that cannot be written as strict JSON), 4 for
-unreadable or malformed input data.
+included), 3 for computation failures (memory exhaustion in every command,
+registers above ``MAX_QUBITS`` and a report that cannot be written as
+strict JSON included), 4 for unreadable or malformed input data.  Each
+command returns its output's chunks or raises; ``main`` alone turns a
+failure into exit code 3 or 4 and one ``ringflow: ...`` line on standard
+error, and alone writes the output.
 Environment variables RINGFLOW_SHOTS, RINGFLOW_SEED and RINGFLOW_FORMAT
 override the built-in defaults.
 
@@ -79,7 +82,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .engine import MAX_SHOTS, NormDriftError
+from .engine import MAX_SHOTS
 from .experiment import (
     DEFAULT_SHOTS,
     ExperimentReport,
@@ -97,6 +100,7 @@ from .pauli import (
     MAX_QUBITS,
     RegisterTooLargeError,
     WeightedPauliSum,
+    check_register,
     current_decomposition,
     dense_current_matrix,
     spell_masks,
@@ -128,6 +132,10 @@ exit codes:
 
 class _NonFiniteReport(ValueError):
     """A report holds NaN or infinity, which strict JSON cannot carry."""
+
+
+class _BadInput(Exception):
+    """Measured data that cannot be read or is malformed; its text says which."""
 
 
 def _env_int(name: str, parser: argparse.ArgumentParser) -> int | None:
@@ -618,6 +626,7 @@ def _report_chunks(report: ExperimentReport, fmt: str):
 
 
 def _range_rows(lo: int, hi: int) -> list[dict]:
+    check_register(hi)  # before the first row
     rows = []
     for n in range(lo, hi + 1):
         rows.append(
@@ -645,23 +654,19 @@ def _range_chunks(rows: list[dict], fmt: str):
     return ("\n".join(lines) + "\n",)
 
 
-def _cmd_decompose(args, parser) -> int:
+def _cmd_decompose(args, parser):
     if args.n is None or args.n < 1:
         parser.error("--n must be a positive integer")
     if args.dense and args.n > 8:
         parser.error("--dense is limited to n <= 8")
     if args.dense and args.format == "csv":
         parser.error("--dense needs --format json or table")
-    try:
-        op_sum = current_decomposition(args.n)
-        dense = dense_current_matrix(args.n) if args.dense else None
-    except (ValueError, MemoryError) as exc:
-        print(f"ringflow: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    return _emit(_sum_chunks(op_sum, args.format, dense), args.output)
+    op_sum = current_decomposition(args.n)
+    dense = dense_current_matrix(args.n) if args.dense else None
+    return _sum_chunks(op_sum, args.format, dense)
 
 
-def _cmd_current(args, parser) -> int:
+def _cmd_current(args, parser):
     if (args.n is None) == (args.n_range is None):
         parser.error("exactly one of --n or --range is required")
     if not math.isfinite(args.theta0):
@@ -684,12 +689,7 @@ def _cmd_current(args, parser) -> int:
             lo_n, hi_n = 0, -1
         if not sep or lo_n < 1 or hi_n < lo_n:
             parser.error("--range must look like A..B with 1 <= A <= B")
-        try:
-            rows = _range_rows(lo_n, hi_n)
-        except (ValueError, MemoryError) as exc:
-            print(f"ringflow: {exc}", file=sys.stderr)
-            return EXIT_COMPUTE
-        return _emit(_range_chunks(rows, args.format), args.output)
+        return _range_chunks(_range_rows(lo_n, hi_n), args.format)
     if args.n < 1:
         parser.error("--n must be a positive integer")
     if args.shots is not None:
@@ -706,25 +706,21 @@ def _cmd_current(args, parser) -> int:
         seed, seed_source = _env_int("RINGFLOW_SEED", parser), "RINGFLOW_SEED"
     if seed is not None and seed < 0:
         parser.error(f"{seed_source} must be a non-negative integer, got {seed}")
-    try:
-        if args.mode == "exact":
-            report = run_exact(args.n, theta0=args.theta0, grouped=args.grouped)
-        else:
-            report = run_simulation(
-                args.n,
-                shots_per_setting=shots if shots is not None else DEFAULT_SHOTS,
-                seed=seed,
-                grouped=args.grouped,
-                readout_flip=args.readout_flip,
-                theta0=args.theta0,
-            )
-    except (ValueError, NormDriftError, RuntimeError, MemoryError) as exc:
-        print(f"ringflow: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    return _emit(_report_chunks(report, args.format), args.output)
+    if args.mode == "exact":
+        report = run_exact(args.n, theta0=args.theta0, grouped=args.grouped)
+    else:
+        report = run_simulation(
+            args.n,
+            shots_per_setting=shots if shots is not None else DEFAULT_SHOTS,
+            seed=seed,
+            grouped=args.grouped,
+            readout_flip=args.readout_flip,
+            theta0=args.theta0,
+        )
+    return _report_chunks(report, args.format)
 
 
-def _cmd_analyze(args, parser) -> int:
+def _cmd_analyze(args, parser):
     if args.n is not None and args.n < 1:
         parser.error("--n must be a positive integer")
     try:
@@ -734,16 +730,13 @@ def _cmd_analyze(args, parser) -> int:
         # rendering needs only the report: free the parsed input first, which
         # keeps it out of the peak memory of writing a large report
         del data
-    except RegisterTooLargeError as exc:
-        print(f"ringflow: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    except RegisterTooLargeError:
+        raise
     except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        print(f"ringflow: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise _BadInput(f"cannot read {args.input}: {exc}")
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        print(f"ringflow: malformed measured data: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    return _emit(_report_chunks(report, args.format), args.output)
+        raise _BadInput(f"malformed measured data: {exc}")
+    return _report_chunks(report, args.format)
 
 
 def main(argv=None) -> int:
@@ -754,15 +747,13 @@ def main(argv=None) -> int:
         parser.error(
             f"RINGFLOW_FORMAT must be one of {', '.join(_FORMATS)}, got {args.format!r}"
         )
+    command = {"decompose": _cmd_decompose, "current": _cmd_current, "analyze": _cmd_analyze}
     try:
-        if args.command == "decompose":
-            return _cmd_decompose(args, parser)
-        if args.command == "current":
-            return _cmd_current(args, parser)
-        return _cmd_analyze(args, parser)
-    except _NonFiniteReport as exc:
+        chunks = command[args.command](args, parser)
+    except (_BadInput, ValueError, RuntimeError, MemoryError) as exc:
         print(f"ringflow: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        return EXIT_DATA if isinstance(exc, _BadInput) else EXIT_COMPUTE
+    return _emit(chunks, args.output)
 
 
 def run() -> None:

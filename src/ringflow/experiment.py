@@ -35,12 +35,14 @@ back into ``ingest_measurements`` reproduces the same estimate.
 """
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import numbers
+from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import lt, truediv
 
 import numpy as np
@@ -983,19 +985,25 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
             if entry["word"] in supplied:
                 raise ValueError(f"expectation of {entry['word']} given twice")
             supplied[entry["word"]] = value
-        expected = set(decomp.words)
-        if set(supplied) != expected:
+        # the words ascend: the first missing ones are the smallest, and
+        # bisection finds whether a supplied word is one of them
+        words = decomp.words
+        missing = list(islice((word for word in words if word not in supplied), 4))
+        if missing or len(supplied) != len(words):
+            last = len(words) - 1
+            unknown = heapq.nsmallest(
+                4, (word for word in supplied if words[bisect_left(words, word, hi=last)] != word)
+            )
             raise ValueError(
                 "expectations must cover exactly the expansion terms; "
-                f"missing {sorted(expected - set(supplied))[:4]}, "
-                f"unknown {sorted(set(supplied) - expected)[:4]}"
+                f"missing {missing}, unknown {unknown}"
             )
         term_records = TermRecords(
-            decomp.words,
+            words,
             decomp.coeff_array,
-            np.full(len(decomp.words), -1),
+            np.full(len(words), -1),
             (),
-            np.array([supplied[word] for word in decomp.words], dtype=np.float64),
+            np.array([supplied[word] for word in words], dtype=np.float64),
         )
         setting_records: list[SettingRecord] = []
     elif "settings" in data:

@@ -23,9 +23,11 @@ from hypothesis import strategies as st
 import ringflow.cli
 import ringflow.experiment
 from ringflow.cli import _json_chunks, _NonFiniteReport, _report_chunks, main
+from ringflow.engine import NormDriftError
 from ringflow.experiment import Outcomes, SettingRecord, TermRecords
 from ringflow.pauli import (
     MAX_QUBITS,
+    RegisterTooLargeError,
     WeightedPauliSum,
     current_decomposition,
     dense_current_matrix,
@@ -692,6 +694,17 @@ class TestRegisterCap:
         assert out == ""
         assert f"register cap of {MAX_QUBITS}" in err
 
+    def test_range_above_the_cap_computes_no_row(self, capsys, monkeypatch):
+        calls = []
+        exact_current = ringflow.cli.exact_current
+        monkeypatch.setattr(
+            ringflow.cli, "exact_current", lambda *args: calls.append(args) or exact_current(*args)
+        )
+        code, out, err = run_cli(capsys, "current", "--range", f"1..{MAX_QUBITS + 1}")
+        assert (code, out) == (3, "")
+        assert err == f"ringflow: {MAX_QUBITS + 1} qubits exceed the register cap of {MAX_QUBITS}\n"
+        assert calls == []
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -708,6 +721,51 @@ class TestRegisterCap:
         assert code == 3
         assert out == ""
         assert f"register cap of {MAX_QUBITS}" in err
+
+
+_INPUT = str(DATA_DIR / "backflow_n1_probabilities.json")
+#: each command's argv and the work it calls, which a row of the table makes fail
+_COMMAND_WORK = {
+    "decompose": (("decompose", "--n", "3"), "current_decomposition"),
+    "current": (("current", "--n", "3"), "run_exact"),
+    "range": (("current", "--range", "1..3"), "exact_current"),
+    "analyze": (("analyze", "--input", _INPUT), "ingest_measurements"),
+}
+
+
+def exit_code_rows():
+    """(argv, the name of the work that fails, its error, exit code, diagnostic)"""
+    for command, (argv, work) in _COMMAND_WORK.items():
+        for error in (ValueError, RuntimeError, NormDriftError, MemoryError, RegisterTooLargeError):
+            code, message = 3, "it failed"
+            if command == "analyze" and error is ValueError:
+                code, message = 4, "malformed measured data: it failed"
+            yield pytest.param(argv, work, error, code, message, id=f"{command}-{error.__name__}")
+        # the renderer's refusal of NaN, once the work is done
+        yield pytest.param(
+            argv, "_json_chunks", _NonFiniteReport, 3, "it failed", id=f"{command}-non-finite"
+        )
+    argv = _COMMAND_WORK["analyze"][0]
+    yield pytest.param(
+        argv, "read_measurements", OSError, 4, f"cannot read {_INPUT}: it failed", id="unreadable"
+    )
+    yield pytest.param(
+        argv, "ingest_measurements", KeyError, 4, "malformed measured data: 'it failed'",
+        id="malformed",
+    )
+
+
+class TestExitCodes:
+    """Every command's failure takes the one path in ``main``: exit code 3
+    for a computation, 4 for the input, one diagnostic line and no output."""
+
+    @pytest.mark.parametrize("argv, work, error, code, message", exit_code_rows())
+    def test_failure_exits_with_one_line(self, capsys, monkeypatch, argv, work, error, code, message):
+        def fail(*args, **kwargs):
+            raise error("it failed")
+
+        monkeypatch.setattr(ringflow.cli, work, fail)
+        assert run_cli(capsys, *argv) == (code, "", f"ringflow: {message}\n")
 
 
 def json_dumps_oracle(payload) -> str:

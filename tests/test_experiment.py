@@ -1182,6 +1182,36 @@ class TestIngestMeasurements:
         with pytest.raises(ValueError, match="cover"):
             ingest_measurements(None, data)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_coverage_message_names_the_four_smallest(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        expected = set(current_decomposition(n).words)
+        kept = data.draw(st.lists(st.sampled_from(sorted(expected)), unique=True), label="kept")
+        near = st.text("IXYZ", max_size=n + 1)
+        unknown = data.draw(
+            st.lists(
+                st.one_of(near, st.text(max_size=3)).filter(lambda word: word not in expected),
+                unique=True,
+                max_size=6,
+            ),
+            label="unknown",
+        )
+        words = data.draw(st.permutations(kept + unknown), label="order")
+        supplied = {"n": n, "expectations": [{"word": word, "value": 0.5} for word in words]}
+        if set(words) == expected:
+            ingest_measurements(None, supplied)
+            return
+        # both differences sorted in full
+        message = (
+            "expectations must cover exactly the expansion terms; "
+            f"missing {sorted(expected - set(words))[:4]}, "
+            f"unknown {sorted(set(words) - expected)[:4]}"
+        )
+        with pytest.raises(ValueError) as exc:
+            ingest_measurements(None, supplied)
+        assert str(exc.value) == message
+
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             ingest_measurements(None, {"n": 1})
