@@ -7,9 +7,11 @@
 # installed command and python -m ringflow), a report streamed into a pipe
 # that head closes on stdout and stderr together exits 2, a seeded shots
 # run must repeat byte for byte, with and without a readout flip, and analyze must
-# reproduce the j_estimate, j_exact and readout_flip of a grouped, a
-# per-term, a readout-flip and a nonzero-angle report from the full report
-# and from its counts alone (with the angle and the flip); the 16-qubit
+# reproduce the j_estimate, j_std_error, j_exact and readout_flip of a
+# grouped, a per-term, a readout-flip and a nonzero-angle report from the
+# full report and from its counts alone (with the angle and the flip), and
+# refuse counts that disagree with the probabilities beside them (exit 4,
+# one diagnostic line); the 16-qubit
 # expansion has the bytes of a sha256 pin in every format, and the 20-qubit
 # one (MAX_QUBITS, the largest expansion built) has every line, its
 # seven-digit weight 2^20 - 1 written in full and the bytes of a pin;
@@ -33,9 +35,9 @@ while read -r command; do
 done < "$tmp/cli-commands.txt"
 # sha256 of the two-qubit exact and seeded shots reports
 test "$(ringflow current --n 2 | sha256sum | cut -d ' ' -f 1)" = 93e3323f015b92b391f843a75679711f6fc3377c587452836f6e78728180664c
-test "$(ringflow current --n 2 --mode shots --seed 7 | sha256sum | cut -d ' ' -f 1)" = 42e1cd224cd781828491b73fb2fbc1f095bca86272b3464ba536d37e4bed6c67
+test "$(ringflow current --n 2 --mode shots --seed 7 | sha256sum | cut -d ' ' -f 1)" = 5fc3bc68b91a6836a6a0e342018ed97bfe82e9426e3b549e2cf64965244f84c6
 # the same bytes from the other launch path, python -m ringflow
-test "$(python -m ringflow current --n 2 --mode shots --seed 7 | sha256sum | cut -d ' ' -f 1)" = 42e1cd224cd781828491b73fb2fbc1f095bca86272b3464ba536d37e4bed6c67
+test "$(python -m ringflow current --n 2 --mode shots --seed 7 | sha256sum | cut -d ' ' -f 1)" = 5fc3bc68b91a6836a6a0e342018ed97bfe82e9426e3b549e2cf64965244f84c6
 # stdout and stderr on one pipe that head closes exit 2; under pipefail the
 # pipeline fails, and its first status is ringflow's
 codes=(0)
@@ -87,12 +89,19 @@ python -c "$keep" "$tmp/flip.json" "$tmp/flip-counts.json" basis_word counts
 for report in shots-a per-term theta0 flip; do
   for input in "$report.json" "$report-counts.json"; do
     ringflow analyze --input "$tmp/$input" > "$tmp/analyzed.json"
-    python -c 'import json, sys; want, got = ([r[key] for key in ("j_estimate", "j_exact", "readout_flip")] for r in map(json.load, map(open, sys.argv[1:]))); print(want, got); sys.exit(want != got)' "$tmp/$report.json" "$tmp/analyzed.json"
+    python -c 'import json, sys; want, got = ([r[key] for key in ("j_estimate", "j_std_error", "j_exact", "readout_flip")] for r in map(json.load, map(open, sys.argv[1:]))); print(want, got); sys.exit(want != got)' "$tmp/$report.json" "$tmp/analyzed.json"
   done
 done
+# counts beside probabilities must give them at counts / total
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); s = r["settings"][0]; s["counts"] = {key: 2 * count + 1 for key, count in s["counts"].items()}; json.dump(r, open(sys.argv[2], "w"))' "$tmp/shots-a.json" "$tmp/disagreeing.json"
+code=0
+ringflow analyze --input "$tmp/disagreeing.json" > "$tmp/analyzed.json" 2> "$tmp/error.txt" || code=$?
+test "$code" -eq 4
+test ! -s "$tmp/analyzed.json"
+test "$(cat "$tmp/error.txt")" = "ringflow: malformed measured data: settings[0]: counts disagree with the probabilities"
 # sha256 of the analysis of the grouped and the per-term report
-test "$(ringflow analyze --input "$tmp/shots-a.json" | sha256sum | cut -d ' ' -f 1)" = d945c50f0e12a511ea259fc6f2186ff1ffc6e945de42df3f590c8be334fd4122
-test "$(ringflow analyze --input "$tmp/per-term.json" | sha256sum | cut -d ' ' -f 1)" = fe78a4c855b0c1aeb95a04d23fbd0e25bd8cb26590c4b24bef2ec4cbf88e07e4
+test "$(ringflow analyze --input "$tmp/shots-a.json" | sha256sum | cut -d ' ' -f 1)" = ec1395121b788ca803ae0bf040331b7b6848d2cf0a7b0bb2c74493760486d400
+test "$(ringflow analyze --input "$tmp/per-term.json" | sha256sum | cut -d ' ' -f 1)" = 6420f34bf0f025221d93b89db348cbf1e48072e078b9e838a29fcda92f1b81c1
 # a report cut short, and one with a byte damaged in its top-level term list
 # (which analyze does not read but still checks), exit 4 with json's error
 head -c 2000 "$tmp/shots-a.json" > "$tmp/cut.json"

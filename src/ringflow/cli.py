@@ -751,7 +751,9 @@ def main(argv=None) -> int:
     try:
         chunks = command[args.command](args, parser)
     except (_BadInput, ValueError, RuntimeError, MemoryError) as exc:
-        print(f"ringflow: {exc}", file=sys.stderr)
+        # a MemoryError raised by the interpreter has no text
+        text = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
+        print(f"ringflow: {text}", file=sys.stderr)
         return EXIT_DATA if isinstance(exc, _BadInput) else EXIT_COMPUTE
     return _emit(chunks, args.output)
 

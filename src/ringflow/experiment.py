@@ -32,6 +32,13 @@ All estimators assemble J as (identity_weight + sum coeff * <V>) / 4pi
 from their own term columns (``TermRecords``), kept in the order they
 are written, and every report round-trips: feeding ``report.to_dict()``
 back into ``ingest_measurements`` reproduces the same estimate.
+
+The words of one setting are read from the same shots, so the error bar
+comes from the settings: setting g's score s_g[b] = sum_{t in g} c_t
+(-1)^popcount(b & mask_t) is what its outcome b adds to 4pi J
+(``_setting_scores``), Var_g = <f_g, s_g^2> - <f_g, s_g>^2 over its
+frequencies f_g, and ``j_std_error`` = sqrt(sum_g Var_g / shots_g) / 4pi,
+taken by ``_expectations`` for shots runs and for ``analyze`` of counts.
 """
 from __future__ import annotations
 
@@ -39,11 +46,11 @@ import heapq
 import json
 import math
 import numbers
-from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
-from operator import lt, truediv
+from functools import partial
+from itertools import chain, compress, filterfalse, islice, repeat
+from operator import lt, mul, truediv
 
 import numpy as np
 
@@ -77,6 +84,7 @@ from .pauli import (
     setting_groups,
     setting_plan,
     spell_masks,
+    term_count,
     word_masks,
 )
 
@@ -258,6 +266,9 @@ class ExperimentReport:
 
     ``j_estimate`` always equals
     (identity_weight + sum of coeff * expectation over term_records) / 4pi.
+    ``j_std_error`` is sqrt(sum_g Var_g / shots_g) / 4pi over the settings'
+    score variances (see the module docstring), None without counts; each
+    term's ``std_error`` is its own marginal, sqrt((1 - v^2) / shots).
     The terms are held as columns, in ``term_records``.  ``j_exact`` is J
     at ``theta0``; the closed form is J at theta0 = 0, so at a nonzero
     angle ``j_closed_form`` and ``relative_error`` are None.  The defaults
@@ -403,19 +414,11 @@ def _finish_report(
 ) -> ExperimentReport:
     """The report of an ``n_qubits`` register at ring angle ``theta0``, whose
     state has the exact current ``j_exact`` there; ``fields`` are those that
-    differ from the ``ExperimentReport`` defaults."""
-    coeffs = term_records.coeffs
+    differ from the ``ExperimentReport`` defaults, ``j_std_error`` always."""
     weighted = identity_weight + math.fsum(
-        (coeffs * term_records.expectation).tolist()
+        (term_records.coeffs * term_records.expectation).tolist()
     )
     j_estimate = weighted / FOUR_PI
-    if len(term_records) and term_records.std_error is not None:
-        # Python's ** is libm pow, which differs from numpy's x * x in the
-        # last bit for about one value in a thousand
-        squares = [x**2 for x in (coeffs * term_records.std_error).tolist()]
-        j_std = math.sqrt(math.fsum(squares)) / FOUR_PI
-    else:
-        j_std = None
     j_closed = error = None
     if theta0 == 0.0:  # the closed form is J at theta0 = 0 only
         j_closed = closed_form_current(n_qubits)
@@ -429,7 +432,6 @@ def _finish_report(
         term_records=term_records,
         setting_records=tuple(setting_records),
         j_estimate=j_estimate,
-        j_std_error=j_std,
         j_exact=j_exact,
         j_closed_form=j_closed,
         relative_error=error,
@@ -439,6 +441,23 @@ def _finish_report(
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class _Scores:
+    """The settings' scores.  One that reads several words keeps its nonzero
+    entries in three columns, ``setting`` (ascending), ``outcome`` and
+    ``value``, the identity weight folded into one of them: that moves no
+    variance, as frequencies sum to 1, and the entries' means plus the
+    one-word settings' are 4pi J.  One that reads one word t keeps t
+    (``single``) and c_t (``single_coeff``), as its Var_g is c_t^2 (1 - v_t^2).
+    """
+
+    setting: np.ndarray
+    outcome: np.ndarray
+    value: np.ndarray
+    single: np.ndarray
+    single_coeff: np.ndarray
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -462,7 +481,10 @@ class _Layout:
     ``outcomes`` is the plan's settings x 2^N float64 table of exact outcome
     probabilities (``_outcome_rows``), one row per setting in plan order,
     when it fits one block of _BLOCK_ENTRIES entries; a larger plan has
-    None, and each run makes its rows block by block.
+    None, and each run makes its rows block by block.  ``scores`` are the
+    plan's setting scores (``_setting_scores``), which every shots run
+    reads for its error bar: 2N + 1 entries for the grouped plan from
+    N = 2, one word and coefficient per setting for the per-term plan.
     """
 
     words: tuple[str, ...]
@@ -477,12 +499,57 @@ class _Layout:
     prep: dict
     j_exact: float
     outcomes: np.ndarray | None
+    scores: _Scores
 
 
 #: Outcome-table entries filled and transformed at a time (2 MiB of float64):
 #: one block holds a grouped plan up to 14 qubits, a per-term plan (about
 #: N * 4^N entries in all) up to 7.
 _BLOCK_ENTRIES = 1 << 18
+
+
+def _setting_scores(
+    n_qubits: int, identity_weight: float, coeffs, parity_masks, term_setting, settings: int
+) -> _Scores:
+    """The scores of ``settings`` settings, setting ``term_setting[t]`` reading
+    word t, of coefficient ``coeffs[t]``, at ``parity_masks[t]``.  Each
+    setting that reads several words is a row of a zeroed block of at most
+    _BLOCK_ENTRIES entries, its coefficients at their masks, and one
+    ``parity_expectations`` call per block makes the rows scores; the
+    identity weight goes to the first setting that reads the most words.
+    """
+    words = np.bincount(term_setting, minlength=settings)
+    single = np.flatnonzero((words == 1)[term_setting])
+    several = (words > 1)[term_setting]
+    many = np.flatnonzero(words > 1)
+    # each setting's row among ``many``, the settings that read several words
+    row_of = np.cumsum(words > 1) - 1
+    fold = int(row_of[words.argmax()]) if words.max() > 1 else -1
+    step = max(1, _BLOCK_ENTRIES >> n_qubits)
+    table = np.empty((min(step, len(many)), 1 << n_qubits))
+    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    for start in range(0, len(many), step):
+        block = table[: min(step, len(many) - start)]
+        block.fill(0.0)
+        # the block's words, through one-byte masks: no word column is copied whole
+        first, last = many[start], many[start + len(block) - 1]
+        inside = np.flatnonzero(several & (term_setting >= first) & (term_setting <= last))
+        at = row_of[term_setting[inside]] - start
+        block[at, parity_masks[inside]] = coeffs[inside]
+        parity_expectations(block)
+        if 0 <= fold - start < len(block):
+            block[fold - start] += identity_weight
+        row, outcome = block.nonzero()
+        found.append((many[start + row], outcome, block[row, outcome]))
+    setting, outcome, value = map(np.concatenate, zip(*found))
+    return _Scores(
+        _read_only(setting),
+        _read_only(outcome),
+        _read_only(value),
+        _read_only(single),
+        _read_only(coeffs[single]),
+    )
+
 
 #: Registers up to this size keep their layout at theta0 = 0 for the life of
 #: the process (28 671 words and about 3.7 MB at 12 qubits); other layouts are
@@ -541,38 +608,71 @@ def _build_layout(n_qubits: int, grouped: bool, theta0: float = 0.0) -> _Layout:
     if len(zmasks) << n_qubits <= _BLOCK_ENTRIES:
         outcomes = np.empty((len(zmasks), 1 << n_qubits))
         _read_only(_outcome_rows(state.amplitudes, n_qubits, zmasks.tolist(), outcomes))
+    term_coeffs = _read_only(decomp.coeff_array[order])
+    parity_masks = _read_only(np.bitwise_or(mx, mz, dtype=np.intp))
+    term_setting = _read_only(setting[order])
     return _Layout(
         words=words,
-        coeffs=_read_only(decomp.coeff_array[order]),
+        coeffs=term_coeffs,
         identity_weight=decomp.identity_weight,
-        parity_masks=_read_only(np.bitwise_or(mx, mz, dtype=np.intp)),
+        parity_masks=parity_masks,
         zmasks=tuple(zmasks.tolist()),
         bases=tuple(spell_masks((zmasks,), n_qubits, "Z", "X")),
         setting_terms=tuple(map(words.__getitem__, slices)),
-        term_setting=_read_only(setting[order]),
+        term_setting=term_setting,
         amplitudes=_read_only(state.amplitudes),
         prep=prep,
         j_exact=exact_current(coeffs.a, theta0),
         outcomes=outcomes,
+        scores=_setting_scores(
+            n_qubits, decomp.identity_weight, term_coeffs, parity_masks,
+            term_setting, len(zmasks),
+        ),
     )
 
 
-def _expectations(n_qubits: int, parity_masks, term_setting, settings: int, fill):
+def _expectations(n_qubits: int, parity_masks, term_setting, settings: int, fill, scores=None):
     """Each word's parity average over the outcome row of its setting, made
     in blocks of at most _BLOCK_ENTRIES table entries: ``fill(start, block)``
     writes the rows of settings start, start + 1, ... into ``block``, which
     is transformed in place; then each word whose setting (``term_setting``)
-    lies in the block is read at its ``parity_masks`` entry."""
+    lies in the block is read at its ``parity_masks`` entry.
+
+    With ``scores`` (``_setting_scores``) each setting's score variance
+    Var_g = <f_g, s_g^2> - <f_g, s_g>^2 is taken as well, from the block's
+    rows while they still hold frequencies, and c^2 (1 - v^2) for a setting
+    that reads one word; the variances come second, None without scores.
+    """
     step = max(1, _BLOCK_ENTRIES >> n_qubits)
     table = np.empty((min(step, settings), 1 << n_qubits))
     expectation = np.empty(len(term_setting))
+    variance = None if scores is None else np.empty(settings)
     for start in range(0, settings, step):
         block = table[: min(step, settings - start)]
         fill(start, block)
+        if scores is not None:
+            lo, hi = np.searchsorted(scores.setting, (start, start + len(block)))
+            at = scores.setting[lo:hi] - start
+            value = scores.value[lo:hi]
+            first = value * block[at, scores.outcome[lo:hi]]
+            mean = np.bincount(at, first, len(block))
+            spread = np.bincount(at, first * value, len(block)) - mean * mean
+            np.maximum(spread, 0.0, out=variance[start : start + len(block)])
         rows = term_setting - start
         words = ((rows >= 0) & (rows < len(block))).nonzero()[0]
         expectation[words] = parity_expectations(block)[rows[words], parity_masks[words]]
-    return expectation
+    if scores is not None and len(scores.single):
+        v = expectation[scores.single]
+        one = np.square(scores.single_coeff) * np.maximum(0.0, 1.0 - v * v)
+        variance[term_setting[scores.single]] = one
+    return expectation, variance
+
+
+def _score_error(variance: np.ndarray, shots) -> float:
+    """sqrt(sum_g Var_g / shots_g) / 4pi, ``shots`` giving each setting's shot
+    count, an ``int`` of any size: 1 / shots_g is rounded once."""
+    inverse = map(truediv, repeat(1), shots)
+    return math.sqrt(math.fsum(map(mul, variance.tolist(), inverse))) / FOUR_PI
 
 
 def _copy_prep(prep: dict) -> dict:
@@ -614,9 +714,10 @@ def run_simulation(
     element-wise, so each row gets the floats it would get alone), draws
     each row's shots with one multinomial (``sample``, from a
     ``Distribution`` not checked again: the rows are norm-checked) and
-    builds the setting records; each block is then transformed in place.
-    The term columns are the layout's, setting by setting, as the setting
-    records list their terms.
+    builds the setting records; a shots run takes each block's score
+    moments from the layout's ``scores`` for ``j_std_error``, and each
+    block is then transformed in place.  The term columns are the
+    layout's, setting by setting, as the setting records list their terms.
     """
     sampling = shots_per_setting is not None
     if sampling:
@@ -670,15 +771,17 @@ def run_simulation(
                 )
             )
 
-    expectation = _expectations(
-        n_qubits, layout.parity_masks, layout.term_setting, len(layout.zmasks), fill
+    expectation, variance = _expectations(
+        n_qubits, layout.parity_masks, layout.term_setting, len(layout.zmasks), fill,
+        layout.scores if sampling else None,
     )
     if sampling:
         # the IEEE steps of sqrt(max(0, 1 - v * v) / shots), over the column
-        variance = np.maximum(0.0, 1.0 - expectation * expectation) / shots_per_setting
-        std_error = np.sqrt(variance)
+        marginal = np.maximum(0.0, 1.0 - expectation * expectation) / shots_per_setting
+        std_error = np.sqrt(marginal)
+        j_std = _score_error(variance, repeat(shots_per_setting))
     else:
-        std_error = None
+        std_error = j_std = None
     term_records = TermRecords(
         layout.words,
         layout.coeffs,
@@ -694,6 +797,7 @@ def run_simulation(
         setting_records,
         n_qubits,
         layout.j_exact,
+        j_std_error=j_std,
         shots_per_setting=shots_per_setting,
         seed=seed if sampling else None,
         grouped=grouped,
@@ -749,20 +853,41 @@ def _counts(values: list, where: str) -> list[int]:
 
 def _parse_setting_entry(entry: dict, n_qubits: int, position: int):
     """The setting, its probabilities and counts (or None) as ``Outcomes``,
-    and its ``terms`` list or None.  Each map is checked in bulk; the first
-    outcome in map order that fails is reported, with the first of its
-    faults: a key that is not a bitstring, a non-finite or a negative
-    probability."""
+    and its ``terms`` list or None.  An entry with both maps is read from
+    its probabilities, and its counts are checked as those of an entry
+    without them: they must give the same outcomes, and counts / total must
+    equal the probabilities to 1e-12 relative."""
     where = f"settings[{position}]"
     _check_types((entry,), dict, where)
     basis = entry.get("basis_word")
     if not isinstance(basis, str) or len(basis) != n_qubits:
         raise ValueError(f"{where}: basis word must have {n_qubits} letters")
     setting = MeasurementSetting(basis)
-    kind = "probabilities" if "probabilities" in entry else "counts"
-    if kind not in entry:
+    kinds = [kind for kind in ("probabilities", "counts") if kind in entry]
+    if not kinds:
         raise ValueError(f"{where}: needs probabilities or counts")
-    given = entry[kind]
+    index, probs, counts = _outcome_columns(entry[kinds[0]], kinds[0], n_qubits, where)
+    if len(kinds) > 1:
+        counted, frequencies, counts = _outcome_columns(entry["counts"], "counts", n_qubits, where)
+        if not np.array_equal(counted, index):
+            raise ValueError(f"{where}: counts and probabilities give different outcomes")
+        if not (np.abs(frequencies - probs) <= 1e-12 * np.abs(probs)).all():
+            raise ValueError(f"{where}: counts disagree with the probabilities")
+    terms = entry.get("terms")
+    if terms is not None:
+        _check_types((terms,), list, f"{where} terms")
+        _check_types(terms, str, f"{where} terms")
+    if counts is not None:
+        counts = Outcomes(n_qubits, index, counts)
+    return setting, Outcomes(n_qubits, index, probs), counts, terms
+
+
+def _outcome_columns(given, kind: str, n_qubits: int, where: str):
+    """One outcome map of a setting entry, checked in bulk: its basis indices
+    (ascending), their probabilities (counts / total for ``kind`` "counts")
+    and counts (None for "probabilities").  The first outcome in map order
+    that fails is reported, with the first of its faults: a key that is not
+    a bitstring, a non-finite or a negative probability."""
     _check_types((given,), dict, f"{where} {kind}")
     _check_types(given.values(), numbers.Real, f"{where} {kind}")
     keys = list(map(str, given))
@@ -793,17 +918,12 @@ def _parse_setting_entry(entry: dict, n_qubits: int, position: int):
         raise ValueError(f"{where}: negative probability")
     if abs(math.fsum(probs.tolist()) - 1.0) > 1e-6:
         raise ValueError(f"{where}: probabilities do not sum to 1")
-    terms = entry.get("terms")
-    if terms is not None:
-        _check_types((terms,), list, f"{where} terms")
-        _check_types(terms, str, f"{where} terms")
     # every key has n_qubits letters now, so ``ones`` has a row per key
     index = ones @ (1 << np.arange(n_qubits - 1, -1, -1))
     order = np.argsort(index)
-    index = index[order]
     if counts is not None:
-        counts = Outcomes(n_qubits, index, tuple(map(counts.__getitem__, order.tolist())))
-    return setting, Outcomes(n_qubits, index, probs[order]), counts, terms
+        counts = tuple(map(counts.__getitem__, order.tolist()))
+    return index[order], probs[order], counts
 
 
 def _covered(masks, bx, bz) -> np.ndarray:
@@ -854,6 +974,12 @@ def _listed_owner(words, masks, lists, basis_words, basis_masks) -> np.ndarray:
     owner = np.full(len(words), -1)
     owner[index] = setting
     return owner
+
+
+def _expansion_word(n_qubits: int, word: str) -> bool:
+    """N letters over {I, X, Z}, at most one Z, not all I: an expansion word."""
+    letters = len(word) == n_qubits and not word.strip("IXZ")
+    return letters and word.count("Z") <= 1 and word.count("I") < n_qubits
 
 
 def _finite_real(value, what: str) -> float:
@@ -945,10 +1071,12 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
     explicit ``terms`` lists, every expansion term is read from the first
     setting that covers it, in file order.  Each setting record lists the
     words read from it, in expansion order, all grouped by one stable sort
-    (``pauli.setting_groups``).  No simulation happens here: the
-    output is exact arithmetic on the supplied numbers.  No top-level key
-    outside ``INPUT_KEYS`` is read, so ``read_measurements`` leaves the
-    others out.
+    (``pauli.setting_groups``).  When every setting gives counts, the error
+    bar is ``run_simulation``'s, shots_g each entry's count total; counts
+    beside probabilities are checked against them, not echoed.  No
+    simulation happens here: the output is exact arithmetic on the
+    supplied numbers.  No top-level key outside ``INPUT_KEYS`` is read, so
+    ``read_measurements`` leaves the others out.
     """
     if not isinstance(data, dict):
         raise ValueError("measured data must be a mapping")
@@ -985,19 +1113,21 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
             if entry["word"] in supplied:
                 raise ValueError(f"expectation of {entry['word']} given twice")
             supplied[entry["word"]] = value
-        # the words ascend: the first missing ones are the smallest, and
-        # bisection finds whether a supplied word is one of them
-        words = decomp.words
-        missing = list(islice((word for word in words if word not in supplied), 4))
-        if missing or len(supplied) != len(words):
-            last = len(words) - 1
+        # term_count(N) distinct words that miss no expansion word are the
+        # expansion; the count comes first, and a refusal spells words only
+        # as it reads them
+        if len(supplied) != term_count(n_qubits) or not all(
+            map(supplied.__contains__, decomp.words)
+        ):
+            missing = list(islice(filterfalse(supplied.__contains__, decomp.iter_words()), 4))
             unknown = heapq.nsmallest(
-                4, (word for word in supplied if words[bisect_left(words, word, hi=last)] != word)
+                4, filterfalse(partial(_expansion_word, n_qubits), supplied)
             )
             raise ValueError(
                 "expectations must cover exactly the expansion terms; "
                 f"missing {missing}, unknown {unknown}"
             )
+        words = decomp.words
         term_records = TermRecords(
             words,
             decomp.coeff_array,
@@ -1006,6 +1136,7 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
             np.array([supplied[word] for word in words], dtype=np.float64),
         )
         setting_records: list[SettingRecord] = []
+        j_std = None
     elif "settings" in data:
         entries = data["settings"]
         _check_types((entries,), list, "'settings'")
@@ -1037,11 +1168,25 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
                 row[probs.index] = probs.data
 
         parity_masks = np.bitwise_or(masks[0] | masks[1], masks[2], dtype=np.intp)
-        expectation = _expectations(n_qubits, parity_masks, owner, len(parsed), fill)
+        shots = [None if counts is None else sum(counts.data) for _, _, counts, _ in parsed]
+        scores = None
+        if None not in shots:
+            scores = _setting_scores(
+                n_qubits, decomp.identity_weight, decomp.coeff_array, parity_masks,
+                owner, len(parsed),
+            )
+        expectation, variance = _expectations(
+            n_qubits, parity_masks, owner, len(parsed), fill, scores
+        )
+        j_std = None if scores is None else _score_error(variance, shots)
         order, slices = setting_groups(owner, len(parsed))
         setting_records = []
-        for (setting, probs, counts, _), members in zip(parsed, slices):
+        for (setting, probs, counts, _), entry, members in zip(parsed, entries, slices):
             words = tuple(map(decomp.words.__getitem__, order[members].tolist()))
+            # counts beside probabilities are checked and read but not
+            # echoed, so an analysis lists the maps it always listed
+            if "probabilities" in entry:
+                counts = None
             setting_records.append(
                 SettingRecord(setting.basis_word, probs, counts, None, words)
             )
@@ -1059,5 +1204,6 @@ def ingest_measurements(n_qubits: int | None, data: dict) -> ExperimentReport:
         n_qubits,
         exact_current(backflow_coefficients(n_qubits).a, theta0),
         theta0=theta0,
+        j_std_error=j_std,
         readout_flip=readout_flip,
     )

@@ -5,7 +5,8 @@ letter codes, a per-word expectation value that reads any word over IXYZ, the
 letter-by-letter cover test of a measurement setting, the per-shot
 readout-flip sampler, the dense readout-flip matrix, and the plain
 layer-by-layer Walsh transform and per-setting expectation value, which
-the engine's kernels match bit for bit."""
+the engine's kernels match bit for bit, and the settings' dense scores with
+their two-pass variances."""
 from itertools import product
 
 import numpy as np
@@ -206,3 +207,24 @@ def expectation_per_setting(state, op_sum) -> float:
     for k in sorted(range(len(plan)), key=lambda k: plan[k][1][0]):
         total += sums[k]
     return float(total)
+
+
+def setting_scores(n_qubits: int, parity_masks, coeffs, term_setting, settings: int):
+    """Every setting's score as a dense settings x 2^N table, one word at a
+    time: row g at outcome b is the sum, over the words t that setting g
+    reads (``term_setting[t] == g``), of c_t (-1)^popcount(b & mask_t)."""
+    outcomes = np.arange(1 << n_qubits)
+    scores = np.zeros((settings, 1 << n_qubits))
+    for mask, coeff, g in zip(
+        np.asarray(parity_masks).tolist(), np.asarray(coeffs).tolist(),
+        np.asarray(term_setting).tolist(),
+    ):
+        scores[g] += coeff * (1 - 2 * (np.bitwise_count(outcomes & mask).astype(np.int64) & 1))
+    return scores
+
+
+def score_variances(scores, frequencies) -> np.ndarray:
+    """Each row's score variance under its outcome frequencies, two-pass:
+    sum_b f[b] (s[b] - <f, s>)^2."""
+    mean = (scores * frequencies).sum(axis=1)
+    return (frequencies * (scores - mean[:, None]) ** 2).sum(axis=1)

@@ -451,6 +451,62 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["j_estimate"] == pytest.approx(-0.102789, abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ({"zz": "x"}, "settings[0] counts must be a number, got str"),
+            ({"0": 3, "1": 7}, "settings[0]: counts disagree with the probabilities"),
+            ({"1": 10}, "settings[0]: counts and probabilities give different outcomes"),
+            ({"0": 1, "1": -1}, "settings[0]: negative count -1"),
+        ],
+        ids=["malformed", "disagreeing", "other-outcomes", "negative"],
+    )
+    def test_counts_beside_probabilities_are_checked(
+        self, capsys, data_dir, tmp_path, counts, message
+    ):
+        """Counts given beside probabilities are checked as counts alone are,
+        and must give the probabilities' outcomes at counts / total."""
+        data = json.loads((data_dir / "backflow_n1_probabilities.json").read_text())
+        data["settings"][0]["counts"] = counts
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert (code, out) == (4, "")
+        assert err == f"ringflow: malformed measured data: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--n", "5", "--seed", "3"),
+            ("--n", "4", "--seed", "5", "--theta0", "0.5", "--readout-flip", "0.01"),
+            ("--n", "3", "--seed", "2", "--per-term"),
+        ],
+        ids=["grouped", "angle-flip", "per-term"],
+    )
+    def test_analyze_prints_the_reports_error_bar(self, capsys, tmp_path, argv):
+        """``analyze`` of a shots report, and of its counts alone (grouped
+        settings read distinct words), prints the report's j_std_error."""
+        code, out, _ = run_cli(capsys, "current", "--mode", "shots", *argv)
+        assert code == 0
+        report = json.loads(out)
+        assert report["j_std_error"] > 0
+        inputs = {"report.json": report}
+        if "--per-term" not in argv:
+            inputs["counts.json"] = {
+                "n": report["n"], "theta0": report["theta0"],
+                "readout_flip": report["readout_flip"],
+                "settings": [
+                    {"basis_word": s["basis_word"], "counts": s["counts"]}
+                    for s in report["settings"]
+                ],
+            }
+        for name, data in inputs.items():
+            path = tmp_path / name
+            path.write_text(json.dumps(data))
+            code, out, _ = run_cli(capsys, "analyze", "--input", str(path))
+            assert code == 0
+            assert json.loads(out)["j_std_error"] == report["j_std_error"]
+
     def test_empty_file_is_data_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("")
@@ -753,6 +809,10 @@ def exit_code_rows():
         argv, "ingest_measurements", KeyError, 4, "malformed measured data: 'it failed'",
         id="malformed",
     )
+    # the interpreter's own MemoryError has no text
+    yield pytest.param(
+        argv, "ingest_measurements", MemoryError(), 3, "out of memory", id="memory-no-text"
+    )
 
 
 class TestExitCodes:
@@ -762,7 +822,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, work, error, code, message", exit_code_rows())
     def test_failure_exits_with_one_line(self, capsys, monkeypatch, argv, work, error, code, message):
         def fail(*args, **kwargs):
-            raise error("it failed")
+            raise error("it failed") if isinstance(error, type) else error
 
         monkeypatch.setattr(ringflow.cli, work, fail)
         assert run_cli(capsys, *argv) == (code, "", f"ringflow: {message}\n")
@@ -1495,7 +1555,9 @@ class TestAnalyzeFuzz:
 
 # sha256 of each output as the program wrote it before the expansion was
 # stored as masks; every byte must stay as it was.  The csv reports of
-# current and analyze are pinned with their param lines, which came later
+# current and analyze are pinned with their param lines, which came later,
+# and the grouped shots reports, and the analysis of the per-term one, with
+# j_std_error from the settings' score variances, which came later still
 _PINNED = [
     (("decompose", "--n", "10"),
      "2fe935e74bc3e09758cb305ea4d04bb4c211f4013e831652821cba206344bc61"),
@@ -1506,7 +1568,7 @@ _PINNED = [
     (("current", "--mode", "exact", "--n", "10"),
      "34337486bb729e7354482c73acaf124526b4b58cbecce1a45f87fb64fac1c143"),
     (("current", "--mode", "shots", "--n", "8", "--seed", "3"),
-     "20c73c69a47c0f3d6c72459eae952df02187229a61826dfd9eac1d178c8262ca"),
+     "737a5566404a79103ace9d85c878f71619d0c9da849a1404f3076c8f5fbc46af"),
     # as written before the report writers shared text tables across blocks
     (("current", "--mode", "exact", "--n", "12"),
      "6232c525ffb8600c5cc0a246073cc7d1435bdf3194f59470d3b19a3cbb943281"),
@@ -1515,14 +1577,14 @@ _PINNED = [
     (("current", "--mode", "exact", "--n", "10", "--format", "table"),
      "b5e447243c04dcab0509afbea3d5190f753e01cf7d888a5bcd386467cb74e7f1"),
     (("current", "--mode", "shots", "--n", "8", "--seed", "3", "--format", "csv"),
-     "6f7527a015ead8c80e56779151c3db7ff3fee2d8ab21f9711a910355179cafd6"),
+     "6730598d67c2d0081b8e6f1d99286a9e2eeada6b478eb90af0cb27b7ebedb2ab"),
     (("current", "--mode", "shots", "--n", "8", "--seed", "3", "--format", "table"),
-     "f0d887336f465587a552cc8e2ab1cb37423bd81477f2b04d58de4f8cefda60d7"),
+     "2bc5054ea79f594a82b3b7a4daea78966f7f8834ed4f0a39eddfd32cab994e03"),
     # as first written with the ring angle a phase on the prepared state
     (("current", "--n", "3", "--theta0", "0.5"),
      "54a2e9158e91c5eca93d01570a4015b1a058f5093639201d1f188c89f8c25cd6"),
     (("current", "--mode", "shots", "--n", "3", "--seed", "4", "--theta0", "0.5"),
-     "f9f870925b2d74ac333c11352fe1d56c79ecd29892469de19e5f16d55fd76850"),
+     "b19e31887edca7a1e8ecf488422abccf2df879c8ca528d79483f8668ea6361e3"),
     # as written with the term columns in expansion order: 1 279 settings of
     # 256 outcomes fill more than one block, and the layout keeps no rows
     (("current", "--mode", "exact", "--n", "8", "--per-term"),
@@ -1550,7 +1612,7 @@ _PINNED = [
      "212c5a27fec439a07d481056dda6c6626027c376464a23cdd736a30fb0e32eb9"),
     (("current", "--mode", "shots", "--n", "3", "--seed", "4", "--theta0", "0.5",
       "--readout-flip", "0.01", "--format", "table"),
-     "2cc0dfeff1623ff136644cc109e3426cf531537f8dc8cbadabb890a7a19db9e6"),
+     "922a2d83f97e3a116144ca0b0ae6cd079b47f06b9aa79c5c3837f80e8f17a87e"),
     # as written while the one- and two-qubit circuits derived the family
     # themselves, and the J-vs-N table lines of --range
     (("current", "--n", "1"),
@@ -1560,7 +1622,7 @@ _PINNED = [
     (("current", "--n", "2", "--theta0", "0.7"),
      "be5873f4e31dd682cdfa34f23a84be34b1e39fcd9c229baaed89616bd3e25783"),
     (("current", "--mode", "shots", "--n", "2", "--seed", "7"),
-     "42e1cd224cd781828491b73fb2fbc1f095bca86272b3464ba536d37e4bed6c67"),
+     "5fc3bc68b91a6836a6a0e342018ed97bfe82e9426e3b549e2cf64965244f84c6"),
     (("current", "--mode", "shots", "--n", "2", "--per-term", "--readout-flip", "0.01",
       "--seed", "7"),
      "aa7226309fc34d3d01133ee6bfbe1c0897f65d115708f4db6f307ced951aafba"),
@@ -1569,7 +1631,7 @@ _PINNED = [
 ]
 _PER_TERM_ARGV = ("current", "--n", "6", "--mode", "shots", "--per-term", "--seed", "11")
 _PER_TERM_SHA = "d98cdf6c59336708a8d1e2b342d8729375d4b11204f903ce305535b98b1892b5"
-_ANALYZE_SHA = "62dcd4da1c54af8b47c574b26961d2690c741878977f24cb2fc7a5c5f0e7fcd0"
+_ANALYZE_SHA = "6270c4eee5795327fbb06d438f202abdbd0b8001c2272de54e543d1169f0da9d"
 
 
 def _sha256(text: str) -> str:

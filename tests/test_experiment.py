@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from itertools import chain
 
@@ -62,7 +63,7 @@ from ringflow.pauli import (
 )
 
 from conftest import PEAK_SCRIPT, assert_same_text, child_env, random_state_vector
-from oracles import binomial_flip_sample, covers
+from oracles import binomial_flip_sample, covers, score_variances, setting_scores
 
 FOUR_PI = 4.0 * math.pi
 
@@ -462,7 +463,7 @@ def run_simulation_per_gate(n_qubits, shots_per_setting, seed, grouped, readout_
     sampling = shots_per_setting is not None
     # the term columns in record order: setting by setting, in plan order
     record_words, record_coeffs, term_setting, expectation = [], [], [], []
-    setting_records = []
+    setting_records, frequencies = [], []
     for k, (zmask, members) in enumerate(plan):
         setting = MeasurementSetting.from_z_mask(zmask, n_qubits)
         rotated = apply_circuit(state, measurement_circuit(setting))
@@ -484,6 +485,7 @@ def run_simulation_per_gate(n_qubits, shots_per_setting, seed, grouped, readout_
         term_setting += [k] * len(members)
         parities = parity_expectations(outcomes.copy())[parity_masks[members]]
         expectation += parities.tolist()
+        frequencies.append(outcomes)
         nonzero = np.flatnonzero(outcomes)
         setting_records.append(
             SettingRecord(
@@ -500,8 +502,12 @@ def run_simulation_per_gate(n_qubits, shots_per_setting, seed, grouped, readout_
     if sampling:
         variance = np.maximum(0.0, 1.0 - expectation * expectation) / shots_per_setting
         std_error = np.sqrt(variance)
+        masks = [parity_masks[words.index(word)] for word in record_words]
+        scores = setting_scores(n_qubits, masks, record_coeffs, term_setting, len(plan))
+        variances = score_variances(scores, np.array(frequencies))
+        j_std = math.sqrt(math.fsum((variances / shots_per_setting).tolist())) / FOUR_PI
     else:
-        std_error = None
+        std_error = j_std = None
     term_records = TermRecords(
         tuple(record_words),
         record_coeffs,
@@ -517,12 +523,30 @@ def run_simulation_per_gate(n_qubits, shots_per_setting, seed, grouped, readout_
         setting_records,
         n_qubits,
         exact_current(coeffs.a),
+        j_std_error=j_std,
         shots_per_setting=shots_per_setting,
         seed=seed if sampling else None,
         grouped=grouped,
         readout_flip=readout_flip,
         rng=_RNG_NAME if sampling else None,
         prep=prep,
+    )
+
+
+def assert_same_report(got, want):
+    """The report of the per-gate loop, byte for byte but for
+    ``j_std_error``: the reference takes each setting's variance from its
+    dense scores in two passes, so it agrees to 1e-12 relative."""
+    if want.j_std_error is None:
+        assert got.j_std_error is None
+    else:
+        assert got.j_std_error == pytest.approx(want.j_std_error, rel=1e-12, abs=0)
+    assert_same_text(
+        json.dumps(
+            dataclasses.replace(got, j_std_error=want.j_std_error).to_dict(),
+            indent=1, sort_keys=True,
+        ),
+        json.dumps(want.to_dict(), indent=1, sort_keys=True),
     )
 
 
@@ -539,11 +563,7 @@ def test_reports_equal_the_per_gate_loop(n, grouped, shots, flip):
     byte for byte: the same outcomes, expectations and records in order."""
     seed = 7 * n + 1
     got = run_simulation(n, shots, seed=seed, grouped=grouped, readout_flip=flip)
-    want = run_simulation_per_gate(n, shots, seed, grouped, flip)
-    assert_same_text(
-        json.dumps(got.to_dict(), indent=1, sort_keys=True),
-        json.dumps(want.to_dict(), indent=1, sort_keys=True),
-    )
+    assert_same_report(got, run_simulation_per_gate(n, shots, seed, grouped, flip))
 
 
 class TestPerTermBlocks:
@@ -561,11 +581,7 @@ class TestPerTermBlocks:
         # a layout built under these blocks, so that each block makes its rows
         monkeypatch.setattr(ringflow.experiment, "_LAYOUTS", {})
         got = run_simulation(n, shots, seed=n, grouped=False, readout_flip=flip)
-        want = run_simulation_per_gate(n, shots, n, False, flip)
-        assert_same_text(
-            json.dumps(got.to_dict(), indent=1, sort_keys=True),
-            json.dumps(want.to_dict(), indent=1, sort_keys=True),
-        )
+        assert_same_report(got, run_simulation_per_gate(n, shots, n, False, flip))
         settings_ = len(got.setting_records)
         assert calls == [min(rows, settings_ - start) for start in range(0, settings_, rows)]
 
@@ -599,23 +615,21 @@ class TestBlocks:
         monkeypatch.setattr(ringflow.experiment, "_LAYOUTS", {})
         got = run_simulation(6, shots, seed=4, readout_flip=flip)
         assert ringflow.experiment._layout(6, True).outcomes is None
-        want = run_simulation_per_gate(6, shots, 4, True, flip)
-        assert_same_text(
-            json.dumps(got.to_dict(), indent=1, sort_keys=True),
-            json.dumps(want.to_dict(), indent=1, sort_keys=True),
-        )
-        assert calls == [3, 3, 1]
+        assert_same_report(got, run_simulation_per_gate(6, shots, 4, True, flip))
+        # the new layout's scores, then the run's outcome table
+        assert calls == [3, 3, 1] * 2
 
     def test_grouped_run_is_blocked(self, monkeypatch):
         """One transform of the whole table while it fits one block, one
         per row with blocks of one row, from the same layout."""
+        ringflow.experiment._layout(6, True)  # its scores are transformed here
         calls = counting_transforms(monkeypatch)
         report = run_simulation(6, 100, seed=2)
         assert calls == [7]
         monkeypatch.setattr(ringflow.experiment, "_BLOCK_ENTRIES", 1)
         assert run_simulation(6, 100, seed=2).to_dict() == report.to_dict()
         assert calls == [7] + [1] * 7
-        assert report.to_dict() == run_simulation_per_gate(6, 100, 2, True, 0.0).to_dict()
+        assert_same_report(report, run_simulation_per_gate(6, 100, 2, True, 0.0))
 
     @pytest.mark.parametrize("rows", [1, 3, 64])
     def test_analyze_blocks_give_the_same_bytes(self, monkeypatch, capsys, tmp_path, rows):
@@ -643,8 +657,15 @@ class TestBlocks:
         calls = counting_transforms(monkeypatch)
         monkeypatch.setattr(ringflow.experiment, "_BLOCK_ENTRIES", rows << 5)
         assert analyze() == want
+        def blocks(count):
+            return [min(rows, count - start) for start in range(0, count, rows)]
+
+        # the counts-only input reads words by first cover, so some of its
+        # settings read several words, and their scores take blocks too
         settings_ = len(data["settings"])
-        assert calls == 2 * [min(rows, settings_ - start) for start in range(0, settings_, rows)]
+        many = sum(len(s["terms"]) > 1 for s in json.loads(want[1])["settings"])
+        assert many
+        assert calls == blocks(settings_) + blocks(many) + blocks(settings_)
 
 
 def counting_transforms(monkeypatch) -> list:
@@ -892,6 +913,156 @@ def test_term_records_take_slices(start, stop, step):
     ):
         records = report.term_records
         assert records[start:stop:step] == tuple(records)[start:stop:step]
+
+
+def counts_only(report: dict, *keys) -> dict:
+    """The counts file of a report: its angle, flip and each setting's basis
+    word and counts, with the ``keys`` named as well."""
+    return {
+        "n": report["n"],
+        "theta0": report["theta0"],
+        "readout_flip": report["readout_flip"],
+        "settings": [
+            {key: s[key] for key in ("basis_word", "counts", *keys)} for s in report["settings"]
+        ],
+    }
+
+
+class TestSettingScores:
+    """The error bar comes from each setting's score variance: the scores
+    are those of the brute-force sum, recombine to the estimate, and give a
+    calibrated, round-tripping ``j_std_error``."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "per-term"])
+    def test_scores_match_the_word_sum(self, n, grouped):
+        """Entries of a setting that reads several words are its brute-force
+        score sum_t c_t (-1)^popcount(b & mask_t), the identity weight folded
+        into the setting with the most words; a one-word setting keeps its
+        word and coefficient."""
+        layout = ringflow.experiment._layout(n, grouped)
+        settings_ = len(layout.zmasks)
+        want = setting_scores(
+            n, layout.parity_masks, layout.coeffs, layout.term_setting, settings_
+        )
+        scores = layout.scores
+        got = np.zeros_like(want)
+        got[scores.setting, scores.outcome] = scores.value
+        words = np.bincount(layout.term_setting, minlength=settings_)
+        many = words > 1
+        if many.any():
+            want[words.argmax()] += layout.identity_weight
+        assert np.array_equal(got[many], want[many])
+        assert not got[~many].any()
+        assert (scores.value != 0).all()
+        single = scores.single
+        assert np.array_equal(layout.term_setting[single], np.flatnonzero(words == 1))
+        assert np.array_equal(scores.single_coeff, layout.coeffs[single])
+        if grouped:
+            # the all-X setting reads the most words; 2N + 1 entries in all
+            assert len(scores.value) == (2 * n + 1 if n > 1 else 0)
+            assert n == 1 or scores.setting[0] == 0
+
+    @pytest.mark.parametrize(
+        "n, grouped",
+        [(n, True) for n in range(1, 13)] + [(n, False) for n in range(1, 11)],
+        ids=[f"grouped-{n}" for n in range(1, 13)] + [f"per-term-{n}" for n in range(1, 11)],
+    )
+    @pytest.mark.parametrize("shots", [None, 2000], ids=["exact", "shots"])
+    def test_scores_recombine_to_the_estimate(self, n, grouped, shots):
+        """lambda0 + sum_g <f_g, s_g> is 4pi j_estimate to 1e-12 relative;
+        a one-word setting's <f, s> is c times its parity average, summed
+        here over its outcomes."""
+        report = run_simulation(n, shots, seed=n, grouped=grouped)
+        layout = ringflow.experiment._layout(n, grouped)
+        scores = layout.scores
+        maps = [s.probabilities for s in report.setting_records]
+        frequency = [dict(zip(m.index.tolist(), m.data.tolist())) for m in maps]
+        entries = (c.tolist() for c in (scores.setting, scores.outcome, scores.value))
+        parts = [value * frequency[g].get(b, 0.0) for g, b, value in zip(*entries)]
+        for t, coeff in zip(scores.single.tolist(), scores.single_coeff.tolist()):
+            m = maps[layout.term_setting[t]]
+            parity = np.bitwise_count(m.index & layout.parity_masks[t]).astype(np.int64) & 1
+            signs = 1 - 2 * parity
+            parts.append(coeff * math.fsum((m.data * signs).tolist()))
+        folded = 0.0 if len(scores.value) else layout.identity_weight
+        total = folded + math.fsum(parts)
+        assert total == pytest.approx(FOUR_PI * report.j_estimate, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("flip", [0.0, 0.01])
+    def test_per_term_error_is_the_quadrature_of_the_words(self, n, flip):
+        """Words read from separate shots are independent: the per-term
+        j_std_error is the quadrature sum of coeff * std_error."""
+        report = run_simulation(n, 2000, seed=n, grouped=False, readout_flip=flip)
+        terms = report.term_records
+        squares = [x**2 for x in (terms.coeffs * terms.std_error).tolist()]
+        quadrature = math.sqrt(math.fsum(squares)) / FOUR_PI
+        assert report.j_std_error == pytest.approx(quadrature, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n, seeds", [(3, 200), (4, 200), (6, 100)])
+    def test_grouped_error_is_calibrated(self, n, seeds):
+        """Over seeds, the spread of j_estimate is the reported j_std_error:
+        their ratio lies in [0.8, 1.25] (the word quadrature gave 1.6, 2.4
+        and 4.0; at 100 seeds one SD has about 7 % sampling error)."""
+        reports = [run_simulation(n, 2000, seed=seed) for seed in range(seeds)]
+        spread = np.std([r.j_estimate for r in reports], ddof=1)
+        reported = np.mean([r.j_std_error for r in reports])
+        assert 0.8 <= spread / reported <= 1.25
+
+    def test_eight_qubit_interval_covers_at_its_rate(self):
+        """The +-1.96 sigma interval covers j_exact in 0.95 of 400 seeds to
+        within three binomial SDs, sqrt(0.95 * 0.05 / 400) = 0.0109 each:
+        [0.917, 0.983]."""
+        covered = [
+            abs(r.j_estimate - r.j_exact) <= 1.96 * r.j_std_error
+            for r in (run_simulation(8, 2000, seed=seed) for seed in range(400))
+        ]
+        assert 0.917 <= np.mean(covered) <= 0.983
+
+    @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "per-term"])
+    @pytest.mark.parametrize("theta0", [0.0, 0.5])
+    @pytest.mark.parametrize("flip", [0.0, 0.01])
+    def test_error_bar_round_trips(self, grouped, theta0, flip):
+        """A shots report, and its counts (with the terms lists of a per-term
+        plan, whose settings repeat basis words), re-ingest to the same
+        j_std_error; its probabilities alone give none."""
+        for n in range(1, 7):
+            report = run_simulation(
+                n, 2000, seed=n, grouped=grouped, theta0=theta0, readout_flip=flip
+            )
+            data = json.loads(json.dumps(report.to_dict()))
+            counts = counts_only(data, *(() if grouped else ("terms",)))
+            for given in (data, counts):
+                assert ingest_measurements(None, given).j_std_error == report.j_std_error
+            for s in data["settings"]:
+                del s["counts"]
+            assert ingest_measurements(None, data).j_std_error is None
+
+    def test_exact_and_expectation_inputs_have_no_error_bar(self, data_dir):
+        exact = run_exact(3)
+        assert exact.j_std_error is None
+        assert ingest_measurements(None, exact.to_dict()).j_std_error is None
+        data = json.loads((data_dir / "backflow_n2_expectations.json").read_text())
+        assert ingest_measurements(None, data).j_std_error is None
+
+    def test_counts_give_each_setting_its_own_shots(self):
+        """shots_g is each entry's count total: k times the counts of one
+        setting keep its frequencies and divide its Var_g by k, so taking
+        k = 4 removes 1.5 times what k = 2 removes from j_std_error^2."""
+        counts = counts_only(run_simulation(2, 1000, seed=3).to_dict())
+
+        def squared_error(k):
+            scaled = json.loads(json.dumps(counts))
+            first = scaled["settings"][0]["counts"]
+            scaled["settings"][0]["counts"] = {key: k * c for key, c in first.items()}
+            return ingest_measurements(None, scaled).j_std_error ** 2
+
+        base = squared_error(1)
+        assert base - squared_error(4) == pytest.approx(
+            1.5 * (base - squared_error(2)), rel=1e-9
+        )
+        assert base > squared_error(2) > squared_error(4)
 
 
 class TestRunExact:
@@ -1211,6 +1382,23 @@ class TestIngestMeasurements:
         with pytest.raises(ValueError) as exc:
             ingest_measurements(None, supplied)
         assert str(exc.value) == message
+
+    def test_eighteen_qubit_refusal_spells_no_expansion(self):
+        """An empty list at N = 18 (2 621 439 words) is refused with the
+        four smallest missing words, tracing at most 100 MB: the expansion's
+        masks and one spelled block, not its word tuple (238 MB before)."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                ingest_measurements(None, {"n": 18, "expectations": []})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        first = ["I" * 17 + "X", "I" * 17 + "Z", "I" * 16 + "XI", "I" * 16 + "XX"]
+        assert str(exc.value) == (
+            f"expectations must cover exactly the expansion terms; missing {first}, unknown []"
+        )
+        assert peak <= 100 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
